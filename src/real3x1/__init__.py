@@ -15,8 +15,7 @@ from .cycles import (
     CycleClass,
     CycleRecord,
     candidate,
-    check_U_realization,
-    check_Uflip_realization,
+    check_realization,
     evaluate,
     sweep,
     sweep_range,
@@ -35,14 +34,10 @@ from .maps import (
     step,
 )
 from .rationals import (
-    ExactRational,
-    OddDenomRational,
     compare_pow3_pow2,
     floor_of,
     format_rational,
-    parity,
     parse_rational,
-    two_adic_split,
 )
 from .remainders import (
     InequalityLedger,
@@ -64,7 +59,6 @@ from .trajectory import (
     TrajectoryReport,
     contraction_check,
     detect_period01,
-    detect_tendency,
     iterate,
 )
 
@@ -76,13 +70,11 @@ __all__ = [
     "CycleClass",
     "CycleRecord",
     "DomainError",
-    "ExactRational",
     "Fate",
     "FateKind",
     "InequalityLedger",
     "MAPS",
     "MapSpec",
-    "OddDenomRational",
     "Orbit",
     "PhiParams",
     "PreconditionError",
@@ -97,19 +89,16 @@ __all__ = [
     "apply_affine",
     "branch_of",
     "candidate",
-    "check_U_realization",
-    "check_Uflip_realization",
+    "check_realization",
     "compare_pow3_pow2",
     "compose_affine",
     "contraction_check",
     "detect_period01",
-    "detect_tendency",
     "evaluate",
     "floor_of",
     "format_rational",
     "iterate",
     "map_from_name",
-    "parity",
     "parse_rational",
     "rmap_orbit_scan",
     "sample_integers",
@@ -120,5 +109,4 @@ __all__ = [
     "sweep_range",
     "synthetic_trace",
     "trace",
-    "two_adic_split",
 ]

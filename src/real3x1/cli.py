@@ -8,7 +8,8 @@ back in enumeration order.
 
 Exit codes: 0 resolved/completed, 1 usage or domain error, 2 a trajectory hit
 an iteration or size cap, 3 counterexample found (a realized cycle that the
-two cycle theorems rule out), 4 file I/O failure.
+two cycle theorems rule out), 4 file I/O failure, 5 internal invariant failure
+(a StructureError, which means a bug rather than a bad input).
 """
 
 from __future__ import annotations
@@ -19,21 +20,23 @@ import json
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cycles import BitSeq, CycleRecord, evaluate, sweep_range
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, StructureError
 from .maps import MAPS, MapSpec, map_from_name, step
 from .rationals import floor_of, format_rational, parse_rational
-from .remainders import VerdictKind, rmap_orbit_scan, segment_inequality, trace
+from .remainders import VerdictKind, modulus_ok, rmap_orbit_scan, segment_inequality, trace
 from .sampling import sample_integers, sample_rationals
-from .trajectory import FateKind, detect_period01, iterate
+from .trajectory import TENDENCIES, FateKind, detect_period01, iterate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CAP = 2
 EXIT_COUNTEREXAMPLE = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 _DEFAULT_ESCAPE = str(1 << 64)
 
@@ -165,16 +168,20 @@ def _record_json_dict(rec: CycleRecord, with_verdict: bool) -> dict:
     return obj
 
 
-def _sweep_chunk(task) -> tuple[str, dict]:
-    l, lo, hi, emit_lines, with_verdict = task
-    lines = []
-    agg = {
+def _empty_totals() -> dict:
+    return {
         "records": 0,
         "class_counts": {},
         "realized_U": [],
         "realized_U_non_integer": [],
         "realized_Uflip": [],
     }
+
+
+def _sweep_chunk(task) -> tuple[str, dict]:
+    l, lo, hi, emit_lines, with_verdict = task
+    lines = []
+    agg = _empty_totals()
     for rec in sweep_range(l, lo, hi):
         agg["records"] += 1
         cls = rec.cls.value
@@ -208,13 +215,7 @@ def cmd_cycles(args, out) -> int:
                 (l, lo, min(lo + _CHUNK_RANKS, total), not args.summary_only, args.with_verdict)
             )
 
-    totals = {
-        "records": 0,
-        "class_counts": {},
-        "realized_U": [],
-        "realized_U_non_integer": [],
-        "realized_Uflip": [],
-    }
+    totals = _empty_totals()
 
     def merge(result):
         text, agg = result
@@ -240,11 +241,7 @@ def cmd_cycles(args, out) -> int:
         "command": "cycles",
         "lmin": args.lmin,
         "lmax": args.lmax,
-        "records": totals["records"],
-        "class_counts": totals["class_counts"],
-        "realized_U": totals["realized_U"],
-        "realized_U_non_integer": totals["realized_U_non_integer"],
-        "realized_Uflip": totals["realized_Uflip"],
+        **totals,
         "counterexample": counterexample,
     }
     out.write(_dumps(summary) + "\n")
@@ -253,39 +250,51 @@ def cmd_cycles(args, out) -> int:
 
 # ------------------------------------------------------------- conjecture
 
-# name -> (map, sample kind, minimum, trap region)
-_CONJECTURES: dict[str, tuple[str, str, int, tuple[int, int] | None]] = {
-    "RU": ("U", "rational", 1, None),
-    "RUprime": ("U", "rational", 1, None),
-    "NU": ("U", "integer", 1, None),
-    "NUprime": ("U", "integer", 1, None),
-    "BU": ("U", "rational", 1, None),
-    "RUflip": ("Uflip", "rational", 0, (0, 2)),
-    "BUflip": ("Uflip", "rational", 0, None),
-    "RV": ("V", "rational", 1, (1, 3)),
-    "BV": ("V", "rational", 1, None),
-}
 
-_STATEMENTS = {
-    "RU": "every U-orbit from x >= 1 tends to the cycle {1, 2}",
-    "RUprime": "every U-parity sequence is eventually periodic with period (0, 1)",
-    "NU": "every integer U-orbit from n >= 1 reaches the cycle {1, 2}",
-    "NUprime": "every integer U-parity sequence is eventually periodic with period (0, 1)",
-    "BU": "every U-orbit from x >= 1 is bounded",
-    "RUflip": "every flipped orbit from x >= 0 visits [0, 2)",
-    "BUflip": "every flipped orbit from x >= 0 is bounded",
-    "RV": "every V-orbit from x >= 1 visits [1, 3)",
-    "BV": "every V-orbit from x >= 1 is bounded",
-    "Q2": "2m + 3/2 gives the only F-orbits that fail to tend to the cycle {1, 4, 2}",
+@dataclass(frozen=True)
+class _Conjecture:
+    """One named conjecture: what to sample, which map to run, what supports it."""
+
+    map: str
+    statement: str
+    integer: bool = False  # starts are sampled integers, not rationals
+    minimum: int = 1
+    region: tuple[int, int] | None = None  # trap region [lo, hi)
+    wants_01: bool = False  # support also needs a (0,1) parity tail
+    cycle: tuple[int, ...] | None = None  # the integer cycle the theorems permit
+
+
+_CONJECTURES = {
+    "RU": _Conjecture("U", "every U-orbit from x >= 1 tends to the cycle {1, 2}", cycle=(1, 2)),
+    "RUprime": _Conjecture(
+        "U", "every U-parity sequence is eventually periodic with period (0, 1)",
+        wants_01=True, cycle=(1, 2),
+    ),
+    "NU": _Conjecture(
+        "U", "every integer U-orbit from n >= 1 reaches the cycle {1, 2}",
+        integer=True, cycle=(1, 2),
+    ),
+    "NUprime": _Conjecture(
+        "U", "every integer U-parity sequence is eventually periodic with period (0, 1)",
+        integer=True, wants_01=True, cycle=(1, 2),
+    ),
+    "BU": _Conjecture("U", "every U-orbit from x >= 1 is bounded", cycle=(1, 2)),
+    "RUflip": _Conjecture(
+        "Uflip", "every flipped orbit from x >= 0 visits [0, 2)", minimum=0, region=(0, 2)
+    ),
+    "BUflip": _Conjecture("Uflip", "every flipped orbit from x >= 0 is bounded", minimum=0),
+    "RV": _Conjecture("V", "every V-orbit from x >= 1 visits [1, 3)", region=(1, 3)),
+    "BV": _Conjecture("V", "every V-orbit from x >= 1 is bounded"),
+    "Q2": _Conjecture(
+        "F", "2m + 3/2 gives the only F-orbits that fail to tend to the cycle {1, 4, 2}",
+        cycle=(1, 2, 4),
+    ),
 }
 
 _NOT_A_PROOF = (
     "evidence only, not a proof: the conjecture remains open and this run "
     "only reports what happened on the sampled starts"
 )
-
-# integer cycles that the cycle theorems permit, per map
-_TRIVIAL_CYCLE = {"U": (1, 2), "T": (1, 2), "F": (1, 2, 4), "f": (1, 2, 4)}
 
 
 def _cycle_values(m: MapSpec, value: Fraction, period: int) -> set[Fraction]:
@@ -297,22 +306,20 @@ def _cycle_values(m: MapSpec, value: Fraction, period: int) -> set[Fraction]:
     return vals
 
 
-def _classify(name: str, m: MapSpec, rep) -> tuple[str, str | None]:
+def _classify(conj: _Conjecture, m: MapSpec, rep) -> tuple[str, str | None]:
     """One of supports / counterexample / flagged / unresolved, plus a note."""
     fate = rep.fate
     kind = fate.kind
-    wants_01 = name in ("RUprime", "NUprime")
     if kind is FateKind.ENTERED_CYCLE:
-        trivial = _TRIVIAL_CYCLE.get(m.name)
         values = _cycle_values(m, fate.value, fate.period)
-        if trivial is not None and values == {Fraction(a) for a in trivial}:
-            if wants_01 and detect_period01(rep.parity_bits) is None:
+        if conj.cycle is not None and values == {Fraction(a) for a in conj.cycle}:
+            if conj.wants_01 and detect_period01(rep.parity_bits) is None:
                 return "flagged", "trivial cycle entered but no (0,1) parity tail seen"
             return "supports", None
         shown = ", ".join(format_rational(v) for v in sorted(values))
         return "counterexample", f"entered a cycle outside the trivial one: {shown}"
-    if kind in (FateKind.TENDS_TO_TRIVIAL, FateKind.TENDS_FROM_ABOVE, FateKind.TENDS_FROM_BELOW):
-        if wants_01 and detect_period01(rep.parity_bits) is None:
+    if kind in TENDENCIES:
+        if conj.wants_01 and detect_period01(rep.parity_bits) is None:
             return "flagged", "tendency certified but no (0,1) parity tail seen"
         return "supports", None
     if kind is FateKind.ENTERED_REGION:
@@ -322,21 +329,70 @@ def _classify(name: str, m: MapSpec, rep) -> tuple[str, str | None]:
     return "unresolved", None
 
 
-def _conjecture_summary(args, name, map_name, tally, verdicts, extra=None) -> dict:
-    supporting, flagged, unresolved, counterexamples = verdicts
-    if counterexamples:
+def _run_samples(args, name: str, out, demote=False, counter_lines=(), extra=None) -> int:
+    """Sample starts for name, iterate each to a fate, and report the tally.
+
+    counter_lines precede the sampled counterexamples, extra joins the summary,
+    and demote turns a sampled counterexample into a flag.
+    """
+    conj = _CONJECTURES[name]
+    m = MAPS[conj.map]
+    rng = random.Random(args.seed)
+    if conj.integer:
+        ints = sample_integers(rng, args.samples, args.value_bits, minimum=conj.minimum)
+        starts = [Fraction(n) for n in ints]
+    else:
+        starts = sample_rationals(
+            rng, args.samples, args.den_bits, args.value_bits, Fraction(conj.minimum)
+        )
+    escape = parse_rational(args.escape)
+    trap = None if conj.region is None else (Fraction(conj.region[0]), Fraction(conj.region[1]))
+
+    tally: dict[str, int] = {}
+    supporting = flagged = unresolved = 0
+    counter_lines = list(counter_lines)
+    flagged_lines = []
+    for x in starts:
+        rep = iterate(m, x, cap=args.cap, escape_bound=escape, trap_region=trap, keep=8)
+        label = rep.fate.label()
+        tally[label] = tally.get(label, 0) + 1
+        cls, note = _classify(conj, m, rep)
+        if cls == "counterexample" and demote:
+            cls = "flagged"
+        if cls == "supports":
+            supporting += 1
+        elif cls == "unresolved":
+            unresolved += 1
+        else:
+            line = {
+                "type": cls,
+                "start": format_rational(x),
+                "fate": label,
+                "steps": rep.steps_used,
+                "note": note,
+            }
+            if cls == "counterexample":
+                counter_lines.append(line)
+            else:
+                flagged += 1
+                if len(flagged_lines) < args.flag_limit:
+                    flagged_lines.append(line)
+    for line in flagged_lines + counter_lines:
+        out.write(_dumps(line) + "\n")
+
+    if counter_lines:
         verdict = f"COUNTEREXAMPLE FOUND among {args.samples} samples"
     else:
         verdict = (
             f"no counterexample among {args.samples} samples "
             f"(cap {args.cap} steps, escape bound {args.escape})"
         )
-    obj = {
+    summary = {
         "type": "summary",
         "command": "conjecture",
         "name": name,
-        "statement": _STATEMENTS[name],
-        "map": map_name,
+        "statement": conj.statement,
+        "map": conj.map,
         "samples": args.samples,
         "seed": args.seed,
         "den_bits": args.den_bits,
@@ -347,68 +403,11 @@ def _conjecture_summary(args, name, map_name, tally, verdicts, extra=None) -> di
         "supporting": supporting,
         "flagged": flagged,
         "unresolved": unresolved,
-        "counterexamples": counterexamples,
+        "counterexamples": len(counter_lines),
         "verdict": verdict,
         "note": _NOT_A_PROOF,
+        **(extra or {}),
     }
-    if extra:
-        obj.update(extra)
-    return obj
-
-
-def _run_samples(args, name: str, out) -> int:
-    map_name, kind, minimum, region = _CONJECTURES[name]
-    m = MAPS[map_name]
-    rng = random.Random(args.seed)
-    if kind == "integer":
-        starts = [Fraction(n) for n in sample_integers(rng, args.samples, args.value_bits, minimum=max(minimum, 1))]
-    else:
-        starts = sample_rationals(
-            rng, args.samples, args.den_bits, args.value_bits, Fraction(minimum)
-        )
-    escape = parse_rational(args.escape)
-    trap = None if region is None else (Fraction(region[0]), Fraction(region[1]))
-
-    tally: dict[str, int] = {}
-    supporting = flagged = unresolved = 0
-    counter_lines = []
-    flagged_lines = []
-    for x in starts:
-        rep = iterate(m, x, cap=args.cap, escape_bound=escape, trap_region=trap, keep=8)
-        label = rep.fate.label()
-        tally[label] = tally.get(label, 0) + 1
-        cls, note = _classify(name, m, rep)
-        if cls == "supports":
-            supporting += 1
-        elif cls == "unresolved":
-            unresolved += 1
-        elif cls == "flagged":
-            flagged += 1
-            if len(flagged_lines) < args.flag_limit:
-                flagged_lines.append(
-                    {
-                        "type": "flagged",
-                        "start": format_rational(x),
-                        "fate": label,
-                        "steps": rep.steps_used,
-                        "note": note,
-                    }
-                )
-        else:
-            counter_lines.append(
-                {
-                    "type": "counterexample",
-                    "start": format_rational(x),
-                    "fate": label,
-                    "steps": rep.steps_used,
-                    "note": note,
-                }
-            )
-    for line in flagged_lines + counter_lines:
-        out.write(_dumps(line) + "\n")
-    summary = _conjecture_summary(
-        args, name, map_name, tally, (supporting, flagged, unresolved, len(counter_lines))
-    )
     out.write(_dumps(summary) + "\n")
     return EXIT_COUNTEREXAMPLE if counter_lines else EXIT_OK
 
@@ -427,8 +426,7 @@ def _run_q2(args, out) -> int:
     """The 2m + 3/2 family must climb forever; other F-starts are sampled."""
     m_lo, m_hi = _parse_m_range(args.m_range)
     F = MAPS["F"]
-    family_ok = 0
-    counter_lines = []
+    violations = []
     for m_val in range(m_lo, m_hi + 1):
         x = Fraction(4 * m_val + 3, 2)
         start = x
@@ -442,69 +440,26 @@ def _run_q2(args, out) -> int:
                 good = False
                 break
             x = y
-        good = good and floor_of(x) % 2 == 1
-        if good:
-            family_ok += 1
-        else:
-            counter_lines.append(
+        if not (good and floor_of(x) % 2 == 1):
+            violations.append(
                 {
                     "type": "counterexample",
                     "start": format_rational(start),
                     "note": f"family orbit broke monotone odd-floor growth within {args.steps} steps",
                 }
             )
-
-    rng = random.Random(args.seed)
-    starts = sample_rationals(rng, args.samples, args.den_bits, args.value_bits, Fraction(1))
-    escape = parse_rational(args.escape)
-    tally: dict[str, int] = {}
-    supporting = flagged = unresolved = 0
-    flagged_lines = []
-    for x in starts:
-        rep = iterate(F, x, cap=args.cap, escape_bound=escape, keep=8)
-        label = rep.fate.label()
-        tally[label] = tally.get(label, 0) + 1
-        cls, note = _classify("Q2", F, rep)
-        if cls == "counterexample":
-            # an exact nontrivial F-cycle is not ruled out by the theorems;
-            # it is loud Q2 evidence rather than a contract violation
-            cls, note = "flagged", note
-        if cls == "supports":
-            supporting += 1
-        elif cls == "unresolved":
-            unresolved += 1
-        else:
-            flagged += 1
-            if len(flagged_lines) < args.flag_limit:
-                flagged_lines.append(
-                    {
-                        "type": "flagged",
-                        "start": format_rational(x),
-                        "fate": label,
-                        "steps": rep.steps_used,
-                        "note": note,
-                    }
-                )
-    for line in flagged_lines + counter_lines:
-        out.write(_dumps(line) + "\n")
-    summary = _conjecture_summary(
-        args,
-        "Q2",
-        "F",
-        tally,
-        (supporting, flagged, unresolved, len(counter_lines)),
-        extra={
-            "family": {
-                "m_lo": m_lo,
-                "m_hi": m_hi,
-                "steps": args.steps,
-                "verified": family_ok,
-                "violations": len(counter_lines),
-            }
-        },
+    family = {
+        "m_lo": m_lo,
+        "m_hi": m_hi,
+        "steps": args.steps,
+        "verified": m_hi - m_lo + 1 - len(violations),
+        "violations": len(violations),
+    }
+    # an exact nontrivial F-cycle is not ruled out by the theorems; it is
+    # loud Q2 evidence rather than a contract violation, hence demote
+    return _run_samples(
+        args, "Q2", out, demote=True, counter_lines=violations, extra={"family": family}
     )
-    out.write(_dumps(summary) + "\n")
-    return EXIT_COUNTEREXAMPLE if counter_lines else EXIT_OK
 
 
 def cmd_conjecture(args, out) -> int:
@@ -526,20 +481,14 @@ def cmd_trace(args, out) -> int:
     rec = evaluate(s)
     obj = _record_json_dict(rec, with_verdict=False)
     if rec.d > 0:
-        plain = trace(rec)
-        flipped = trace(rec, flipped=True)
-        obj["trace"] = plain.to_json_dict()
-        obj["trace_flipped"] = flipped.to_json_dict()
-        obj["inequalities"] = (
-            segment_inequality(plain).to_json_dict()
-            if plain.verdict.kind is VerdictKind.ALIGNED_CLOSED
-            else None
-        )
-        obj["inequalities_flipped"] = (
-            segment_inequality(flipped).to_json_dict()
-            if flipped.verdict.kind is VerdictKind.ALIGNED_CLOSED
-            else None
-        )
+        for suffix, flipped in (("", False), ("_flipped", True)):
+            tr = trace(rec, flipped)
+            obj["trace" + suffix] = tr.to_json_dict()
+            obj["inequalities" + suffix] = (
+                segment_inequality(tr).to_json_dict()
+                if tr.verdict.kind is VerdictKind.ALIGNED_CLOSED
+                else None
+            )
     else:
         obj["trace"] = None
         obj["trace_flipped"] = None
@@ -551,15 +500,11 @@ def cmd_trace(args, out) -> int:
 # -------------------------------------------------------------- rmap-scan
 
 
-def _valid_modulus(d: int) -> bool:
-    return d >= 5 and d % 2 == 1 and d % 3 != 0
-
-
 def cmd_rmap_scan(args, out) -> int:
     if (args.d is None) == (args.d_range is None):
         raise ValueError("give exactly one of --d or --d-range")
     if args.d is not None:
-        if not _valid_modulus(args.d):
+        if not modulus_ok(args.d):
             raise ValueError(f"--d must be odd, >= 5, and not divisible by 3: {args.d}")
         ds = [args.d]
         lo = hi = args.d
@@ -570,7 +515,7 @@ def cmd_rmap_scan(args, out) -> int:
         lo, hi = int(lo_s), int(hi_s)
         if hi < lo:
             raise ValueError(f"bad --d-range: {args.d_range!r}")
-        ds = [d for d in range(lo, hi + 1) if _valid_modulus(d)]
+        ds = [d for d in range(lo, hi + 1) if modulus_ok(d)]
 
     scanned = with_orbits = orbit_total = 0
     for d in ds:
@@ -648,7 +593,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_cycles)
 
     sp = sub.add_parser("conjecture", help="seeded evidence run for one named conjecture")
-    sp.add_argument("name", choices=sorted(list(_CONJECTURES) + ["Q2"]))
+    sp.add_argument("name", choices=sorted(_CONJECTURES))
     sp.add_argument("--samples", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--den-bits", type=int, default=32)
@@ -677,6 +622,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # exact values outgrow the default 4300-digit str/int conversion limit
+        sys.set_int_max_str_digits(0)
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
@@ -706,6 +654,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, PreconditionError, ValueError) as exc:
         print(f"real3x1: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except StructureError as exc:
+        print(f"real3x1: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run() -> None:

@@ -10,7 +10,7 @@ and that fixed point is the only value whose forced walk closes.  A closed
 forced walk is automatically parity aligned with g's own dispatch: one
 misaligned step sends the 2-adic valuation negative, both branches then push
 it down forever, and the walk could never return to its start.  candidate()
-asserts this alignment at every step while rebuilding the cycle in integer
+checks this alignment at every step while rebuilding the cycle in integer
 arithmetic over the common denominator |d|.
 
 Whether the same closed walk is realized by the floor-parity maps is a
@@ -118,9 +118,10 @@ def candidate(s: BitSeq) -> CycleRecord:
     l, n = s.l, s.n
     d = (1 << l) - 3**n
     phi = affine_offset(bits)
-    assert d != 0 and d % 2 == 1, f"d = 2^{l} - 3^{n} must be odd nonzero, got {d}"
-    if n >= 1:
-        assert d % 3 != 0, f"3 divides d = {d} with n = {n} >= 1"
+    if d == 0 or d % 2 != 1:
+        raise StructureError(f"d = 2^{l} - 3^{n} must be odd nonzero, got {d}")
+    if n >= 1 and d % 3 == 0:
+        raise StructureError(f"3 divides d = {d} with n = {n} >= 1")
 
     D = abs(d)
     a = phi if d > 0 else -phi
@@ -146,29 +147,19 @@ def candidate(s: BitSeq) -> CycleRecord:
     return CycleRecord(s, d, phi, x0, tuple(nums), cls)
 
 
-def check_U_realization(rec: CycleRecord) -> tuple[bool, int | None]:
-    """Does U itself walk rec's cycle?  (False, i) names the first bad step.
+def check_realization(rec: CycleRecord, flipped: bool = False) -> tuple[bool, int | None]:
+    """Does U, or Uflip when flipped, walk rec's cycle?  (False, i) names the first bad step.
 
-    Requires x0 >= 1 (U's domain); along any prefix where the floor parities
-    match the branch bits, the walk consists of genuine U steps, so the domain
-    stays forward-invariant and only the bit comparison is needed.
+    Requires x0 in the map's domain: x0 >= 1 for U, x0 >= 0 for Uflip.  Along
+    any prefix where the floor parities match the branch bits (oppose them
+    when flipped), the walk consists of genuine steps of the map, so the
+    domain stays forward-invariant and only the bit comparison is needed.
     """
-    if rec.x0 < 1:
+    if rec.x0 < (0 if flipped else 1):
         return False, None
     D = abs(rec.d)
     for i, b in enumerate(rec.s.bits):
-        if (rec.numerators[i] // D) % 2 != b:
-            return False, i
-    return True, None
-
-
-def check_Uflip_realization(rec: CycleRecord) -> tuple[bool, int | None]:
-    """Same question for Uflip: floor parity must OPPOSE the branch bit."""
-    if rec.x0 < 0:
-        return False, None
-    D = abs(rec.d)
-    for i, b in enumerate(rec.s.bits):
-        if (rec.numerators[i] // D) % 2 != 1 - b:
+        if (rec.numerators[i] // D) % 2 != b ^ flipped:
             return False, i
     return True, None
 
@@ -176,8 +167,8 @@ def check_Uflip_realization(rec: CycleRecord) -> tuple[bool, int | None]:
 def evaluate(s: BitSeq) -> CycleRecord:
     """candidate() plus both realization checks."""
     rec = candidate(s)
-    rec.realized_U, rec.misalign_U = check_U_realization(rec)
-    rec.realized_Uflip, rec.misalign_Uflip = check_Uflip_realization(rec)
+    rec.realized_U, rec.misalign_U = check_realization(rec)
+    rec.realized_Uflip, rec.misalign_Uflip = check_realization(rec, flipped=True)
     return rec
 
 

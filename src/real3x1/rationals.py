@@ -1,4 +1,4 @@
-"""Exact rational helpers: parsing, floors, parity, 2-adic splits.
+"""Exact rational helpers: parsing, formatting, floors, power comparisons.
 
 Everything here is integer or Fraction arithmetic; no floats are created or
 accepted anywhere.  Fraction already guarantees the invariants the rest of the
@@ -11,11 +11,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-
-from .errors import DomainError
-
-# A rational in canonical reduced form with positive denominator.
-ExactRational = Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -45,51 +40,6 @@ def format_rational(x: Fraction) -> str:
 def floor_of(x: Fraction) -> int:
     """Exact floor; math.floor on Fraction is integer arithmetic."""
     return math.floor(x)
-
-
-class OddDenomRational:
-    """A rational whose reduced denominator is odd.
-
-    These are exactly the rationals with a well-defined parity: the parity of
-    the reduced numerator.  Halving an 'even' one or applying (3r+1)/2 to an
-    'odd' one stays inside the class; any other move leaves it.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Fraction | int):
-        v = Fraction(value)
-        if v.denominator % 2 == 0:
-            raise DomainError(f"even reduced denominator, parity undefined: {v}")
-        object.__setattr__(self, "value", v)
-
-    @property
-    def parity(self) -> str:
-        return "odd" if self.value.numerator % 2 else "even"
-
-    def __repr__(self) -> str:
-        return f"OddDenomRational({format_rational(self.value)})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, OddDenomRational) and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((OddDenomRational, self.value))
-
-
-def parity(x: Fraction | int | OddDenomRational) -> str:
-    """'even' or 'odd' via the reduced numerator; odd denominators only."""
-    if isinstance(x, OddDenomRational):
-        return x.parity
-    return OddDenomRational(x).parity
-
-
-def two_adic_split(n: int) -> tuple[int, int]:
-    """Split n >= 1 as 2^e * odd, returning (e, odd)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
-        raise ValueError(f"two_adic_split needs an integer >= 1, got {n!r}")
-    e = (n & -n).bit_length() - 1
-    return e, n >> e
 
 
 def compare_pow3_pow2(n: int, l: int) -> int:

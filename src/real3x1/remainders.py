@@ -99,35 +99,23 @@ def _aligned(q_i: int, c_i: int, flipped: bool) -> bool:
 
 def _expected_next(d: int, q_prev: int, r_prev: int, flipped: bool) -> int:
     """One exact step of the remainder recurrence, given alignment at i-1."""
-    if not flipped:
-        if r_prev % 2 != 0:
-            raise StructureError(f"aligned remainder {r_prev} must be even")
-        if q_prev % 2 == 0:
-            return r_prev // 2
-        triple = 3 * r_prev
-        assert triple != 2 * d, "3r = 2d is impossible: 3 never divides d"
-        return triple // 2 if triple < 2 * d else triple // 2 - d
-    w_prev = d - r_prev
-    if w_prev % 2 != 0:
-        raise StructureError(f"flip-aligned complement {w_prev} must be even")
-    if q_prev % 2 == 1:
-        return d - w_prev // 2
-    triple = 3 * w_prev
-    assert triple != 2 * d
-    w_next = triple // 2 if triple < 2 * d else triple // 2 - d
-    return d - w_next
+    if flipped:
+        # the flipped recurrence drives d - r with the parity of q exchanged
+        return d - _expected_next(d, q_prev + 1, d - r_prev, False)
+    if r_prev % 2 != 0:
+        raise StructureError(f"aligned remainder {r_prev} must be even")
+    if q_prev % 2 == 0:
+        return r_prev // 2
+    triple = 3 * r_prev
+    if triple == 2 * d:
+        raise StructureError("3r = 2d is impossible: 3 never divides d")
+    return triple // 2 if triple < 2 * d else triple // 2 - d
 
 
 def _new_flags(d: int, r: tuple[int, ...], l: int, flipped: bool) -> tuple[bool, ...]:
-    flags = []
-    for i in range(l):
-        prev = r[(i - 1) % l]
-        if not flipped:
-            flags.append(2 * r[i] + 2 * d == 3 * prev)
-        else:
-            w_i, w_prev = d - r[i], d - prev
-            flags.append(2 * w_i + 2 * d == 3 * w_prev)
-    return tuple(flags)
+    if flipped:
+        r = tuple(d - ri for ri in r)
+    return tuple(2 * r[i] + 2 * d == 3 * r[(i - 1) % l] for i in range(l))
 
 
 def _segments(
@@ -166,21 +154,13 @@ def trace(rec: CycleRecord, flipped: bool = False) -> RemainderTrace:
     r = tuple(ci % d for ci in c)
     branch_bits = rec.s.bits
     new_flags = _new_flags(d, r, l, flipped)
+    prefix = next((i for i in range(l) if not _aligned(q[i], c[i], flipped)), l)
 
     if all(ri == 0 for ri in r):
-        prefix = next(
-            (i for i in range(l) if not _aligned(q[i], c[i], flipped)), l
-        )
         return RemainderTrace(
             d, c, q, r, branch_bits, flipped, prefix, new_flags, None,
             Verdict(VerdictKind.INTEGER_CYCLE),
         )
-
-    prefix = l
-    for i in range(l):
-        if not _aligned(q[i], c[i], flipped):
-            prefix = i
-            break
 
     for i in range(1, l + 1):
         if _aligned(q[i - 1], c[i - 1], flipped):
@@ -232,7 +212,8 @@ def synthetic_trace(d: int, r_cycle: Iterable[int]) -> RemainderTrace:
     r = states + (states[0],)
     c = tuple(qi * d + ri for qi, ri in zip(q, r))
     for i in range(1, l + 1):
-        assert _expected_next(d, q[i - 1], r[i - 1], False) == r[i]
+        if _expected_next(d, q[i - 1], r[i - 1], False) != r[i]:
+            raise StructureError(f"synthetic ledger breaks the recurrence at step {i}")
     new_flags = _new_flags(d, r, l, False)
     segs = _segments(new_flags, tuple(bits))
     return RemainderTrace(
@@ -317,10 +298,15 @@ class Orbit:
     exceeds_pow_bound: bool  # 3^n > 2^l, forced for every closed orbit
 
 
+def modulus_ok(d: int) -> bool:
+    """The rule for a remainder modulus: d is odd, >= 5 and coprime to 3."""
+    return d >= 5 and d % 2 == 1 and d % 3 != 0
+
+
 def _check_modulus(d: int) -> None:
     if not isinstance(d, int) or isinstance(d, bool):
         raise ValueError(f"d must be an integer, got {d!r}")
-    if d < 5 or d % 2 == 0 or d % 3 == 0:
+    if not modulus_ok(d):
         raise ValueError(f"d must be odd, >= 5, and coprime to 3, got {d}")
 
 

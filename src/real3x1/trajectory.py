@@ -13,11 +13,13 @@ An orbit resolves in one of a few ways, all decided without floating point:
     when reduced denominators outgrow the configured bit budget.
 
 The certified sub-basins are exact trapping sets.  For the floor-parity map U,
-[1, 5/3) u (2, 3) maps into itself two-step with U^2(x) - a = (3/4)(x - a);
+(1, 5/3) u (2, 3) maps into itself two-step with U^2(x) - a = (3/4)(x - a);
 for Uflip the mirror interval (1/2, 1) contracts onto 1 from below; for F the
 three windows (1, 4/3), (2, 8/3), (4, 5) chase the integer cycle (1, 4, 2).
-Exact hits of cycle members are excluded from the windows so that on-cycle
-starts resolve as entered_cycle via exact repetition.
+The windows are open, so on-cycle starts resolve as entered_cycle via exact
+repetition, and they hold no integer, so the integer maps T and f need none.
+The diagnostics detect_period01 and contraction_check read a parity tail and
+replay the contraction identity for a claimed branch pattern.
 """
 
 from __future__ import annotations
@@ -26,14 +28,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DomainError, PreconditionError
+from .errors import PreconditionError, StructureError
 from .maps import MAPS, MapSpec, branch_of, step
 from .rationals import floor_of, format_rational
 
 
 class FateKind(str, Enum):
     TENDS_TO_TRIVIAL = "tends_to_trivial"
-    TENDS_FROM_ABOVE = "tends_from_above"
     TENDS_FROM_BELOW = "tends_from_below"
     ESCAPED_BOUND = "escaped_bound"
     CAP_REACHED = "cap_reached"
@@ -100,39 +101,23 @@ class TrajectoryReport:
 
 # ------------------------------------------------- certified cycle sub-basins
 
-_FIVE_THIRDS = Fraction(5, 3)
-_FOUR_THIRDS = Fraction(4, 3)
-_EIGHT_THIRDS = Fraction(8, 3)
-_HALF = Fraction(1, 2)
+# Open windows (lo, hi, anchor, kind) per map.  Each window keeps a constant
+# floor, so the branch pattern of one anchor-length block is forced and the
+# block identity m^l(y) - a = ratio * (y - a) can be checked exactly.
+_BASINS = {
+    "U": (
+        (1, Fraction(5, 3), (1, 2), FateKind.TENDS_TO_TRIVIAL),
+        (2, 3, (2, 1), FateKind.TENDS_TO_TRIVIAL),
+    ),
+    "Uflip": ((Fraction(1, 2), 1, (1, 2), FateKind.TENDS_FROM_BELOW),),
+    "F": (
+        (1, Fraction(4, 3), (1, 4, 2), FateKind.TENDS_TO_TRIVIAL),
+        (2, Fraction(8, 3), (2, 1, 4), FateKind.TENDS_TO_TRIVIAL),
+        (4, 5, (4, 2, 1), FateKind.TENDS_TO_TRIVIAL),
+    ),
+}
 
-
-def _basin_U(x: Fraction):
-    if 1 <= x < _FIVE_THIRDS and x != 1:
-        return (1, 2), FateKind.TENDS_TO_TRIVIAL
-    if 2 < x < 3:
-        return (2, 1), FateKind.TENDS_TO_TRIVIAL
-    return None
-
-
-def _basin_Uflip(x: Fraction):
-    if _HALF < x < 1:
-        return (1, 2), FateKind.TENDS_FROM_BELOW
-    return None
-
-
-def _basin_F(x: Fraction):
-    # Each window keeps a constant floor, so the three-step branch pattern is
-    # forced and the block identity F^3(y) - a = (3/4)(y - a) can be checked.
-    if 1 < x < _FOUR_THIRDS:
-        return (1, 4, 2), FateKind.TENDS_TO_TRIVIAL
-    if 2 < x < _EIGHT_THIRDS:
-        return (2, 1, 4), FateKind.TENDS_TO_TRIVIAL
-    if 4 < x < 5:
-        return (4, 2, 1), FateKind.TENDS_TO_TRIVIAL
-    return None
-
-
-_BASINS = {"U": _basin_U, "T": _basin_U, "Uflip": _basin_Uflip, "F": _basin_F, "f": _basin_F}
+TENDENCIES = (FateKind.TENDS_TO_TRIVIAL, FateKind.TENDS_FROM_BELOW)
 
 
 def _block_ratio(m: MapSpec, bits) -> Fraction:
@@ -179,7 +164,7 @@ def iterate(
     """
     x0 = Fraction(x0)
     branch_of(m, x0)  # surface domain errors on the start value immediately
-    basin = _BASINS.get(m.name)
+    basin = _BASINS.get(m.name, ())
     lo, hi = (None, None) if trap_region is None else trap_region
 
     iterates = [x0]
@@ -203,12 +188,10 @@ def iterate(
     def settle(x: Fraction, k: int) -> Fate | None:
         if trap_region is not None and lo <= x < hi:
             return Fate(FateKind.ENTERED_REGION, region=(lo, hi))
-        if basin is not None:
-            hit = basin(x)
-            if hit is not None:
-                anchor, kind = hit
-                confirmed = _confirm_contraction(m, x, anchor)
-                assert confirmed, f"certified basin landing failed to confirm at {x}"
+        for w_lo, w_hi, anchor, kind in basin:
+            if w_lo < x < w_hi:
+                if not _confirm_contraction(m, x, anchor):
+                    raise StructureError(f"certified basin landing failed to confirm at {x}")
                 return Fate(kind, anchor=anchor, confirmed=True)
         if escape_bound is not None and abs(x) > escape_bound:
             return Fate(FateKind.ESCAPED_BOUND, bound=Fraction(escape_bound))
@@ -235,20 +218,10 @@ def iterate(
                 break
         else:
             fate = Fate(FateKind.CAP_REACHED)
-        if fate.kind in (
-            FateKind.TENDS_TO_TRIVIAL,
-            FateKind.TENDS_FROM_ABOVE,
-            FateKind.TENDS_FROM_BELOW,
-            FateKind.ENTERED_CYCLE,
-        ):
+        if fate.kind in TENDENCIES or fate.kind is FateKind.ENTERED_CYCLE:
             pad(x)
-    else:
-        if fate.kind in (
-            FateKind.TENDS_TO_TRIVIAL,
-            FateKind.TENDS_FROM_ABOVE,
-            FateKind.TENDS_FROM_BELOW,
-        ):
-            pad(x0)
+    elif fate.kind in TENDENCIES:
+        pad(x0)
 
     return TrajectoryReport(x0, iterates, bits, fate, steps_used, truncated)
 
@@ -269,52 +242,6 @@ def detect_period01(bits, window: int = 4) -> int | None:
         if all(bits[j + t] == t % 2 for t in range(len(bits) - j)):
             return j
     return None
-
-
-def _check_anchor(anchor) -> tuple[int, ...]:
-    anchor = tuple(anchor)
-    if not anchor or any(not isinstance(a, int) or isinstance(a, bool) for a in anchor):
-        raise PreconditionError(f"anchor must be a nonempty integer cycle: {anchor!r}")
-    U = MAPS["U"]
-    for i, a in enumerate(anchor):
-        if a < 1:
-            raise PreconditionError(f"anchor values must be >= 1, got {a}")
-        image, _ = step(U, Fraction(a))
-        expected = anchor[(i + 1) % len(anchor)]
-        if image != expected:
-            raise PreconditionError(
-                f"anchor is not a U-cycle: U({a}) = {image} != {expected}"
-            )
-    return anchor
-
-
-def detect_tendency(m: MapSpec, x0: Fraction, anchor, cap: int = 256) -> str:
-    """'from_above', 'from_below', or 'none' relative to an integer U-cycle.
-
-    A hit means some iterate landed in the one-sided window of width
-    theta = (2/3)^l at some anchor point, on the side this map approaches
-    from, and the composed-block contraction from the landing point checked
-    out exactly.
-    """
-    anchor = _check_anchor(anchor)
-    if m.name not in ("U", "T", "Uflip"):
-        raise ValueError(f"tendency detection supports U, T, Uflip; got {m.name}")
-    below = m.name == "Uflip"
-    l = len(anchor)
-    theta = Fraction(2, 3) ** l
-    x = Fraction(x0)
-    for _ in range(cap + 1):
-        for j, a in enumerate(anchor):
-            if below:
-                hit = a - theta < x <= a
-            else:
-                hit = a <= x < a + theta
-            if hit:
-                rotated = anchor[j:] + anchor[:j]
-                if _confirm_contraction(m, x, rotated):
-                    return "from_below" if below else "from_above"
-        x, _b = step(m, x)
-    return "none"
 
 
 def contraction_check(

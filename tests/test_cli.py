@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import real3x1.cli as cli
 from real3x1.cli import main
+from real3x1.errors import StructureError
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +63,26 @@ def test_iterate_domain_and_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["iterate", "--start", "1"])  # --map is required
     assert exc.value.code == 1
+
+
+def test_start_beyond_int_str_digit_limit(capsys):
+    # 5000-digit numerator, just above 3/2: U's basin resolves it at once
+    start = f"{3 * 10**4999 + 1}/{2 * 10**4999}"
+    code, out, _ = run_cli(capsys, "iterate", "--map", "U", "--start", start, "--cap", "1")
+    assert code == 0
+    (rec,) = jsonl(out)
+    assert rec["start"] == start
+    assert rec["fate"]["kind"] == "tends_to_trivial"
+
+
+def test_internal_error_exit(capsys, monkeypatch):
+    def broken(s):
+        raise StructureError(f"forced walk of {s} failed to close")
+
+    monkeypatch.setattr(cli, "evaluate", broken)
+    code, out, err = run_cli(capsys, "trace", "--bits", "10")
+    assert code == 5 and out == ""
+    assert err == "real3x1: internal error: forced walk of 10 failed to close\n"
 
 
 def test_cycles_small_sweep(capsys):

@@ -10,8 +10,7 @@ from real3x1.cycles import (
     BitSeq,
     CycleClass,
     candidate,
-    check_U_realization,
-    check_Uflip_realization,
+    check_realization,
     evaluate,
     sweep,
     sweep_range,
@@ -159,7 +158,7 @@ def test_fractional_denominators_are_at_least_five():
 def test_realization_checks_match_direct_walk():
     """The recorded misalignment index is the first floor-parity mismatch."""
     for rec in sweep(9):
-        ok_U, idx_U = check_U_realization(rec)
+        ok_U, idx_U = check_realization(rec)
         if rec.x0 >= 1:
             floors = rec.floors()
             mismatches = [i for i, b in enumerate(rec.s.bits) if floors[i] % 2 != b]
@@ -167,7 +166,7 @@ def test_realization_checks_match_direct_walk():
             assert idx_U == (mismatches[0] if mismatches else None)
         else:
             assert (ok_U, idx_U) == (False, None)
-        ok_f, idx_f = check_Uflip_realization(rec)
+        ok_f, idx_f = check_realization(rec, flipped=True)
         if rec.x0 >= 0:
             floors = rec.floors()
             mismatches = [i for i, b in enumerate(rec.s.bits) if floors[i] % 2 != 1 - b]

@@ -1,0 +1,135 @@
+"""Golden stdout hashes and exit codes for a matrix of CLI invocations.
+
+Each entry pins the SHA-256 of everything one invocation writes to stdout,
+together with its exit code, so a refactor that moves a single output byte
+fails here.  The matrix covers every conjecture name, iterate on every named
+map plus one Phi map in both formats, trace on positive-d, negative-d and
+integer-cycle patterns, rmap-scan and a verdict-carrying cycle sweep.
+"""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+
+from real3x1 import cli
+
+GOLDEN = {
+    "conjecture BU --samples 40 --cap 1000":
+        ("7e4e07ea00a64ab0e7ca2a19f79be6376aabc3cd3a9417202dee3b4ad9e23183", 0),
+    "conjecture BUflip --samples 40 --cap 1000":
+        ("d5c7c260f1f853c8eee6916db92361d36b193aa2c00806e417ac8102d1e8351b", 0),
+    "conjecture BV --samples 40 --cap 1000":
+        ("64d988ee902f1a1e7b481f259dced6f2d50824a1e34918ad81d9c689b899f1a6", 0),
+    "conjecture NU --samples 40 --cap 1000":
+        ("1418163121f7a89f4cf829663a489b9f54cdcc282504feeda95795872da9aa9f", 0),
+    "conjecture NUprime --samples 40 --cap 1000":
+        ("6d77db07bea74261fe92feadfc3eea1661c6eb83694dc76aea46d99f5df511b4", 0),
+    "conjecture Q2 --samples 40 --cap 1000":
+        ("04d6bb7413de8532d53fd7478c4034ea45047f6f36834735a0d16b80180a4861", 0),
+    "conjecture RU --samples 40 --cap 1000":
+        ("2051956bb7ef818a97a263529afb9a87bb81195f56ffc1d68ed3ad96fe72c50b", 0),
+    "conjecture RUflip --samples 40 --cap 1000":
+        ("0f98bfe51b085cf6ad4cb3cfd513bf90ec1a3de89ac6b7636acfdfe288f135fc", 0),
+    "conjecture RUprime --samples 40 --cap 1000":
+        ("490f50267f296825313abdfa1d70d12557579c6e23e37711751b75a8dfdfef2e", 0),
+    "conjecture RV --samples 40 --cap 1000":
+        ("a787fb36a37264eafe819ac33e2467d724a2dc6a814e4015a318cc5989c0573b", 0),
+    "conjecture Q2 --samples 40 --cap 50 --escape 1000 --flag-limit 3":
+        ("ea24347cc5f96ff31618311a57180251601e8d81f174d73aa1958952c0839e14", 0),
+    "conjecture BV --samples 40 --cap 1000 --escape 100000 --flag-limit 5":
+        ("4cc7e021fce32df91f776e43e61e6729899de0d8ae1e99743cf00e1faff83eb6", 0),
+    "conjecture NUprime --samples 40 --value-bits 4 --cap 5":
+        ("6c8ceb236e2340eefd3cfbb646450c4021a69b682201039a5ee31328257a0b80", 0),
+    "iterate --map T --start 7,27 --cap 200 --format jsonl":
+        ("4896560292f2dcf623b9e53d3643d3b918b8be593c5573596c533fc660a60f8d", 0),
+    "iterate --map T --start 7,27 --cap 200 --format csv":
+        ("bb3bd4c4bf119645f564edb4f36baf9f467e7ad718ca09951d927bc2f2bd727c", 0),
+    "iterate --map f --start 7,27 --cap 200 --format jsonl":
+        ("3eeceedd66308bb318c9116a98f5d57649fd475983e4d8deed7d29120214d27d", 0),
+    "iterate --map f --start 7,27 --cap 200 --format csv":
+        ("70afcd84a581c746845e116521d85ab6c06851e27d8b5add566f144da7201d6b", 0),
+    "iterate --map g --start 1/5,-5,7/3,2/9 --cap 200 --format jsonl":
+        ("31f5a2e709c0071f610d1c09b9df31edd5b2f7bf6368cfff4bf1452a115fbd9d", 0),
+    "iterate --map g --start 1/5,-5,7/3,2/9 --cap 200 --format csv":
+        ("bab9b18ed1a071d71671803e542b711c97886231341072933c12aa2b471da684", 0),
+    "iterate --map U --start 3/2,1,7,27,13/5,7/5 --cap 200 --format jsonl":
+        ("0b61751f6f6ab5b39fda66da9a1b993b3890c70ce7c4989296ae04e89c5e7ce3", 0),
+    "iterate --map U --start 3/2,1,7,27,13/5,7/5 --cap 200 --format csv":
+        ("7026ee6600afd7f30fc312d150f1e0dcb3d749e5f202e96364aeb963f1dd33dd", 0),
+    "iterate --map Uflip --start 1/2,0,3,7/3,9/4 --cap 200 --format jsonl":
+        ("a8a70245f84a9dc4981041103559baf4813a951acee36d417cf0fbe538fc37b6", 0),
+    "iterate --map Uflip --start 1/2,0,3,7/3,9/4 --cap 200 --format csv":
+        ("213efd8fb4df633aab221922aab2ce69f7a06ca7b14a022476f9ffe55ea0a4be", 0),
+    "iterate --map F --start 3/2,1,7,9/5 --cap 200 --format jsonl":
+        ("c57a9ea335556206b331788b307afd0f3931b753d3169fe4d1975ce13396bd11", 2),
+    "iterate --map F --start 3/2,1,7,9/5 --cap 200 --format csv":
+        ("2b02d378e92a55a090cf42c32a9964ab69d571c7a10c2fcc86409353f9b414c5", 2),
+    "iterate --map V --start 7/5,4,10/3 --cap 200 --format jsonl":
+        ("25661d900baf0c8e91900397f0b0f261bfaa771baaf2e82803d4879eb97aa47b", 2),
+    "iterate --map V --start 7/5,4,10/3 --cap 200 --format csv":
+        ("2ad4736a05ee6b322fcd3520ed886a31e59e67b0db1c934397256c1042783158", 2),
+    "iterate --map Phi:1/2,0,3/2,1/2,0,1 --start 3/2,7,5/3 --cap 200 --format jsonl":
+        ("87739282da8bc4e35edaa8a4c77a10c48f76ee9d76c6f74f146d403bc6b8fb5b", 2),
+    "iterate --map Phi:1/2,0,3/2,1/2,0,1 --start 3/2,7,5/3 --cap 200 --format csv":
+        ("13438e0adfe18ea620561fc20a3210c665384a01b307f324b79b98db45c0e72b", 2),
+    "trace --bits 11100":
+        ("a706b732168d4d5008305b3eecec0c11d328d4c383d638519ce2b57b84800dd0", 0),
+    "trace --bits 100":
+        ("9f7cfde51ef341a7438f3474c08de9b56823c992c94c98742f4c1b185ef88843", 0),
+    "trace --bits 1101000":
+        ("ffad59dabbbed250b4b5fbd8f025e4fa0b4cda16c5ce412bc2eb685de890cadd", 0),
+    "trace --bits 1011000":
+        ("111308e336380c936ae675eacd40f431b9df4b5250e31258e907e96c2b5cf87b", 0),
+    "trace --bits 110":
+        ("0dfc6de24dc105ad09df2d3970efc5f2eed0709a6a5b4e7fac7bee224509e949", 0),
+    "trace --bits 1":
+        ("eb0b0599dc50027b254b4460d69397c281f629a7f33e60e01bd11506d5488066", 0),
+    "trace --bits 10":
+        ("348f182a6f2c0baaf4d190b4034e879ddd6deaf2e5b5af7a3a1fa028e0ee116e", 0),
+    "trace --bits 01":
+        ("3bbbe83c497336e5a9e1cce763b5c89cec1c2fa0821a170c516bd6120cb5169b", 0),
+    "trace --bits 0":
+        ("a102fdd75fc00831bc3c7e727b2a2000e11842a0008acb4b7066e3d3be664171", 0),
+    "rmap-scan --d-range 5..200":
+        ("08281445e6e35dd86502039d90f082ec34a62609b9b81ca370960e4f835b5c43", 0),
+    "cycles --lmax 10 --with-verdict":
+        ("2c5f915b29cbd9b4410252b5063a3e0ee9df3416260161feadda9e99cc661188", 0),
+}
+
+# Honest samples never take these branches, so the runs forge them: a
+# nontrivial cycle (a counterexample, which Q2 demotes to a flag) and a
+# missing (0,1) parity tail (flagged only for the primed conjectures).
+FORGED = {
+    ("cycle", "conjecture NU --samples 10 --value-bits 4"):
+        ("abd336e4f9bb815abb520da7254cc6fe0bc4a2411372a7a0850a5ad268089ca1", 3),
+    ("cycle", "conjecture Q2 --samples 100 --den-bits 3 --value-bits 3 --cap 300 --flag-limit 5"):
+        ("a98f67f666fbd64c2d607a9f69cfc46c154c7e1ef99b43d4fef5ee2ed4847d0a", 0),
+    ("cycle", "conjecture BU --samples 10 --den-bits 1 --value-bits 3"):
+        ("394ef7b3502f96e9c2fb7b8f42d4d1bcfbda116653d501158498d77063687db0", 3),
+    ("no-tail", "conjecture RUprime --samples 20"):
+        ("26ace304cfb38bf2b981529b7a388b04edbb9f0b607d12acdd7a9e5cc60a391c", 0),
+    ("no-tail", "conjecture NUprime --samples 20"):
+        ("e6cb905879ce1c13e3753ca25ce2c30643728461e488af523f7ec4a6e67397b6", 0),
+    ("no-tail", "conjecture RU --samples 20"):
+        ("45d3bfa42dbc5aaeeabb3df5e69a839823dd51bd5c7a3364b3df89bf06d2fdb9", 0),
+}
+
+
+def _run(argv, capsys):
+    code = cli.main(argv.split())
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(), code
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN))
+def test_cli_output_is_golden(argv, capsys):
+    assert _run(argv, capsys) == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("forge,argv", list(FORGED))
+def test_forged_outcomes_are_golden(forge, argv, monkeypatch, capsys):
+    if forge == "cycle":
+        monkeypatch.setattr(cli, "_cycle_values", lambda m, value, period: {Fraction(5)})
+    else:
+        monkeypatch.setattr(cli, "detect_period01", lambda bits: None)
+    assert _run(argv, capsys) == FORGED[forge, argv]

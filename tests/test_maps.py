@@ -64,8 +64,11 @@ def test_g_steps():
     assert step(g, F2(-5)) == (F2(-7), 1)
     assert step(g, F2(-7)) == (F2(-10), 1)
     assert step(g, F2(-10)) == (F2(-5), 0)
-    with pytest.raises(DomainError):
-        step(g, F2(1, 2))
+    # the reduced form decides the domain and the parity: 2/6 is 1/3, 3/6 is 1/2
+    assert step(g, F2(2, 6)) == (F2(1), 1)
+    for bad in (F2(1, 2), F2(3, 6)):
+        with pytest.raises(DomainError):
+            step(g, bad)
 
 
 def test_F_and_V_steps():

@@ -1,4 +1,4 @@
-"""Floor, parity, 2-adic splitting, and the exact power comparator."""
+"""Parsing, floors, g's odd-denominator closure, and the exact power comparator."""
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -7,16 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from real3x1.errors import DomainError
-from real3x1.rationals import (
-    OddDenomRational,
-    compare_pow3_pow2,
-    floor_of,
-    format_rational,
-    parity,
-    parse_rational,
-    two_adic_split,
-)
+from real3x1.maps import MAPS, step
+from real3x1.rationals import compare_pow3_pow2, floor_of, format_rational, parse_rational
 
 
 def test_floor_frozen():
@@ -47,20 +39,6 @@ def test_parse_rejects(bad):
         parse_rational(bad)
 
 
-def test_odd_denominator_gate():
-    assert OddDenomRational(Fraction(7, 3)).parity == "odd"
-    assert OddDenomRational(Fraction(10, 7)).parity == "even"
-    assert parity(Fraction(10, 7)) == "even"
-    with pytest.raises(DomainError):
-        OddDenomRational(Fraction(1, 2))
-    with pytest.raises(DomainError):
-        parity(Fraction(5, 6))
-    # reduction decides membership and parity: 3/6 is 1/2, 2/6 is 1/3
-    with pytest.raises(DomainError):
-        OddDenomRational(Fraction(3, 6))
-    assert OddDenomRational(Fraction(2, 6)).parity == "odd"
-
-
 odd_denom = st.builds(
     Fraction,
     st.integers(min_value=-10**6, max_value=10**6),
@@ -71,27 +49,8 @@ odd_denom = st.builds(
 @given(odd_denom)
 def test_q2_closure(r):
     """Halving an even element or mapping an odd one stays in the odd-denominator field."""
-    if parity(r) == "even":
-        image = r / 2
-    else:
-        image = (3 * r + 1) / 2
+    image, _bit = step(MAPS["g"], r)
     assert image.denominator % 2 == 1, f"left the odd-denominator rationals: {r} -> {image}"
-
-
-def test_two_adic_frozen():
-    assert two_adic_split(12) == (2, 3)
-    assert two_adic_split(7) == (0, 7)
-    assert two_adic_split(64) == (6, 1)
-    assert two_adic_split(1) == (0, 1)
-    for bad in (0, -3):
-        with pytest.raises(ValueError):
-            two_adic_split(bad)
-
-
-@given(st.integers(min_value=1, max_value=10**18))
-def test_two_adic_roundtrip(n):
-    e, o = two_adic_split(n)
-    assert o % 2 == 1 and 2**e * o == n
 
 
 def test_compare_pow_frozen():

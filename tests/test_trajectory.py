@@ -13,7 +13,6 @@ from real3x1.trajectory import (
     FateKind,
     contraction_check,
     detect_period01,
-    detect_tendency,
     iterate,
 )
 
@@ -146,21 +145,11 @@ def test_detect_period01():
         detect_period01((0, 1, 0, 1), window=1)
 
 
-def test_detect_tendency():
-    assert detect_tendency(MAPS["U"], F2(3, 2), (1, 2), 10) == "from_above"
-    assert detect_tendency(MAPS["Uflip"], F2(1, 2), (1, 2), 200) == "from_below"
-    # On-cycle starts sit inside their own one-sided windows.
-    assert detect_tendency(MAPS["U"], F2(1), (1, 2)) == "from_above"
-    assert detect_tendency(MAPS["Uflip"], F2(1), (1, 2)) == "from_below"
-    assert detect_tendency(MAPS["U"], F2(7), (1, 2), cap=3) == "none"
-
-
-def test_detect_tendency_validates_anchor_and_map():
-    for bad in ((1, 2, 3), (2,), (0,), ()):
-        with pytest.raises(PreconditionError):
-            detect_tendency(MAPS["U"], F2(3, 2), bad)
-    with pytest.raises(ValueError):
-        detect_tendency(MAPS["V"], F2(3, 2), (1, 2))
+def test_tendency_fates():
+    assert iterate(MAPS["U"], F2(3, 2)).fate.kind is FateKind.TENDS_TO_TRIVIAL
+    assert iterate(MAPS["Uflip"], F2(1, 2)).fate.kind is FateKind.TENDS_FROM_BELOW
+    assert iterate(MAPS["U"], F2(1)).fate.label() == "entered_cycle:2"
+    assert iterate(MAPS["U"], F2(7), cap=3).fate.kind is FateKind.CAP_REACHED
 
 
 def test_contraction_check():
