@@ -17,17 +17,19 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 from fractions import Fraction
 
 from .cycles import BitSeq, CycleRecord, evaluate, sweep_range
 from .errors import DomainError, PreconditionError, StructureError
 from .maps import MAPS, MapSpec, map_from_name, step
 from .rationals import floor_of, format_rational, parse_rational
-from .remainders import VerdictKind, modulus_ok, rmap_orbit_scan, segment_inequality, trace
+from .remainders import Verdict, VerdictKind, modulus_ok, rmap_orbit_scan, segment_inequality, trace
 from .sampling import sample_integers, sample_rationals
 from .trajectory import TENDENCIES, FateKind, detect_period01, iterate
 
@@ -45,6 +47,26 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+def jsonable(obj):
+    """The JSON form of a report is its fields, recursively.
+
+    A Fraction prints exactly as p/q, an Enum as its value and a Verdict as
+    its label; a dataclass becomes a dict over its fields and a tuple or list
+    a list.  Anything else (int, bool, str, None) passes through unchanged.
+    """
+    if isinstance(obj, Fraction):
+        return format_rational(obj)
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, Verdict):
+        return obj.label()
+    if is_dataclass(obj):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, (tuple, list)):
+        return [jsonable(x) for x in obj]
+    return obj
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures remapped from exit 2 to exit 1.
 
@@ -55,6 +77,28 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _at_least(k: int):
+    """An argparse type for integers >= k, so every bound fails at parse time."""
+
+    def integer(text: str) -> int:  # argparse's message names it: "invalid integer value"
+        n = int(text)
+        if n < k:
+            raise argparse.ArgumentTypeError(f"must be >= {k}, got {n}")
+        return n
+
+    return integer
+
+
+def _parse_range(text: str, flag: str) -> tuple[int, int]:
+    lo, sep, hi = text.partition("..")
+    if not sep:
+        raise ValueError(f"{flag} wants lo..hi, got {text!r}")
+    a, b = int(lo), int(hi)
+    if b < a:
+        raise ValueError(f"bad {flag}: {text!r}")
+    return a, b
 
 
 # ------------------------------------------------------------------- config
@@ -139,7 +183,7 @@ def cmd_iterate(args, out) -> int:
             w.writerow([format_rational(rep.start), rep.fate.label(), rep.steps_used])
     else:
         for rep in reports:
-            out.write(_dumps(rep.to_json_dict()) + "\n")
+            out.write(_dumps(jsonable(rep)) + "\n")
     capped = any(rep.fate.kind is FateKind.CAP_REACHED for rep in reports)
     return EXIT_CAP if capped else EXIT_OK
 
@@ -199,13 +243,14 @@ def _sweep_chunk(task) -> tuple[str, dict]:
     return text, agg
 
 
+def _pool_size(workers: int, tasks: int) -> int:
+    """Processes to start; a pool forks them all up front, so cap by cores and tasks."""
+    return min(workers, os.cpu_count() or 1, tasks)
+
+
 def cmd_cycles(args, out) -> int:
-    if args.lmax < 1:
-        raise ValueError(f"--lmax must be >= 1, got {args.lmax}")
     if not 1 <= args.lmin <= args.lmax:
         raise ValueError(f"--lmin must be in 1..lmax, got {args.lmin}")
-    if args.workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
 
     tasks = []
     for l in range(args.lmin, args.lmax + 1):
@@ -227,11 +272,12 @@ def cmd_cycles(args, out) -> int:
         for key in ("realized_U", "realized_U_non_integer", "realized_Uflip"):
             totals[key].extend(agg[key])
 
-    if args.workers == 1:
+    workers = _pool_size(args.workers, len(tasks))
+    if workers <= 1:
         for task in tasks:
             merge(_sweep_chunk(task))
     else:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for result in pool.map(_sweep_chunk, tasks):
                 merge(result)
 
@@ -412,19 +458,11 @@ def _run_samples(args, name: str, out, demote=False, counter_lines=(), extra=Non
     return EXIT_COUNTEREXAMPLE if counter_lines else EXIT_OK
 
 
-def _parse_m_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise ValueError(f"--m-range wants lo..hi, got {text!r}")
-    a, b = int(lo), int(hi)
-    if a < 0 or b < a:
-        raise ValueError(f"bad --m-range: {text!r}")
-    return a, b
-
-
 def _run_q2(args, out) -> int:
     """The 2m + 3/2 family must climb forever; other F-starts are sampled."""
-    m_lo, m_hi = _parse_m_range(args.m_range)
+    m_lo, m_hi = _parse_range(args.m_range, "--m-range")
+    if m_lo < 0:
+        raise ValueError(f"bad --m-range: {args.m_range!r}")
     F = MAPS["F"]
     violations = []
     for m_val in range(m_lo, m_hi + 1):
@@ -463,8 +501,6 @@ def _run_q2(args, out) -> int:
 
 
 def cmd_conjecture(args, out) -> int:
-    if args.samples < 1:
-        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     if args.name == "Q2":
         return _run_q2(args, out)
     return _run_samples(args, args.name, out)
@@ -483,12 +519,9 @@ def cmd_trace(args, out) -> int:
     if rec.d > 0:
         for suffix, flipped in (("", False), ("_flipped", True)):
             tr = trace(rec, flipped)
-            obj["trace" + suffix] = tr.to_json_dict()
-            obj["inequalities" + suffix] = (
-                segment_inequality(tr).to_json_dict()
-                if tr.verdict.kind is VerdictKind.ALIGNED_CLOSED
-                else None
-            )
+            aligned = tr.verdict.kind is VerdictKind.ALIGNED_CLOSED
+            obj["trace" + suffix] = jsonable(tr)
+            obj["inequalities" + suffix] = jsonable(segment_inequality(tr)) if aligned else None
     else:
         obj["trace"] = None
         obj["trace_flipped"] = None
@@ -509,54 +542,26 @@ def cmd_rmap_scan(args, out) -> int:
         ds = [args.d]
         lo = hi = args.d
     else:
-        lo_s, sep, hi_s = args.d_range.partition("..")
-        if not sep:
-            raise ValueError(f"--d-range wants lo..hi, got {args.d_range!r}")
-        lo, hi = int(lo_s), int(hi_s)
-        if hi < lo:
-            raise ValueError(f"bad --d-range: {args.d_range!r}")
+        lo, hi = _parse_range(args.d_range, "--d-range")
         ds = [d for d in range(lo, hi + 1) if modulus_ok(d)]
 
-    scanned = with_orbits = orbit_total = 0
+    with_orbits = orbit_total = 0
     for d in ds:
         orbits = rmap_orbit_scan(d, args.max_len)
-        scanned += 1
-        if orbits:
-            with_orbits += 1
-            orbit_total += len(orbits)
-        out.write(
-            _dumps(
-                {
-                    "type": "rmap",
-                    "d": d,
-                    "orbit_count": len(orbits),
-                    "orbits": [
-                        {
-                            "states": list(o.states),
-                            "length": o.length,
-                            "odd_steps": o.odd_steps,
-                            "exceeds_pow_bound": o.exceeds_pow_bound,
-                        }
-                        for o in orbits
-                    ],
-                }
-            )
-            + "\n"
-        )
-    out.write(
-        _dumps(
-            {
-                "type": "summary",
-                "command": "rmap-scan",
-                "d_lo": lo,
-                "d_hi": hi,
-                "scanned": scanned,
-                "with_orbits": with_orbits,
-                "orbit_total": orbit_total,
-            }
-        )
-        + "\n"
-    )
+        with_orbits += bool(orbits)
+        orbit_total += len(orbits)
+        record = {"type": "rmap", "d": d, "orbit_count": len(orbits), "orbits": jsonable(orbits)}
+        out.write(_dumps(record) + "\n")
+    summary = {
+        "type": "summary",
+        "command": "rmap-scan",
+        "d_lo": lo,
+        "d_hi": hi,
+        "scanned": len(ds),
+        "with_orbits": with_orbits,
+        "orbit_total": orbit_total,
+    }
+    out.write(_dumps(summary) + "\n")
     return EXIT_OK
 
 
@@ -574,35 +579,35 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("iterate", help="run one or more orbits to a fate")
     sp.add_argument("--map", required=True, help='T, f, g, U, Uflip, F, V, or "Phi:a,b,c,d,tau[,min]"')
     sp.add_argument("--start", required=True, help="comma-separated rational start values")
-    sp.add_argument("--cap", type=int, default=10**4)
+    sp.add_argument("--cap", type=_at_least(0), default=10**4)
     sp.add_argument("--escape", default=None, help="report escaped_bound beyond |x| > this")
     sp.add_argument("--trap-region", default=None, help="lo,hi: stop when the orbit enters [lo,hi)")
-    sp.add_argument("--den-bit-cap", type=int, default=1 << 16)
-    sp.add_argument("--keep", type=int, default=1024, help="iterates kept in the report")
+    sp.add_argument("--den-bit-cap", type=_at_least(1), default=1 << 16)
+    sp.add_argument("--keep", type=_at_least(1), default=1024, help="iterates kept in the report")
     sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     common(sp)
     sp.set_defaults(func=cmd_iterate)
 
     sp = sub.add_parser("cycles", help="exhaustive pseudo-cycle sweep over bit sequences")
-    sp.add_argument("--lmax", type=int, required=True)
+    sp.add_argument("--lmax", type=_at_least(1), required=True)
     sp.add_argument("--lmin", type=int, default=1)
     sp.add_argument("--summary-only", action="store_true", help="skip per-candidate records")
     sp.add_argument("--with-verdict", action="store_true", help="attach the remainder-trace verdict to each record")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_at_least(1), default=1)
     common(sp)
     sp.set_defaults(func=cmd_cycles)
 
     sp = sub.add_parser("conjecture", help="seeded evidence run for one named conjecture")
     sp.add_argument("name", choices=sorted(_CONJECTURES))
-    sp.add_argument("--samples", type=int, default=1000)
+    sp.add_argument("--samples", type=_at_least(1), default=1000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--den-bits", type=int, default=32)
     sp.add_argument("--value-bits", type=int, default=16)
-    sp.add_argument("--cap", type=int, default=10**4)
+    sp.add_argument("--cap", type=_at_least(0), default=10**4)
     sp.add_argument("--escape", default=_DEFAULT_ESCAPE)
     sp.add_argument("--m-range", default="0..100", help="Q2 only: family indices lo..hi")
-    sp.add_argument("--steps", type=int, default=50, help="Q2 only: steps checked per family orbit")
-    sp.add_argument("--flag-limit", type=int, default=20, help="flagged sample lines kept")
+    sp.add_argument("--steps", type=_at_least(1), default=50, help="Q2 only: steps checked per family orbit")
+    sp.add_argument("--flag-limit", type=_at_least(0), default=20, help="flagged sample lines kept")
     common(sp)
     sp.set_defaults(func=cmd_conjecture)
 
@@ -614,7 +619,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("rmap-scan", help="closed orbits of the remainder dynamics mod d")
     sp.add_argument("--d", type=int, default=None)
     sp.add_argument("--d-range", default=None, help="lo..hi, invalid moduli skipped")
-    sp.add_argument("--max-len", type=int, default=None, help="orbit length cap, default 4*d")
+    sp.add_argument("--max-len", type=_at_least(1), default=None, help="orbit length cap, default 4*d")
     common(sp)
     sp.set_defaults(func=cmd_rmap_scan)
 

@@ -172,16 +172,16 @@ def evaluate(s: BitSeq) -> CycleRecord:
     return rec
 
 
-def sweep(l_max: int, l_min: int = 1) -> Iterator[CycleRecord]:
-    """All candidates for l_min <= l <= l_max in deterministic (l, rank) order.
+def sweep(l_max: int) -> Iterator[CycleRecord]:
+    """All candidates for 1 <= l <= l_max in deterministic (l, rank) order.
 
     Every bit sequence of every length is emitted, the all-zero one included
     (it carries the zero cycle).  Rank ranges partition cleanly, so parallel
     runs over [rank_lo, rank_hi) chunks merge back into this exact order.
     """
-    if l_min < 1 or l_max < l_min:
-        raise ValueError(f"need 1 <= l_min <= l_max, got {l_min}..{l_max}")
-    for l in range(l_min, l_max + 1):
+    if l_max < 1:
+        raise ValueError(f"need l_max >= 1, got {l_max}")
+    for l in range(1, l_max + 1):
         yield from sweep_range(l, 0, 1 << l)
 
 

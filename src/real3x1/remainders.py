@@ -69,32 +69,31 @@ class RemainderTrace:
     c: tuple[int, ...]  # length l+1, c[l] == c[0]
     q: tuple[int, ...]
     r: tuple[int, ...]
-    branch_bits: tuple[int, ...]  # length l; bit for the step into index i+1
     flipped: bool
     aligned_prefix: int
-    new_flags: tuple[bool, ...]
+    new: tuple[bool, ...]
     segments: tuple[Segment, ...] | None
     verdict: Verdict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "c": list(self.c),
-            "q": list(self.q),
-            "r": list(self.r),
-            "new": [bool(b) for b in self.new_flags],
-            "verdict": self.verdict.label(),
-            "segments": None
-            if self.segments is None
-            else [list(seg) for seg in self.segments],
-            "flipped": self.flipped,
-            "aligned_prefix": self.aligned_prefix,
-        }
+    @property
+    def branch_bits(self) -> tuple[int, ...]:
+        """Length l; the bit for the step into index i+1 is c_i's parity."""
+        return tuple(ci % 2 for ci in self.c[:-1])
 
 
 def _aligned(q_i: int, c_i: int, flipped: bool) -> bool:
     same = (q_i - c_i) % 2 == 0
     return same != flipped
+
+
+def _step(d: int, r: int, bit: int) -> int:
+    """The recurrence for one branch bit: r/2, 3r/2, or 3r/2 - d past 2d/3."""
+    if not bit:
+        return r // 2
+    triple = 3 * r
+    if triple == 2 * d:
+        raise StructureError("3r = 2d is impossible: 3 never divides d")
+    return triple // 2 if triple < 2 * d else triple // 2 - d
 
 
 def _expected_next(d: int, q_prev: int, r_prev: int, flipped: bool) -> int:
@@ -104,12 +103,7 @@ def _expected_next(d: int, q_prev: int, r_prev: int, flipped: bool) -> int:
         return d - _expected_next(d, q_prev + 1, d - r_prev, False)
     if r_prev % 2 != 0:
         raise StructureError(f"aligned remainder {r_prev} must be even")
-    if q_prev % 2 == 0:
-        return r_prev // 2
-    triple = 3 * r_prev
-    if triple == 2 * d:
-        raise StructureError("3r = 2d is impossible: 3 never divides d")
-    return triple // 2 if triple < 2 * d else triple // 2 - d
+    return _step(d, r_prev, q_prev % 2)
 
 
 def _new_flags(d: int, r: tuple[int, ...], l: int, flipped: bool) -> tuple[bool, ...]:
@@ -118,11 +112,9 @@ def _new_flags(d: int, r: tuple[int, ...], l: int, flipped: bool) -> tuple[bool,
     return tuple(2 * r[i] + 2 * d == 3 * r[(i - 1) % l] for i in range(l))
 
 
-def _segments(
-    new_flags: tuple[bool, ...], branch_bits: tuple[int, ...]
-) -> tuple[Segment, ...]:
+def _segments(new: tuple[bool, ...], branch_bits: tuple[int, ...]) -> tuple[Segment, ...]:
     l = len(branch_bits)
-    new_idx = [i for i, f in enumerate(new_flags) if f]
+    new_idx = [i for i, f in enumerate(new) if f]
     if not new_idx:
         raise StructureError("closed aligned ledger without any new remainder")
 
@@ -152,14 +144,12 @@ def trace(rec: CycleRecord, flipped: bool = False) -> RemainderTrace:
     c = rec.numerators
     q = tuple(ci // d for ci in c)
     r = tuple(ci % d for ci in c)
-    branch_bits = rec.s.bits
-    new_flags = _new_flags(d, r, l, flipped)
+    new = _new_flags(d, r, l, flipped)
     prefix = next((i for i in range(l) if not _aligned(q[i], c[i], flipped)), l)
 
     if all(ri == 0 for ri in r):
         return RemainderTrace(
-            d, c, q, r, branch_bits, flipped, prefix, new_flags, None,
-            Verdict(VerdictKind.INTEGER_CYCLE),
+            d, c, q, r, flipped, prefix, new, None, Verdict(VerdictKind.INTEGER_CYCLE)
         )
 
     for i in range(1, l + 1):
@@ -172,13 +162,11 @@ def trace(rec: CycleRecord, flipped: bool = False) -> RemainderTrace:
 
     if prefix < l:
         return RemainderTrace(
-            d, c, q, r, branch_bits, flipped, prefix, new_flags, None,
-            Verdict(VerdictKind.MISALIGNED_AT, prefix),
+            d, c, q, r, flipped, prefix, new, None, Verdict(VerdictKind.MISALIGNED_AT, prefix)
         )
-    segs = _segments(new_flags, branch_bits)
+    segs = _segments(new, rec.s.bits)
     return RemainderTrace(
-        d, c, q, r, branch_bits, flipped, prefix, new_flags, segs,
-        Verdict(VerdictKind.ALIGNED_CLOSED),
+        d, c, q, r, flipped, prefix, new, segs, Verdict(VerdictKind.ALIGNED_CLOSED)
     )
 
 
@@ -200,26 +188,19 @@ def synthetic_trace(d: int, r_cycle: Iterable[int]) -> RemainderTrace:
         cur, nxt = states[i], states[(i + 1) % l]
         if not (0 < cur < d and cur % 2 == 0):
             raise ValueError(f"state {cur} not an even residue in (0, {d})")
-        if cur % 4 == 0 and nxt == cur // 2:
-            bits.append(0)
-        elif cur % 4 == 0 and 3 * cur < 2 * d and nxt == 3 * cur // 2:
-            bits.append(1)
-        elif cur % 4 == 2 and 3 * cur > 2 * d and nxt == 3 * cur // 2 - d:
-            bits.append(1)
-        else:
+        moves = dict(_moves(d, cur))
+        if nxt not in moves:
             raise ValueError(f"no recurrence branch sends {cur} to {nxt} (d={d})")
+        bits.append(moves[nxt])
     q = tuple(bits) + (bits[0],)  # parity is all that matters downstream
     r = states + (states[0],)
     c = tuple(qi * d + ri for qi, ri in zip(q, r))
     for i in range(1, l + 1):
         if _expected_next(d, q[i - 1], r[i - 1], False) != r[i]:
             raise StructureError(f"synthetic ledger breaks the recurrence at step {i}")
-    new_flags = _new_flags(d, r, l, False)
-    segs = _segments(new_flags, tuple(bits))
-    return RemainderTrace(
-        d, c, q, r, tuple(bits), False, l, new_flags, segs,
-        Verdict(VerdictKind.ALIGNED_CLOSED),
-    )
+    new = _new_flags(d, r, l, False)
+    segs = _segments(new, tuple(bits))
+    return RemainderTrace(d, c, q, r, False, l, new, segs, Verdict(VerdictKind.ALIGNED_CLOSED))
 
 
 # ------------------------------------------------------- inequality ledger
@@ -236,20 +217,11 @@ class SegmentBound(NamedTuple):
 
 @dataclass
 class InequalityLedger:
-    entries: tuple[SegmentBound, ...]
+    segments: tuple[SegmentBound, ...]
     n_total: int
     l_total: int
     sum_side_holds: bool  # 3^n > 2^l, what the summed segment bounds force
     positive_d_side_holds: bool  # 3^n < 2^l, what d = 2^l - 3^n > 0 forces
-
-    def to_json_dict(self) -> dict:
-        return {
-            "segments": [list(e) for e in self.entries],
-            "n_total": self.n_total,
-            "l_total": self.l_total,
-            "sum_side_holds": self.sum_side_holds,
-            "positive_d_side_holds": self.positive_d_side_holds,
-        }
 
 
 def segment_inequality(tr: RemainderTrace) -> InequalityLedger:
@@ -266,7 +238,7 @@ def segment_inequality(tr: RemainderTrace) -> InequalityLedger:
         )
     if not tr.segments:
         raise StructureError("aligned closed ledger without segments")
-    l = len(tr.branch_bits)
+    bits = tr.branch_bits
     entries = []
     for seg in tr.segments:
         bound = compare_pow3_pow2(seg.ones, seg.gap) > 0
@@ -274,7 +246,7 @@ def segment_inequality(tr: RemainderTrace) -> InequalityLedger:
         entries.append(SegmentBound(seg.start, seg.stop, seg.ones, seg.gap, bound, strict))
     n_total = sum(e.ones for e in entries)
     l_total = sum(e.gap for e in entries)
-    if l_total != l or n_total != sum(tr.branch_bits):
+    if l_total != len(bits) or n_total != sum(bits):
         raise StructureError("segments do not tile the cycle")
     return InequalityLedger(
         tuple(entries),
@@ -310,25 +282,14 @@ def _check_modulus(d: int) -> None:
         raise ValueError(f"d must be odd, >= 5, and coprime to 3, got {d}")
 
 
-def _successors(d: int) -> dict[int, list[tuple[int, int]]]:
-    """Adjacency of the recurrence restricted to even integer states.
+def _moves(d: int, r: int) -> list[tuple[int, int]]:
+    """The (target, bit) steps from the even state r that land even in (0, d).
 
     From r = 0 mod 4 both r/2 and 3r/2 stay even; from r = 2 mod 4 only the
     subtracting branch 3r/2 - d does (d odd), and only when 3r > 2d.  Every
     other move produces an odd value and can belong to no aligned cycle.
     """
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for r in range(2, d, 2):
-        succs = []
-        if r % 4 == 0:
-            succs.append((r // 2, 0))
-            if 3 * r < 2 * d:
-                succs.append((3 * r // 2, 1))
-        else:
-            if 3 * r > 2 * d:
-                succs.append((3 * r // 2 - d, 1))
-        adj[r] = [(t, b) for t, b in succs if 0 < t < d and t % 2 == 0]
-    return adj
+    return [(t, bit) for bit in (0, 1) if 0 < (t := _step(d, r, bit)) < d and t % 2 == 0]
 
 
 def rmap_orbit_scan(d: int, max_len: int | None = None) -> list[Orbit]:
@@ -341,7 +302,7 @@ def rmap_orbit_scan(d: int, max_len: int | None = None) -> list[Orbit]:
     """
     _check_modulus(d)
     cap = 4 * d if max_len is None else max_len
-    adj = _successors(d)
+    adj = {r: _moves(d, r) for r in range(2, d, 2)}
     orbits: list[Orbit] = []
     for root in sorted(adj):
         # Iterative DFS over paths root -> ... -> root using states > root.

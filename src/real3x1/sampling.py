@@ -17,13 +17,11 @@ def sample_rationals(
     den_bits: int = 32,
     value_bits: int = 16,
     minimum: Fraction = Fraction(1),
-    odd_denominator: bool = False,
 ) -> list[Fraction]:
     """count Fractions x with minimum <= x < 2**value_bits.
 
-    Denominators are drawn below 2**den_bits (forced odd on request); the
-    numerator range is scaled by the drawn denominator so the value bound
-    holds regardless of reduction.
+    Denominators are drawn below 2**den_bits; the numerator range is scaled
+    by the drawn denominator so the value bound holds regardless of reduction.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -36,8 +34,6 @@ def sample_rationals(
         raise ValueError(f"empty sample range: minimum {minimum} >= 2**{value_bits}")
     for _ in range(count):
         q = rng.randrange(1, 1 << den_bits)
-        if odd_denominator:
-            q |= 1
         # smallest integer p with p/q >= minimum
         p_lo = -((-minimum.numerator * q) // minimum.denominator)
         out.append(Fraction(rng.randrange(p_lo, hi * q), q))

@@ -18,8 +18,10 @@ for Uflip the mirror interval (1/2, 1) contracts onto 1 from below; for F the
 three windows (1, 4/3), (2, 8/3), (4, 5) chase the integer cycle (1, 4, 2).
 The windows are open, so on-cycle starts resolve as entered_cycle via exact
 repetition, and they hold no integer, so the integer maps T and f need none.
-The diagnostics detect_period01 and contraction_check read a parity tail and
-replay the contraction identity for a claimed branch pattern.
+Every landing is confirmed by contraction_check, which replays the
+contraction identity for a claimed branch pattern; detect_period01 reads a
+parity tail.  A tendency or a cycle extends the report by a fixed tail of
+_TAIL_PAD further steps, so the periodic parity tail is visible in it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError, StructureError
 from .maps import MAPS, MapSpec, branch_of, step
-from .rationals import floor_of, format_rational
+from .rationals import floor_of
 
 
 class FateKind(str, Enum):
@@ -64,20 +66,6 @@ class Fate:
             return "cap_reached:size"
         return self.kind.value
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "period": self.period,
-            "value": None if self.value is None else format_rational(self.value),
-            "bound": None if self.bound is None else format_rational(self.bound),
-            "region": None
-            if self.region is None
-            else [format_rational(self.region[0]), format_rational(self.region[1])],
-            "anchor": None if self.anchor is None else list(self.anchor),
-            "size_capped": self.size_capped,
-            "confirmed": self.confirmed,
-        }
-
 
 @dataclass
 class TrajectoryReport:
@@ -87,16 +75,6 @@ class TrajectoryReport:
     fate: Fate
     steps_used: int
     truncated: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "start": format_rational(self.start),
-            "iterates": [format_rational(x) for x in self.iterates],
-            "parity_bits": list(self.parity_bits),
-            "fate": self.fate.to_json_dict(),
-            "steps_used": self.steps_used,
-            "truncated": self.truncated,
-        }
 
 
 # ------------------------------------------------- certified cycle sub-basins
@@ -119,25 +97,7 @@ _BASINS = {
 
 TENDENCIES = (FateKind.TENDS_TO_TRIVIAL, FateKind.TENDS_FROM_BELOW)
 
-
-def _block_ratio(m: MapSpec, bits) -> Fraction:
-    ratio = Fraction(1)
-    for b in bits:
-        ratio *= m.params.gamma if b else m.params.alpha
-    return ratio
-
-
-def _confirm_contraction(m: MapSpec, y: Fraction, anchor: tuple[int, ...]) -> bool:
-    """One composed block from y must contract exactly onto anchor[0]."""
-    pattern = tuple(a % 2 for a in anchor)
-    x = y
-    bits = []
-    for _ in anchor:
-        x, b = step(m, x)
-        bits.append(b)
-    if tuple(bits) != pattern:
-        return False
-    return x - anchor[0] == _block_ratio(m, pattern) * (y - anchor[0])
+_TAIL_PAD = 8  # steps appended after a tendency or a cycle
 
 
 # ---------------------------------------------------------------- iteration
@@ -152,15 +112,14 @@ def iterate(
     trap_region: tuple[Fraction, Fraction] | None = None,
     den_bit_cap: int = 1 << 16,
     keep: int = 1024,
-    tail_pad: int = 8,
 ) -> TrajectoryReport:
     """Iterate m from x0 until a fate resolves or cap steps have run.
 
     trap_region is a half-open interval [lo, hi); entering it resolves the
     orbit as entered_region.  escape_bound triggers on |x| > bound.  Reduced
     denominators beyond den_bit_cap bits resolve as a size-capped cap fate.
-    A resolved tendency appends tail_pad extra steps of parity bits so that
-    the periodic tail is visible in the report itself.
+    A resolved tendency or cycle appends _TAIL_PAD extra steps of parity bits
+    so that the periodic tail is visible in the report itself.
     """
     x0 = Fraction(x0)
     branch_of(m, x0)  # surface domain errors on the start value immediately
@@ -181,23 +140,27 @@ def iterate(
             truncated = True
 
     def pad(x: Fraction) -> None:
-        for _ in range(tail_pad):
+        for _ in range(_TAIL_PAD):
             x, _b = step(m, x)
             record(x)
 
-    def settle(x: Fraction, k: int) -> Fate | None:
+    def settle(x: Fraction) -> Fate | None:
         if trap_region is not None and lo <= x < hi:
             return Fate(FateKind.ENTERED_REGION, region=(lo, hi))
         for w_lo, w_hi, anchor, kind in basin:
             if w_lo < x < w_hi:
-                if not _confirm_contraction(m, x, anchor):
+                try:
+                    confirmed = contraction_check(x, anchor[0], [a % 2 for a in anchor], 1, m)
+                except PreconditionError:  # the block left the anchor's branch pattern
+                    confirmed = False
+                if not confirmed:
                     raise StructureError(f"certified basin landing failed to confirm at {x}")
                 return Fate(kind, anchor=anchor, confirmed=True)
         if escape_bound is not None and abs(x) > escape_bound:
             return Fate(FateKind.ESCAPED_BOUND, bound=Fraction(escape_bound))
         return None
 
-    fate = settle(x0, 0)
+    fate = settle(x0)
     steps_used = 0
     if fate is None:
         x = x0
@@ -210,7 +173,7 @@ def iterate(
                 fate = Fate(FateKind.ENTERED_CYCLE, period=k - prev, value=x)
                 break
             seen[x] = k
-            fate = settle(x, k)
+            fate = settle(x)
             if fate is not None:
                 break
             if x.denominator.bit_length() > den_bit_cap:
@@ -229,16 +192,14 @@ def iterate(
 # ------------------------------------------------------------- diagnostics
 
 
-def detect_period01(bits, window: int = 4) -> int | None:
+def detect_period01(bits) -> int | None:
     """Smallest j from which the observed bits alternate 0,1,0,1,... to the end.
 
-    A candidate j counts only when at least window bits were observed from j
+    A candidate j counts only when at least four bits were observed from j
     on; returns None when no such j exists in the observed prefix.
     """
     bits = list(bits)
-    if window < 2:
-        raise ValueError(f"window must be >= 2, got {window}")
-    for j in range(0, len(bits) - window + 1):
+    for j in range(len(bits) - 3):
         if all(bits[j + t] == t % 2 for t in range(len(bits) - j)):
             return j
     return None
@@ -265,7 +226,9 @@ def contraction_check(
     a = Fraction(a)
     x0 = Fraction(x0)
     l = len(s)
-    ratio = _block_ratio(m, s)
+    ratio = Fraction(1)
+    for b in s:
+        ratio *= m.params.gamma if b else m.params.alpha
 
     x = x0
     ok = True

@@ -5,8 +5,10 @@ import json
 import pytest
 
 import real3x1.cli as cli
+from real3x1 import trajectory
 from real3x1.cli import main
 from real3x1.errors import StructureError
+from real3x1.trajectory import FateKind
 
 
 def run_cli(capsys, *argv):
@@ -17,6 +19,13 @@ def run_cli(capsys, *argv):
 
 def jsonl(text):
     return [json.loads(line) for line in text.splitlines()]
+
+
+def parse_error_code(*argv):
+    """Exit status of an invocation that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code
 
 
 def test_iterate_jsonl_ok(capsys):
@@ -85,6 +94,14 @@ def test_internal_error_exit(capsys, monkeypatch):
     assert err == "real3x1: internal error: forced walk of 10 failed to close\n"
 
 
+def test_failed_basin_landing_is_an_internal_error(capsys, monkeypatch):
+    # a forged window whose orbit leaves the anchor's branch pattern (1, 0)
+    monkeypatch.setitem(trajectory._BASINS, "U", ((3, 4, (1, 2), FateKind.TENDS_TO_TRIVIAL),))
+    code, out, err = run_cli(capsys, "iterate", "--map", "U", "--start", "7/2")
+    assert code == 5 and out == ""
+    assert err == "real3x1: internal error: certified basin landing failed to confirm at 7/2\n"
+
+
 def test_cycles_small_sweep(capsys):
     code, out, _ = run_cli(capsys, "cycles", "--lmax", "2")
     assert code == 0
@@ -126,9 +143,47 @@ def test_cycles_worker_count_does_not_change_output(tmp_path):
 
 
 def test_cycles_validation(capsys):
-    assert run_cli(capsys, "cycles", "--lmax", "0")[0] == 1
+    assert parse_error_code("cycles", "--lmax", "0") == 1
     assert run_cli(capsys, "cycles", "--lmax", "3", "--lmin", "5")[0] == 1
-    assert run_cli(capsys, "cycles", "--lmax", "3", "--workers", "0")[0] == 1
+    assert parse_error_code("cycles", "--lmax", "3", "--workers", "0") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # unchecked, the first three would report success having checked nothing
+        ("conjecture", "Q2", "--samples", "2", "--steps", "-3"),
+        ("conjecture", "RU", "--samples", "3", "--cap", "-5"),
+        ("rmap-scan", "--d", "19", "--max-len", "0"),
+        ("conjecture", "RU", "--samples", "0"),
+        ("iterate", "--map", "U", "--start", "3", "--keep", "0"),
+        ("iterate", "--map", "U", "--start", "3", "--den-bit-cap", "0"),
+        ("conjecture", "RU", "--flag-limit", "-1"),
+        ("cycles", "--lmax", "2", "--workers", "x"),
+    ],
+)
+def test_out_of_range_integers_fail_at_parse_time(argv, capsys):
+    assert parse_error_code(*argv) == 1
+    assert "error: argument" in capsys.readouterr().err
+
+
+def test_config_values_get_the_same_bounds(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cap = -5\n")
+    assert parse_error_code("conjecture", "RU", "--samples", "3", "--config", str(cfg)) == 1
+    assert "--cap: must be >= 0, got -5" in capsys.readouterr().err
+
+
+def test_pool_size_is_capped_by_cores_and_tasks(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli._pool_size(64, 100) == 2
+    assert cli._pool_size(1, 100) == 1
+    assert cli._pool_size(2, 1) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 16)
+    assert cli._pool_size(8, 3) == 3
+    assert cli._pool_size(8, 100) == 8
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown core count
+    assert cli._pool_size(8, 100) == 1
 
 
 def test_trace_fractional(capsys):

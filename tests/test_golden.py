@@ -4,7 +4,10 @@ Each entry pins the SHA-256 of everything one invocation writes to stdout,
 together with its exit code, so a refactor that moves a single output byte
 fails here.  The matrix covers every conjecture name, iterate on every named
 map plus one Phi map in both formats, trace on positive-d, negative-d and
-integer-cycle patterns, rmap-scan and a verdict-carrying cycle sweep.
+integer-cycle patterns, rmap-scan and a verdict-carrying cycle sweep.  The
+later rows reach every JSON field with a non-default value: a trap region, an
+escape bound, a size cap, truncated reports, a single-modulus and a
+length-capped scan, and a custom Q2 family range.
 """
 
 import hashlib
@@ -95,6 +98,24 @@ GOLDEN = {
         ("08281445e6e35dd86502039d90f082ec34a62609b9b81ca370960e4f835b5c43", 0),
     "cycles --lmax 10 --with-verdict":
         ("2c5f915b29cbd9b4410252b5063a3e0ee9df3416260161feadda9e99cc661188", 0),
+    "iterate --map V --start 4,7/5 --trap-region 1,3 --cap 200":
+        ("6eb74936632a5c810c5866b8c84f0fefd4e88735935dcd91551e676961660f5f", 0),
+    "iterate --map F --start 3/2,9/5 --escape 1000 --cap 200":
+        ("237cab4ce6c48b6d7a837097b63b4be613d8116d1c3173b3cb8ace8dc0d50955", 0),
+    "iterate --map Phi:1/3,0,1/3,0,0 --start 1/7,5/11 --den-bit-cap 16 --cap 200":
+        ("4ee531809ff59d7f75787a7ba16c75ac09bf3b207f34a1b7a9e0af6884ef054c", 2),
+    "iterate --map U --start 27,3/2 --keep 4 --cap 200":
+        ("3530785a1da70961b14f21b7856461e87c8fa9206390677c84d06a39a620aa6a", 0),
+    "iterate --map Uflip --start 1/2,3 --cap 200 --keep 3":
+        ("dcfd8974980266f5b752e3134162a9432c40ef88d9a6bb2ab702c7fb57e50629", 0),
+    "trace --bits 1110100":
+        ("5b4743c38b14f11e6ebc69a13c5148c8bf1d66d7a3c87fcf838c426eae14edea", 0),
+    "rmap-scan --d 19":
+        ("fe8854f616fa942eb40fe9326557f49203a3a34c72a40c0be287c8bbe1f83659", 0),
+    "rmap-scan --d-range 5..1000 --max-len 12":
+        ("6c7e7f559fb593471996dadb5e1f2bfab907d46d155fa88331e91acd348bffe7", 0),
+    "conjecture Q2 --samples 5 --m-range 0..10 --steps 5":
+        ("6cd7393b5b45cda0c2d2dabe83e9b6025ad6dce505b61d6f48d713af02095246", 0),
 }
 
 # Honest samples never take these branches, so the runs forge them: a

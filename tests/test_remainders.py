@@ -2,6 +2,7 @@
 
 import pytest
 
+from real3x1.cli import jsonable
 from real3x1.cycles import BitSeq, CycleClass, evaluate, sweep
 from real3x1.errors import PreconditionError
 from real3x1.rationals import compare_pow3_pow2
@@ -22,13 +23,13 @@ def test_trace_misaligned_example():
     assert tr.c == (19, 31, 49, 76, 38, 19)
     assert tr.q == (3, 6, 9, 15, 7, 3)
     assert tr.r == (4, 1, 4, 1, 3, 4)
-    assert tr.new_flags == (False, True, False, True, False)
+    assert tr.new == (False, True, False, True, False)
     assert tr.aligned_prefix == 1
     assert tr.segments is None
     assert tr.verdict.kind is VerdictKind.MISALIGNED_AT
     assert tr.verdict.label() == "misaligned_at:1"
 
-    js = tr.to_json_dict()
+    js = jsonable(tr)
     assert js["r"] == [4, 1, 4, 1, 3, 4]
     assert js["verdict"] == "misaligned_at:1"
     assert js["segments"] is None
@@ -40,7 +41,7 @@ def test_trace_flipped_example():
     tr = trace(rec, flipped=True)
     # Complements w = d - r drive the flipped recurrence; the start itself is
     # unflip-aligned, so the flipped ledger dies immediately.
-    assert tr.new_flags == (False, False, True, False, False)
+    assert tr.new == (False, False, True, False, False)
     assert tr.aligned_prefix == 0
     assert tr.verdict.label() == "misaligned_at:0"
 
@@ -73,15 +74,15 @@ def test_synthetic_trace_d19():
     assert (seg.start, seg.stop, seg.ones, seg.gap) == (0, 3, 3, 3)
 
     led = segment_inequality(tr)
-    assert len(led.entries) == 1
-    entry = led.entries[0]
+    assert len(led.segments) == 1
+    entry = led.segments[0]
     assert (entry.ones, entry.gap) == (3, 3)
     assert entry.bound_holds and entry.strict_holds
     assert (led.n_total, led.l_total) == (3, 3)
     assert led.sum_side_holds is True  # 27 > 8
     assert led.positive_d_side_holds is False  # so no positive d fits this orbit
 
-    js = led.to_json_dict()
+    js = jsonable(led)
     assert js["segments"] == [[0, 3, 3, 3, True, True]]
     assert js["sum_side_holds"] and not js["positive_d_side_holds"]
 
@@ -127,7 +128,7 @@ def test_real_orbit_flags_never_diverge():
         for orbit in rmap_orbit_scan(d):
             seen_orbit = True
             led = segment_inequality(synthetic_trace(d, orbit.states))
-            for entry in led.entries:
+            for entry in led.segments:
                 assert entry.bound_holds == entry.strict_holds, (d, entry)
             assert led.sum_side_holds and not led.positive_d_side_holds
     assert seen_orbit

@@ -31,11 +31,6 @@ def test_minimum_respected():
     assert min(xs) < 2  # the range floor really is reachable
 
 
-def test_odd_denominators():
-    xs = sample_rationals(random.Random(3), 300, den_bits=10, odd_denominator=True)
-    assert all(x.denominator % 2 == 1 for x in xs)
-
-
 def test_zero_count_and_validation():
     assert sample_rationals(random.Random(0), 0) == []
     assert sample_integers(random.Random(0), 0) == []

@@ -6,14 +6,44 @@ from pathlib import Path
 import real3x1
 
 
-def test_invariant_checks_survive_python_O():
-    """No invariant is an assert, which python -O would strip."""
+def _modules():
     files = sorted(Path(real3x1.__file__).parent.glob("*.py"))
     assert files
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8"))) for path in files]
+
+
+def test_invariant_checks_survive_python_O():
+    """No invariant is an assert, which python -O would strip."""
     asserts = [
-        f"{path.name}:{node.lineno}"
-        for path in files
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def test_every_parameter_is_read():
+    """A parameter the body never reads is a knob that changes nothing."""
+    unused = []
+    for name, tree in _modules():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            read = {
+                node.id
+                for stmt in fn.body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            unused += [
+                f"{name} {fn.name}({p.arg})"
+                for p in params
+                if p is not None
+                and p.arg not in read
+                and p.arg not in ("self", "cls")
+                and not p.arg.startswith("_")
+            ]
+    assert unused == []

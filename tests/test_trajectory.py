@@ -1,14 +1,16 @@
 """Orbit iteration: fates, certified basin landings, and the diagnostics."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from real3x1.cli import jsonable
 from real3x1.errors import DomainError, PreconditionError
 from real3x1.maps import MAPS, map_from_name
-from real3x1.rationals import floor_of
+from real3x1.rationals import floor_of, parse_rational
 from real3x1.trajectory import (
     FateKind,
     contraction_check,
@@ -24,7 +26,7 @@ def test_enters_trivial_cycle_from_one():
     assert rep.fate.label() == "entered_cycle:2"
     assert (rep.fate.period, rep.fate.value) == (2, F2(1))
     assert rep.steps_used == 2
-    # tail_pad keeps the periodic tail visible: 1, 2 forever
+    # the tail pad keeps the periodic tail visible: 1, 2 forever
     assert rep.iterates[:5] == [F2(1), F2(2), F2(1), F2(2), F2(1)]
     assert rep.parity_bits == [1, 0] * 5 + [1]
 
@@ -125,7 +127,7 @@ def test_domain_errors_on_start():
 
 
 def test_report_json_shape():
-    js = iterate(MAPS["U"], F2(3, 2)).to_json_dict()
+    js = jsonable(iterate(MAPS["U"], F2(3, 2)))
     assert js["start"] == "3/2"
     assert js["iterates"][0] == "3/2" and js["iterates"][2] == "11/8"
     assert js["fate"]["kind"] == "tends_to_trivial"
@@ -140,9 +142,7 @@ def test_detect_period01():
     assert detect_period01((1, 1, 0, 1, 0, 1, 0, 1)) == 2
     assert detect_period01((1, 1, 1, 1, 1, 1)) is None
     assert detect_period01((0, 1, 0, 1)) == 0
-    assert detect_period01((0, 1)) is None  # too short for the default window
-    with pytest.raises(ValueError):
-        detect_period01((0, 1, 0, 1), window=1)
+    assert detect_period01((0, 1)) is None  # shorter than four bits
 
 
 def test_tendency_fates():
@@ -187,3 +187,17 @@ def test_integers_reach_the_two_cycle(n):
     assert rep.fate.kind is FateKind.ENTERED_CYCLE
     assert rep.fate.period == 2
     assert rep.fate.value in (F2(1), F2(2))
+
+
+@given(
+    st.sampled_from([("U", 1), ("Uflip", 0), ("F", 1), ("V", 1)]),
+    st.fractions(min_value=0, max_value=1000, max_denominator=1000),
+)
+@settings(max_examples=200, deadline=None)
+def test_json_form_round_trips(map_and_min, offset):
+    name, minimum = map_and_min
+    rep = iterate(MAPS[name], minimum + offset, cap=200, keep=64)
+    js = json.loads(json.dumps(jsonable(rep)))
+    assert [parse_rational(t) for t in js["iterates"]] == rep.iterates
+    assert js["parity_bits"] == rep.parity_bits
+    assert js["fate"]["kind"] == rep.fate.kind.value
