@@ -7,7 +7,8 @@ of the maps sit an exhaustive pseudo-cycle enumerator, a remainder-dynamics
 trace checker for the two cycle theorems (every realized U-cycle is an integer
 T-cycle, and the flipped map has no cycles at all), and an orbit harness that
 resolves trajectories with certified exact fates.  Everything runs on
-fractions.Fraction; no floating point touches any verdict.
+fractions.Fraction and Python integers (orbits step on reduced integer pairs);
+no floating point touches any verdict.
 """
 
 from .cycles import (

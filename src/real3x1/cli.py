@@ -41,6 +41,7 @@ EXIT_IO = 4
 EXIT_INTERNAL = 5
 
 _DEFAULT_ESCAPE = str(1 << 64)
+_MAX_FAMILY = 100_000  # Q2 family starts one --m-range may ask for
 
 
 def _dumps(obj) -> str:
@@ -89,6 +90,17 @@ def _at_least(k: int):
         return n
 
     return integer
+
+
+def _positive_rational(text: str) -> str:
+    """An argparse type for a rational bound > 0; the text itself is kept for the report."""
+    try:
+        positive = parse_rational(text) > 0
+    except ValueError as exc:  # keep parse_rational's message, not argparse's generic one
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    if not positive:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return text
 
 
 def _parse_range(text: str, flag: str) -> tuple[int, int]:
@@ -463,6 +475,8 @@ def _run_q2(args, out) -> int:
     m_lo, m_hi = _parse_range(args.m_range, "--m-range")
     if m_lo < 0:
         raise ValueError(f"bad --m-range: {args.m_range!r}")
+    if m_hi - m_lo + 1 > _MAX_FAMILY:
+        raise ValueError(f"--m-range spans more than {_MAX_FAMILY} starts: {args.m_range!r}")
     F = MAPS["F"]
     violations = []
     for m_val in range(m_lo, m_hi + 1):
@@ -580,7 +594,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--map", required=True, help='T, f, g, U, Uflip, F, V, or "Phi:a,b,c,d,tau[,min]"')
     sp.add_argument("--start", required=True, help="comma-separated rational start values")
     sp.add_argument("--cap", type=_at_least(0), default=10**4)
-    sp.add_argument("--escape", default=None, help="report escaped_bound beyond |x| > this")
+    sp.add_argument("--escape", type=_positive_rational, default=None, help="report escaped_bound beyond |x| > this")
     sp.add_argument("--trap-region", default=None, help="lo,hi: stop when the orbit enters [lo,hi)")
     sp.add_argument("--den-bit-cap", type=_at_least(1), default=1 << 16)
     sp.add_argument("--keep", type=_at_least(1), default=1024, help="iterates kept in the report")
@@ -604,7 +618,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--den-bits", type=int, default=32)
     sp.add_argument("--value-bits", type=int, default=16)
     sp.add_argument("--cap", type=_at_least(0), default=10**4)
-    sp.add_argument("--escape", default=_DEFAULT_ESCAPE)
+    sp.add_argument("--escape", type=_positive_rational, default=_DEFAULT_ESCAPE)
     sp.add_argument("--m-range", default="0..100", help="Q2 only: family indices lo..hi")
     sp.add_argument("--steps", type=_at_least(1), default=50, help="Q2 only: steps checked per family orbit")
     sp.add_argument("--flag-limit", type=_at_least(0), default=20, help="flagged sample lines kept")

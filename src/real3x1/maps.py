@@ -16,16 +16,24 @@ denominator.  The named instances:
 
 The returned branch bit is 1 exactly when the second piece (the multiplying
 one, gamma*x + delta) ran.
+
+A step is encoded once, as MapSpec.step_pq on a reduced integer pair (p, q)
+with q > 0: the branch bit, the image and the domain check are integer
+arithmetic on p and q.  Orbits run on these pairs (see trajectory), and step
+and branch_of are the Fraction view of the same step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 
 from .errors import DomainError
-from .rationals import floor_of, parse_rational
+from .rationals import parse_rational
 
 
 class BranchRule(Enum):
@@ -58,36 +66,73 @@ class MapSpec:
     domain_min: Fraction | None = None
     integral: bool = False  # domain restricted to integers
 
+    def __getstate__(self):
+        # the cached step_pq is a closure, which pickle cannot send; it is rebuilt on use
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-def _check_domain(m: MapSpec, x: Fraction) -> None:
-    if m.integral and x.denominator != 1:
-        raise DomainError(f"{m.name} is defined on integers only, got {x}")
-    if m.branch_rule is BranchRule.NUMERATOR_PARITY and x.denominator % 2 == 0:
-        raise DomainError(f"{m.name} needs an odd reduced denominator, got {x}")
-    if m.domain_min is not None and x < m.domain_min:
-        raise DomainError(f"{m.name} is defined for x >= {m.domain_min}, got {x}")
+    @cached_property
+    def step_pq(self) -> Callable[[int, int], tuple[int, int, int]]:
+        """The map on a reduced pair: (p, q) with q > 0 goes to (p', q', bit).
+
+        The domain is checked first (integers only, odd denominator, minimum),
+        each failure a DomainError naming x = p/q.  The bit is floor(x + tau)
+        mod 2, computed as (p*td + tn*q) // (q*td) for tau = tn/td, or the
+        numerator parity.
+        Each piece is stored once per map as integers (a, b, e) with e > 0,
+        so that its image of p/q is (a*p + b*q) / (e*q).  Since gcd(p, q) = 1,
+        gcd(a*p + b*q, q) = gcd(a, q): the common factor of the image divides
+        e*gcd(a, q), a small number, and dividing it out leaves (p', q')
+        reduced with q' > 0 again.
+        """
+        par = self.params
+        pieces = tuple(_piece(a, b) for a, b in ((par.alpha, par.beta), (par.gamma, par.delta)))
+        tn, td = par.tau.numerator, par.tau.denominator
+        floor_rule = self.branch_rule is BranchRule.FLOOR_PARITY
+        lo = self.domain_min
+        mn, md = (None, None) if lo is None else (lo.numerator, lo.denominator)
+        name, integral = self.name, self.integral
+
+        def step_pq(p: int, q: int) -> tuple[int, int, int]:
+            if integral and q != 1:
+                raise DomainError(f"{name} is defined on integers only, got {Fraction(p, q)}")
+            if not floor_rule and not q & 1:
+                raise DomainError(f"{name} needs an odd reduced denominator, got {Fraction(p, q)}")
+            if mn is not None and p * md < mn * q:
+                raise DomainError(f"{name} is defined for x >= {lo}, got {Fraction(p, q)}")
+            bit = ((p * td + tn * q) // (q * td)) & 1 if floor_rule else p & 1
+            a, b, e = pieces[bit]
+            num = a * p + b * q
+            g = gcd(num, e * gcd(a, q))
+            return num // g, e * q // g, bit
+
+        return step_pq
+
+
+def _piece(slope: Fraction, offset: Fraction) -> tuple[int, int, int]:
+    """(a, b, e) in lowest terms with e > 0 and slope*x + offset = (a*x + b) / e."""
+    a = slope.numerator * offset.denominator
+    b = offset.numerator * slope.denominator
+    e = slope.denominator * offset.denominator
+    g = gcd(a, b, e)
+    return a // g, b // g, e // g
 
 
 def branch_of(m: MapSpec, x: Fraction) -> int:
     """Branch bit at x: 1 iff the gamma*x + delta piece applies."""
     x = Fraction(x)
-    _check_domain(m, x)
-    if m.branch_rule is BranchRule.FLOOR_PARITY:
-        return floor_of(x + m.params.tau) % 2
-    return x.numerator % 2
+    return m.step_pq(x.numerator, x.denominator)[2]
 
 
 def step(m: MapSpec, x: Fraction) -> tuple[Fraction, int]:
     """One application of m; returns (image, branch bit).
 
-    Domain membership is checked here, lazily per step: an orbit that leaves
-    the domain surfaces as a DomainError on its next step.
+    This is the Fraction view of MapSpec.step_pq.  Domain membership is
+    checked lazily per step: an orbit that leaves the domain surfaces as a
+    DomainError on its next step.
     """
     x = Fraction(x)
-    bit = branch_of(m, x)
-    p = m.params
-    y = p.gamma * x + p.delta if bit else p.alpha * x + p.beta
-    return y, bit
+    p, q, bit = m.step_pq(x.numerator, x.denominator)
+    return Fraction(p, q), bit
 
 
 # ---------------------------------------------------------------- named maps

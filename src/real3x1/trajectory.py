@@ -22,6 +22,10 @@ Every landing is confirmed by contraction_check, which replays the
 contraction identity for a claimed branch pattern; detect_period01 reads a
 parity tail.  A tendency or a cycle extends the report by a fixed tail of
 _TAIL_PAD further steps, so the periodic parity tail is visible in it.
+
+iterate runs the orbit on reduced integer pairs (p, q) through
+MapSpec.step_pq, compares every bound by cross-multiplication and builds a
+Fraction only for a kept iterate, a cycle value and a basin landing.
 """
 
 from __future__ import annotations
@@ -31,8 +35,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import PreconditionError, StructureError
-from .maps import MAPS, MapSpec, branch_of, step
-from .rationals import floor_of
+from .maps import MAPS, MapSpec, step
 
 
 class FateKind(str, Enum):
@@ -122,33 +125,43 @@ def iterate(
     so that the periodic tail is visible in the report itself.
     """
     x0 = Fraction(x0)
-    branch_of(m, x0)  # surface domain errors on the start value immediately
-    basin = _BASINS.get(m.name, ())
-    lo, hi = (None, None) if trap_region is None else trap_region
+    step_pq = m.step_pq
+    p, q = x0.numerator, x0.denominator
+    step_pq(p, q)  # surface domain errors on the start value immediately
+    windows = [
+        (w_lo.numerator, w_lo.denominator, w_hi.numerator, w_hi.denominator, anchor, kind)
+        for w_lo, w_hi, anchor, kind in _BASINS.get(m.name, ())
+    ]
+    if trap_region is not None:
+        lo, hi = trap_region
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    if escape_bound is not None:
+        en, ed = escape_bound.numerator, escape_bound.denominator
 
     iterates = [x0]
-    bits = [floor_of(x0) % 2]
-    seen = {x0: 0}
+    bits = [(p // q) & 1]
+    seen = {(p, q): 0}
     truncated = False
 
-    def record(x: Fraction) -> None:
+    def record(p: int, q: int) -> None:
         nonlocal truncated
-        bits.append(floor_of(x) % 2)
+        bits.append((p // q) & 1)
         if len(iterates) < keep:
-            iterates.append(x)
+            iterates.append(Fraction(p, q))
         else:
             truncated = True
 
-    def pad(x: Fraction) -> None:
+    def pad(p: int, q: int) -> None:
         for _ in range(_TAIL_PAD):
-            x, _b = step(m, x)
-            record(x)
+            p, q, _b = step_pq(p, q)
+            record(p, q)
 
-    def settle(x: Fraction) -> Fate | None:
-        if trap_region is not None and lo <= x < hi:
+    def settle(p: int, q: int) -> Fate | None:
+        if trap_region is not None and ln * q <= p * ld and p * hd < hn * q:
             return Fate(FateKind.ENTERED_REGION, region=(lo, hi))
-        for w_lo, w_hi, anchor, kind in basin:
-            if w_lo < x < w_hi:
+        for w_ln, w_ld, w_hn, w_hd, anchor, kind in windows:
+            if w_ln * q < p * w_ld and p * w_hd < w_hn * q:
+                x = Fraction(p, q)
                 try:
                     confirmed = contraction_check(x, anchor[0], [a % 2 for a in anchor], 1, m)
                 except PreconditionError:  # the block left the anchor's branch pattern
@@ -156,35 +169,32 @@ def iterate(
                 if not confirmed:
                     raise StructureError(f"certified basin landing failed to confirm at {x}")
                 return Fate(kind, anchor=anchor, confirmed=True)
-        if escape_bound is not None and abs(x) > escape_bound:
+        if escape_bound is not None and abs(p) * ed > en * q:
             return Fate(FateKind.ESCAPED_BOUND, bound=Fraction(escape_bound))
         return None
 
-    fate = settle(x0)
+    fate = settle(p, q)
     steps_used = 0
     if fate is None:
-        x = x0
         for k in range(1, cap + 1):
-            x, _b = step(m, x)
-            record(x)
+            p, q, _b = step_pq(p, q)
+            record(p, q)
             steps_used = k
-            prev = seen.get(x)
+            prev = seen.get((p, q))
             if prev is not None:
-                fate = Fate(FateKind.ENTERED_CYCLE, period=k - prev, value=x)
+                fate = Fate(FateKind.ENTERED_CYCLE, period=k - prev, value=Fraction(p, q))
                 break
-            seen[x] = k
-            fate = settle(x)
+            seen[p, q] = k
+            fate = settle(p, q)
             if fate is not None:
                 break
-            if x.denominator.bit_length() > den_bit_cap:
+            if q.bit_length() > den_bit_cap:
                 fate = Fate(FateKind.CAP_REACHED, size_capped=True)
                 break
         else:
             fate = Fate(FateKind.CAP_REACHED)
-        if fate.kind in TENDENCIES or fate.kind is FateKind.ENTERED_CYCLE:
-            pad(x)
-    elif fate.kind in TENDENCIES:
-        pad(x0)
+    if fate.kind in TENDENCIES or fate.kind is FateKind.ENTERED_CYCLE:
+        pad(p, q)
 
     return TrajectoryReport(x0, iterates, bits, fate, steps_used, truncated)
 

@@ -69,6 +69,12 @@ def test_iterate_domain_and_usage_errors(capsys):
         capsys, "iterate", "--map", "U", "--start", "3", "--trap-region", "2,1"
     )
     assert code == 1
+    # 5/2 -> 1/4 -> -7/8: the orbit leaves the domain on its second image
+    code, out, err = run_cli(
+        capsys, "iterate", "--map", "Phi:1/2,-1,3/2,0,0,0", "--start", "5/2", "--cap", "50"
+    )
+    assert (code, out) == (1, "")
+    assert err == "real3x1: error: Phi is defined for x >= 0, got -7/8\n"
     with pytest.raises(SystemExit) as exc:
         main(["iterate", "--start", "1"])  # --map is required
     assert exc.value.code == 1
@@ -160,6 +166,9 @@ def test_cycles_validation(capsys):
         ("iterate", "--map", "U", "--start", "3", "--den-bit-cap", "0"),
         ("conjecture", "RU", "--flag-limit", "-1"),
         ("cycles", "--lmax", "2", "--workers", "x"),
+        # a rational bound follows the same rule: escaping |x| > 0 or > -1 is instant
+        ("iterate", "--map", "U", "--start", "3", "--escape", "-1"),
+        ("conjecture", "RU", "--samples", "3", "--escape", "0"),
     ],
 )
 def test_out_of_range_integers_fail_at_parse_time(argv, capsys):
@@ -172,6 +181,19 @@ def test_config_values_get_the_same_bounds(tmp_path, capsys):
     cfg.write_text("cap = -5\n")
     assert parse_error_code("conjecture", "RU", "--samples", "3", "--config", str(cfg)) == 1
     assert "--cap: must be >= 0, got -5" in capsys.readouterr().err
+
+
+def test_q2_family_range_is_bounded(capsys, monkeypatch):
+    def family_step(m, x):
+        raise StructureError(f"a family start was stepped at {x}")
+
+    monkeypatch.setattr(cli, "step", family_step)
+    for m_range in ("0..100000000", "0..100000"):  # 10^8 + 1 and 100,001 starts
+        code, out, err = run_cli(
+            capsys, "conjecture", "Q2", "--samples", "1", "--m-range", m_range, "--steps", "1"
+        )
+        assert (code, out) == (1, "")
+        assert err == f"real3x1: error: --m-range spans more than 100000 starts: {m_range!r}\n"
 
 
 def test_pool_size_is_capped_by_cores_and_tasks(monkeypatch):

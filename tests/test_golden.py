@@ -7,7 +7,11 @@ map plus one Phi map in both formats, trace on positive-d, negative-d and
 integer-cycle patterns, rmap-scan and a verdict-carrying cycle sweep.  The
 later rows reach every JSON field with a non-default value: a trap region, an
 escape bound, a size cap, truncated reports, a single-modulus and a
-length-capped scan, and a custom Q2 family range.
+length-capped scan, and a custom Q2 family range.  The last rows pin the
+corners of the integer orbit step: denominators divisible by 3 (where the
+reduction must take out a 3), a fate of each kind on U, V, F, Uflip and g, a
+Phi map with non-dyadic slopes and a fractional tau, and an orbit that leaves
+its domain mid-way.
 """
 
 import hashlib
@@ -116,6 +120,20 @@ GOLDEN = {
         ("6c7e7f559fb593471996dadb5e1f2bfab907d46d155fa88331e91acd348bffe7", 0),
     "conjecture Q2 --samples 5 --m-range 0..10 --steps 5":
         ("6cd7393b5b45cda0c2d2dabe83e9b6025ad6dce505b61d6f48d713af02095246", 0),
+    "iterate --map U --start 16/9,50/27,130/81 --cap 500":
+        ("e020ce1fd816d713f3b38c6b3ec985ab88275f119e96d9abb18904a63ecbed39", 0),
+    "iterate --map V --start 10/9,40/27 --cap 500":
+        ("94ce6aa0e28391f9496f208d37bb4c3a14a29705187ecb1fa27de8a2c41c6a01", 2),
+    "iterate --map F --start 16/9,41/27 --cap 300":
+        ("0cfe8b5bb5b2f67024aa81159c627c103a1fabc4c6f8f8f5bc77c9c92a7aa55c", 0),
+    "iterate --map Uflip --start 20/9,125/27 --cap 300":
+        ("5c5ebca3753d1ebcc286f90caf325a0b603bb92d628c616e27f796992c0befed", 0),
+    "iterate --map g --start 5/27,-7/9 --cap 200":
+        ("f91d8915e9f53f0250fe8b2df8df76fa2b60892194b27d9e85a009c2c9520ce0", 0),
+    "iterate --map Phi:2/3,1/5,5/7,1/3,1/2,0 --start 3/4,11/5 --cap 200 --den-bit-cap 40":
+        ("a797bf72bec04eb7950209355a7f286c7fcd6d514068c111689293eeae35af2f", 2),
+    "iterate --map Phi:1/2,-1,3/2,0,0,0 --start 5/2 --cap 50":
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
 }
 
 # Honest samples never take these branches, so the runs forge them: a

@@ -1,14 +1,18 @@
 """The seven named maps, the Phi family, and forced affine composition."""
 
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from real3x1.errors import DomainError
 from real3x1.maps import (
     MAPS,
+    BranchRule,
+    MapSpec,
     PhiParams,
     affine_offset,
     apply_affine,
@@ -104,6 +108,14 @@ def test_phi_parsing():
             map_from_name(bad)
 
 
+def test_maps_pickle_after_use():
+    m = map_from_name("Phi:1/2,0,3/2,1/2,1/3,0")
+    for spec in (m, MAPS["U"]):
+        step(spec, F2(3, 2))  # caches the integer step on the spec
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and step(copy, F2(3, 2)) == step(spec, F2(3, 2))
+
+
 def test_phi_params_validation():
     p = PhiParams(F2(1, 2), 0, F2(3, 2), F2(1, 2), 1)
     assert p.tau == 1 and isinstance(p.beta, Fraction)
@@ -128,6 +140,49 @@ def test_U_T_g_agree_on_integers(n):
     yT, bT = step(MAPS["T"], x)
     yg, bg = step(MAPS["g"], x)
     assert yU == yT == yg and bU == bT == bg
+
+
+def oracle_step(m, x):
+    """The map written out on Fractions: the reference the integer step must match."""
+    if m.integral and x.denominator != 1:
+        raise DomainError(f"{m.name} is defined on integers only, got {x}")
+    if m.branch_rule is BranchRule.NUMERATOR_PARITY and x.denominator % 2 == 0:
+        raise DomainError(f"{m.name} needs an odd reduced denominator, got {x}")
+    if m.domain_min is not None and x < m.domain_min:
+        raise DomainError(f"{m.name} is defined for x >= {m.domain_min}, got {x}")
+    p = m.params
+    if m.branch_rule is BranchRule.FLOOR_PARITY:
+        bit = math.floor(x + p.tau) % 2
+    else:
+        bit = x.numerator % 2
+    return (p.gamma * x + p.delta if bit else p.alpha * x + p.beta), bit
+
+
+rationals = st.fractions(max_denominator=10**12) | st.integers().map(Fraction)
+phi_maps = st.builds(
+    lambda a, b, c, d, tau, lo: MapSpec("Phi", PhiParams(a, b, c, d, tau), BranchRule.FLOOR_PARITY, lo),
+    *[st.fractions(max_denominator=1000)] * 4,
+    st.fractions(min_value=0, max_value=2, max_denominator=60).filter(lambda t: t < 2),
+    st.none() | st.fractions(max_denominator=100),
+)
+
+
+@given(st.sampled_from(list(MAPS.values())) | phi_maps, rationals)
+@settings(max_examples=300, deadline=None)
+def test_integer_step_matches_the_fraction_oracle(m, x):
+    """Image, bit and DomainError text agree; the pair comes back reduced."""
+    try:
+        want = oracle_step(m, x)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            m.step_pq(x.numerator, x.denominator)
+        assert str(got.value) == str(exc)
+        with pytest.raises(DomainError):
+            branch_of(m, x)
+        return
+    y, bit = want
+    assert m.step_pq(x.numerator, x.denominator) == (y.numerator, y.denominator, bit)
+    assert step(m, x) == want and branch_of(m, x) == bit
 
 
 def test_affine_offset_frozen():

@@ -1,5 +1,6 @@
 """Parsing, floors, g's odd-denominator closure, and the exact power comparator."""
 
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -31,6 +32,23 @@ def test_parse_format_roundtrip():
     assert format_rational(parse_rational("+7/3")) == "7/3"
     assert format_rational(parse_rational("6/4")) == "3/2"
     assert format_rational(Fraction(4, 1)) == "4"
+
+
+@given(
+    st.integers(min_value=-(10**30), max_value=10**30).filter(bool),
+    st.integers(min_value=4301, max_value=6000),
+    st.integers(min_value=1, max_value=10**30),
+    st.booleans(),
+)
+def test_long_values_round_trip(head, digits, den, long_den):
+    """Values past the 4300-digit int/str limit print and parse back exactly."""
+    x = Fraction(head * 10**digits + 7, den * 11**digits if long_den else den)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert parse_rational(format_rational(x)) == x
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @pytest.mark.parametrize("bad", ["1.5", "3/0", "a", "", "1/-2", "1 /2", "1e3"])

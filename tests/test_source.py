@@ -23,6 +23,18 @@ def test_invariant_checks_survive_python_O():
     assert asserts == []
 
 
+def test_no_float_in_the_package():
+    """Every value is exact: no float literal and no float(...) call."""
+    floats = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
+    ]
+    assert floats == []
+
+
 def test_every_parameter_is_read():
     """A parameter the body never reads is a knob that changes nothing."""
     unused = []

@@ -1,6 +1,8 @@
 """Orbit iteration: fates, certified basin landings, and the diagnostics."""
 
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -201,3 +203,41 @@ def test_json_form_round_trips(map_and_min, offset):
     assert [parse_rational(t) for t in js["iterates"]] == rep.iterates
     assert js["parity_bits"] == rep.parity_bits
     assert js["fate"]["kind"] == rep.fate.kind.value
+
+
+# SHA-256 of the JSON reports of 50 seeded starts per named map, recorded
+# before orbits ran on integer pairs.
+ORBIT_DIGESTS = {
+    "T": "d60c7ad5fa7c0db54b2c1c6eb5707e4083be2323015c11a46ddb0e6daff9c431",
+    "f": "a82f2348170e460799db0cfa6ebfc7e9b4b288b59fb5757d8c93afaeed18c429",
+    "g": "a6f88778a9f5833b52b2f6ca2a25f2da117d33fdcb19031a9f218abd20e4e582",
+    "U": "b613f4cdb35f2c2df84044b831127238f6d8b02c076d4a1e68c23500d6a91ae1",
+    "Uflip": "f7009200a422de3c2f645048e96c7e5a4434b122e2f06be5448de918c6a777c5",
+    "F": "871a2c4a13136a9297e082a423f566bfad80ae34877f0b225d725079dd04ef05",
+    "V": "79ef6b4e697c72ca091fa9439c4db750075cf08c22aa6f7adf692f780b133356",
+}
+
+
+def _seeded_starts(name, count=50):
+    rng = random.Random(f"orbit-{name}")
+    m = MAPS[name]
+    starts = []
+    while len(starts) < count:
+        if m.integral:
+            x = F2(rng.randint(1, 1 << 16))
+        elif m.domain_min is None:  # g: odd reduced denominators, any sign
+            x = F2(rng.randint(-(1 << 12), 1 << 12), 2 * rng.randint(0, 1 << 9) + 1)
+        else:
+            den = rng.randint(1, 1 << 12)
+            x = m.domain_min + F2(rng.randint(0, den << 8), den)
+        starts.append(x)
+    return starts
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_DIGESTS))
+def test_seeded_reports_are_unchanged(name):
+    lines = [
+        json.dumps(jsonable(iterate(MAPS[name], x, cap=1000)), sort_keys=True)
+        for x in _seeded_starts(name)
+    ]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ORBIT_DIGESTS[name]
