@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .cycles import BitSeq, CycleRecord, evaluate, sweep_range
+from .cycles import BitSeq, CycleRecord, evaluate, necklaces, sweep_range
 from .errors import DomainError, PreconditionError, StructureError
 from .maps import MAPS, MapSpec, map_from_name, step
 from .rationals import floor_of, format_rational, parse_rational
@@ -235,20 +235,32 @@ def _empty_totals() -> dict:
 
 
 def _sweep_chunk(task) -> tuple[str, dict]:
+    """Records and totals for one rank range of one length.
+
+    Without lines, each rotation class is evaluated once through its least
+    rotation and counts for all its rotations; the realized lists then hold
+    rotations from other ranges, which cmd_cycles puts back in order.
+    """
     l, lo, hi, emit_lines, with_verdict = task
     lines = []
     agg = _empty_totals()
-    for rec in sweep_range(l, lo, hi):
-        agg["records"] += 1
+    if emit_lines:
+        classes = ((rec, 1) for rec in sweep_range(l, lo, hi))
+    else:
+        classes = necklaces(l, lo, hi)
+    for rec, period in classes:
+        agg["records"] += period
         cls = rec.cls.value
-        agg["class_counts"][cls] = agg["class_counts"].get(cls, 0) + 1
-        bits = str(rec.s)
-        if rec.realized_U:
-            agg["realized_U"].append(bits)
-            if rec.x0.denominator != 1:
-                agg["realized_U_non_integer"].append(bits)
-        if rec.realized_Uflip:
-            agg["realized_Uflip"].append(bits)
+        agg["class_counts"][cls] = agg["class_counts"].get(cls, 0) + period
+        if rec.realized_U or rec.realized_Uflip:
+            bits = str(rec.s)
+            rotations = [bits[k:] + bits[:k] for k in range(period)]
+            if rec.realized_U:
+                agg["realized_U"].extend(rotations)
+                if rec.x0.denominator != 1:
+                    agg["realized_U_non_integer"].extend(rotations)
+            if rec.realized_Uflip:
+                agg["realized_Uflip"].extend(rotations)
         if emit_lines:
             lines.append(_dumps(_record_json_dict(rec, with_verdict)))
     text = "\n".join(lines) + "\n" if lines else ""
@@ -292,6 +304,12 @@ def cmd_cycles(args, out) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for result in pool.map(_sweep_chunk, tasks):
                 merge(result)
+
+    expected = (1 << (args.lmax + 1)) - (1 << args.lmin)
+    if totals["records"] != expected:
+        raise StructureError(f"sweep counted {totals['records']} records, expected {expected}")
+    for key in ("realized_U", "realized_U_non_integer", "realized_Uflip"):
+        totals[key].sort(key=lambda bits: (len(bits), int(bits, 2)))  # (l, rank)
 
     counterexample = bool(totals["realized_U_non_integer"]) or bool(totals["realized_Uflip"])
     summary = {
@@ -641,9 +659,19 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        # exact values outgrow the default 4300-digit str/int conversion limit
-        sys.set_int_max_str_digits(0)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    # exact values outgrow the default 4300-digit str/int conversion limit;
+    # lift it for this command only, so a caller's own limit survives
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: list[str] | None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:

@@ -18,6 +18,14 @@ separate, stricter question: U requires floor(x_i) parity to equal the branch
 bit at every step (and x0 >= 1), Uflip requires the opposite parity at every
 step (and x0 >= 0).  The sweep records the first index where each of these
 fails.
+
+Both answers, and the cycle class, are shared by every rotation of s.  The
+rotation by k closes at x_k, the k-th point of the same g-cycle, so it walks
+the same set of values with the same sign.  A cycle that U or Uflip realizes
+stays in that map's domain, so every one of its points is a valid start and
+realizes it too; if one rotation fails, all do.  A summary therefore needs one
+representative per rotation class (necklace), weighted by the number of
+distinct rotations: necklaces() yields the least rotation of each.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterator
 
 from .maps import affine_offset
@@ -40,7 +49,7 @@ class BitSeq:
 
     def __post_init__(self):
         object.__setattr__(self, "bits", tuple(self.bits))
-        if not self.bits or any(b not in (0, 1) for b in self.bits):
+        if not self.bits or not {0, 1}.issuperset(self.bits):
             raise ValueError(f"bits must be a nonempty 0/1 sequence: {self.bits!r}")
 
     @property
@@ -189,3 +198,27 @@ def sweep_range(l: int, rank_lo: int, rank_hi: int) -> Iterator[CycleRecord]:
     """Candidates of one length for rank_lo <= rank < rank_hi, in rank order."""
     for rank in range(rank_lo, rank_hi):
         yield evaluate(BitSeq.from_rank(l, rank))
+
+
+def necklaces(l: int, rank_lo: int, rank_hi: int) -> Iterator[tuple[CycleRecord, int]]:
+    """(record, period) for each necklace of length l whose least rotation is in [rank_lo, rank_hi).
+
+    The record is the least rotation's, with both realization checks done;
+    period counts the distinct rotations, so the periods of one length sum to
+    2^l.  A rank is a least rotation when no rotation of it is smaller; the
+    test stops at the first rotation that is not larger.  Apart from all
+    zeros and all ones, a least rotation starts with 0 and ends with 1, so
+    only odd ranks below 2^(l-1) are tested.
+    """
+    mask = (1 << l) - 1
+    top = l - 1
+    ranks = range(rank_lo | 1, min(rank_hi, 1 << top), 2)
+    ends = [rank for rank in (0, mask) if rank_lo <= rank < rank_hi]
+    for rank in chain(ranks, ends):
+        x = ((rank << 1) & mask) | (rank >> top)
+        period = 1
+        while x > rank:
+            x = ((x << 1) & mask) | (x >> top)
+            period += 1
+        if x == rank:
+            yield evaluate(BitSeq.from_rank(l, rank)), period

@@ -217,14 +217,14 @@ def affine_offset(bits) -> int:
     the composed walk is then x -> (3^n x + offset) / 2^l.
     """
     bits = tuple(bits)
-    if not bits or any(b not in (0, 1) for b in bits):
+    if not bits or not {0, 1}.issuperset(bits):
         raise ValueError(f"bits must be a nonempty 0/1 sequence, got {bits!r}")
     total = 0
-    ones_after = 0
+    pow3 = 1  # 3^(ones after j)
     for j in range(len(bits) - 1, -1, -1):
         if bits[j]:
-            total += (1 << j) * 3**ones_after
-            ones_after += 1
+            total += pow3 << j
+            pow3 *= 3
     return total
 
 

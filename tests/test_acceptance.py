@@ -1,8 +1,9 @@
-"""End-to-end verification battery: the eleven headline checks at desk scale.
+"""End-to-end verification battery: the twelve headline checks at desk scale.
 
 Each test prints one pass/fail line; the heavyweight runs (the full length-20
 cycle sweep, the length-16 remainder audit, the seeded evidence reports) are
 shared module-scoped fixtures so the battery stays inside a coffee break.
+The twelfth repeats the cycle sweep two lengths deeper, on two workers.
 """
 
 import json
@@ -285,3 +286,25 @@ def test_criterion_11_evidence_runs_are_reproducible(evidence_runs):
         details.append(f"{name} {'ok' if same and clean else 'BAD'}")
     _report(11, ok, "seeded evidence reports byte-identical and counterexample-free: "
             + ", ".join(details))
+
+
+def test_criterion_12_deeper_sweep_realizes_only_the_two_step_rotations():
+    t0 = time.monotonic()
+    proc = _run_cli(["cycles", "--lmax", "22", "--summary-only", "--workers", "2"])
+    elapsed = time.monotonic() - t0
+    summary = json.loads(proc.stdout.splitlines()[-1]) if proc.returncode == 0 else {}
+    expected = []
+    for l in range(2, 23, 2):
+        expected += ["01" * (l // 2), "10" * (l // 2)]
+    ok = (
+        proc.returncode == 0
+        and summary["records"] == (1 << 23) - 2
+        and summary["realized_U"] == expected
+        and summary["realized_Uflip"] == []
+    )
+    _report(
+        12,
+        ok,
+        f"length <= 22 sweep on 2 workers realized exactly the (1,0) rotations "
+        f"and no flipped cycle ({elapsed:.1f}s)",
+    )

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, output shapes, determinism, config."""
 
 import json
+import sys
 
 import pytest
 
@@ -81,13 +82,27 @@ def test_iterate_domain_and_usage_errors(capsys):
 
 
 def test_start_beyond_int_str_digit_limit(capsys):
-    # 5000-digit numerator, just above 3/2: U's basin resolves it at once
-    start = f"{3 * 10**4999 + 1}/{2 * 10**4999}"
+    # 5000-digit numerator, just above 3/2: U's basin resolves it at once.
+    # Spelled out, since str() of such an int is itself over the limit here.
+    start = "3" + "0" * 4998 + "1" + "/2" + "0" * 4999
     code, out, _ = run_cli(capsys, "iterate", "--map", "U", "--start", start, "--cap", "1")
     assert code == 0
     (rec,) = jsonl(out)
     assert rec["start"] == start
     assert rec["fate"]["kind"] == "tends_to_trivial"
+
+
+def test_int_str_digit_limit_is_restored(capsys):
+    before = sys.get_int_max_str_digits()
+    assert run_cli(capsys, "trace", "--bits", "1")[0] == 0
+    assert sys.get_int_max_str_digits() == before
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert run_cli(capsys, "trace", "--bits", "1")[0] == 0
+        assert parse_error_code("cycles", "--lmax", "0") == 1  # argparse exits
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_internal_error_exit(capsys, monkeypatch):
@@ -146,6 +161,21 @@ def test_cycles_worker_count_does_not_change_output(tmp_path):
     assert main(["cycles", "--lmax", "6", "--out", str(one)]) == 0
     assert main(["cycles", "--lmax", "6", "--workers", "2", "--out", str(two)]) == 0
     assert one.read_bytes() == two.read_bytes()
+
+
+def test_lost_record_is_an_internal_error(capsys, monkeypatch):
+    necklaces = cli.necklaces
+
+    def lossy(l, lo, hi):
+        classes = necklaces(l, lo, hi)
+        if l == 4:
+            next(classes)  # drop 0001, the first class tested, and its three rotations
+        return classes
+
+    monkeypatch.setattr(cli, "necklaces", lossy)
+    code, out, err = run_cli(capsys, "cycles", "--lmax", "5", "--summary-only")
+    assert (code, out) == (5, "")
+    assert err == "real3x1: internal error: sweep counted 58 records, expected 62\n"
 
 
 def test_cycles_validation(capsys):

@@ -1,5 +1,6 @@
 """Pseudo-cycle candidates: closure, classification, and realization checks."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,11 @@ from real3x1.cycles import (
     candidate,
     check_realization,
     evaluate,
+    necklaces,
     sweep,
     sweep_range,
 )
+from real3x1 import cli
 from real3x1.maps import apply_affine, compose_affine
 
 F2 = Fraction
@@ -174,3 +177,60 @@ def test_realization_checks_match_direct_walk():
             assert idx_f == (mismatches[0] if mismatches else None)
         else:
             assert (ok_f, idx_f) == (False, None)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=24))
+def test_rotations_share_class_and_realization(bits):
+    """What the summary counts once per rotation class holds for every rotation."""
+    s = BitSeq(tuple(bits))
+    least = min((s.rotated(k) for k in range(s.l)), key=lambda r: r.rank)
+
+    def shared(rec):
+        return rec.cls, rec.realized_U, rec.realized_Uflip, rec.x0.denominator == 1
+
+    want = shared(evaluate(least))
+    for k in range(s.l):
+        assert shared(evaluate(s.rotated(k))) == want, f"rotation {k} of {s}"
+
+
+@pytest.mark.parametrize("l", range(1, 13))
+def test_necklaces_are_the_least_rotations(l):
+    least = {}
+    for rank in range(1 << l):
+        bits = format(rank, f"0{l}b")
+        rotations = {int(bits[k:] + bits[:k], 2) for k in range(l)}
+        least[min(rotations)] = len(rotations)
+    got = {rec.s.rank: period for rec, period in necklaces(l, 0, 1 << l)}
+    assert got == least
+    assert sum(got.values()) == 1 << l
+    # rank ranges split the classes by where the least rotation falls
+    parts = {}
+    for lo in range(0, 1 << l, 5):
+        parts.update((rec.s.rank, p) for rec, p in necklaces(l, lo, min(lo + 5, 1 << l)))
+    assert parts == least
+
+
+@pytest.mark.parametrize("lmax", range(1, 13))
+def test_summary_equals_the_per_rank_sweep(lmax, capsys):
+    records = list(sweep(lmax))
+    class_counts = {}
+    for rec in records:
+        class_counts[rec.cls.value] = class_counts.get(rec.cls.value, 0) + 1
+    realized_U = [str(r.s) for r in records if r.realized_U]
+    realized_Uflip = [str(r.s) for r in records if r.realized_Uflip]
+    non_integer = [str(r.s) for r in records if r.realized_U and r.x0.denominator != 1]
+    want = {
+        "type": "summary",
+        "command": "cycles",
+        "lmin": 1,
+        "lmax": lmax,
+        "records": len(records),
+        "class_counts": class_counts,
+        "realized_U": realized_U,
+        "realized_U_non_integer": non_integer,
+        "realized_Uflip": realized_Uflip,
+        "counterexample": bool(non_integer or realized_Uflip),
+    }
+    assert cli.main(["cycles", "--lmax", str(lmax), "--summary-only"]) == 0
+    assert capsys.readouterr().out == json.dumps(want, sort_keys=True) + "\n"

@@ -11,15 +11,17 @@ length-capped scan, and a custom Q2 family range.  The last rows pin the
 corners of the integer orbit step: denominators divisible by 3 (where the
 reduction must take out a 3), a fate of each kind on U, V, F, Uflip and g, a
 Phi map with non-dyadic slopes and a fractional tau, and an orbit that leaves
-its domain mid-way.
+its domain mid-way.  The summary-only sweeps pin the rotation-class path: at
+lmax 1 every class has one member, and one range starts above lmin 1.
 """
 
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from real3x1 import cli
+from real3x1 import cli, cycles
 
 GOLDEN = {
     "conjecture BU --samples 40 --cap 1000":
@@ -134,11 +136,20 @@ GOLDEN = {
         ("a797bf72bec04eb7950209355a7f286c7fcd6d514068c111689293eeae35af2f", 2),
     "iterate --map Phi:1/2,-1,3/2,0,0,0 --start 5/2 --cap 50":
         ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
+    "cycles --lmax 1 --summary-only":
+        ("62353b35a2fd5f0d23f794531cd346dac0acc2365f7f9602f39e31c785f29ee1", 0),
+    "cycles --lmax 12 --summary-only":
+        ("26f10b48ecf06b53c528e1ccede5627a6b2bc52b06d8190e4466b10c1eb21f49", 0),
+    "cycles --lmax 12 --summary-only --workers 2":
+        ("26f10b48ecf06b53c528e1ccede5627a6b2bc52b06d8190e4466b10c1eb21f49", 0),
+    "cycles --lmin 7 --lmax 12 --summary-only":
+        ("0f173b32010718ddd8046f8a9d06822a52b530079121853f97a8527255154353", 0),
 }
 
-# Honest samples never take these branches, so the runs forge them: a
-# nontrivial cycle (a counterexample, which Q2 demotes to a flag) and a
-# missing (0,1) parity tail (flagged only for the primed conjectures).
+# Honest runs never take these branches, so the runs forge them: a
+# nontrivial cycle (a counterexample, which Q2 demotes to a flag), a missing
+# (0,1) parity tail (flagged only for the primed conjectures), and a sweep in
+# which U and Uflip realize every pattern with d = 5.
 FORGED = {
     ("cycle", "conjecture NU --samples 10 --value-bits 4"):
         ("abd336e4f9bb815abb520da7254cc6fe0bc4a2411372a7a0850a5ad268089ca1", 3),
@@ -152,7 +163,17 @@ FORGED = {
         ("e6cb905879ce1c13e3753ca25ce2c30643728461e488af523f7ec4a6e67397b6", 0),
     ("no-tail", "conjecture RU --samples 20"):
         ("45d3bfa42dbc5aaeeabb3df5e69a839823dd51bd5c7a3364b3df89bf06d2fdb9", 0),
+    ("realized", "cycles --lmax 6 --summary-only"):
+        ("b6416f09ebbbdb1ee04850b5b391982f03b46571cc3017243e6a26f68561e06f", 3),
 }
+
+
+_check_realization = cycles.check_realization
+
+
+def _realized_when_d_is_5(rec, flipped=False):
+    """d depends only on (l, n), so this forgery holds for whole rotation classes."""
+    return (True, None) if rec.d == 5 else _check_realization(rec, flipped)
 
 
 def _run(argv, capsys):
@@ -169,6 +190,22 @@ def test_cli_output_is_golden(argv, capsys):
 def test_forged_outcomes_are_golden(forge, argv, monkeypatch, capsys):
     if forge == "cycle":
         monkeypatch.setattr(cli, "_cycle_values", lambda m, value, period: {Fraction(5)})
+    elif forge == "realized":
+        monkeypatch.setattr(cycles, "check_realization", _realized_when_d_is_5)
     else:
         monkeypatch.setattr(cli, "detect_period01", lambda bits: None)
     assert _run(argv, capsys) == FORGED[forge, argv]
+
+
+def test_forged_realizations_list_every_rotation(monkeypatch, capsys):
+    """A realized class puts all its rotations in the lists, in (l, rank) order."""
+    monkeypatch.setattr(cycles, "check_realization", _realized_when_d_is_5)
+    assert cli.main(["cycles", "--lmax", "6", "--summary-only"]) == 3
+    summary = json.loads(capsys.readouterr().out)
+    d5 = ["001", "010", "100"] + [f"{r:05b}" for r in range(32) if f"{r:05b}".count("1") == 3]
+    assert summary["realized_U_non_integer"] == d5
+    assert summary["realized_Uflip"] == d5
+    assert summary["realized_U"] == ["01", "10"] + d5[:3] + ["0101", "1010"] + d5[3:] + [
+        "010101",
+        "101010",
+    ]
