@@ -19,7 +19,6 @@ from .cycles import (
     check_realization,
     evaluate,
     sweep,
-    sweep_range,
 )
 from .errors import DomainError, PreconditionError, StructureError
 from .maps import (
@@ -29,7 +28,6 @@ from .maps import (
     PhiParams,
     affine_offset,
     apply_affine,
-    branch_of,
     compose_affine,
     map_from_name,
     step,
@@ -88,7 +86,6 @@ __all__ = [
     "VerdictKind",
     "affine_offset",
     "apply_affine",
-    "branch_of",
     "candidate",
     "check_realization",
     "compare_pow3_pow2",
@@ -107,7 +104,6 @@ __all__ = [
     "segment_inequality",
     "step",
     "sweep",
-    "sweep_range",
     "synthetic_trace",
     "trace",
 ]

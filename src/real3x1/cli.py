@@ -24,8 +24,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 
-from .cycles import BitSeq, CycleRecord, evaluate, necklaces, sweep_range
+from .cycles import BitSeq, CycleClass, check_realization, evaluate, misaligned_from, necklaces
 from .errors import DomainError, PreconditionError, StructureError
 from .maps import MAPS, MapSpec, map_from_name, step
 from .rationals import floor_of, format_rational, parse_rational
@@ -44,8 +45,7 @@ _DEFAULT_ESCAPE = str(1 << 64)
 _MAX_FAMILY = 100_000  # Q2 family starts one --m-range may ask for
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
+_dumps = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True), built once
 
 
 def jsonable(obj):
@@ -205,23 +205,24 @@ def cmd_iterate(args, out) -> int:
 _CHUNK_RANKS = 1 << 14
 
 
-def _record_json_dict(rec: CycleRecord, with_verdict: bool) -> dict:
-    obj = {
-        "l": rec.s.l,
-        "rank": rec.s.rank,
-        "bits": str(rec.s),
-        "d": str(rec.d),
-        "phi": str(rec.phi),
-        "x0": format_rational(rec.x0),
-        "class": rec.cls.value,
-        "realized_U": rec.realized_U,
-        "realized_Uflip": rec.realized_Uflip,
-        "misalign_U": rec.misalign_U,
-        "misalign_Uflip": rec.misalign_Uflip,
+def _record_json_dict(
+    l: int, rank: int, d: int, phi: int, x0: str, cls: CycleClass,
+    realized_U: bool, realized_Uflip: bool, misalign_U: int | None, misalign_Uflip: int | None,
+) -> dict:
+    """The fields cycles prints for one pattern, and trace before its ledgers."""
+    return {
+        "l": l,
+        "rank": rank,
+        "bits": format(rank, f"0{l}b"),
+        "d": str(d),
+        "phi": str(phi),
+        "x0": x0,
+        "class": cls.value,
+        "realized_U": realized_U,
+        "realized_Uflip": realized_Uflip,
+        "misalign_U": misalign_U,
+        "misalign_Uflip": misalign_Uflip,
     }
-    if with_verdict:
-        obj["verdict"] = trace(rec).verdict.label() if rec.d > 0 else None
-    return obj
 
 
 def _empty_totals() -> dict:
@@ -234,35 +235,92 @@ def _empty_totals() -> dict:
     }
 
 
+_NON_INTEGER = {CycleClass.FRACTIONAL_POSITIVE.value, CycleClass.FRACTIONAL_NEGATIVE.value}
+
+
+def _list_realized(agg: dict, rotations: list[str], cls: str, realized_U, realized_Uflip) -> None:
+    """A realized U cycle of a fractional class is also a non-integer one."""
+    if realized_U:
+        agg["realized_U"].extend(rotations)
+        if cls in _NON_INTEGER:
+            agg["realized_U_non_integer"].extend(rotations)
+    if realized_Uflip:
+        agg["realized_Uflip"].extend(rotations)
+
+
+def _rotated_records(l: int, lo: int, hi: int, with_verdict: bool):
+    """The record of each rank in [lo, hi), read off its necklace.
+
+    Each rank is its least rotation r turned left by k.  r is evaluated (and
+    traced) once and kept only while another of its rotations lies ahead in
+    [lo, hi); rank's fields are r's cycle seen from x_k.
+    """
+    top = l - 1
+    cache = {}
+    for rank in range(lo, hi):
+        r = x = rank
+        k = 0
+        ahead = False
+        for j in range(1, l):
+            x = (x >> 1) | ((x & 1) << top)  # rank turned right by j
+            if x < r:
+                r, k = x, j
+            elif rank < x < hi:
+                ahead = True
+        entry = cache.pop(r, None)
+        if entry is None:
+            rec = evaluate(BitSeq.from_rank(l, r))
+            entry = rec, trace(rec).verdict if with_verdict and rec.d > 0 else None
+        if ahead:
+            cache[r] = entry
+        rec, verdict = entry
+        d = rec.d
+        D = abs(d)
+        a = rec.numerators[k]  # x_k * |d|
+        g = gcd(a, D)
+        x0 = str(a // g) if g == D else f"{a // g}/{D // g}"  # as format_rational prints a/D
+        realized_U, misalign_U = check_realization(rec, False, k)
+        realized_Uflip, misalign_Uflip = check_realization(rec, True, k)
+        obj = _record_json_dict(
+            l, rank, d, a if d > 0 else -a, x0, rec.cls,
+            realized_U, realized_Uflip, misalign_U, misalign_Uflip,
+        )
+        if with_verdict:
+            if verdict is not None and verdict.kind is VerdictKind.MISALIGNED_AT:
+                verdict = Verdict(verdict.kind, misaligned_from(rec, k))  # counted from x_k
+            obj["verdict"] = None if verdict is None else verdict.label()
+        yield obj
+
+
 def _sweep_chunk(task) -> tuple[str, dict]:
     """Records and totals for one rank range of one length.
 
     Without lines, each rotation class is evaluated once through its least
     rotation and counts for all its rotations; the realized lists then hold
-    rotations from other ranges, which cmd_cycles puts back in order.
+    rotations from other ranges, which cmd_cycles puts back in order.  With
+    lines, every rank gets its own record, derived from its rotation class.
     """
     l, lo, hi, emit_lines, with_verdict = task
     lines = []
     agg = _empty_totals()
+    counts = agg["class_counts"]
     if emit_lines:
-        classes = ((rec, 1) for rec in sweep_range(l, lo, hi))
+        for obj in _rotated_records(l, lo, hi, with_verdict):
+            agg["records"] += 1
+            cls = obj["class"]
+            counts[cls] = counts.get(cls, 0) + 1
+            if obj["realized_U"] or obj["realized_Uflip"]:
+                _list_realized(agg, [obj["bits"]], cls, obj["realized_U"], obj["realized_Uflip"])
+            lines.append(_dumps(obj))
     else:
-        classes = necklaces(l, lo, hi)
-    for rec, period in classes:
-        agg["records"] += period
-        cls = rec.cls.value
-        agg["class_counts"][cls] = agg["class_counts"].get(cls, 0) + period
-        if rec.realized_U or rec.realized_Uflip:
-            bits = str(rec.s)
-            rotations = [bits[k:] + bits[:k] for k in range(period)]
-            if rec.realized_U:
-                agg["realized_U"].extend(rotations)
-                if rec.x0.denominator != 1:
-                    agg["realized_U_non_integer"].extend(rotations)
-            if rec.realized_Uflip:
-                agg["realized_Uflip"].extend(rotations)
-        if emit_lines:
-            lines.append(_dumps(_record_json_dict(rec, with_verdict)))
+        for rec, period in necklaces(l, lo, hi):
+            agg["records"] += period
+            cls = rec.cls.value
+            counts[cls] = counts.get(cls, 0) + period
+            if rec.realized_U or rec.realized_Uflip:
+                bits = str(rec.s)
+                rotations = [bits[k:] + bits[:k] for k in range(period)]
+                _list_realized(agg, rotations, cls, rec.realized_U, rec.realized_Uflip)
     text = "\n".join(lines) + "\n" if lines else ""
     return text, agg
 
@@ -547,7 +605,10 @@ def cmd_trace(args, out) -> int:
     except ValueError as exc:
         raise ValueError(f"--bits: {exc}") from exc
     rec = evaluate(s)
-    obj = _record_json_dict(rec, with_verdict=False)
+    obj = _record_json_dict(
+        s.l, s.rank, rec.d, rec.phi, format_rational(rec.x0), rec.cls,
+        rec.realized_U, rec.realized_Uflip, rec.misalign_U, rec.misalign_Uflip,
+    )
     if rec.d > 0:
         for suffix, flipped in (("", False), ("_flipped", True)):
             tr = trace(rec, flipped)
@@ -633,8 +694,8 @@ def build_parser() -> _Parser:
     sp.add_argument("name", choices=sorted(_CONJECTURES))
     sp.add_argument("--samples", type=_at_least(1), default=1000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--den-bits", type=int, default=32)
-    sp.add_argument("--value-bits", type=int, default=16)
+    sp.add_argument("--den-bits", type=_at_least(1), default=32)
+    sp.add_argument("--value-bits", type=_at_least(1), default=16)
     sp.add_argument("--cap", type=_at_least(0), default=10**4)
     sp.add_argument("--escape", type=_positive_rational, default=_DEFAULT_ESCAPE)
     sp.add_argument("--m-range", default="0..100", help="Q2 only: family indices lo..hi")

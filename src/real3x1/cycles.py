@@ -26,6 +26,16 @@ stays in that map's domain, so every one of its points is a valid start and
 realizes it too; if one rotation fails, all do.  A summary therefore needs one
 representative per rotation class (necklace), weighted by the number of
 distinct rotations: necklaces() yields the least rotation of each.
+
+Per-rank records come from one representative per necklace too.  Rotation k
+closes at x_k = nums[k] / |d|, so its phi is +-nums[k], and its realization
+checks are the representative's cycle scanned from index k
+(check_realization(rec, flipped, k)).  The remainder ledger (remainders.trace)
+checks its recurrence on the cyclic pairs (c_{i-1}, c_i) that leave an aligned
+index, and every rotation has the same set of pairs, only renumbered.  One
+trace per necklace therefore makes every check that a trace per rank would
+make; rotation k's verdict is the representative's, with a misalignment
+counted from index k (misaligned_from).
 """
 
 from __future__ import annotations
@@ -79,10 +89,6 @@ class BitSeq:
             raise ValueError(f"bit string must be nonempty over 0/1: {text!r}")
         return cls(tuple(int(ch) for ch in text))
 
-    def rotated(self, k: int = 1) -> "BitSeq":
-        k %= self.l
-        return BitSeq(self.bits[k:] + self.bits[:k])
-
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
 
@@ -114,11 +120,6 @@ class CycleRecord:
     def g_cycle(self) -> tuple[Fraction, ...]:
         D = abs(self.d)
         return tuple(Fraction(a, D) for a in self.numerators)
-
-    def floors(self) -> tuple[int, ...]:
-        """floor(x_i) for i = 0..l, exact via integer division."""
-        D = abs(self.d)
-        return tuple(a // D for a in self.numerators)
 
 
 def candidate(s: BitSeq) -> CycleRecord:
@@ -156,21 +157,38 @@ def candidate(s: BitSeq) -> CycleRecord:
     return CycleRecord(s, d, phi, x0, tuple(nums), cls)
 
 
-def check_realization(rec: CycleRecord, flipped: bool = False) -> tuple[bool, int | None]:
-    """Does U, or Uflip when flipped, walk rec's cycle?  (False, i) names the first bad step.
+def misaligned_from(rec: CycleRecord, k: int, flipped: bool = False) -> int | None:
+    """Steps from index k, taken cyclically, to the first floor parity the map rejects.
 
-    Requires x0 in the map's domain: x0 >= 1 for U, x0 >= 0 for Uflip.  Along
-    any prefix where the floor parities match the branch bits (oppose them
-    when flipped), the walk consists of genuine steps of the map, so the
+    U needs floor(x_i) mod 2 to equal the branch bit b_i; Uflip (flipped)
+    needs it to differ.  Rotation k of rec.s walks rec's cycle from x_k, so
+    this is that rotation's first misaligned step; None when there is none.
+    """
+    D = abs(rec.d)
+    nums, bits = rec.numerators, rec.s.bits
+    l = len(bits)
+    for i in range(l):
+        j = k + i if k + i < l else k + i - l
+        if (nums[j] // D) % 2 != bits[j] ^ flipped:
+            return i
+    return None
+
+
+def check_realization(
+    rec: CycleRecord, flipped: bool = False, k: int = 0
+) -> tuple[bool, int | None]:
+    """Does U, or Uflip when flipped, walk rec's cycle from x_k?  (False, i) names the first bad step.
+
+    k = 0 asks about rec.s itself, k > 0 about its rotation left by k.
+    Requires x_k in the map's domain: x_k >= 1 for U, x_k >= 0 for Uflip.
+    Along any prefix where the floor parities match the branch bits (oppose
+    them when flipped), the walk consists of genuine steps of the map, so the
     domain stays forward-invariant and only the bit comparison is needed.
     """
-    if rec.x0 < (0 if flipped else 1):
+    if rec.numerators[k] < (0 if flipped else abs(rec.d)):
         return False, None
-    D = abs(rec.d)
-    for i, b in enumerate(rec.s.bits):
-        if (rec.numerators[i] // D) % 2 != b ^ flipped:
-            return False, i
-    return True, None
+    i = misaligned_from(rec, k, flipped)
+    return i is None, i
 
 
 def evaluate(s: BitSeq) -> CycleRecord:
@@ -185,19 +203,15 @@ def sweep(l_max: int) -> Iterator[CycleRecord]:
     """All candidates for 1 <= l <= l_max in deterministic (l, rank) order.
 
     Every bit sequence of every length is emitted, the all-zero one included
-    (it carries the zero cycle).  Rank ranges partition cleanly, so parallel
-    runs over [rank_lo, rank_hi) chunks merge back into this exact order.
+    (it carries the zero cycle), and each is evaluated on its own: this is
+    the per-rank reference for the records the cycles command derives from
+    one representative per necklace.
     """
     if l_max < 1:
         raise ValueError(f"need l_max >= 1, got {l_max}")
     for l in range(1, l_max + 1):
-        yield from sweep_range(l, 0, 1 << l)
-
-
-def sweep_range(l: int, rank_lo: int, rank_hi: int) -> Iterator[CycleRecord]:
-    """Candidates of one length for rank_lo <= rank < rank_hi, in rank order."""
-    for rank in range(rank_lo, rank_hi):
-        yield evaluate(BitSeq.from_rank(l, rank))
+        for rank in range(1 << l):
+            yield evaluate(BitSeq.from_rank(l, rank))
 
 
 def necklaces(l: int, rank_lo: int, rank_hi: int) -> Iterator[tuple[CycleRecord, int]]:

@@ -20,7 +20,7 @@ one, gamma*x + delta) ran.
 A step is encoded once, as MapSpec.step_pq on a reduced integer pair (p, q)
 with q > 0: the branch bit, the image and the domain check are integer
 arithmetic on p and q.  Orbits run on these pairs (see trajectory), and step
-and branch_of are the Fraction view of the same step.
+is the Fraction view of the same step.
 """
 
 from __future__ import annotations
@@ -115,12 +115,6 @@ def _piece(slope: Fraction, offset: Fraction) -> tuple[int, int, int]:
     e = slope.denominator * offset.denominator
     g = gcd(a, b, e)
     return a // g, b // g, e // g
-
-
-def branch_of(m: MapSpec, x: Fraction) -> int:
-    """Branch bit at x: 1 iff the gamma*x + delta piece applies."""
-    x = Fraction(x)
-    return m.step_pq(x.numerator, x.denominator)[2]
 
 
 def step(m: MapSpec, x: Fraction) -> tuple[Fraction, int]:

@@ -4,11 +4,16 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import real3x1.cli as cli
 from real3x1 import trajectory
 from real3x1.cli import main
+from real3x1.cycles import BitSeq, evaluate
 from real3x1.errors import StructureError
+from real3x1.rationals import format_rational
+from real3x1.remainders import trace
 from real3x1.trajectory import FateKind
 
 
@@ -155,6 +160,63 @@ def test_cycles_with_verdict(capsys):
     assert by_bits["0"]["verdict"] == "integer_cycle"
 
 
+def direct_record(rec, with_verdict=True):
+    """The JSON fields of one rank, from its own evaluate and trace."""
+    obj = cli._record_json_dict(
+        rec.s.l, rec.s.rank, rec.d, rec.phi, format_rational(rec.x0), rec.cls,
+        rec.realized_U, rec.realized_Uflip, rec.misalign_U, rec.misalign_Uflip,
+    )
+    if with_verdict:
+        obj["verdict"] = trace(rec).verdict.label() if rec.d > 0 else None
+    return obj
+
+
+@pytest.mark.parametrize("l", range(1, 13))
+def test_rotated_lines_equal_direct_evaluation(l):
+    """Every line derived from a necklace is the line of the rank's own evaluation."""
+    recs = [evaluate(BitSeq.from_rank(l, rank)) for rank in range(1 << l)]
+    for with_verdict in (False, True):
+        text, agg = cli._sweep_chunk((l, 0, 1 << l, True, with_verdict))
+        assert text.splitlines() == [cli._dumps(direct_record(r, with_verdict)) for r in recs]
+    realized_U = [str(r.s) for r in recs if r.realized_U]
+    assert agg["records"] == len(recs)
+    assert agg["realized_U"] == realized_U
+    assert agg["realized_U_non_integer"] == [
+        str(r.s) for r in recs if r.realized_U and r.x0.denominator != 1
+    ]
+    assert agg["realized_Uflip"] == [str(r.s) for r in recs if r.realized_Uflip]
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=24))
+def test_rotated_record_equals_direct_evaluation(bits):
+    s = BitSeq(tuple(bits))
+    (obj,) = cli._rotated_records(s.l, s.rank, s.rank + 1, True)
+    assert obj == direct_record(evaluate(s))
+
+
+def test_records_evaluate_and_trace_each_necklace_once(capsys, monkeypatch):
+    evaluated, traced = [], []
+
+    def counting_evaluate(s):
+        evaluated.append(str(s))
+        return evaluate(s)
+
+    def counting_trace(rec, flipped=False):
+        traced.append(str(rec.s))
+        return trace(rec, flipped)
+
+    monkeypatch.setattr(cli, "evaluate", counting_evaluate)
+    monkeypatch.setattr(cli, "trace", counting_trace)
+    assert run_cli(capsys, "cycles", "--lmax", "10", "--with-verdict")[0] == 0
+    least = []  # equal-length bit strings order as their ranks do
+    for l in range(1, 11):
+        patterns = (f"{r:0{l}b}" for r in range(1 << l))
+        least += sorted({min(p[k:] + p[:k] for k in range(l)) for p in patterns})
+    assert evaluated == least
+    assert traced == [bits for bits in least if 2 ** len(bits) > 3 ** bits.count("1")]
+
+
 def test_cycles_worker_count_does_not_change_output(tmp_path):
     one = tmp_path / "w1.jsonl"
     two = tmp_path / "w2.jsonl"
@@ -195,6 +257,8 @@ def test_cycles_validation(capsys):
         ("iterate", "--map", "U", "--start", "3", "--keep", "0"),
         ("iterate", "--map", "U", "--start", "3", "--den-bit-cap", "0"),
         ("conjecture", "RU", "--flag-limit", "-1"),
+        ("conjecture", "RU", "--samples", "3", "--den-bits", "0"),
+        ("conjecture", "NU", "--samples", "3", "--value-bits", "-1"),
         ("cycles", "--lmax", "2", "--workers", "x"),
         # a rational bound follows the same rule: escaping |x| > 0 or > -1 is instant
         ("iterate", "--map", "U", "--start", "3", "--escape", "-1"),

@@ -1,6 +1,7 @@
 """Pseudo-cycle candidates: closure, classification, and realization checks."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from real3x1.cycles import (
     evaluate,
     necklaces,
     sweep,
-    sweep_range,
 )
 from real3x1 import cli
 from real3x1.maps import apply_affine, compose_affine
@@ -23,13 +23,22 @@ from real3x1.maps import apply_affine, compose_affine
 F2 = Fraction
 
 
+def rotated(s, k):
+    """s turned left by k places."""
+    k %= s.l
+    return BitSeq(s.bits[k:] + s.bits[:k])
+
+
+def floors(rec):
+    """floor(x_i) for i = 0..l, from the Fraction cycle."""
+    return tuple(math.floor(x) for x in rec.g_cycle)
+
+
 def test_bitseq_basics():
     s = BitSeq.from_string("11100")
     assert (s.l, s.n, str(s)) == (5, 3, "11100")
     assert s.rank == 28
     assert BitSeq.from_rank(5, 28) == s
-    assert str(s.rotated(1)) == "11001"
-    assert str(s.rotated(-1)) == "01110"
     for bad in ("", "10a", "2"):
         with pytest.raises(ValueError):
             BitSeq.from_string(bad)
@@ -65,7 +74,7 @@ def test_known_candidates():
 
     rec = candidate(BitSeq.from_string("11100"))
     assert (rec.d, rec.phi, rec.x0) == (5, 19, F2(19, 5))
-    assert rec.floors() == (3, 6, 9, 15, 7, 3)
+    assert floors(rec) == (3, 6, 9, 15, 7, 3)
 
     rec = candidate(BitSeq.from_string("0"))
     assert rec.x0 == 0 and rec.cls is CycleClass.ZERO
@@ -103,7 +112,7 @@ def test_candidate_closure_and_shape(bits):
 def test_rotation_moves_the_closure_point(bits):
     s = BitSeq(tuple(bits))
     rec = candidate(s)
-    rot = candidate(s.rotated(1))
+    rot = candidate(rotated(s, 1))
     # the rotated pattern closes at the next point of the same g-walk
     assert rot.x0 == rec.g_cycle[1]
 
@@ -125,12 +134,15 @@ def test_sweep_small_frozen():
     assert not any(rec.realized_Uflip for rec in recs)
 
 
-def test_sweep_range_partitions_cleanly():
+def test_record_chunks_partition_cleanly():
+    """Rank ranges of 5 give the records of sweep(6), in its order."""
     whole = [str(r.s) for r in sweep(6)]
     parts = []
     for l in range(1, 7):
         for lo in range(0, 1 << l, 5):
-            parts.extend(str(r.s) for r in sweep_range(l, lo, min(lo + 5, 1 << l)))
+            text, agg = cli._sweep_chunk((l, lo, min(lo + 5, 1 << l), True, True))
+            parts.extend(json.loads(line)["bits"] for line in text.splitlines())
+            assert agg["records"] == len(text.splitlines())
     assert parts == whole
     with pytest.raises(ValueError):
         list(sweep(0))
@@ -161,18 +173,17 @@ def test_fractional_denominators_are_at_least_five():
 def test_realization_checks_match_direct_walk():
     """The recorded misalignment index is the first floor-parity mismatch."""
     for rec in sweep(9):
+        fl = floors(rec)
         ok_U, idx_U = check_realization(rec)
         if rec.x0 >= 1:
-            floors = rec.floors()
-            mismatches = [i for i, b in enumerate(rec.s.bits) if floors[i] % 2 != b]
+            mismatches = [i for i, b in enumerate(rec.s.bits) if fl[i] % 2 != b]
             assert ok_U == (not mismatches)
             assert idx_U == (mismatches[0] if mismatches else None)
         else:
             assert (ok_U, idx_U) == (False, None)
         ok_f, idx_f = check_realization(rec, flipped=True)
         if rec.x0 >= 0:
-            floors = rec.floors()
-            mismatches = [i for i, b in enumerate(rec.s.bits) if floors[i] % 2 != 1 - b]
+            mismatches = [i for i, b in enumerate(rec.s.bits) if fl[i] % 2 != 1 - b]
             assert ok_f == (not mismatches)
             assert idx_f == (mismatches[0] if mismatches else None)
         else:
@@ -184,14 +195,14 @@ def test_realization_checks_match_direct_walk():
 def test_rotations_share_class_and_realization(bits):
     """What the summary counts once per rotation class holds for every rotation."""
     s = BitSeq(tuple(bits))
-    least = min((s.rotated(k) for k in range(s.l)), key=lambda r: r.rank)
+    least = min((rotated(s, k) for k in range(s.l)), key=lambda r: r.rank)
 
     def shared(rec):
         return rec.cls, rec.realized_U, rec.realized_Uflip, rec.x0.denominator == 1
 
     want = shared(evaluate(least))
     for k in range(s.l):
-        assert shared(evaluate(s.rotated(k))) == want, f"rotation {k} of {s}"
+        assert shared(evaluate(rotated(s, k))) == want, f"rotation {k} of {s}"
 
 
 @pytest.mark.parametrize("l", range(1, 13))

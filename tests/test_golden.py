@@ -12,7 +12,9 @@ corners of the integer orbit step: denominators divisible by 3 (where the
 reduction must take out a 3), a fate of each kind on U, V, F, Uflip and g, a
 Phi map with non-dyadic slopes and a fractional tau, and an orbit that leaves
 its domain mid-way.  The summary-only sweeps pin the rotation-class path: at
-lmax 1 every class has one member, and one range starts above lmin 1.
+lmax 1 every class has one member, and one range starts above lmin 1.  The
+record sweeps pin the per-rank lines derived from each necklace: without a
+verdict, from lmin above 1, and across two workers.
 """
 
 import hashlib
@@ -144,6 +146,12 @@ GOLDEN = {
         ("26f10b48ecf06b53c528e1ccede5627a6b2bc52b06d8190e4466b10c1eb21f49", 0),
     "cycles --lmin 7 --lmax 12 --summary-only":
         ("0f173b32010718ddd8046f8a9d06822a52b530079121853f97a8527255154353", 0),
+    "cycles --lmax 9":
+        ("0c0bfead511801fc84511c0df0548a57013c23baa7ae31ec75a57fe5bdac66c8", 0),
+    "cycles --lmin 5 --lmax 11 --with-verdict":
+        ("bf0e9a1f2e1e1c7d2e9e73ab829c2334fa2438b47273b9ecfad4c1475adcb8ea", 0),
+    "cycles --lmax 11 --with-verdict --workers 2":
+        ("73b4e3a340a5e5ddb163c73f87f9d1db468b5bc6221dd7a8b3c5d4017bbbaf1b", 0),
 }
 
 # Honest runs never take these branches, so the runs forge them: a
@@ -209,3 +217,10 @@ def test_forged_realizations_list_every_rotation(monkeypatch, capsys):
         "010101",
         "101010",
     ]
+
+
+def test_chunk_boundaries_change_no_byte(monkeypatch, capsys):
+    """Chunks of 16 ranks split most necklaces' rotations across chunks."""
+    monkeypatch.setattr(cli, "_CHUNK_RANKS", 16)
+    argv = "cycles --lmax 10 --with-verdict"
+    assert _run(argv, capsys) == GOLDEN[argv]

@@ -16,7 +16,6 @@ from real3x1.maps import (
     PhiParams,
     affine_offset,
     apply_affine,
-    branch_of,
     compose_affine,
     map_from_name,
     step,
@@ -128,8 +127,8 @@ def test_phi_params_validation():
 def test_phi_tau_shifts_dispatch():
     # tau = 1/2 moves the window: floor(x + 1/2) drives the choice
     m = map_from_name("Phi:1/2,0,3/2,1/2,1/2")
-    assert branch_of(m, F2(3, 5)) == 1  # floor(11/10) = 1
-    assert branch_of(m, F2(2, 5)) == 0  # floor(9/10) = 0
+    assert step(m, F2(3, 5))[1] == 1  # floor(11/10) = 1
+    assert step(m, F2(2, 5))[1] == 0  # floor(9/10) = 0
 
 
 @given(st.integers(min_value=1, max_value=10**9))
@@ -178,11 +177,11 @@ def test_integer_step_matches_the_fraction_oracle(m, x):
             m.step_pq(x.numerator, x.denominator)
         assert str(got.value) == str(exc)
         with pytest.raises(DomainError):
-            branch_of(m, x)
+            step(m, x)
         return
     y, bit = want
     assert m.step_pq(x.numerator, x.denominator) == (y.numerator, y.denominator, bit)
-    assert step(m, x) == want and branch_of(m, x) == bit
+    assert step(m, x) == want
 
 
 def test_affine_offset_frozen():
