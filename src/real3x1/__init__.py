@@ -34,7 +34,6 @@ from .maps import (
 )
 from .rationals import (
     compare_pow3_pow2,
-    floor_of,
     format_rational,
     parse_rational,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "contraction_check",
     "detect_period01",
     "evaluate",
-    "floor_of",
     "format_rational",
     "iterate",
     "map_from_name",

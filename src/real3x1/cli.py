@@ -20,16 +20,15 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .cycles import BitSeq, CycleClass, check_realization, evaluate, misaligned_from, necklaces
-from .errors import DomainError, PreconditionError, StructureError
+from .cycles import BitSeq, CycleClass, CycleRecord, check_realization, evaluate, misaligned_from, necklaces
+from .errors import StructureError
 from .maps import MAPS, MapSpec, map_from_name, step
-from .rationals import floor_of, format_rational, parse_rational
+from .rationals import format_rational, parse_rational
 from .remainders import Verdict, VerdictKind, modulus_ok, rmap_orbit_scan, segment_inequality, trace
 from .sampling import sample_integers, sample_rationals
 from .trajectory import TENDENCIES, FateKind, detect_period01, iterate
@@ -205,19 +204,25 @@ def cmd_iterate(args, out) -> int:
 _CHUNK_RANKS = 1 << 14
 
 
-def _record_json_dict(
-    l: int, rank: int, d: int, phi: int, x0: str, cls: CycleClass,
-    realized_U: bool, realized_Uflip: bool, misalign_U: int | None, misalign_Uflip: int | None,
-) -> dict:
-    """The fields cycles prints for one pattern, and trace before its ledgers."""
+def _record_json_dict(rec: CycleRecord, k: int, rank: int) -> dict:
+    """The fields of rank, rec.s turned left by k, which closes at x_k = numerators[k] / |d|.
+
+    cycles prints them for every rank, and trace (k = 0) before its ledgers.
+    """
+    l, d = rec.s.l, rec.d
+    D = abs(d)
+    a = rec.numerators[k]
+    g = gcd(a, D)
+    realized_U, misalign_U = check_realization(rec, False, k)
+    realized_Uflip, misalign_Uflip = check_realization(rec, True, k)
     return {
         "l": l,
         "rank": rank,
         "bits": format(rank, f"0{l}b"),
         "d": str(d),
-        "phi": str(phi),
-        "x0": x0,
-        "class": cls.value,
+        "phi": str(a if d > 0 else -a),
+        "x0": str(a // g) if g == D else f"{a // g}/{D // g}",  # as format_rational prints a/D
+        "class": rec.cls.value,
         "realized_U": realized_U,
         "realized_Uflip": realized_Uflip,
         "misalign_U": misalign_U,
@@ -274,17 +279,7 @@ def _rotated_records(l: int, lo: int, hi: int, with_verdict: bool):
         if ahead:
             cache[r] = entry
         rec, verdict = entry
-        d = rec.d
-        D = abs(d)
-        a = rec.numerators[k]  # x_k * |d|
-        g = gcd(a, D)
-        x0 = str(a // g) if g == D else f"{a // g}/{D // g}"  # as format_rational prints a/D
-        realized_U, misalign_U = check_realization(rec, False, k)
-        realized_Uflip, misalign_Uflip = check_realization(rec, True, k)
-        obj = _record_json_dict(
-            l, rank, d, a if d > 0 else -a, x0, rec.cls,
-            realized_U, realized_Uflip, misalign_U, misalign_Uflip,
-        )
+        obj = _record_json_dict(rec, k, rank)
         if with_verdict:
             if verdict is not None and verdict.kind is VerdictKind.MISALIGNED_AT:
                 verdict = Verdict(verdict.kind, misaligned_from(rec, k))  # counted from x_k
@@ -359,6 +354,8 @@ def cmd_cycles(args, out) -> int:
         for task in tasks:
             merge(_sweep_chunk(task))
     else:
+        # imported here: the pool loads multiprocessing, which no one-worker run needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for result in pool.map(_sweep_chunk, tasks):
                 merge(result)
@@ -553,26 +550,22 @@ def _run_q2(args, out) -> int:
         raise ValueError(f"bad --m-range: {args.m_range!r}")
     if m_hi - m_lo + 1 > _MAX_FAMILY:
         raise ValueError(f"--m-range spans more than {_MAX_FAMILY} starts: {args.m_range!r}")
-    F = MAPS["F"]
+    step_pq = MAPS["F"].step_pq
     violations = []
     for m_val in range(m_lo, m_hi + 1):
-        x = Fraction(4 * m_val + 3, 2)
-        start = x
-        good = True
-        for _ in range(args.steps):
-            if floor_of(x) % 2 != 1:
-                good = False
+        p, q = 4 * m_val + 3, 2  # x = 2m + 3/2, reduced
+        climbed = 0
+        while climbed < args.steps and (p // q) & 1:  # an odd floor, read as iterate reads bits
+            p2, q2, _b = step_pq(p, q)
+            if p2 * q <= p * q2:  # F(x) <= x
                 break
-            y, _b = step(F, x)
-            if not y > x:
-                good = False
-                break
-            x = y
-        if not (good and floor_of(x) % 2 == 1):
+            p, q = p2, q2
+            climbed += 1
+        if climbed < args.steps or not (p // q) & 1:
             violations.append(
                 {
                     "type": "counterexample",
-                    "start": format_rational(start),
+                    "start": f"{4 * m_val + 3}/2",
                     "note": f"family orbit broke monotone odd-floor growth within {args.steps} steps",
                 }
             )
@@ -605,10 +598,7 @@ def cmd_trace(args, out) -> int:
     except ValueError as exc:
         raise ValueError(f"--bits: {exc}") from exc
     rec = evaluate(s)
-    obj = _record_json_dict(
-        s.l, s.rank, rec.d, rec.phi, format_rational(rec.x0), rec.cls,
-        rec.realized_U, rec.realized_Uflip, rec.misalign_U, rec.misalign_Uflip,
-    )
+    obj = _record_json_dict(rec, 0, s.rank)
     if rec.d > 0:
         for suffix, flipped in (("", False), ("_flipped", True)):
             tr = trace(rec, flipped)
@@ -734,24 +724,14 @@ def main(argv: list[str] | None = None) -> int:
 
 def _main(argv: list[str] | None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
         argv, config_path = _extract_config_path(argv)
         if config_path is not None:
-            flags = _config_flags(config_path)
-            if argv:
-                argv = argv[:1] + flags + argv[1:]
-            else:
+            flags = _config_flags(config_path)  # read first: a missing file is an I/O error
+            if not argv:
                 raise ValueError("--config given without a subcommand")
-    except OSError as exc:
-        print(f"real3x1: I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"real3x1: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    args = parser.parse_args(argv)
-    try:
+            argv = argv[:1] + flags + argv[1:]
+        args = build_parser().parse_args(argv)
         if args.out == "-":
             return args.func(args, sys.stdout)
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -759,7 +739,7 @@ def _main(argv: list[str] | None) -> int:
     except OSError as exc:
         print(f"real3x1: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (DomainError, PreconditionError, ValueError) as exc:
+    except ValueError as exc:  # DomainError and PreconditionError included
         print(f"real3x1: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StructureError as exc:

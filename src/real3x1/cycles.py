@@ -27,9 +27,10 @@ realizes it too; if one rotation fails, all do.  A summary therefore needs one
 representative per rotation class (necklace), weighted by the number of
 distinct rotations: necklaces() yields the least rotation of each.
 
-Per-rank records come from one representative per necklace too.  Rotation k
-closes at x_k = nums[k] / |d|, so its phi is +-nums[k], and its realization
-checks are the representative's cycle scanned from index k
+A record reads phi = +-nums[0] and x0 = nums[0] / |d| from its numerators
+nums.  Per-rank records come from one representative per necklace too.
+Rotation k closes at x_k = nums[k] / |d|, so its phi is +-nums[k], and its
+realization checks are the representative's cycle scanned from index k
 (check_realization(rec, flipped, k)).  The remainder ledger (remainders.trace)
 checks its recurrence on the cyclic pairs (c_{i-1}, c_i) that leave an aligned
 index, and every rotation has the same set of pairs, only renumbered.  One
@@ -107,14 +108,21 @@ class CycleRecord:
 
     s: BitSeq
     d: int
-    phi: int
-    x0: Fraction
     numerators: tuple[int, ...]  # cycle values times |d|, length l+1, closed
     cls: CycleClass
     realized_U: bool | None = None
     misalign_U: int | None = None
     realized_Uflip: bool | None = None
     misalign_Uflip: int | None = None
+
+    @property
+    def phi(self) -> int:
+        """The closure offset: x0 = phi / d, so phi = +-numerators[0]."""
+        return self.numerators[0] if self.d > 0 else -self.numerators[0]
+
+    @cached_property
+    def x0(self) -> Fraction:
+        return Fraction(self.phi, self.d)
 
     @cached_property
     def g_cycle(self) -> tuple[Fraction, ...]:
@@ -145,7 +153,6 @@ def candidate(s: BitSeq) -> CycleRecord:
     if nums[-1] != nums[0]:
         raise StructureError(f"forced walk of {s} failed to close")
 
-    x0 = Fraction(phi, d)
     if phi == 0:
         cls = CycleClass.ZERO
     elif phi % d == 0:
@@ -154,7 +161,7 @@ def candidate(s: BitSeq) -> CycleRecord:
         cls = (
             CycleClass.FRACTIONAL_POSITIVE if d > 0 else CycleClass.FRACTIONAL_NEGATIVE
         )
-    return CycleRecord(s, d, phi, x0, tuple(nums), cls)
+    return CycleRecord(s, d, tuple(nums), cls)
 
 
 def misaligned_from(rec: CycleRecord, k: int, flipped: bool = False) -> int | None:

@@ -1,4 +1,4 @@
-"""Exact rational helpers: parsing, formatting, floors, power comparisons.
+"""Exact rational helpers: parsing, formatting, power comparisons.
 
 Everything here is integer or Fraction arithmetic; no floats are created or
 accepted anywhere.  Fraction already guarantees the invariants the rest of the
@@ -8,7 +8,6 @@ arbitrary precision.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
@@ -35,11 +34,6 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(x: Fraction) -> str:
     """Canonical text form: 'p/q' reduced, '/q' omitted when q = 1."""
     return str(Fraction(x))
-
-
-def floor_of(x: Fraction) -> int:
-    """Exact floor; math.floor on Fraction is integer arithmetic."""
-    return math.floor(x)
 
 
 def compare_pow3_pow2(n: int, l: int) -> int:

@@ -128,20 +128,13 @@ def _segments(new: tuple[bool, ...], branch_bits: tuple[int, ...]) -> tuple[Segm
     return tuple(segs)
 
 
-def trace(rec: CycleRecord, flipped: bool = False) -> RemainderTrace:
-    """Replay rec's cycle as a remainder ledger; d must be positive.
+def _ledger(d: int, c: tuple[int, ...], bits: tuple[int, ...], flipped: bool) -> RemainderTrace:
+    """The ledger of the closed numerators c over d > 0 for the branch bits.
 
-    Integer-valued candidates (d divides every c_i) report IntegerCycle: all
-    remainders vanish and the ledger is empty of content.  Fractional ones
-    report either the first misaligned index or a fully aligned closure; on
-    every step that departs from an aligned index, the directly computed
+    On every step that departs from an aligned index, the directly computed
     remainder is checked against the recurrence above, exactly.
     """
-    if rec.d < 0:
-        raise PreconditionError(f"remainder ledger undefined for d = {rec.d} < 0")
-    d = rec.d
-    l = rec.s.l
-    c = rec.numerators
+    l = len(bits)
     q = tuple(ci // d for ci in c)
     r = tuple(ci % d for ci in c)
     new = _new_flags(d, r, l, flipped)
@@ -164,10 +157,22 @@ def trace(rec: CycleRecord, flipped: bool = False) -> RemainderTrace:
         return RemainderTrace(
             d, c, q, r, flipped, prefix, new, None, Verdict(VerdictKind.MISALIGNED_AT, prefix)
         )
-    segs = _segments(new, rec.s.bits)
+    segs = _segments(new, bits)
     return RemainderTrace(
         d, c, q, r, flipped, prefix, new, segs, Verdict(VerdictKind.ALIGNED_CLOSED)
     )
+
+
+def trace(rec: CycleRecord, flipped: bool = False) -> RemainderTrace:
+    """Replay rec's cycle as a remainder ledger; d must be positive.
+
+    Integer-valued candidates (d divides every c_i) report IntegerCycle: all
+    remainders vanish and the ledger is empty of content.  Fractional ones
+    report either the first misaligned index or a fully aligned closure.
+    """
+    if rec.d < 0:
+        raise PreconditionError(f"remainder ledger undefined for d = {rec.d} < 0")
+    return _ledger(rec.d, rec.numerators, rec.s.bits, flipped)
 
 
 def synthetic_trace(d: int, r_cycle: Iterable[int]) -> RemainderTrace:
@@ -192,15 +197,9 @@ def synthetic_trace(d: int, r_cycle: Iterable[int]) -> RemainderTrace:
         if nxt not in moves:
             raise ValueError(f"no recurrence branch sends {cur} to {nxt} (d={d})")
         bits.append(moves[nxt])
-    q = tuple(bits) + (bits[0],)  # parity is all that matters downstream
-    r = states + (states[0],)
-    c = tuple(qi * d + ri for qi, ri in zip(q, r))
-    for i in range(1, l + 1):
-        if _expected_next(d, q[i - 1], r[i - 1], False) != r[i]:
-            raise StructureError(f"synthetic ledger breaks the recurrence at step {i}")
-    new = _new_flags(d, r, l, False)
-    segs = _segments(new, tuple(bits))
-    return RemainderTrace(d, c, q, r, False, l, new, segs, Verdict(VerdictKind.ALIGNED_CLOSED))
+    # quotient i has parity bits[i], all that matters downstream
+    c = tuple(qi * d + ri for qi, ri in zip(bits + bits[:1], states + states[:1]))
+    return _ledger(d, c, tuple(bits), False)
 
 
 # ------------------------------------------------------- inequality ledger

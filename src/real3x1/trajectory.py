@@ -25,7 +25,8 @@ _TAIL_PAD further steps, so the periodic parity tail is visible in it.
 
 iterate runs the orbit on reduced integer pairs (p, q) through
 MapSpec.step_pq, compares every bound by cross-multiplication and builds a
-Fraction only for a kept iterate, a cycle value and a basin landing.
+Fraction only for a kept iterate, a cycle value and a basin landing.  The
+report is read off the list of visited pairs after the orbit resolves.
 """
 
 from __future__ import annotations
@@ -138,23 +139,8 @@ def iterate(
     if escape_bound is not None:
         en, ed = escape_bound.numerator, escape_bound.denominator
 
-    iterates = [x0]
-    bits = [(p // q) & 1]
+    orbit = [(p, q)]  # every visited pair, the same tuples seen holds
     seen = {(p, q): 0}
-    truncated = False
-
-    def record(p: int, q: int) -> None:
-        nonlocal truncated
-        bits.append((p // q) & 1)
-        if len(iterates) < keep:
-            iterates.append(Fraction(p, q))
-        else:
-            truncated = True
-
-    def pad(p: int, q: int) -> None:
-        for _ in range(_TAIL_PAD):
-            p, q, _b = step_pq(p, q)
-            record(p, q)
 
     def settle(p: int, q: int) -> Fate | None:
         if trap_region is not None and ln * q <= p * ld and p * hd < hn * q:
@@ -174,12 +160,10 @@ def iterate(
         return None
 
     fate = settle(p, q)
-    steps_used = 0
     if fate is None:
         for k in range(1, cap + 1):
             p, q, _b = step_pq(p, q)
-            record(p, q)
-            steps_used = k
+            orbit.append((p, q))
             prev = seen.get((p, q))
             if prev is not None:
                 fate = Fate(FateKind.ENTERED_CYCLE, period=k - prev, value=Fraction(p, q))
@@ -193,10 +177,16 @@ def iterate(
                 break
         else:
             fate = Fate(FateKind.CAP_REACHED)
+    steps_used = len(orbit) - 1
     if fate.kind in TENDENCIES or fate.kind is FateKind.ENTERED_CYCLE:
-        pad(p, q)
+        for _ in range(_TAIL_PAD):
+            p, q, _b = step_pq(p, q)
+            orbit.append((p, q))
 
-    return TrajectoryReport(x0, iterates, bits, fate, steps_used, truncated)
+    kept = max(keep, 1)  # the start is always kept
+    iterates = [Fraction(p, q) for p, q in orbit[:kept]]
+    bits = [(p // q) & 1 for p, q in orbit]
+    return TrajectoryReport(x0, iterates, bits, fate, steps_used, len(orbit) > kept)
 
 
 # ------------------------------------------------------------- diagnostics

@@ -1,12 +1,17 @@
 """Command line behavior: exit codes, output shapes, determinism, config."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import real3x1
 import real3x1.cli as cli
 from real3x1 import trajectory
 from real3x1.cli import main
@@ -162,10 +167,19 @@ def test_cycles_with_verdict(capsys):
 
 def direct_record(rec, with_verdict=True):
     """The JSON fields of one rank, from its own evaluate and trace."""
-    obj = cli._record_json_dict(
-        rec.s.l, rec.s.rank, rec.d, rec.phi, format_rational(rec.x0), rec.cls,
-        rec.realized_U, rec.realized_Uflip, rec.misalign_U, rec.misalign_Uflip,
-    )
+    obj = {
+        "l": rec.s.l,
+        "rank": rec.s.rank,
+        "bits": str(rec.s),
+        "d": str(rec.d),
+        "phi": str(rec.phi),
+        "x0": format_rational(rec.x0),
+        "class": rec.cls.value,
+        "realized_U": rec.realized_U,
+        "realized_Uflip": rec.realized_Uflip,
+        "misalign_U": rec.misalign_U,
+        "misalign_Uflip": rec.misalign_Uflip,
+    }
     if with_verdict:
         obj["verdict"] = trace(rec).verdict.label() if rec.d > 0 else None
     return obj
@@ -278,10 +292,10 @@ def test_config_values_get_the_same_bounds(tmp_path, capsys):
 
 
 def test_q2_family_range_is_bounded(capsys, monkeypatch):
-    def family_step(m, x):
-        raise StructureError(f"a family start was stepped at {x}")
+    def family_step(p, q):
+        raise StructureError(f"a family start was stepped at {p}/{q}")
 
-    monkeypatch.setattr(cli, "step", family_step)
+    monkeypatch.setitem(cli.MAPS, "F", SimpleNamespace(step_pq=family_step))
     for m_range in ("0..100000000", "0..100000"):  # 10^8 + 1 and 100,001 starts
         code, out, err = run_cli(
             capsys, "conjecture", "Q2", "--samples", "1", "--m-range", m_range, "--steps", "1"
@@ -300,6 +314,18 @@ def test_pool_size_is_capped_by_cores_and_tasks(monkeypatch):
     assert cli._pool_size(8, 100) == 8
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown core count
     assert cli._pool_size(8, 100) == 1
+
+
+def test_importing_the_cli_starts_no_pool_machinery():
+    """Only a --workers > 1 sweep needs multiprocessing; a fresh interpreter shows what loads."""
+    probe = (
+        "import sys, real3x1.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))"
+    )
+    src = str(Path(real3x1.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "[]\n")
 
 
 def test_trace_fractional(capsys):
@@ -442,6 +468,64 @@ def test_config_errors(tmp_path, capsys):
     assert run_cli(capsys, "--config", str(bad))[0] == 1
     missing = tmp_path / "nope.cfg"
     assert run_cli(capsys, "cycles", "--lmax", "2", "--config", str(missing))[0] == 4
+
+
+def exit_and_stderr(capsys, *argv):
+    """Exit status and stderr, whether main returns or argparse exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+def test_config_equals_form_and_false_lines(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("not a pair\n")
+    assert exit_and_stderr(capsys, "cycles", "--lmax", "2", f"--config={bad}") == (
+        1, "real3x1: error: config line is not key = value: 'not a pair'\n"
+    )
+    # a false line adds no flag, so the run reaches the --lmin check
+    cfg = tmp_path / "off.cfg"
+    cfg.write_text("summary_only = false\nlmin = 5\n")
+    assert exit_and_stderr(capsys, "cycles", "--lmax", "3", "--config", str(cfg)) == (
+        1, "real3x1: error: --lmin must be in 1..lmax, got 5\n"
+    )
+
+
+def test_config_without_a_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples = 3\n")
+    assert exit_and_stderr(capsys, "--config", str(cfg)) == (
+        1, "real3x1: error: --config given without a subcommand\n"
+    )
+    # the file is read first, so a missing one is an I/O error even here
+    code, err = exit_and_stderr(capsys, "--config", str(tmp_path / "nope.cfg"))
+    assert code == 4 and err.startswith("real3x1: I/O error: ")
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (
+            ("iterate", "--map", "U", "--start", "3", "--escape", "abc"),
+            "real3x1 iterate: error: argument --escape: not a p/q rational: 'abc'\n",
+        ),
+        (
+            ("conjecture", "Q2", "--samples", "1", "--m-range", "5"),
+            "real3x1: error: --m-range wants lo..hi, got '5'\n",
+        ),
+        (
+            ("iterate", "--map", "U", "--start", "3", "--trap-region", "3"),
+            "real3x1: error: interval wants lo,hi: '3'\n",
+        ),
+    ],
+    ids=["escape", "m-range", "trap-region"],
+)
+def test_malformed_values_are_usage_errors(argv, err, capsys):
+    code, got = exit_and_stderr(capsys, *argv)
+    assert code == 1
+    assert got.endswith(err)
 
 
 def test_out_file_and_io_error(tmp_path, capsys):

@@ -14,7 +14,8 @@ Phi map with non-dyadic slopes and a fractional tau, and an orbit that leaves
 its domain mid-way.  The summary-only sweeps pin the rotation-class path: at
 lmax 1 every class has one member, and one range starts above lmin 1.  The
 record sweeps pin the per-rank lines derived from each necklace: without a
-verdict, from lmin above 1, and across two workers.
+verdict, from lmin above 1, and across two workers.  The last iterate rows
+pin a zero step cap and a report that keeps only its start.
 """
 
 import hashlib
@@ -23,7 +24,8 @@ from fractions import Fraction
 
 import pytest
 
-from real3x1 import cli, cycles
+from real3x1 import cli, cycles, maps
+from real3x1.maps import map_from_name
 
 GOLDEN = {
     "conjecture BU --samples 40 --cap 1000":
@@ -152,12 +154,17 @@ GOLDEN = {
         ("bf0e9a1f2e1e1c7d2e9e73ab829c2334fa2438b47273b9ecfad4c1475adcb8ea", 0),
     "cycles --lmax 11 --with-verdict --workers 2":
         ("73b4e3a340a5e5ddb163c73f87f9d1db468b5bc6221dd7a8b3c5d4017bbbaf1b", 0),
+    "iterate --map U --start 3/2,7,1 --cap 0":
+        ("070d1a5fed9f61545ec308159f6586642f0fe4241c4780487d2b41ec4706fed2", 2),
+    "iterate --map U --start 3/2,7,1,27 --keep 1 --cap 200":
+        ("22c712c3e4d1c8d45b7cb62c3142434786cd6cdc2a55f1862a8ec43e95617b2e", 0),
 }
 
 # Honest runs never take these branches, so the runs forge them: a
 # nontrivial cycle (a counterexample, which Q2 demotes to a flag), a missing
-# (0,1) parity tail (flagged only for the primed conjectures), and a sweep in
-# which U and Uflip realize every pattern with d = 5.
+# (0,1) parity tail (flagged only for the primed conjectures), a sweep in
+# which U and Uflip realize every pattern with d = 5, and Q2 family runs on
+# an F whose family orbits reach even floors or stop growing (FORGED_F).
 FORGED = {
     ("cycle", "conjecture NU --samples 10 --value-bits 4"):
         ("abd336e4f9bb815abb520da7254cc6fe0bc4a2411372a7a0850a5ad268089ca1", 3),
@@ -173,6 +180,23 @@ FORGED = {
         ("45d3bfa42dbc5aaeeabb3df5e69a839823dd51bd5c7a3364b3df89bf06d2fdb9", 0),
     ("realized", "cycles --lmax 6 --summary-only"):
         ("b6416f09ebbbdb1ee04850b5b391982f03b46571cc3017243e6a26f68561e06f", 3),
+    ("family", "conjecture Q2 --samples 5 --m-range 0..12 --steps 1 --cap 200"):
+        ("1d13a6f6cd5dd3923c440d22571f8e71f221ee50fb0bbf21defdc5ebbfc97463", 3),
+    ("family", "conjecture Q2 --samples 5 --m-range 0..12 --steps 2 --cap 200"):
+        ("b4057c498aae723372e4a3267500a3dce84392bda4e4af5d49079ea0ae8fa72e", 3),
+    ("stall", "conjecture Q2 --samples 5 --m-range 0..12 --steps 1 --cap 200"):
+        ("5d14e710a21c722d3d350d3a399dc126705f63340b7b3b0bc5c5ace759eb8dbb", 3),
+    ("doubling", "conjecture Q2 --samples 5 --m-range 0..12 --steps 3 --cap 200"):
+        ("b882187845f20c73ec654a2f9ccfbb3986bc8c4bdec2b3eea45ced5672107fd9", 3),
+}
+
+# F maps forged for the Q2 family.  family: (5/4)x reaches even floors, which
+# halve; stall: x stops growing; doubling: even floors double, so they still
+# grow and only the odd-floor check catches them.
+FORGED_F = {
+    "family": "Phi:1/2,0,5/4,0,0,1",
+    "stall": "Phi:1/2,0,1,0,0,1",
+    "doubling": "Phi:2,0,5/4,0,0,1",
 }
 
 
@@ -200,6 +224,8 @@ def test_forged_outcomes_are_golden(forge, argv, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_cycle_values", lambda m, value, period: {Fraction(5)})
     elif forge == "realized":
         monkeypatch.setattr(cycles, "check_realization", _realized_when_d_is_5)
+    elif forge in FORGED_F:
+        monkeypatch.setitem(maps.MAPS, "F", map_from_name(FORGED_F[forge]))
     else:
         monkeypatch.setattr(cli, "detect_period01", lambda bits: None)
     assert _run(argv, capsys) == FORGED[forge, argv]

@@ -1,4 +1,4 @@
-"""Parsing, floors, g's odd-denominator closure, and the exact power comparator."""
+"""Parsing, g's odd-denominator closure, and the exact power comparator."""
 
 import sys
 from decimal import Decimal, localcontext
@@ -9,21 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from real3x1.maps import MAPS, step
-from real3x1.rationals import compare_pow3_pow2, floor_of, format_rational, parse_rational
-
-
-def test_floor_frozen():
-    assert floor_of(Fraction(7, 2)) == 3
-    assert floor_of(Fraction(-1, 2)) == -1
-    assert floor_of(Fraction(19, 5)) == 3
-    assert floor_of(Fraction(-7, 2)) == -4
-    assert floor_of(Fraction(4)) == 4
-
-
-@given(st.fractions())
-def test_floor_bracket(x):
-    f = floor_of(x)
-    assert f <= x < f + 1, f"floor({x}) = {f} fails the bracket"
+from real3x1.rationals import compare_pow3_pow2, format_rational, parse_rational
 
 
 def test_parse_format_roundtrip():

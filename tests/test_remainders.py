@@ -68,6 +68,7 @@ def test_synthetic_trace_d19():
     tr = synthetic_trace(19, (8, 12, 18))
     assert tr.verdict.kind is VerdictKind.ALIGNED_CLOSED
     assert tr.r == (8, 12, 18, 8)
+    assert tr.c[-1] == tr.c[0]  # closed, like every ledger
     assert tr.branch_bits == (1, 1, 1)
     assert tr.segments is not None and len(tr.segments) == 1
     seg = tr.segments[0]

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from real3x1.cli import jsonable
 from real3x1.errors import DomainError, PreconditionError
 from real3x1.maps import MAPS, map_from_name
-from real3x1.rationals import floor_of, parse_rational
+from real3x1.rationals import parse_rational
 from real3x1.trajectory import (
     FateKind,
     contraction_check,
@@ -119,6 +120,21 @@ def test_keep_truncates_iterates_not_bits():
     assert rep.steps_used == 71
     assert rep.truncated and len(rep.iterates) == 4
     assert len(rep.parity_bits) == 71 + 1 + 8  # every step plus the pad
+    # 1, 2, 1 and the pad make 11 iterates: keep = 11 holds them all
+    assert not iterate(MAPS["U"], F2(1), keep=11).truncated
+    assert iterate(MAPS["U"], F2(1), keep=10).truncated
+    assert not iterate(MAPS["U"], F2(7), cap=0, keep=1).truncated
+
+
+def test_keep_below_one_keeps_the_start():
+    """keep < 1 keeps only the start, like keep = 1, and marks the report truncated."""
+    lines = [
+        json.dumps(jsonable(iterate(MAPS["U"], x, keep=k)), sort_keys=True)
+        for k in (-3, 0, 1)
+        for x in (F2(3, 2), F2(7), F2(1))
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "d70f3a106a19bda5430669ace2ddd349d88599655ac04dd7f3a6564f000d7e9e"
 
 
 def test_domain_errors_on_start():
@@ -179,7 +195,7 @@ def test_bounded_starts_resolve_with_alternating_tail(x0):
     assert detect_period01(rep.parity_bits) is not None
     stored = rep.iterates if not rep.truncated else rep.iterates[: len(rep.iterates)]
     for x, b in zip(stored, rep.parity_bits):
-        assert floor_of(x) % 2 == b
+        assert math.floor(x) % 2 == b
 
 
 @given(st.integers(min_value=1, max_value=10**6))
