@@ -326,7 +326,7 @@ def _pool_size(workers: int, tasks: int) -> int:
 
 
 def cmd_cycles(args, out) -> int:
-    if not 1 <= args.lmin <= args.lmax:
+    if args.lmin > args.lmax:  # argparse bounds each; their order is checked here
         raise ValueError(f"--lmin must be in 1..lmax, got {args.lmin}")
 
     tasks = []
@@ -673,9 +673,10 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("cycles", help="exhaustive pseudo-cycle sweep over bit sequences")
     sp.add_argument("--lmax", type=_at_least(1), required=True)
-    sp.add_argument("--lmin", type=int, default=1)
-    sp.add_argument("--summary-only", action="store_true", help="skip per-candidate records")
-    sp.add_argument("--with-verdict", action="store_true", help="attach the remainder-trace verdict to each record")
+    sp.add_argument("--lmin", type=_at_least(1), default=1)
+    output = sp.add_mutually_exclusive_group()  # a summary has no records to attach verdicts to
+    output.add_argument("--summary-only", action="store_true", help="skip per-candidate records")
+    output.add_argument("--with-verdict", action="store_true", help="attach the remainder-trace verdict to each record")
     sp.add_argument("--workers", type=_at_least(1), default=1)
     common(sp)
     sp.set_defaults(func=cmd_cycles)

@@ -11,9 +11,10 @@ autonomous integer recurrence:
     r_i = 3 r_{i-1} / 2 - d            if q_{i-1} odd and 3 r_{i-1} > 2d  ("new")
 
 (3 r = 2d is impossible: 3 never divides d.)  The flipped alignment
-(q_i != c_i mod 2, the Uflip condition) forces every r_i odd and the same
-three-branch recurrence drives d - r_i instead, with the roles of even and
-odd q exchanged.
+(q_i != c_i mod 2, the Uflip condition) is the same rule read off the
+ceiling split c_i = (q_i + 1) * d - (d - r_i): with q_i + 1 in place of q_i
+and d - r_i in place of r_i, it is U's alignment, and the even remainders,
+the recurrence and the "new" test above all apply unchanged.
 
 Between consecutive "new" indices p < q the recurrence telescopes into the
 strict integer inequality 3^n(p,q) > 3 * 2^(q-p-1), where n(p,q) counts the
@@ -81,11 +82,6 @@ class RemainderTrace:
         return tuple(ci % 2 for ci in self.c[:-1])
 
 
-def _aligned(q_i: int, c_i: int, flipped: bool) -> bool:
-    same = (q_i - c_i) % 2 == 0
-    return same != flipped
-
-
 def _step(d: int, r: int, bit: int) -> int:
     """The recurrence for one branch bit: r/2, 3r/2, or 3r/2 - d past 2d/3."""
     if not bit:
@@ -96,71 +92,47 @@ def _step(d: int, r: int, bit: int) -> int:
     return triple // 2 if triple < 2 * d else triple // 2 - d
 
 
-def _expected_next(d: int, q_prev: int, r_prev: int, flipped: bool) -> int:
-    """One exact step of the remainder recurrence, given alignment at i-1."""
-    if flipped:
-        # the flipped recurrence drives d - r with the parity of q exchanged
-        return d - _expected_next(d, q_prev + 1, d - r_prev, False)
-    if r_prev % 2 != 0:
-        raise StructureError(f"aligned remainder {r_prev} must be even")
-    return _step(d, r_prev, q_prev % 2)
-
-
-def _new_flags(d: int, r: tuple[int, ...], l: int, flipped: bool) -> tuple[bool, ...]:
-    if flipped:
-        r = tuple(d - ri for ri in r)
-    return tuple(2 * r[i] + 2 * d == 3 * r[(i - 1) % l] for i in range(l))
-
-
-def _segments(new: tuple[bool, ...], branch_bits: tuple[int, ...]) -> tuple[Segment, ...]:
-    l = len(branch_bits)
+def _segments(new: tuple[bool, ...], bits: tuple[int, ...]) -> tuple[Segment, ...]:
     new_idx = [i for i, f in enumerate(new) if f]
     if not new_idx:
         raise StructureError("closed aligned ledger without any new remainder")
-
-    def ones_between(p: int, stop: int) -> int:
-        return sum(branch_bits[(t - 1) % l] for t in range(p + 1, stop + 1))
-
-    segs = []
-    for k, p in enumerate(new_idx):
-        stop = new_idx[k + 1] if k + 1 < len(new_idx) else new_idx[0] + l
-        segs.append(Segment(p, stop, ones_between(p, stop), stop - p))
-    return tuple(segs)
+    doubled = bits + bits  # a segment's steps are bits[start:stop], stop < 2l
+    stops = new_idx[1:] + [new_idx[0] + len(bits)]
+    return tuple(
+        Segment(p, stop, sum(doubled[p:stop]), stop - p) for p, stop in zip(new_idx, stops)
+    )
 
 
 def _ledger(d: int, c: tuple[int, ...], bits: tuple[int, ...], flipped: bool) -> RemainderTrace:
     """The ledger of the closed numerators c over d > 0 for the branch bits.
 
-    On every step that departs from an aligned index, the directly computed
-    remainder is checked against the recurrence above, exactly.
+    Both alignments read one split (qa, ra): (q, r) for U, the ceiling split
+    (q + 1, d - r) when flipped.  On every step that departs from an aligned
+    index, the directly computed ra is checked against the recurrence, exactly.
     """
     l = len(bits)
     q = tuple(ci // d for ci in c)
     r = tuple(ci % d for ci in c)
-    new = _new_flags(d, r, l, flipped)
-    prefix = next((i for i in range(l) if not _aligned(q[i], c[i], flipped)), l)
-
-    if all(ri == 0 for ri in r):
-        return RemainderTrace(
-            d, c, q, r, flipped, prefix, new, None, Verdict(VerdictKind.INTEGER_CYCLE)
-        )
-
-    for i in range(1, l + 1):
-        if _aligned(q[i - 1], c[i - 1], flipped):
-            expected = _expected_next(d, q[i - 1], r[i - 1], flipped)
-            if expected != r[i]:
+    qa, ra = (tuple(x + 1 for x in q), tuple(d - x for x in r)) if flipped else (q, r)
+    aligned = [(qa[i] - c[i]) % 2 == 0 for i in range(l)]
+    prefix = aligned.index(False) if False in aligned else l
+    new = tuple(2 * ra[i] + 2 * d == 3 * ra[(i - 1) % l] for i in range(l))
+    integer = not any(r)  # d divides every c_i: no remainder to check
+    for i in range(l):
+        if aligned[i] and not integer:
+            if ra[i] % 2:
+                raise StructureError(f"aligned remainder {ra[i]} must be even")
+            if (expected := _step(d, ra[i], qa[i] % 2)) != ra[i + 1]:
                 raise StructureError(
-                    f"recurrence break at step {i}: expected {expected}, got {r[i]}"
+                    f"recurrence break at step {i + 1}: expected {expected}, got {ra[i + 1]}"
                 )
-
-    if prefix < l:
-        return RemainderTrace(
-            d, c, q, r, flipped, prefix, new, None, Verdict(VerdictKind.MISALIGNED_AT, prefix)
-        )
-    segs = _segments(new, bits)
-    return RemainderTrace(
-        d, c, q, r, flipped, prefix, new, segs, Verdict(VerdictKind.ALIGNED_CLOSED)
-    )
+    if integer:
+        verdict, segs = Verdict(VerdictKind.INTEGER_CYCLE), None
+    elif prefix < l:
+        verdict, segs = Verdict(VerdictKind.MISALIGNED_AT, prefix), None
+    else:
+        verdict, segs = Verdict(VerdictKind.ALIGNED_CLOSED), _segments(new, bits)
+    return RemainderTrace(d, c, q, r, flipped, prefix, new, segs, verdict)
 
 
 def trace(rec: CycleRecord, flipped: bool = False) -> RemainderTrace:
@@ -238,21 +210,21 @@ def segment_inequality(tr: RemainderTrace) -> InequalityLedger:
     if not tr.segments:
         raise StructureError("aligned closed ledger without segments")
     bits = tr.branch_bits
-    entries = []
-    for seg in tr.segments:
-        bound = compare_pow3_pow2(seg.ones, seg.gap) > 0
-        strict = 3**seg.ones > 3 * 2 ** (seg.gap - 1) if seg.gap >= 1 else False
-        entries.append(SegmentBound(seg.start, seg.stop, seg.ones, seg.gap, bound, strict))
-    n_total = sum(e.ones for e in entries)
-    l_total = sum(e.gap for e in entries)
+    n_total = sum(seg.ones for seg in tr.segments)
+    l_total = sum(seg.gap for seg in tr.segments)
     if l_total != len(bits) or n_total != sum(bits):
         raise StructureError("segments do not tile the cycle")
+    entries = tuple(
+        SegmentBound(
+            *seg,
+            bound_holds=compare_pow3_pow2(seg.ones, seg.gap) > 0,
+            strict_holds=2 * 3**seg.ones > 3 << seg.gap,  # 3^ones > 3 * 2^(gap-1), doubled
+        )
+        for seg in tr.segments
+    )
+    sign = compare_pow3_pow2(n_total, l_total)
     return InequalityLedger(
-        tuple(entries),
-        n_total,
-        l_total,
-        sum_side_holds=compare_pow3_pow2(n_total, l_total) > 0,
-        positive_d_side_holds=compare_pow3_pow2(n_total, l_total) < 0,
+        entries, n_total, l_total, sum_side_holds=sign > 0, positive_d_side_holds=sign < 0
     )
 
 
@@ -310,7 +282,6 @@ def rmap_orbit_scan(d: int, max_len: int | None = None) -> list[Orbit]:
         on_path = {root}
         stack = [iter(adj[root])]
         while stack:
-            advanced = False
             for nxt, bit in stack[-1]:
                 if nxt == root:
                     n = sum(bits) + bit
@@ -327,12 +298,10 @@ def rmap_orbit_scan(d: int, max_len: int | None = None) -> list[Orbit]:
                     bits.append(bit)
                     on_path.add(nxt)
                     stack.append(iter(adj[nxt]))
-                    advanced = True
                     break
-            if not advanced:
+            else:  # every move from path[-1] is spent: step back
                 stack.pop()
-                dropped = path.pop()
-                on_path.discard(dropped)
+                on_path.discard(path.pop())
                 if bits:
                     bits.pop()
     return orbits

@@ -274,6 +274,7 @@ def test_cycles_validation(capsys):
         ("conjecture", "RU", "--samples", "3", "--den-bits", "0"),
         ("conjecture", "NU", "--samples", "3", "--value-bits", "-1"),
         ("cycles", "--lmax", "2", "--workers", "x"),
+        ("cycles", "--lmax", "3", "--lmin", "0"),
         # a rational bound follows the same rule: escaping |x| > 0 or > -1 is instant
         ("iterate", "--map", "U", "--start", "3", "--escape", "-1"),
         ("conjecture", "RU", "--samples", "3", "--escape", "0"),
@@ -458,6 +459,15 @@ def test_config_boolean_values(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "cycles", "--lmax", "2", "--config", str(cfg))
     assert code == 0
     assert len(out.splitlines()) == 1  # the summary alone
+
+
+def test_summary_only_excludes_with_verdict(tmp_path, capsys):
+    assert parse_error_code("cycles", "--lmax", "2", "--summary-only", "--with-verdict") == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("summary_only = true\nwith_verdict = true\n")
+    assert parse_error_code("cycles", "--lmax", "2", "--config", str(cfg)) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_config_errors(tmp_path, capsys):

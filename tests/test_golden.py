@@ -16,6 +16,11 @@ lmax 1 every class has one member, and one range starts above lmin 1.  The
 record sweeps pin the per-rank lines derived from each necklace: without a
 verdict, from lmin above 1, and across two workers.  The last iterate rows
 pin a zero step cap and a report that keeps only its start.
+
+The FORGED rows take branches that honest runs never take.  The realized
+forgery patches check_realization both in cycles, where evaluate reaches it
+for summaries, and in cli, which imported it for record lines, so the sweep
+reports a counterexample in record mode as well as with --summary-only.
 """
 
 import hashlib
@@ -180,6 +185,8 @@ FORGED = {
         ("45d3bfa42dbc5aaeeabb3df5e69a839823dd51bd5c7a3364b3df89bf06d2fdb9", 0),
     ("realized", "cycles --lmax 6 --summary-only"):
         ("b6416f09ebbbdb1ee04850b5b391982f03b46571cc3017243e6a26f68561e06f", 3),
+    ("realized", "cycles --lmax 6"):
+        ("3e4c0583c4beb60e68dd11ef603d04c6c8ace21c85a24624d54363447130d3ad", 3),
     ("family", "conjecture Q2 --samples 5 --m-range 0..12 --steps 1 --cap 200"):
         ("1d13a6f6cd5dd3923c440d22571f8e71f221ee50fb0bbf21defdc5ebbfc97463", 3),
     ("family", "conjecture Q2 --samples 5 --m-range 0..12 --steps 2 --cap 200"):
@@ -203,9 +210,15 @@ FORGED_F = {
 _check_realization = cycles.check_realization
 
 
-def _realized_when_d_is_5(rec, flipped=False):
+def _realized_when_d_is_5(rec, flipped=False, k=0):
     """d depends only on (l, n), so this forgery holds for whole rotation classes."""
-    return (True, None) if rec.d == 5 else _check_realization(rec, flipped)
+    return (True, None) if rec.d == 5 else _check_realization(rec, flipped, k)
+
+
+def _forge_realized(monkeypatch):
+    """Summaries reach check_realization through cycles.evaluate, records through cli's import."""
+    monkeypatch.setattr(cycles, "check_realization", _realized_when_d_is_5)
+    monkeypatch.setattr(cli, "check_realization", _realized_when_d_is_5)
 
 
 def _run(argv, capsys):
@@ -223,7 +236,7 @@ def test_forged_outcomes_are_golden(forge, argv, monkeypatch, capsys):
     if forge == "cycle":
         monkeypatch.setattr(cli, "_cycle_values", lambda m, value, period: {Fraction(5)})
     elif forge == "realized":
-        monkeypatch.setattr(cycles, "check_realization", _realized_when_d_is_5)
+        _forge_realized(monkeypatch)
     elif forge in FORGED_F:
         monkeypatch.setitem(maps.MAPS, "F", map_from_name(FORGED_F[forge]))
     else:
@@ -233,9 +246,10 @@ def test_forged_outcomes_are_golden(forge, argv, monkeypatch, capsys):
 
 def test_forged_realizations_list_every_rotation(monkeypatch, capsys):
     """A realized class puts all its rotations in the lists, in (l, rank) order."""
-    monkeypatch.setattr(cycles, "check_realization", _realized_when_d_is_5)
+    _forge_realized(monkeypatch)
     assert cli.main(["cycles", "--lmax", "6", "--summary-only"]) == 3
-    summary = json.loads(capsys.readouterr().out)
+    summary_line = capsys.readouterr().out
+    summary = json.loads(summary_line)
     d5 = ["001", "010", "100"] + [f"{r:05b}" for r in range(32) if f"{r:05b}".count("1") == 3]
     assert summary["realized_U_non_integer"] == d5
     assert summary["realized_Uflip"] == d5
@@ -243,6 +257,11 @@ def test_forged_realizations_list_every_rotation(monkeypatch, capsys):
         "010101",
         "101010",
     ]
+    # record mode flags each rank on its own line and totals to the same summary
+    assert cli.main(["cycles", "--lmax", "6"]) == 3
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert lines[-1] == summary_line
+    assert [r["bits"] for r in map(json.loads, lines[:-1]) if r["realized_Uflip"]] == d5
 
 
 def test_chunk_boundaries_change_no_byte(monkeypatch, capsys):

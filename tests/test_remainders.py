@@ -1,13 +1,19 @@
 """Remainder ledgers: the trace verdicts, segment bounds, and the orbit scan."""
 
+import hashlib
+import json
+from dataclasses import replace
+
 import pytest
 
 from real3x1.cli import jsonable
-from real3x1.cycles import BitSeq, CycleClass, evaluate, sweep
-from real3x1.errors import PreconditionError
+from real3x1.cycles import BitSeq, CycleClass, CycleRecord, evaluate, sweep
+from real3x1.errors import PreconditionError, StructureError
 from real3x1.rationals import compare_pow3_pow2
 from real3x1.remainders import (
+    Segment,
     VerdictKind,
+    modulus_ok,
     rmap_orbit_scan,
     segment_inequality,
     synthetic_trace,
@@ -177,3 +183,74 @@ def test_sweep_traces_match_realization():
             assert rec.misalign_U == tr.aligned_prefix
         assert rec.x0 >= 0 and not rec.realized_Uflip
         assert rec.misalign_Uflip == trf.aligned_prefix
+
+
+# SHA-256 over the JSON of every ledger below: each d > 0 pattern up to l = 12
+# in both alignments, then the synthetic ledger and inequality ledger of every
+# remainder orbit with d < 400: 12,872 JSON objects in all.
+LEDGER_DIGEST = "61ce8024e4d945986dec970b19340b361bfa0d250b01884faaf5bce6eaf8ae19"
+
+
+def test_ledger_digest():
+    h = hashlib.sha256()
+    count = 0
+
+    def add(obj):
+        nonlocal count
+        h.update(json.dumps(jsonable(obj), sort_keys=True).encode() + b"\n")
+        count += 1
+
+    for rec in sweep(12):
+        if rec.d > 0:
+            add(trace(rec))
+            add(trace(rec, flipped=True))
+    for d in filter(modulus_ok, range(5, 400)):
+        for orbit in rmap_orbit_scan(d):
+            tr = synthetic_trace(d, orbit.states)
+            add(tr)
+            add(segment_inequality(tr))
+    assert (count, h.hexdigest()) == (12_872, LEDGER_DIGEST)
+
+
+def _record(bits, d, numerators):
+    """A hand-built record: trace reads only d, the numerators and the bits."""
+    return CycleRecord(BitSeq.from_string(bits), d, numerators, CycleClass.FRACTIONAL_POSITIVE)
+
+
+@pytest.mark.parametrize("flipped", [False, True])
+def test_trace_rejects_a_broken_recurrence(flipped):
+    # 11100 closes on (19, 31, 49, 76, 38, 19) over d = 5.  Raising 38 to 39
+    # makes index 4 (q = 7) U-aligned, so U checks the step out of it; Uflip
+    # checks the step into it, which leaves the flip-aligned index 3.
+    good = _record("11100", 5, (19, 31, 49, 76, 38, 19))
+    trace(good, flipped)
+    with pytest.raises(StructureError, match="recurrence break"):
+        trace(_record("11100", 5, (19, 31, 49, 76, 39, 19)), flipped)
+
+
+@pytest.mark.parametrize("flipped,c0", [(False, 5), (True, 3)])
+def test_trace_rejects_an_odd_aligned_remainder(flipped, c0):
+    # Over an odd d every aligned remainder is even; over d = 4 it need not
+    # be.  5 = 1*4 + 1 is U-aligned with r = 1; 3 = 0*4 + 3 is flip-aligned
+    # with d - r = 1.
+    with pytest.raises(StructureError, match="must be even"):
+        trace(_record("1", 4, (c0, c0)), flipped)
+
+
+@pytest.mark.parametrize("flipped,c0", [(False, 15), (True, 3)])
+def test_trace_rejects_three_r_equal_to_two_d(flipped, c0):
+    # 3 divides d = 9, so the tie 3r = 2d is reachable: 15 = 1*9 + 6 is
+    # U-aligned with r = 6 and q odd; 3 = 0*9 + 3 is flip-aligned with
+    # d - r = 6 and q + 1 odd.
+    with pytest.raises(StructureError, match="3r = 2d"):
+        trace(_record("1", 9, (c0, c0)), flipped)
+
+
+def test_segment_inequality_rejects_forged_segments():
+    tr = synthetic_trace(19, (8, 12, 18))  # one segment (0, 3], 3 ones
+    for segments in (None, ()):
+        with pytest.raises(StructureError, match="without segments"):
+            segment_inequality(replace(tr, segments=segments))
+    for segments in ((Segment(0, 2, 2, 2),), (Segment(0, 3, 2, 3),)):
+        with pytest.raises(StructureError, match="do not tile"):
+            segment_inequality(replace(tr, segments=segments))
