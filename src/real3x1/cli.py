@@ -3,8 +3,10 @@
 Output is JSONL (one record per line, keys sorted) with a summary object as
 the final line of record streams, or CSV where a flat table is the natural
 shape.  Identical invocations produce byte-identical output, including across
-worker counts: the cycle sweep is partitioned into rank ranges that are merged
-back in enumeration order.
+worker counts: the cycle sweep is partitioned into aligned rank blocks of one
+length each.  Record lines are merged back in rank order.  A summary block is
+the FKM walk of the necklaces that share one prefix; its counts are sums, and
+the realized lists are sorted by (length, rank) at the end.
 
 Exit codes: 0 resolved/completed, 1 usage or domain error, 2 a trajectory hit
 an iteration or size cap, 3 counterexample found (a realized cycle that the
@@ -26,6 +28,7 @@ from fractions import Fraction
 from math import gcd
 
 from .cycles import BitSeq, CycleClass, CycleRecord, check_realization, evaluate, misaligned_from, necklaces
+from .cycles import _close, _cycle_class, _pattern, _realization  # the summary's integer kernel
 from .errors import StructureError
 from .maps import MAPS, MapSpec, map_from_name, step
 from .rationals import format_rational, parse_rational
@@ -42,6 +45,7 @@ EXIT_INTERNAL = 5
 
 _DEFAULT_ESCAPE = str(1 << 64)
 _MAX_FAMILY = 100_000  # Q2 family starts one --m-range may ask for
+_MAX_LENGTH = 32  # cycles --lmax and --lmin; lmax 32 takes roughly 25 minutes on 2 workers
 
 
 _dumps = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True), built once
@@ -79,13 +83,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _at_least(k: int):
-    """An argparse type for integers >= k, so every bound fails at parse time."""
+def _at_least(k: int, most: int | None = None):
+    """An argparse type for integers >= k (and <= most), so every bound fails at parse time."""
 
     def integer(text: str) -> int:  # argparse's message names it: "invalid integer value"
         n = int(text)
         if n < k:
             raise argparse.ArgumentTypeError(f"must be >= {k}, got {n}")
+        if most is not None and n > most:
+            raise argparse.ArgumentTypeError(f"must be <= {most}, got {n}")
         return n
 
     return integer
@@ -290,10 +296,12 @@ def _rotated_records(l: int, lo: int, hi: int, with_verdict: bool):
 def _sweep_chunk(task) -> tuple[str, dict]:
     """Records and totals for one rank range of one length.
 
-    Without lines, each rotation class is evaluated once through its least
-    rotation and counts for all its rotations; the realized lists then hold
-    rotations from other ranges, which cmd_cycles puts back in order.  With
-    lines, every rank gets its own record, derived from its rotation class.
+    Without lines, each rotation class is closed and scanned once, on plain
+    integers, through its least rotation and counts for all its rotations; a
+    pattern string is built only to list the rotations of a realized class,
+    which may lie in other ranges, so cmd_cycles puts the lists back in
+    order.  With lines, every rank gets its own record, derived from its
+    rotation class.
     """
     l, lo, hi, emit_lines, with_verdict = task
     lines = []
@@ -308,14 +316,19 @@ def _sweep_chunk(task) -> tuple[str, dict]:
                 _list_realized(agg, [obj["bits"]], cls, obj["realized_U"], obj["realized_Uflip"])
             lines.append(_dumps(obj))
     else:
-        for rec, period in necklaces(l, lo, hi):
-            agg["records"] += period
-            cls = rec.cls.value
-            counts[cls] = counts.get(cls, 0) + period
-            if rec.realized_U or rec.realized_Uflip:
-                bits = str(rec.s)
-                rotations = [bits[k:] + bits[:k] for k in range(period)]
-                _list_realized(agg, rotations, cls, rec.realized_U, rec.realized_Uflip)
+        by_class = {}  # keyed by CycleClass, whose .value costs a lookup per necklace
+        for bits, period in necklaces(l, lo, hi):
+            d, phi, nums = _close(bits)
+            cls = _cycle_class(phi, d)
+            by_class[cls] = by_class.get(cls, 0) + period
+            realized_U = _realization(d, nums, bits, False, 0)[0]
+            realized_Uflip = _realization(d, nums, bits, True, 0)[0]
+            if realized_U or realized_Uflip:
+                s = _pattern(bits)
+                rotations = [s[k:] + s[:k] for k in range(period)]
+                _list_realized(agg, rotations, cls.value, realized_U, realized_Uflip)
+        agg["records"] = sum(by_class.values())
+        counts.update((cls.value, k) for cls, k in by_class.items())
     text = "\n".join(lines) + "\n" if lines else ""
     return text, agg
 
@@ -672,8 +685,8 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_iterate)
 
     sp = sub.add_parser("cycles", help="exhaustive pseudo-cycle sweep over bit sequences")
-    sp.add_argument("--lmax", type=_at_least(1), required=True)
-    sp.add_argument("--lmin", type=_at_least(1), default=1)
+    sp.add_argument("--lmax", type=_at_least(1, _MAX_LENGTH), required=True)
+    sp.add_argument("--lmin", type=_at_least(1, _MAX_LENGTH), default=1)
     output = sp.add_mutually_exclusive_group()  # a summary has no records to attach verdicts to
     output.add_argument("--summary-only", action="store_true", help="skip per-candidate records")
     output.add_argument("--with-verdict", action="store_true", help="attach the remainder-trace verdict to each record")

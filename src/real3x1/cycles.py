@@ -9,15 +9,16 @@ x -> (3^n x + offset) / 2^l, which has the single fixed point
 and that fixed point is the only value whose forced walk closes.  A closed
 forced walk is automatically parity aligned with g's own dispatch: one
 misaligned step sends the 2-adic valuation negative, both branches then push
-it down forever, and the walk could never return to its start.  candidate()
-checks this alignment at every step while rebuilding the cycle in integer
-arithmetic over the common denominator |d|.
+it down forever, and the walk could never return to its start.  _close() is
+the one closure walk: on a 0/1 tuple it rebuilds the cycle in integer
+arithmetic over the common denominator |d| and checks this alignment at every
+step; candidate() wraps its result in a CycleRecord.
 
 Whether the same closed walk is realized by the floor-parity maps is a
 separate, stricter question: U requires floor(x_i) parity to equal the branch
 bit at every step (and x0 >= 1), Uflip requires the opposite parity at every
 step (and x0 >= 0).  The sweep records the first index where each of these
-fails.
+fails; _realization() is the one scan, on the integers.
 
 Both answers, and the cycle class, are shared by every rotation of s.  The
 rotation by k closes at x_k, the k-th point of the same g-cycle, so it walks
@@ -25,7 +26,14 @@ the same set of values with the same sign.  A cycle that U or Uflip realizes
 stays in that map's domain, so every one of its points is a valid start and
 realizes it too; if one rotation fails, all do.  A summary therefore needs one
 representative per rotation class (necklace), weighted by the number of
-distinct rotations: necklaces() yields the least rotation of each.
+distinct rotations.  necklaces() yields the least rotation of each with the
+Fredricksen-Kessler-Maiorana (FKM) algorithm, in lexicographic order; a
+necklace's period is the length of its Lyndon prefix (Ruskey, Savage and
+Wang, "Generating necklaces", J. Algorithms 13, 1992; Cattell, Ruskey,
+Sawada, Serra and Miers, "Fast algorithms to generate necklaces, unlabeled
+necklaces, and irreducible polynomials over GF(2)", J. Algorithms 37, 2000).
+The summary closes and scans each on plain integers and tuples, and builds no
+record.
 
 A record reads phi = +-nums[0] and x0 = nums[0] / |d| from its numerators
 nums.  Per-rank records come from one representative per necklace too.
@@ -45,11 +53,15 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import compress
 from typing import Iterator
 
-from .maps import affine_offset
 from .errors import StructureError
+
+
+def _pattern(bits) -> str:
+    """A 0/1 tuple as the string of its bits."""
+    return "".join(map(str, bits))
 
 
 @dataclass(frozen=True)
@@ -91,7 +103,7 @@ class BitSeq:
         return cls(tuple(int(ch) for ch in text))
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return _pattern(self.bits)
 
 
 class CycleClass(str, Enum):
@@ -130,55 +142,90 @@ class CycleRecord:
         return tuple(Fraction(a, D) for a in self.numerators)
 
 
-def candidate(s: BitSeq) -> CycleRecord:
-    """Build the closed forced-branch cycle for s, realization flags unset."""
-    bits = s.bits
-    l, n = s.l, s.n
+def _close(bits: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    """(d, phi, nums) for the forced walk of a 0/1 tuple: x0 = phi / d, nums the cycle times |d|, closed.
+
+    Checks that d is odd and nonzero, that 3 does not divide d when n >= 1,
+    that every step is parity aligned, and that the walk closes.
+    """
+    l, n = len(bits), sum(bits)
     d = (1 << l) - 3**n
-    phi = affine_offset(bits)
     if d == 0 or d % 2 != 1:
         raise StructureError(f"d = 2^{l} - 3^{n} must be odd nonzero, got {d}")
     if n >= 1 and d % 3 == 0:
         raise StructureError(f"3 divides d = {d} with n = {n} >= 1")
 
+    phi = 0  # the chain's offset (maps.affine_offset), accumulated from the left
+    for j in compress(range(l), bits):
+        phi = 3 * phi + (1 << j)
     D = abs(d)
     a = phi if d > 0 else -phi
     nums = [a]
-    for j, b in enumerate(bits):
-        # Closed forced walks are parity aligned with g's own dispatch.
-        if a % 2 != b:
-            raise StructureError(f"parity misalignment at step {j} of {s}")
-        a = a >> 1 if b == 0 else (3 * a + D) >> 1
-        nums.append(a)
-    if nums[-1] != nums[0]:
-        raise StructureError(f"forced walk of {s} failed to close")
-
-    if phi == 0:
-        cls = CycleClass.ZERO
-    elif phi % d == 0:
-        cls = CycleClass.INTEGER_POSITIVE if d > 0 else CycleClass.INTEGER_NEGATIVE
+    append = nums.append
+    for b in bits:  # branch first: one parity test per step
+        if b:
+            if not a & 1:
+                break
+            a = (3 * a + D) >> 1
+        else:
+            if a & 1:
+                break
+            a >>= 1
+        append(a)
     else:
-        cls = (
-            CycleClass.FRACTIONAL_POSITIVE if d > 0 else CycleClass.FRACTIONAL_NEGATIVE
-        )
-    return CycleRecord(s, d, tuple(nums), cls)
+        if a != nums[0]:
+            raise StructureError(f"forced walk of {_pattern(bits)} failed to close")
+        return d, phi, tuple(nums)
+    # Closed forced walks are parity aligned with g's own dispatch.
+    raise StructureError(f"parity misalignment at step {len(nums) - 1} of {_pattern(bits)}")
+
+
+def _cycle_class(phi: int, d: int) -> CycleClass:
+    if phi == 0:
+        return CycleClass.ZERO
+    if phi % d == 0:
+        return CycleClass.INTEGER_POSITIVE if d > 0 else CycleClass.INTEGER_NEGATIVE
+    return CycleClass.FRACTIONAL_POSITIVE if d > 0 else CycleClass.FRACTIONAL_NEGATIVE
+
+
+def candidate(s: BitSeq) -> CycleRecord:
+    """Build the closed forced-branch cycle for s, realization flags unset."""
+    d, phi, nums = _close(s.bits)
+    return CycleRecord(s, d, nums, _cycle_class(phi, d))
+
+
+def _realization(
+    d: int, nums: tuple[int, ...], bits: tuple[int, ...], flipped: bool, k: int, *, gate: bool = True
+) -> tuple[bool, int | None]:
+    """Does U, or Uflip when flipped, walk the cycle nums / |d| of bits from x_k?
+
+    (False, None) when x_k is outside the map's domain (x_k >= 1 for U, x_k
+    >= 0 for Uflip) and gate is set; otherwise (False, i) names the first
+    step, counted cyclically from k, whose floor parity the map rejects: U
+    needs floor(x_j) mod 2 to equal the branch bit b_j, Uflip needs it to
+    differ.  Along any prefix where they match, the walk consists of genuine
+    steps of the map, so the domain stays forward-invariant and only the bit
+    comparison is needed.
+    """
+    D = abs(d)
+    if gate and nums[k] < (0 if flipped else D):
+        return False, None
+    l = len(bits)
+    for i in range(l):
+        j = k + i if k + i < l else k + i - l
+        if (nums[j] // D) & 1 != bits[j] ^ flipped:
+            return False, i
+    return True, None
 
 
 def misaligned_from(rec: CycleRecord, k: int, flipped: bool = False) -> int | None:
     """Steps from index k, taken cyclically, to the first floor parity the map rejects.
 
-    U needs floor(x_i) mod 2 to equal the branch bit b_i; Uflip (flipped)
-    needs it to differ.  Rotation k of rec.s walks rec's cycle from x_k, so
-    this is that rotation's first misaligned step; None when there is none.
+    Rotation k of rec.s walks rec's cycle from x_k, so this is that
+    rotation's first misaligned step, whatever its domain; None when there
+    is none.
     """
-    D = abs(rec.d)
-    nums, bits = rec.numerators, rec.s.bits
-    l = len(bits)
-    for i in range(l):
-        j = k + i if k + i < l else k + i - l
-        if (nums[j] // D) % 2 != bits[j] ^ flipped:
-            return i
-    return None
+    return _realization(rec.d, rec.numerators, rec.s.bits, flipped, k, gate=False)[1]
 
 
 def check_realization(
@@ -187,15 +234,8 @@ def check_realization(
     """Does U, or Uflip when flipped, walk rec's cycle from x_k?  (False, i) names the first bad step.
 
     k = 0 asks about rec.s itself, k > 0 about its rotation left by k.
-    Requires x_k in the map's domain: x_k >= 1 for U, x_k >= 0 for Uflip.
-    Along any prefix where the floor parities match the branch bits (oppose
-    them when flipped), the walk consists of genuine steps of the map, so the
-    domain stays forward-invariant and only the bit comparison is needed.
     """
-    if rec.numerators[k] < (0 if flipped else abs(rec.d)):
-        return False, None
-    i = misaligned_from(rec, k, flipped)
-    return i is None, i
+    return _realization(rec.d, rec.numerators, rec.s.bits, flipped, k)
 
 
 def evaluate(s: BitSeq) -> CycleRecord:
@@ -221,25 +261,41 @@ def sweep(l_max: int) -> Iterator[CycleRecord]:
             yield evaluate(BitSeq.from_rank(l, rank))
 
 
-def necklaces(l: int, rank_lo: int, rank_hi: int) -> Iterator[tuple[CycleRecord, int]]:
-    """(record, period) for each necklace of length l whose least rotation is in [rank_lo, rank_hi).
+def necklaces(l: int, lo: int, hi: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(bits, period) for each necklace of length l whose least rotation has its rank in [lo, hi).
 
-    The record is the least rotation's, with both realization checks done;
-    period counts the distinct rotations, so the periods of one length sum to
-    2^l.  A rank is a least rotation when no rotation of it is smaller; the
-    test stops at the first rotation that is not larger.  Apart from all
-    zeros and all ones, a least rotation starts with 0 and ends with 1, so
-    only odd ranks below 2^(l-1) are tested.
+    bits is the least rotation, period the number of its distinct rotations,
+    so the periods of one length sum to 2^l.  [lo, hi) must be an aligned
+    block of 2^b ranks: the words that share one prefix of l - b bits.  FKM
+    walks that block's prenecklaces in lexicographic (rank) order.  Each is
+    the periodic extension of its Lyndon prefix of length p; it is a
+    necklace, with period p, when p divides l.  The successor of a
+    prenecklace raises its last 0 to 1 and extends the result periodically;
+    when that 0 lies in the prefix, the block is done.
     """
-    mask = (1 << l) - 1
-    top = l - 1
-    ranks = range(rank_lo | 1, min(rank_hi, 1 << top), 2)
-    ends = [rank for rank in (0, mask) if rank_lo <= rank < rank_hi]
-    for rank in chain(ranks, ends):
-        x = ((rank << 1) & mask) | (rank >> top)
-        period = 1
-        while x > rank:
-            x = ((x << 1) & mask) | (x >> top)
-            period += 1
-        if x == rank:
-            yield evaluate(BitSeq.from_rank(l, rank)), period
+    size = hi - lo
+    if l < 1 or not 0 <= lo < hi <= 1 << l or size & (size - 1) or lo % size:
+        raise StructureError(f"ranks [{lo}, {hi}) of length {l} are not an aligned power-of-two block")
+    m = l + 1 - size.bit_length()  # the fixed prefix
+    w = [(lo >> (l - 1 - j)) & 1 for j in range(m)] or [0]
+    p = 1
+    for j in range(1, m):
+        if w[j] != w[j - p]:
+            if w[j] < w[j - p]:
+                return  # not a prenecklace, and neither is any word it starts
+            p = j + 1
+    w = (w[:p] * (l // p + 1))[:l]
+    while True:
+        if l % p == 0:
+            yield tuple(w), p
+        i = l - 1
+        while i >= m and w[i]:
+            i -= 1
+        if i < m:
+            return
+        w[i] = 1
+        p = i + 1
+        if 2 * p >= l:  # the tail fits in one period
+            w[p:] = w[:l - p]
+        else:
+            w = (w[:p] * (l // p + 1))[:l]

@@ -1,9 +1,10 @@
-"""End-to-end verification battery: the twelve headline checks at desk scale.
+"""End-to-end verification battery: the thirteen headline checks at desk scale.
 
 Each test prints one pass/fail line; the heavyweight runs (the full length-20
 cycle sweep, the length-16 remainder audit, the seeded evidence reports) are
 shared module-scoped fixtures so the battery stays inside a coffee break.
-The twelfth repeats the cycle sweep two lengths deeper, on two workers.
+The twelfth repeats the cycle sweep two lengths deeper, on two workers, and
+the thirteenth two lengths deeper again, within 15 seconds.
 """
 
 import json
@@ -307,4 +308,27 @@ def test_criterion_12_deeper_sweep_realizes_only_the_two_step_rotations():
         ok,
         f"length <= 22 sweep on 2 workers realized exactly the (1,0) rotations "
         f"and no flipped cycle ({elapsed:.1f}s)",
+    )
+
+
+def test_criterion_13_length_24_sweep_realizes_only_the_two_step_rotations():
+    t0 = time.monotonic()
+    proc = _run_cli(["cycles", "--lmax", "24", "--summary-only", "--workers", "2"])
+    elapsed = time.monotonic() - t0
+    summary = json.loads(proc.stdout.splitlines()[-1]) if proc.returncode == 0 else {}
+    expected = []
+    for l in range(2, 25, 2):
+        expected += ["01" * (l // 2), "10" * (l // 2)]
+    ok = (
+        proc.returncode == 0
+        and summary["records"] == (1 << 25) - 2
+        and summary["realized_U"] == expected
+        and summary["realized_Uflip"] == []
+        and elapsed <= 15
+    )
+    _report(
+        13,
+        ok,
+        f"length <= 24 sweep on 2 workers realized exactly the (1,0) rotations "
+        f"and no flipped cycle ({elapsed:.1f}s, at most 15s)",
     )

@@ -242,11 +242,8 @@ def test_cycles_worker_count_does_not_change_output(tmp_path):
 def test_lost_record_is_an_internal_error(capsys, monkeypatch):
     necklaces = cli.necklaces
 
-    def lossy(l, lo, hi):
-        classes = necklaces(l, lo, hi)
-        if l == 4:
-            next(classes)  # drop 0001, the first class tested, and its three rotations
-        return classes
+    def lossy(l, lo, hi):  # drop the class of 0001 and its three rotations
+        return (c for c in necklaces(l, lo, hi) if c[0] != (0, 0, 0, 1))
 
     monkeypatch.setattr(cli, "necklaces", lossy)
     code, out, err = run_cli(capsys, "cycles", "--lmax", "5", "--summary-only")
@@ -258,6 +255,10 @@ def test_cycles_validation(capsys):
     assert parse_error_code("cycles", "--lmax", "0") == 1
     assert run_cli(capsys, "cycles", "--lmax", "3", "--lmin", "5")[0] == 1
     assert parse_error_code("cycles", "--lmax", "3", "--workers", "0") == 1
+
+
+def _sweep_must_not_start(args, out):
+    pytest.fail(f"cycles started with lmin {args.lmin}, lmax {args.lmax}")
 
 
 @pytest.mark.parametrize(
@@ -275,12 +276,17 @@ def test_cycles_validation(capsys):
         ("conjecture", "NU", "--samples", "3", "--value-bits", "-1"),
         ("cycles", "--lmax", "2", "--workers", "x"),
         ("cycles", "--lmax", "3", "--lmin", "0"),
+        # every rank chunk's task is built before any work starts
+        ("cycles", "--lmax", "33", "--summary-only"),
+        ("cycles", "--lmax", "40", "--lmin", "33"),
+        ("cycles", "--lmax", "3", "--lmin", "33"),
         # a rational bound follows the same rule: escaping |x| > 0 or > -1 is instant
         ("iterate", "--map", "U", "--start", "3", "--escape", "-1"),
         ("conjecture", "RU", "--samples", "3", "--escape", "0"),
     ],
 )
-def test_out_of_range_integers_fail_at_parse_time(argv, capsys):
+def test_out_of_range_integers_fail_at_parse_time(argv, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_cycles", _sweep_must_not_start)  # a missed bound fails fast
     assert parse_error_code(*argv) == 1
     assert "error: argument" in capsys.readouterr().err
 
@@ -290,6 +296,16 @@ def test_config_values_get_the_same_bounds(tmp_path, capsys):
     cfg.write_text("cap = -5\n")
     assert parse_error_code("conjecture", "RU", "--samples", "3", "--config", str(cfg)) == 1
     assert "--cap: must be >= 0, got -5" in capsys.readouterr().err
+
+
+def test_sweep_length_cap_holds_in_config_files(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_cycles", _sweep_must_not_start)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lmax = 33\nsummary_only = true\n")
+    assert parse_error_code("cycles", "--config", str(cfg)) == 1
+    assert "--lmax: must be <= 32, got 33" in capsys.readouterr().err
+    args = cli.build_parser().parse_args(["cycles", "--lmax", "32", "--lmin", "32"])
+    assert (args.lmin, args.lmax) == (32, 32)  # the cap itself parses
 
 
 def test_q2_family_range_is_bounded(capsys, monkeypatch):

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from real3x1.cycles import (
     BitSeq,
     CycleClass,
+    _close,
+    _realization,
     candidate,
     check_realization,
     evaluate,
@@ -18,7 +20,8 @@ from real3x1.cycles import (
     sweep,
 )
 from real3x1 import cli
-from real3x1.maps import apply_affine, compose_affine
+from real3x1.errors import StructureError
+from real3x1.maps import MAPS, apply_affine, compose_affine, step
 
 F2 = Fraction
 
@@ -212,14 +215,75 @@ def test_necklaces_are_the_least_rotations(l):
         bits = format(rank, f"0{l}b")
         rotations = {int(bits[k:] + bits[:k], 2) for k in range(l)}
         least[min(rotations)] = len(rotations)
-    got = {rec.s.rank: period for rec, period in necklaces(l, 0, 1 << l)}
-    assert got == least
-    assert sum(got.values()) == 1 << l
-    # rank ranges split the classes by where the least rotation falls
-    parts = {}
-    for lo in range(0, 1 << l, 5):
-        parts.update((rec.s.rank, p) for rec, p in necklaces(l, lo, min(lo + 5, 1 << l)))
-    assert parts == least
+    assert sum(least.values()) == 1 << l
+
+    def block(lo, hi):
+        """The block's (rank, period) pairs, checked to come in rank order."""
+        got = [(int("".join(map(str, bits)), 2), period) for bits, period in necklaces(l, lo, hi)]
+        assert [rank for rank, _ in got] == sorted(r for r in least if lo <= r < hi)
+        return dict(got)
+
+    assert block(0, 1 << l) == least
+    # aligned blocks split the classes by where the least rotation falls
+    for size in (2, 8, 32):
+        if size <= 1 << l:
+            parts = {}
+            for lo in range(0, 1 << l, size):
+                parts.update(block(lo, lo + size))
+            assert parts == least
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 0), (1, 3), (0, 3), (4, 12), (0, 32), (16, 32), (-16, 0), (8, 4)])
+def test_necklace_blocks_must_be_aligned_powers_of_two(lo, hi):
+    with pytest.raises(StructureError, match="not an aligned power-of-two block"):
+        list(necklaces(4, lo, hi))
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=40).map(tuple))
+def test_integer_kernel_matches_the_fraction_reference(bits):
+    """_close and _realization against exact rationals, computed without them."""
+    l = len(bits)
+    d, phi, nums = _close(bits)
+    rec = candidate(BitSeq(bits))
+    assert (d, phi, nums) == (rec.d, rec.phi, rec.numerators)
+
+    # the closure point of the composed chain, and the g-cycle through it
+    n3, n2, offset = compose_affine(bits)
+    x0 = F2(offset, n2 - n3)
+    assert apply_affine((n3, n2, offset), x0) == x0
+    cycle = [x0] + [apply_affine(compose_affine(bits[:j]), x0) for j in range(1, l + 1)]
+    assert nums == tuple(abs(d) * x for x in cycle)
+
+    # each map's own walk from x_k, in its domain, against the branch bits
+    for flipped, m in ((False, MAPS["U"]), (True, MAPS["Uflip"])):
+        for k in range(l):
+            want = (False, None)
+            if cycle[k] >= m.domain_min:
+                x, want = cycle[k], (True, None)
+                for i in range(l):
+                    x, b = step(m, x)
+                    if b != bits[(k + i) % l]:
+                        want = (False, i)
+                        break
+                else:
+                    assert x == cycle[k]
+            assert _realization(d, nums, bits, flipped, k) == want
+
+
+def test_close_rejects_what_no_branch_pattern_forces():
+    """The closure checks raise, with the pattern named, on tuples no BitSeq holds.
+
+    A 2 walks as a multiplying step but counts twice in n, so d is wrong.
+    """
+    with pytest.raises(StructureError, match=r"^d = 2\^0 - 3\^0 must be odd nonzero, got 0$"):
+        _close(())
+    with pytest.raises(StructureError, match="^parity misalignment at step 2 of 021$"):
+        _close((0, 2, 1))  # an even value on a multiplying step
+    with pytest.raises(StructureError, match="^parity misalignment at step 1 of 200$"):
+        _close((2, 0, 0))  # an odd value on a halving step
+    with pytest.raises(StructureError, match="^forced walk of 2 failed to close$"):
+        _close((2,))
 
 
 @pytest.mark.parametrize("lmax", range(1, 13))

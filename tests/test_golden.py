@@ -18,9 +18,10 @@ verdict, from lmin above 1, and across two workers.  The last iterate rows
 pin a zero step cap and a report that keeps only its start.
 
 The FORGED rows take branches that honest runs never take.  The realized
-forgery patches check_realization both in cycles, where evaluate reaches it
-for summaries, and in cli, which imported it for record lines, so the sweep
-reports a counterexample in record mode as well as with --summary-only.
+forgery patches the one integer realization scan, _realization, both in
+cycles, where check_realization reaches it for record lines, and in cli,
+which imported it for the summary kernel, so the sweep reports a
+counterexample in record mode as well as with --summary-only.
 """
 
 import hashlib
@@ -207,18 +208,24 @@ FORGED_F = {
 }
 
 
-_check_realization = cycles.check_realization
+_realization = cycles._realization
 
 
-def _realized_when_d_is_5(rec, flipped=False, k=0):
-    """d depends only on (l, n), so this forgery holds for whole rotation classes."""
-    return (True, None) if rec.d == 5 else _check_realization(rec, flipped, k)
+def _realized_when_d_is_5(d, nums, bits, flipped, k, *, gate=True):
+    """d depends only on (l, n), so this forgery holds for whole rotation classes.
+
+    Only the realization verdict is forged; an ungated scan (misaligned_from)
+    still counts the true misaligned step.
+    """
+    if d == 5 and gate:
+        return True, None
+    return _realization(d, nums, bits, flipped, k, gate=gate)
 
 
 def _forge_realized(monkeypatch):
-    """Summaries reach check_realization through cycles.evaluate, records through cli's import."""
-    monkeypatch.setattr(cycles, "check_realization", _realized_when_d_is_5)
-    monkeypatch.setattr(cli, "check_realization", _realized_when_d_is_5)
+    """Records reach _realization through cycles.check_realization, summaries through cli's import."""
+    monkeypatch.setattr(cycles, "_realization", _realized_when_d_is_5)
+    monkeypatch.setattr(cli, "_realization", _realized_when_d_is_5)
 
 
 def _run(argv, capsys):
