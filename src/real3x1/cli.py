@@ -27,8 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .cycles import BitSeq, CycleClass, CycleRecord, check_realization, evaluate, misaligned_from, necklaces
-from .cycles import _close, _cycle_class, _pattern, _realization  # the summary's integer kernel
+from .cycles import BitSeq, CycleClass, CycleRecord, check_realization, evaluate, misaligned_from, necklace_summaries
 from .errors import StructureError
 from .maps import MAPS, MapSpec, map_from_name, step
 from .rationals import format_rational, parse_rational
@@ -45,7 +44,7 @@ EXIT_INTERNAL = 5
 
 _DEFAULT_ESCAPE = str(1 << 64)
 _MAX_FAMILY = 100_000  # Q2 family starts one --m-range may ask for
-_MAX_LENGTH = 32  # cycles --lmax and --lmin; lmax 32 takes roughly 25 minutes on 2 workers
+_MAX_LENGTH = 32  # cycles --lmax and --lmin; lmax 32 is about 250 times the work of lmax 24
 
 
 _dumps = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True), built once
@@ -316,19 +315,13 @@ def _sweep_chunk(task) -> tuple[str, dict]:
                 _list_realized(agg, [obj["bits"]], cls, obj["realized_U"], obj["realized_Uflip"])
             lines.append(_dumps(obj))
     else:
-        by_class = {}  # keyed by CycleClass, whose .value costs a lookup per necklace
-        for bits, period in necklaces(l, lo, hi):
-            d, phi, nums = _close(bits)
-            cls = _cycle_class(phi, d)
-            by_class[cls] = by_class.get(cls, 0) + period
-            realized_U = _realization(d, nums, bits, False, 0)[0]
-            realized_Uflip = _realization(d, nums, bits, True, 0)[0]
+        for bits, period, cls, realized_U, realized_Uflip in necklace_summaries(l, lo, hi):
+            agg["records"] += period
+            counts[cls] = counts.get(cls, 0) + period
             if realized_U or realized_Uflip:
-                s = _pattern(bits)
+                s = str(BitSeq(bits))
                 rotations = [s[k:] + s[:k] for k in range(period)]
-                _list_realized(agg, rotations, cls.value, realized_U, realized_Uflip)
-        agg["records"] = sum(by_class.values())
-        counts.update((cls.value, k) for cls, k in by_class.items())
+                _list_realized(agg, rotations, cls, realized_U, realized_Uflip)
     text = "\n".join(lines) + "\n" if lines else ""
     return text, agg
 

@@ -32,8 +32,8 @@ necklace's period is the length of its Lyndon prefix (Ruskey, Savage and
 Wang, "Generating necklaces", J. Algorithms 13, 1992; Cattell, Ruskey,
 Sawada, Serra and Miers, "Fast algorithms to generate necklaces, unlabeled
 necklaces, and irreducible polynomials over GF(2)", J. Algorithms 37, 2000).
-The summary closes and scans each on plain integers and tuples, and builds no
-record.
+necklace_summaries() closes and scans each on plain integers and tuples, and
+builds no record.
 
 A record reads phi = +-nums[0] and x0 = nums[0] / |d| from its numerators
 nums.  Per-rank records come from one representative per necklace too.
@@ -53,10 +53,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 from typing import Iterator
 
 from .errors import StructureError
+from .maps import affine_offset
 
 
 def _pattern(bits) -> str:
@@ -155,29 +155,19 @@ def _close(bits: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
     if n >= 1 and d % 3 == 0:
         raise StructureError(f"3 divides d = {d} with n = {n} >= 1")
 
-    phi = 0  # the chain's offset (maps.affine_offset), accumulated from the left
-    for j in compress(range(l), bits):
-        phi = 3 * phi + (1 << j)
+    phi = affine_offset(bits)
     D = abs(d)
     a = phi if d > 0 else -phi
     nums = [a]
-    append = nums.append
-    for b in bits:  # branch first: one parity test per step
-        if b:
-            if not a & 1:
-                break
-            a = (3 * a + D) >> 1
-        else:
-            if a & 1:
-                break
-            a >>= 1
-        append(a)
-    else:
-        if a != nums[0]:
-            raise StructureError(f"forced walk of {_pattern(bits)} failed to close")
-        return d, phi, tuple(nums)
-    # Closed forced walks are parity aligned with g's own dispatch.
-    raise StructureError(f"parity misalignment at step {len(nums) - 1} of {_pattern(bits)}")
+    for j, b in enumerate(bits):
+        # Closed forced walks are parity aligned with g's own dispatch.
+        if a % 2 != b:
+            raise StructureError(f"parity misalignment at step {j} of {_pattern(bits)}")
+        a = a >> 1 if b == 0 else (3 * a + D) >> 1
+        nums.append(a)
+    if nums[-1] != nums[0]:
+        raise StructureError(f"forced walk of {_pattern(bits)} failed to close")
+    return d, phi, tuple(nums)
 
 
 def _cycle_class(phi: int, d: int) -> CycleClass:
@@ -213,7 +203,7 @@ def _realization(
     l = len(bits)
     for i in range(l):
         j = k + i if k + i < l else k + i - l
-        if (nums[j] // D) & 1 != bits[j] ^ flipped:
+        if (nums[j] // D) % 2 != bits[j] ^ flipped:
             return False, i
     return True, None
 
@@ -277,15 +267,16 @@ def necklaces(l: int, lo: int, hi: int) -> Iterator[tuple[tuple[int, ...], int]]
     if l < 1 or not 0 <= lo < hi <= 1 << l or size & (size - 1) or lo % size:
         raise StructureError(f"ranks [{lo}, {hi}) of length {l} are not an aligned power-of-two block")
     m = l + 1 - size.bit_length()  # the fixed prefix
-    w = [(lo >> (l - 1 - j)) & 1 for j in range(m)] or [0]
+    w = [(lo >> (l - 1 - j)) & 1 for j in range(m)] + [0] * (l - m)
     p = 1
     for j in range(1, m):
         if w[j] != w[j - p]:
             if w[j] < w[j - p]:
                 return  # not a prenecklace, and neither is any word it starts
             p = j + 1
-    w = (w[:p] * (l // p + 1))[:l]
     while True:
+        for j in range(p, l):
+            w[j] = w[j - p]
         if l % p == 0:
             yield tuple(w), p
         i = l - 1
@@ -295,7 +286,16 @@ def necklaces(l: int, lo: int, hi: int) -> Iterator[tuple[tuple[int, ...], int]]
             return
         w[i] = 1
         p = i + 1
-        if 2 * p >= l:  # the tail fits in one period
-            w[p:] = w[:l - p]
-        else:
-            w = (w[:p] * (l // p + 1))[:l]
+
+
+def necklace_summaries(l: int, lo: int, hi: int) -> Iterator[tuple]:
+    """(bits, period, class value, realized_U, realized_Uflip) for each of necklaces(l, lo, hi).
+
+    All period rotations of bits share these answers.  Each necklace is
+    closed and scanned on plain integers; no record is built.
+    """
+    for bits, period in necklaces(l, lo, hi):
+        d, phi, nums = _close(bits)
+        realized_U = _realization(d, nums, bits, False, 0)[0]
+        realized_Uflip = _realization(d, nums, bits, True, 0)[0]
+        yield bits, period, _cycle_class(phi, d).value, realized_U, realized_Uflip

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import real3x1
 import real3x1.cli as cli
-from real3x1 import trajectory
+from real3x1 import cycles, trajectory
 from real3x1.cli import main
 from real3x1.cycles import BitSeq, evaluate
 from real3x1.errors import StructureError
@@ -240,12 +240,12 @@ def test_cycles_worker_count_does_not_change_output(tmp_path):
 
 
 def test_lost_record_is_an_internal_error(capsys, monkeypatch):
-    necklaces = cli.necklaces
+    necklaces = cycles.necklaces
 
     def lossy(l, lo, hi):  # drop the class of 0001 and its three rotations
         return (c for c in necklaces(l, lo, hi) if c[0] != (0, 0, 0, 1))
 
-    monkeypatch.setattr(cli, "necklaces", lossy)
+    monkeypatch.setattr(cycles, "necklaces", lossy)
     code, out, err = run_cli(capsys, "cycles", "--lmax", "5", "--summary-only")
     assert (code, out) == (5, "")
     assert err == "real3x1: internal error: sweep counted 58 records, expected 62\n"

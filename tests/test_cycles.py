@@ -19,7 +19,7 @@ from real3x1.cycles import (
     necklaces,
     sweep,
 )
-from real3x1 import cli
+from real3x1 import cli, cycles
 from real3x1.errors import StructureError
 from real3x1.maps import MAPS, apply_affine, compose_affine, step
 
@@ -271,19 +271,21 @@ def test_integer_kernel_matches_the_fraction_reference(bits):
             assert _realization(d, nums, bits, flipped, k) == want
 
 
-def test_close_rejects_what_no_branch_pattern_forces():
-    """The closure checks raise, with the pattern named, on tuples no BitSeq holds.
+def test_close_rejects_a_wrong_offset(monkeypatch):
+    """The closure checks raise, with the pattern named.
 
-    A 2 walks as a multiplying step but counts twice in n, so d is wrong.
+    Moving x0 * |d| by 2^j keeps the first j parities and breaks step j;
+    moving it by 2^l keeps every parity, and the walk misses its start.
     """
     with pytest.raises(StructureError, match=r"^d = 2\^0 - 3\^0 must be odd nonzero, got 0$"):
         _close(())
-    with pytest.raises(StructureError, match="^parity misalignment at step 2 of 021$"):
-        _close((0, 2, 1))  # an even value on a multiplying step
-    with pytest.raises(StructureError, match="^parity misalignment at step 1 of 200$"):
-        _close((2, 0, 0))  # an odd value on a halving step
-    with pytest.raises(StructureError, match="^forced walk of 2 failed to close$"):
-        _close((2,))
+    offset = cycles.affine_offset
+    monkeypatch.setattr(cycles, "affine_offset", lambda bits: offset(bits) + 4)
+    with pytest.raises(StructureError, match="^parity misalignment at step 2 of 11010$"):
+        _close((1, 1, 0, 1, 0))
+    monkeypatch.setattr(cycles, "affine_offset", lambda bits: offset(bits) + 32)
+    with pytest.raises(StructureError, match="^forced walk of 11010 failed to close$"):
+        _close((1, 1, 0, 1, 0))
 
 
 @pytest.mark.parametrize("lmax", range(1, 13))

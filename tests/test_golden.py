@@ -18,10 +18,10 @@ verdict, from lmin above 1, and across two workers.  The last iterate rows
 pin a zero step cap and a report that keeps only its start.
 
 The FORGED rows take branches that honest runs never take.  The realized
-forgery patches the one integer realization scan, _realization, both in
-cycles, where check_realization reaches it for record lines, and in cli,
-which imported it for the summary kernel, so the sweep reports a
-counterexample in record mode as well as with --summary-only.
+forgery patches the one integer realization scan, cycles._realization, which
+check_realization reaches for record lines and necklace_summaries for the
+summary, so the sweep reports a counterexample in record mode as well as
+with --summary-only.
 """
 
 import hashlib
@@ -223,9 +223,8 @@ def _realized_when_d_is_5(d, nums, bits, flipped, k, *, gate=True):
 
 
 def _forge_realized(monkeypatch):
-    """Records reach _realization through cycles.check_realization, summaries through cli's import."""
+    """Records reach _realization through check_realization, summaries through necklace_summaries."""
     monkeypatch.setattr(cycles, "_realization", _realized_when_d_is_5)
-    monkeypatch.setattr(cli, "_realization", _realized_when_d_is_5)
 
 
 def _run(argv, capsys):
