@@ -5,8 +5,8 @@ the final line of record streams, or CSV where a flat table is the natural
 shape.  Identical invocations produce byte-identical output, including across
 worker counts: the cycle sweep is partitioned into aligned rank blocks of one
 length each.  Record lines are merged back in rank order.  A summary block is
-the FKM walk of the necklaces that share one prefix; its counts are sums, and
-the realized lists are sorted by (length, rank) at the end.
+the FKM walk of the necklaces that share one prefix; its class counts are
+sums, and its realized rows are sorted by (length, rank) at the end.
 
 Exit codes: 0 resolved/completed, 1 usage or domain error, 2 a trajectory hit
 an iteration or size cap, 3 counterexample found (a realized cycle that the
@@ -45,6 +45,7 @@ EXIT_INTERNAL = 5
 _DEFAULT_ESCAPE = str(1 << 64)
 _MAX_FAMILY = 100_000  # Q2 family starts one --m-range may ask for
 _MAX_LENGTH = 32  # cycles --lmax and --lmin; lmax 32 is about 250 times the work of lmax 24
+_MAX_MODULUS = 1_000_000  # rmap-scan --d and the top of --d-range; one scan's memory grows with d
 
 
 _dumps = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True), built once
@@ -235,27 +236,7 @@ def _record_json_dict(rec: CycleRecord, k: int, rank: int) -> dict:
     }
 
 
-def _empty_totals() -> dict:
-    return {
-        "records": 0,
-        "class_counts": {},
-        "realized_U": [],
-        "realized_U_non_integer": [],
-        "realized_Uflip": [],
-    }
-
-
 _NON_INTEGER = {CycleClass.FRACTIONAL_POSITIVE.value, CycleClass.FRACTIONAL_NEGATIVE.value}
-
-
-def _list_realized(agg: dict, rotations: list[str], cls: str, realized_U, realized_Uflip) -> None:
-    """A realized U cycle of a fractional class is also a non-integer one."""
-    if realized_U:
-        agg["realized_U"].extend(rotations)
-        if cls in _NON_INTEGER:
-            agg["realized_U_non_integer"].extend(rotations)
-    if realized_Uflip:
-        agg["realized_Uflip"].extend(rotations)
 
 
 def _rotated_records(l: int, lo: int, hi: int, with_verdict: bool):
@@ -292,38 +273,33 @@ def _rotated_records(l: int, lo: int, hi: int, with_verdict: bool):
         yield obj
 
 
-def _sweep_chunk(task) -> tuple[str, dict]:
-    """Records and totals for one rank range of one length.
+def _sweep_chunk(task) -> tuple[str, dict, list]:
+    """Record lines, class counts and realized rows for one rank range of one length.
 
-    Without lines, each rotation class is closed and scanned once, on plain
-    integers, through its least rotation and counts for all its rotations; a
-    pattern string is built only to list the rotations of a realized class,
-    which may lie in other ranges, so cmd_cycles puts the lists back in
-    order.  With lines, every rank gets its own record, derived from its
-    rotation class.
+    A realized row is (pattern, class, realized_U, realized_Uflip).  Without
+    lines, each rotation class is closed and scanned once, on plain integers,
+    through its least rotation and counts for all its rotations; a pattern
+    string is built only for the rows of a realized class, whose rotations
+    may lie in other ranges, so cmd_cycles puts the rows back in order.  With
+    lines, every rank gets its own record, derived from its rotation class.
     """
     l, lo, hi, emit_lines, with_verdict = task
-    lines = []
-    agg = _empty_totals()
-    counts = agg["class_counts"]
+    lines, counts, realized = [], {}, []
     if emit_lines:
         for obj in _rotated_records(l, lo, hi, with_verdict):
-            agg["records"] += 1
             cls = obj["class"]
             counts[cls] = counts.get(cls, 0) + 1
             if obj["realized_U"] or obj["realized_Uflip"]:
-                _list_realized(agg, [obj["bits"]], cls, obj["realized_U"], obj["realized_Uflip"])
+                realized.append((obj["bits"], cls, obj["realized_U"], obj["realized_Uflip"]))
             lines.append(_dumps(obj))
+        lines.append("")  # the last line's newline
     else:
-        for bits, period, cls, realized_U, realized_Uflip in necklace_summaries(l, lo, hi):
-            agg["records"] += period
+        for bits, period, cls, on_U, on_Uflip in necklace_summaries(l, lo, hi):
             counts[cls] = counts.get(cls, 0) + period
-            if realized_U or realized_Uflip:
+            if on_U or on_Uflip:
                 s = str(BitSeq(bits))
-                rotations = [s[k:] + s[:k] for k in range(period)]
-                _list_realized(agg, rotations, cls, realized_U, realized_Uflip)
-    text = "\n".join(lines) + "\n" if lines else ""
-    return text, agg
+                realized += [(s[k:] + s[:k], cls, on_U, on_Uflip) for k in range(period)]
+    return "\n".join(lines), counts, realized
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -343,17 +319,14 @@ def cmd_cycles(args, out) -> int:
                 (l, lo, min(lo + _CHUNK_RANKS, total), not args.summary_only, args.with_verdict)
             )
 
-    totals = _empty_totals()
+    counts, realized = {}, []
 
     def merge(result):
-        text, agg = result
-        if text:
-            out.write(text)
-        totals["records"] += agg["records"]
-        for cls, k in agg["class_counts"].items():
-            totals["class_counts"][cls] = totals["class_counts"].get(cls, 0) + k
-        for key in ("realized_U", "realized_U_non_integer", "realized_Uflip"):
-            totals[key].extend(agg[key])
+        text, chunk_counts, chunk_realized = result
+        out.write(text)
+        for cls, k in chunk_counts.items():
+            counts[cls] = counts.get(cls, 0) + k
+        realized.extend(chunk_realized)
 
     workers = _pool_size(args.workers, len(tasks))
     if workers <= 1:
@@ -366,19 +339,24 @@ def cmd_cycles(args, out) -> int:
             for result in pool.map(_sweep_chunk, tasks):
                 merge(result)
 
+    records = sum(counts.values())  # every record has exactly one class
     expected = (1 << (args.lmax + 1)) - (1 << args.lmin)
-    if totals["records"] != expected:
-        raise StructureError(f"sweep counted {totals['records']} records, expected {expected}")
-    for key in ("realized_U", "realized_U_non_integer", "realized_Uflip"):
-        totals[key].sort(key=lambda bits: (len(bits), int(bits, 2)))  # (l, rank)
-
-    counterexample = bool(totals["realized_U_non_integer"]) or bool(totals["realized_Uflip"])
+    if records != expected:
+        raise StructureError(f"sweep counted {records} records, expected {expected}")
+    realized.sort(key=lambda row: (len(row[0]), int(row[0], 2)))  # (l, rank)
+    non_integer = [bits for bits, cls, on_U, _ in realized if on_U and cls in _NON_INTEGER]
+    realized_Uflip = [bits for bits, _, _, on_Uflip in realized if on_Uflip]
+    counterexample = bool(non_integer or realized_Uflip)
     summary = {
         "type": "summary",
         "command": "cycles",
         "lmin": args.lmin,
         "lmax": args.lmax,
-        **totals,
+        "records": records,
+        "class_counts": counts,
+        "realized_U": [bits for bits, _, on_U, _ in realized if on_U],
+        "realized_U_non_integer": non_integer,
+        "realized_Uflip": realized_Uflip,
         "counterexample": counterexample,
     }
     out.write(_dumps(summary) + "\n")
@@ -392,41 +370,37 @@ def cmd_cycles(args, out) -> int:
 class _Conjecture:
     """One named conjecture: what to sample, which map to run, what supports it."""
 
-    map: str
+    map: str  # starts are sampled from its domain_min
     statement: str
     integer: bool = False  # starts are sampled integers, not rationals
-    minimum: int = 1
     region: tuple[int, int] | None = None  # trap region [lo, hi)
     wants_01: bool = False  # support also needs a (0,1) parity tail
-    cycle: tuple[int, ...] | None = None  # the integer cycle the theorems permit
 
 
 _CONJECTURES = {
-    "RU": _Conjecture("U", "every U-orbit from x >= 1 tends to the cycle {1, 2}", cycle=(1, 2)),
+    "RU": _Conjecture("U", "every U-orbit from x >= 1 tends to the cycle {1, 2}"),
     "RUprime": _Conjecture(
-        "U", "every U-parity sequence is eventually periodic with period (0, 1)",
-        wants_01=True, cycle=(1, 2),
+        "U", "every U-parity sequence is eventually periodic with period (0, 1)", wants_01=True
     ),
     "NU": _Conjecture(
-        "U", "every integer U-orbit from n >= 1 reaches the cycle {1, 2}",
-        integer=True, cycle=(1, 2),
+        "U", "every integer U-orbit from n >= 1 reaches the cycle {1, 2}", integer=True
     ),
     "NUprime": _Conjecture(
         "U", "every integer U-parity sequence is eventually periodic with period (0, 1)",
-        integer=True, wants_01=True, cycle=(1, 2),
+        integer=True, wants_01=True,
     ),
-    "BU": _Conjecture("U", "every U-orbit from x >= 1 is bounded", cycle=(1, 2)),
-    "RUflip": _Conjecture(
-        "Uflip", "every flipped orbit from x >= 0 visits [0, 2)", minimum=0, region=(0, 2)
-    ),
-    "BUflip": _Conjecture("Uflip", "every flipped orbit from x >= 0 is bounded", minimum=0),
+    "BU": _Conjecture("U", "every U-orbit from x >= 1 is bounded"),
+    "RUflip": _Conjecture("Uflip", "every flipped orbit from x >= 0 visits [0, 2)", region=(0, 2)),
+    "BUflip": _Conjecture("Uflip", "every flipped orbit from x >= 0 is bounded"),
     "RV": _Conjecture("V", "every V-orbit from x >= 1 visits [1, 3)", region=(1, 3)),
     "BV": _Conjecture("V", "every V-orbit from x >= 1 is bounded"),
     "Q2": _Conjecture(
-        "F", "2m + 3/2 gives the only F-orbits that fail to tend to the cycle {1, 4, 2}",
-        cycle=(1, 2, 4),
+        "F", "2m + 3/2 gives the only F-orbits that fail to tend to the cycle {1, 4, 2}"
     ),
 }
+
+# per map, the one integer cycle the theorems permit; any other cycle is a counterexample
+_TRIVIAL_CYCLES = {"U": (1, 2), "F": (1, 2, 4)}
 
 _NOT_A_PROOF = (
     "evidence only, not a proof: the conjecture remains open and this run "
@@ -449,7 +423,7 @@ def _classify(conj: _Conjecture, m: MapSpec, rep) -> tuple[str, str | None]:
     kind = fate.kind
     if kind is FateKind.ENTERED_CYCLE:
         values = _cycle_values(m, fate.value, fate.period)
-        if conj.cycle is not None and values == {Fraction(a) for a in conj.cycle}:
+        if values == set(map(Fraction, _TRIVIAL_CYCLES.get(conj.map, ()))):
             if conj.wants_01 and detect_period01(rep.parity_bits) is None:
                 return "flagged", "trivial cycle entered but no (0,1) parity tail seen"
             return "supports", None
@@ -476,19 +450,16 @@ def _run_samples(args, name: str, out, demote=False, counter_lines=(), extra=Non
     m = MAPS[conj.map]
     rng = random.Random(args.seed)
     if conj.integer:
-        ints = sample_integers(rng, args.samples, args.value_bits, minimum=conj.minimum)
+        ints = sample_integers(rng, args.samples, args.value_bits, minimum=int(m.domain_min))
         starts = [Fraction(n) for n in ints]
     else:
-        starts = sample_rationals(
-            rng, args.samples, args.den_bits, args.value_bits, Fraction(conj.minimum)
-        )
+        starts = sample_rationals(rng, args.samples, args.den_bits, args.value_bits, m.domain_min)
     escape = parse_rational(args.escape)
     trap = None if conj.region is None else (Fraction(conj.region[0]), Fraction(conj.region[1]))
 
-    tally: dict[str, int] = {}
-    supporting = flagged = unresolved = 0
-    counter_lines = list(counter_lines)
-    flagged_lines = []
+    tally: dict[str, int] = {}  # by fate label
+    classes = dict.fromkeys(("supports", "flagged", "unresolved", "counterexample"), 0)
+    lines = {"flagged": [], "counterexample": list(counter_lines)}
     for x in starts:
         rep = iterate(m, x, cap=args.cap, escape_bound=escape, trap_region=trap, keep=8)
         label = rep.fate.label()
@@ -496,11 +467,8 @@ def _run_samples(args, name: str, out, demote=False, counter_lines=(), extra=Non
         cls, note = _classify(conj, m, rep)
         if cls == "counterexample" and demote:
             cls = "flagged"
-        if cls == "supports":
-            supporting += 1
-        elif cls == "unresolved":
-            unresolved += 1
-        else:
+        classes[cls] += 1
+        if cls == "counterexample" or cls == "flagged" and classes[cls] <= args.flag_limit:
             line = {
                 "type": cls,
                 "start": format_rational(x),
@@ -508,13 +476,9 @@ def _run_samples(args, name: str, out, demote=False, counter_lines=(), extra=Non
                 "steps": rep.steps_used,
                 "note": note,
             }
-            if cls == "counterexample":
-                counter_lines.append(line)
-            else:
-                flagged += 1
-                if len(flagged_lines) < args.flag_limit:
-                    flagged_lines.append(line)
-    for line in flagged_lines + counter_lines:
+            lines[cls].append(line)
+    counter_lines = lines["counterexample"]
+    for line in lines["flagged"] + counter_lines:
         out.write(_dumps(line) + "\n")
 
     if counter_lines:
@@ -537,9 +501,9 @@ def _run_samples(args, name: str, out, demote=False, counter_lines=(), extra=Non
         "cap": args.cap,
         "escape": args.escape,
         "tally": tally,
-        "supporting": supporting,
-        "flagged": flagged,
-        "unresolved": unresolved,
+        "supporting": classes["supports"],
+        "flagged": classes["flagged"],
+        "unresolved": classes["unresolved"],
         "counterexamples": len(counter_lines),
         "verdict": verdict,
         "note": _NOT_A_PROOF,
@@ -632,6 +596,8 @@ def cmd_rmap_scan(args, out) -> int:
         lo = hi = args.d
     else:
         lo, hi = _parse_range(args.d_range, "--d-range")
+        if hi > _MAX_MODULUS:
+            raise ValueError(f"--d-range must end at or below {_MAX_MODULUS}, got {args.d_range!r}")
         ds = [d for d in range(lo, hi + 1) if modulus_ok(d)]
 
     with_orbits = orbit_total = 0
@@ -707,7 +673,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_trace)
 
     sp = sub.add_parser("rmap-scan", help="closed orbits of the remainder dynamics mod d")
-    sp.add_argument("--d", type=int, default=None)
+    sp.add_argument("--d", type=_at_least(5, _MAX_MODULUS), default=None)
     sp.add_argument("--d-range", default=None, help="lo..hi, invalid moduli skipped")
     sp.add_argument("--max-len", type=_at_least(1), default=None, help="orbit length cap, default 4*d")
     common(sp)

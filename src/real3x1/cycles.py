@@ -114,7 +114,7 @@ class CycleClass(str, Enum):
     FRACTIONAL_NEGATIVE = "fractional_negative"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CycleRecord:
     """One candidate cycle: closure point, exact cycle, realization verdicts."""
 
@@ -208,14 +208,14 @@ def _realization(
     return True, None
 
 
-def misaligned_from(rec: CycleRecord, k: int, flipped: bool = False) -> int | None:
-    """Steps from index k, taken cyclically, to the first floor parity the map rejects.
+def misaligned_from(rec: CycleRecord, k: int) -> int | None:
+    """Steps from index k, taken cyclically, to the first floor parity U rejects.
 
     Rotation k of rec.s walks rec's cycle from x_k, so this is that
     rotation's first misaligned step, whatever its domain; None when there
     is none.
     """
-    return _realization(rec.d, rec.numerators, rec.s.bits, flipped, k, gate=False)[1]
+    return _realization(rec.d, rec.numerators, rec.s.bits, False, k, gate=False)[1]
 
 
 def check_realization(
@@ -231,9 +231,9 @@ def check_realization(
 def evaluate(s: BitSeq) -> CycleRecord:
     """candidate() plus both realization checks."""
     rec = candidate(s)
-    rec.realized_U, rec.misalign_U = check_realization(rec)
-    rec.realized_Uflip, rec.misalign_Uflip = check_realization(rec, flipped=True)
-    return rec
+    return CycleRecord(
+        s, rec.d, rec.numerators, rec.cls, *check_realization(rec), *check_realization(rec, True)
+    )
 
 
 def sweep(l_max: int) -> Iterator[CycleRecord]:

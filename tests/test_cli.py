@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ from real3x1 import cycles, trajectory
 from real3x1.cli import main
 from real3x1.cycles import BitSeq, evaluate
 from real3x1.errors import StructureError
+from real3x1.maps import MAPS, step
 from real3x1.rationals import format_rational
 from real3x1.remainders import trace
 from real3x1.trajectory import FateKind
@@ -190,15 +192,14 @@ def test_rotated_lines_equal_direct_evaluation(l):
     """Every line derived from a necklace is the line of the rank's own evaluation."""
     recs = [evaluate(BitSeq.from_rank(l, rank)) for rank in range(1 << l)]
     for with_verdict in (False, True):
-        text, agg = cli._sweep_chunk((l, 0, 1 << l, True, with_verdict))
+        text, counts, realized = cli._sweep_chunk((l, 0, 1 << l, True, with_verdict))
         assert text.splitlines() == [cli._dumps(direct_record(r, with_verdict)) for r in recs]
-    realized_U = [str(r.s) for r in recs if r.realized_U]
-    assert agg["records"] == len(recs)
-    assert agg["realized_U"] == realized_U
-    assert agg["realized_U_non_integer"] == [
-        str(r.s) for r in recs if r.realized_U and r.x0.denominator != 1
+    assert sum(counts.values()) == len(recs)
+    assert realized == [
+        (str(r.s), r.cls.value, r.realized_U, r.realized_Uflip)
+        for r in recs
+        if r.realized_U or r.realized_Uflip
     ]
-    assert agg["realized_Uflip"] == [str(r.s) for r in recs if r.realized_Uflip]
 
 
 @settings(deadline=None)
@@ -261,6 +262,10 @@ def _sweep_must_not_start(args, out):
     pytest.fail(f"cycles started with lmin {args.lmin}, lmax {args.lmax}")
 
 
+def _scan_must_not_start(d, max_len):
+    pytest.fail(f"rmap-scan started a scan at d = {d}, max_len {max_len}")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -280,6 +285,9 @@ def _sweep_must_not_start(args, out):
         ("cycles", "--lmax", "33", "--summary-only"),
         ("cycles", "--lmax", "40", "--lmin", "33"),
         ("cycles", "--lmax", "3", "--lmin", "33"),
+        # one scan's move table holds every even residue below d
+        ("rmap-scan", "--d", "1000001"),
+        ("rmap-scan", "--d", "1000000007"),
         # a rational bound follows the same rule: escaping |x| > 0 or > -1 is instant
         ("iterate", "--map", "U", "--start", "3", "--escape", "-1"),
         ("conjecture", "RU", "--samples", "3", "--escape", "0"),
@@ -287,6 +295,7 @@ def _sweep_must_not_start(args, out):
 )
 def test_out_of_range_integers_fail_at_parse_time(argv, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_cycles", _sweep_must_not_start)  # a missed bound fails fast
+    monkeypatch.setattr(cli, "rmap_orbit_scan", _scan_must_not_start)
     assert parse_error_code(*argv) == 1
     assert "error: argument" in capsys.readouterr().err
 
@@ -401,6 +410,26 @@ def test_rmap_scan_validation(capsys):
     assert run_cli(capsys, "rmap-scan")[0] == 1
     assert run_cli(capsys, "rmap-scan", "--d", "19", "--d-range", "5..7")[0] == 1
     assert run_cli(capsys, "rmap-scan", "--d-range", "7..5")[0] == 1
+
+
+def test_rmap_scan_range_is_bounded_before_any_scan(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "rmap_orbit_scan", _scan_must_not_start)
+    code, out, err = run_cli(capsys, "rmap-scan", "--d-range", "5..1000001")
+    assert (code, out) == (1, "")
+    assert err == "real3x1: error: --d-range must end at or below 1000000, got '5..1000001'\n"
+
+
+def test_trivial_cycles_are_cycles_of_their_maps():
+    """Each map's permitted cycle returns to its least value after exactly its length in steps."""
+    for name, cycle in cli._TRIVIAL_CYCLES.items():
+        x = Fraction(min(cycle))
+        visited = []
+        for _ in cycle:
+            visited.append(x)
+            x, _bit = step(MAPS[name], x)
+        assert x == min(cycle) and sorted(visited) == sorted(cycle), name
+    # every conjecture samples its starts from its map's domain
+    assert all(MAPS[conj.map].domain_min is not None for conj in cli._CONJECTURES.values())
 
 
 def test_conjecture_summary_shape(capsys):

@@ -35,6 +35,19 @@ def test_no_float_in_the_package():
     assert floats == []
 
 
+def test_no_private_name_crosses_modules():
+    """A module uses another only through its public names, the seams tests patch."""
+    private = [
+        f"{name}:{node.lineno} {alias.name}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def test_every_parameter_is_read():
     """A parameter the body never reads is a knob that changes nothing."""
     unused = []
