@@ -46,6 +46,8 @@ _DEFAULT_ESCAPE = str(1 << 64)
 _MAX_FAMILY = 100_000  # Q2 family starts one --m-range may ask for
 _MAX_LENGTH = 32  # cycles --lmax and --lmin; lmax 32 is about 250 times the work of lmax 24
 _MAX_MODULUS = 1_000_000  # rmap-scan --d and the top of --d-range; one scan's memory grows with d
+_MAX_MODULI = 10_000_000  # the summed moduli of one --d-range, about 20 s at 2 us per unit of d
+_MAX_SAMPLES = 1_000_000  # conjecture --samples; every start is drawn before the first orbit
 
 
 _dumps = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True), built once
@@ -239,40 +241,6 @@ def _record_json_dict(rec: CycleRecord, k: int, rank: int) -> dict:
 _NON_INTEGER = {CycleClass.FRACTIONAL_POSITIVE.value, CycleClass.FRACTIONAL_NEGATIVE.value}
 
 
-def _rotated_records(l: int, lo: int, hi: int, with_verdict: bool):
-    """The record of each rank in [lo, hi), read off its necklace.
-
-    Each rank is its least rotation r turned left by k.  r is evaluated (and
-    traced) once and kept only while another of its rotations lies ahead in
-    [lo, hi); rank's fields are r's cycle seen from x_k.
-    """
-    top = l - 1
-    cache = {}
-    for rank in range(lo, hi):
-        r = x = rank
-        k = 0
-        ahead = False
-        for j in range(1, l):
-            x = (x >> 1) | ((x & 1) << top)  # rank turned right by j
-            if x < r:
-                r, k = x, j
-            elif rank < x < hi:
-                ahead = True
-        entry = cache.pop(r, None)
-        if entry is None:
-            rec = evaluate(BitSeq.from_rank(l, r))
-            entry = rec, trace(rec).verdict if with_verdict and rec.d > 0 else None
-        if ahead:
-            cache[r] = entry
-        rec, verdict = entry
-        obj = _record_json_dict(rec, k, rank)
-        if with_verdict:
-            if verdict is not None and verdict.kind is VerdictKind.MISALIGNED_AT:
-                verdict = Verdict(verdict.kind, misaligned_from(rec, k))  # counted from x_k
-            obj["verdict"] = None if verdict is None else verdict.label()
-        yield obj
-
-
 def _sweep_chunk(task) -> tuple[str, dict, list]:
     """Record lines, class counts and realized rows for one rank range of one length.
 
@@ -281,25 +249,43 @@ def _sweep_chunk(task) -> tuple[str, dict, list]:
     through its least rotation and counts for all its rotations; a pattern
     string is built only for the rows of a realized class, whose rotations
     may lie in other ranges, so cmd_cycles puts the rows back in order.  With
-    lines, every rank gets its own record, derived from its rotation class.
+    lines, the first rank r of each class that the range meets is evaluated
+    (and traced) once, and each rotation of r in the range, r turned left by
+    k, gets r's cycle seen from x_k.
     """
     l, lo, hi, emit_lines, with_verdict = task
-    lines, counts, realized = [], {}, []
-    if emit_lines:
-        for obj in _rotated_records(l, lo, hi, with_verdict):
-            cls = obj["class"]
-            counts[cls] = counts.get(cls, 0) + 1
-            if obj["realized_U"] or obj["realized_Uflip"]:
-                realized.append((obj["bits"], cls, obj["realized_U"], obj["realized_Uflip"]))
-            lines.append(_dumps(obj))
-        lines.append("")  # the last line's newline
-    else:
+    counts, realized = {}, []
+    if not emit_lines:
         for bits, period, cls, on_U, on_Uflip in necklace_summaries(l, lo, hi):
             counts[cls] = counts.get(cls, 0) + period
             if on_U or on_Uflip:
                 s = str(BitSeq(bits))
                 realized += [(s[k:] + s[:k], cls, on_U, on_Uflip) for k in range(period)]
-    return "\n".join(lines), counts, realized
+        return "", counts, realized
+    top, mask = l - 1, (1 << l) - 1
+    lines = [None] * (hi - lo)  # a filled slot marks its class as walked
+    for r in range(lo, hi):
+        if lines[r - lo] is not None:
+            continue
+        rec = evaluate(BitSeq.from_rank(l, r))
+        verdict = trace(rec).verdict if with_verdict and rec.d > 0 else None
+        misaligned = verdict is not None and verdict.kind is VerdictKind.MISALIGNED_AT
+        x, k = r, 0
+        while True:
+            if lo <= x < hi:
+                obj = _record_json_dict(rec, k, x)
+                if with_verdict:  # a misaligned step is counted from x_k
+                    v = Verdict(verdict.kind, misaligned_from(rec, k)) if misaligned else verdict
+                    obj["verdict"] = None if v is None else v.label()
+                cls = obj["class"]
+                counts[cls] = counts.get(cls, 0) + 1
+                if obj["realized_U"] or obj["realized_Uflip"]:
+                    realized.append((obj["bits"], cls, obj["realized_U"], obj["realized_Uflip"]))
+                lines[x - lo] = _dumps(obj) + "\n"
+            x, k = ((x << 1) & mask) | (x >> top), k + 1  # r turned left by k
+            if x == r:
+                break
+    return "".join(lines), counts, realized
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -598,7 +584,9 @@ def cmd_rmap_scan(args, out) -> int:
         lo, hi = _parse_range(args.d_range, "--d-range")
         if hi > _MAX_MODULUS:
             raise ValueError(f"--d-range must end at or below {_MAX_MODULUS}, got {args.d_range!r}")
-        ds = [d for d in range(lo, hi + 1) if modulus_ok(d)]
+        ds = [d for d in range(max(lo, 5), hi + 1) if modulus_ok(d)]  # no modulus is below 5
+        if sum(ds) > _MAX_MODULI:
+            raise ValueError(f"--d-range moduli must sum to at most {_MAX_MODULI}, got {args.d_range!r}")
 
     with_orbits = orbit_total = 0
     for d in ds:
@@ -655,7 +643,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("conjecture", help="seeded evidence run for one named conjecture")
     sp.add_argument("name", choices=sorted(_CONJECTURES))
-    sp.add_argument("--samples", type=_at_least(1), default=1000)
+    sp.add_argument("--samples", type=_at_least(1, _MAX_SAMPLES), default=1000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--den-bits", type=_at_least(1), default=32)
     sp.add_argument("--value-bits", type=_at_least(1), default=16)

@@ -36,15 +36,17 @@ necklace_summaries() closes and scans each on plain integers and tuples, and
 builds no record.
 
 A record reads phi = +-nums[0] and x0 = nums[0] / |d| from its numerators
-nums.  Per-rank records come from one representative per necklace too.
-Rotation k closes at x_k = nums[k] / |d|, so its phi is +-nums[k], and its
-realization checks are the representative's cycle scanned from index k
-(check_realization(rec, flipped, k)).  The remainder ledger (remainders.trace)
-checks its recurrence on the cyclic pairs (c_{i-1}, c_i) that leave an aligned
-index, and every rotation has the same set of pairs, only renumbered.  One
-trace per necklace therefore makes every check that a trace per rank would
-make; rotation k's verdict is the representative's, with a misalignment
-counted from index k (misaligned_from).
+nums.  Per-rank records come from one representative per necklace too: record
+mode evaluates the first rank of each class that a rank block meets, whether
+or not it is the least rotation.  Its rotation k closes at x_k = nums[k] / |d|,
+so its phi is +-nums[k], and its realization checks are the representative's
+cycle scanned from index k (check_realization(rec, flipped, k)).  The
+remainder ledger (remainders.trace) checks its recurrence on the cyclic pairs
+(c_{i-1}, c_i) that leave an aligned index, and every rotation has the same
+set of pairs, only renumbered.  One trace per necklace and block therefore
+makes every check that a trace per rank would make; rotation k's verdict is
+the representative's, with a misalignment counted from index k
+(misaligned_from).
 """
 
 from __future__ import annotations

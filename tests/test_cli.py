@@ -189,13 +189,23 @@ def direct_record(rec, with_verdict=True):
 
 @pytest.mark.parametrize("l", range(1, 13))
 def test_rotated_lines_equal_direct_evaluation(l):
-    """Every line derived from a necklace is the line of the rank's own evaluation."""
-    recs = [evaluate(BitSeq.from_rank(l, rank)) for rank in range(1 << l)]
+    """Every line derived from a class is the line of the rank's own evaluation.
+
+    A block smaller than the length often meets a class first at a rank that
+    is not its least rotation; blocks of 1, 4 and 16 ranks are checked up to
+    l = 10.
+    """
+    total = 1 << l
+    recs = [evaluate(BitSeq.from_rank(l, rank)) for rank in range(total)]
     for with_verdict in (False, True):
-        text, counts, realized = cli._sweep_chunk((l, 0, 1 << l, True, with_verdict))
-        assert text.splitlines() == [cli._dumps(direct_record(r, with_verdict)) for r in recs]
+        expected = [cli._dumps(direct_record(r, with_verdict)) for r in recs]
+        for size in [1, 4, 16] if l <= 10 else []:
+            blocks = [(l, lo, min(lo + size, total), True, with_verdict) for lo in range(0, total, size)]
+            assert "".join(cli._sweep_chunk(b)[0] for b in blocks).splitlines() == expected
+        text, counts, realized = cli._sweep_chunk((l, 0, total, True, with_verdict))
+        assert text.splitlines() == expected
     assert sum(counts.values()) == len(recs)
-    assert realized == [
+    assert sorted(realized) == [  # cmd_cycles orders the rows; equal-length patterns sort by rank
         (str(r.s), r.cls.value, r.realized_U, r.realized_Uflip)
         for r in recs
         if r.realized_U or r.realized_Uflip
@@ -206,8 +216,8 @@ def test_rotated_lines_equal_direct_evaluation(l):
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=24))
 def test_rotated_record_equals_direct_evaluation(bits):
     s = BitSeq(tuple(bits))
-    (obj,) = cli._rotated_records(s.l, s.rank, s.rank + 1, True)
-    assert obj == direct_record(evaluate(s))
+    text, _, _ = cli._sweep_chunk((s.l, s.rank, s.rank + 1, True, True))
+    assert text == cli._dumps(direct_record(evaluate(s))) + "\n"
 
 
 def test_records_evaluate_and_trace_each_necklace_once(capsys, monkeypatch):
@@ -230,6 +240,35 @@ def test_records_evaluate_and_trace_each_necklace_once(capsys, monkeypatch):
         least += sorted({min(p[k:] + p[:k] for k in range(l)) for p in patterns})
     assert evaluated == least
     assert traced == [bits for bits in least if 2 ** len(bits) > 3 ** bits.count("1")]
+
+
+def test_record_blocks_evaluate_each_class_once(capsys, monkeypatch):
+    """A block evaluates the first rank of each class it meets, and traces it when d > 0."""
+    evaluated, traced = [], []
+
+    def counting_evaluate(s):
+        evaluated.append(str(s))
+        return evaluate(s)
+
+    def counting_trace(rec, flipped=False):
+        traced.append(str(rec.s))
+        return trace(rec, flipped)
+
+    monkeypatch.setattr(cli, "evaluate", counting_evaluate)
+    monkeypatch.setattr(cli, "trace", counting_trace)
+    monkeypatch.setattr(cli, "_CHUNK_RANKS", 16)
+    assert run_cli(capsys, "cycles", "--lmax", "8", "--with-verdict")[0] == 0
+    first = []
+    for l in range(1, 9):
+        for lo in range(0, 1 << l, 16):
+            block = {}  # least rotation -> the block's first rank of that class
+            for r in range(lo, min(lo + 16, 1 << l)):
+                p = f"{r:0{l}b}"
+                block.setdefault(min(p[k:] + p[:k] for k in range(l)), p)
+            first += block.values()
+    assert evaluated == first
+    assert traced == [bits for bits in first if 2 ** len(bits) > 3 ** bits.count("1")]
+    assert any(bits != min(bits[k:] + bits[:k] for k in range(len(bits))) for bits in first)
 
 
 def test_cycles_worker_count_does_not_change_output(tmp_path):
@@ -274,6 +313,8 @@ def _scan_must_not_start(d, max_len):
         ("conjecture", "RU", "--samples", "3", "--cap", "-5"),
         ("rmap-scan", "--d", "19", "--max-len", "0"),
         ("conjecture", "RU", "--samples", "0"),
+        # every start is drawn before the first orbit runs
+        ("conjecture", "RU", "--samples", "1000001"),
         ("iterate", "--map", "U", "--start", "3", "--keep", "0"),
         ("iterate", "--map", "U", "--start", "3", "--den-bit-cap", "0"),
         ("conjecture", "RU", "--flag-limit", "-1"),
@@ -417,6 +458,23 @@ def test_rmap_scan_range_is_bounded_before_any_scan(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "rmap-scan", "--d-range", "5..1000001")
     assert (code, out) == (1, "")
     assert err == "real3x1: error: --d-range must end at or below 1000000, got '5..1000001'\n"
+
+
+@pytest.mark.parametrize("d_range", ["5..8000", "5..1000000", "-1000000000000..1000000"])
+def test_rmap_scan_range_width_is_bounded_before_any_scan(d_range, capsys, monkeypatch):
+    """Valid moduli summing past 10,000,000 (5..8000 sums to 10,669,332) run no scan."""
+    monkeypatch.setattr(cli, "rmap_orbit_scan", _scan_must_not_start)
+    code, out, err = run_cli(capsys, "rmap-scan", f"--d-range={d_range}")
+    assert (code, out) == (1, "")
+    assert err == f"real3x1: error: --d-range moduli must sum to at most 10000000, got {d_range!r}\n"
+
+
+@pytest.mark.parametrize("d_range,scanned", [("5..7000", 2332), ("-1000000000000..5", 1)])
+def test_rmap_scan_range_within_the_bound_runs(d_range, scanned, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "rmap_orbit_scan", lambda d, max_len: [])
+    code, out, _ = run_cli(capsys, "rmap-scan", f"--d-range={d_range}")
+    assert code == 0
+    assert jsonl(out)[-1]["scanned"] == scanned
 
 
 def test_trivial_cycles_are_cycles_of_their_maps():

@@ -72,3 +72,17 @@ def test_every_parameter_is_read():
                 and not p.arg.startswith("_")
             ]
     assert unused == []
+
+
+def test_only_the_cli_writes_to_stdout_or_stderr():
+    """Library modules return their results; no print and no sys.stdout or sys.stderr."""
+    writes = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        if name != "cli.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+        or isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+        and isinstance(node.value, ast.Name) and node.value.id == "sys"
+    ]
+    assert writes == []
