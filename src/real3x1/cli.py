@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from .cycles import BitSeq, CycleClass, CycleRecord, check_realization, evaluate, misaligned_from, necklace_summaries
 from .errors import StructureError
@@ -242,24 +242,26 @@ _NON_INTEGER = {CycleClass.FRACTIONAL_POSITIVE.value, CycleClass.FRACTIONAL_NEGA
 
 
 def _sweep_chunk(task) -> tuple[str, dict, list]:
-    """Record lines, class counts and realized rows for one rank range of one length.
+    """Record lines, record counts by (l, n, class) and realized rows for one rank range of one length.
 
     A realized row is (pattern, class, realized_U, realized_Uflip).  Without
-    lines, each rotation class is closed and scanned once, on plain integers,
-    through its least rotation and counts for all its rotations; a pattern
-    string is built only for the rows of a realized class, whose rotations
-    may lie in other ranges, so cmd_cycles puts the rows back in order.  With
-    lines, the first rank r of each class that the range meets is evaluated
-    (and traced) once, and each rotation of r in the range, r turned left by
-    k, gets r's cycle seen from x_k.
+    lines, the necklaces of the range are closed and scanned once per
+    (l, n) group, on plain integers, each through its least rotation and
+    counting for all its rotations; a pattern string is built only for the
+    rows of a realized class, whose rotations may lie in other ranges, so
+    cmd_cycles puts the rows back in order.  With lines, the first rank r of
+    each class that the range meets is evaluated (and traced) once, and each
+    rotation of r in the range, r turned left by k, gets r's cycle seen from
+    x_k.
     """
     l, lo, hi, emit_lines, with_verdict = task
     counts, realized = {}, []
     if not emit_lines:
-        for bits, period, cls, on_U, on_Uflip in necklace_summaries(l, lo, hi):
-            counts[cls] = counts.get(cls, 0) + period
+        for n, rank, period, cls, on_U, on_Uflip in necklace_summaries(l, lo, hi):
+            key = (l, n, cls)
+            counts[key] = counts.get(key, 0) + period
             if on_U or on_Uflip:
-                s = str(BitSeq(bits))
+                s = format(rank, f"0{l}b")
                 realized += [(s[k:] + s[:k], cls, on_U, on_Uflip) for k in range(period)]
         return "", counts, realized
     top, mask = l - 1, (1 << l) - 1
@@ -270,21 +272,23 @@ def _sweep_chunk(task) -> tuple[str, dict, list]:
         rec = evaluate(BitSeq.from_rank(l, r))
         verdict = trace(rec).verdict if with_verdict and rec.d > 0 else None
         misaligned = verdict is not None and verdict.kind is VerdictKind.MISALIGNED_AT
-        x, k = r, 0
+        cls = rec.cls.value
+        x, k, written = r, 0, 0
         while True:
             if lo <= x < hi:
                 obj = _record_json_dict(rec, k, x)
                 if with_verdict:  # a misaligned step is counted from x_k
                     v = Verdict(verdict.kind, misaligned_from(rec, k)) if misaligned else verdict
                     obj["verdict"] = None if v is None else v.label()
-                cls = obj["class"]
-                counts[cls] = counts.get(cls, 0) + 1
                 if obj["realized_U"] or obj["realized_Uflip"]:
                     realized.append((obj["bits"], cls, obj["realized_U"], obj["realized_Uflip"]))
                 lines[x - lo] = _dumps(obj) + "\n"
+                written += 1
             x, k = ((x << 1) & mask) | (x >> top), k + 1  # r turned left by k
             if x == r:
                 break
+        key = (l, rec.s.n, cls)
+        counts[key] = counts.get(key, 0) + written
     return "".join(lines), counts, realized
 
 
@@ -305,13 +309,13 @@ def cmd_cycles(args, out) -> int:
                 (l, lo, min(lo + _CHUNK_RANKS, total), not args.summary_only, args.with_verdict)
             )
 
-    counts, realized = {}, []
+    tallies, realized = {}, []
 
     def merge(result):
         text, chunk_counts, chunk_realized = result
         out.write(text)
-        for cls, k in chunk_counts.items():
-            counts[cls] = counts.get(cls, 0) + k
+        for key, k in chunk_counts.items():
+            tallies[key] = tallies.get(key, 0) + k
         realized.extend(chunk_realized)
 
     workers = _pool_size(args.workers, len(tasks))
@@ -325,10 +329,21 @@ def cmd_cycles(args, out) -> int:
             for result in pool.map(_sweep_chunk, tasks):
                 merge(result)
 
-    records = sum(counts.values())  # every record has exactly one class
+    records = sum(tallies.values())  # every record has exactly one (l, n, class)
     expected = (1 << (args.lmax + 1)) - (1 << args.lmin)
     if records != expected:
         raise StructureError(f"sweep counted {records} records, expected {expected}")
+    counts, by_length = {}, {}
+    for (l, n, cls), k in tallies.items():
+        counts[cls] = counts.get(cls, 0) + k
+        by_length[l, n] = by_length.get((l, n), 0) + k
+    for l in range(args.lmin, args.lmax + 1):
+        for n in range(l + 1):  # one record per pattern of l bits with n ones
+            if by_length.get((l, n), 0) != comb(l, n):
+                raise StructureError(
+                    f"sweep counted {by_length.get((l, n), 0)} records with l = {l}, n = {n}, "
+                    f"expected {comb(l, n)}"
+                )
     realized.sort(key=lambda row: (len(row[0]), int(row[0], 2)))  # (l, rank)
     non_integer = [bits for bits, cls, on_U, _ in realized if on_U and cls in _NON_INTEGER]
     realized_Uflip = [bits for bits, _, _, on_Uflip in realized if on_Uflip]
@@ -683,6 +698,26 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(limit)
 
 
+class _OutFile:
+    """The --out file, opened for writing at the first write.
+
+    A command checks its arguments before it writes, so one that rejects
+    them leaves an existing file as it was.
+    """
+
+    def __init__(self, path: str):
+        self.path, self.fh = path, None
+
+    def write(self, text: str) -> int:
+        if self.fh is None:
+            self.fh = open(self.path, "w", encoding="utf-8", newline="")
+        return self.fh.write(text)
+
+    def close(self) -> None:
+        if self.fh is not None:
+            self.fh.close()
+
+
 def _main(argv: list[str] | None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -695,8 +730,11 @@ def _main(argv: list[str] | None) -> int:
         args = build_parser().parse_args(argv)
         if args.out == "-":
             return args.func(args, sys.stdout)
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            return args.func(args, fh)
+        out = _OutFile(args.out)
+        try:
+            return args.func(args, out)
+        finally:
+            out.close()
     except OSError as exc:
         print(f"real3x1: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

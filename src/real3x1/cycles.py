@@ -9,16 +9,35 @@ x -> (3^n x + offset) / 2^l, which has the single fixed point
 and that fixed point is the only value whose forced walk closes.  A closed
 forced walk is automatically parity aligned with g's own dispatch: one
 misaligned step sends the 2-adic valuation negative, both branches then push
-it down forever, and the walk could never return to its start.  _close() is
-the one closure walk: on a 0/1 tuple it rebuilds the cycle in integer
-arithmetic over the common denominator |d| and checks this alignment at every
-step; candidate() wraps its result in a CycleRecord.
+it down forever, and the walk could never return to its start.
+
+_walk() is the one closure walk.  It rebuilds the cycle in integer arithmetic,
+as c_j = x_j * d >= 0, and checks this alignment at every step.  It walks any
+number of sequences that share l and n, and so share d, side by side: each
+gets a lane of 64 bits (or a multiple of 64) in one integer, and each step is
+a handful of big-integer operations over all lanes (SIMD within a register:
+Fisher and Dietz, "Compiling for SIMD within a register", LCPC 1998).  With
+b_j the bit vector of step j (bit j of each lane's sequence, at the lane's
+lowest bit) and M_j = b_j times a full lane, a step is
+
+    offset:  O <- O + ((O & M_j) << 1) + (b_j << j)     (O_l = x0 * d)
+    walk:    c <- (c + ((c & M_j) << 1) + b_j * d) >> 1  (c/2 or (3c + d)/2)
+
+Every c_j is a rotation's offset, below 2^l 3^(n-1), so 3c + d fits in
+l + bitlen(3^n) + 1 bits.  The bits above that, two or more per lane, are a
+guard: they stay zero while every lane is in range.  A lane that outgrows
+its value bits sets them before it can carry into the next lane, and one
+that goes negative sets them as it borrows from it.  One AND and one
+comparison per step check the guard and the alignment of every lane, and
+closure is c_l == c_0, for all lanes at once.  _close() is the one-lane case;
+candidate() wraps its result in a CycleRecord.
 
 Whether the same closed walk is realized by the floor-parity maps is a
 separate, stricter question: U requires floor(x_i) parity to equal the branch
 bit at every step (and x0 >= 1), Uflip requires the opposite parity at every
 step (and x0 >= 0).  The sweep records the first index where each of these
-fails; _realization() is the one scan, on the integers.
+fails; _realization() is the one scan, on the integers, for a lane as for a
+record.
 
 Both answers, and the cycle class, are shared by every rotation of s.  The
 rotation by k closes at x_k, the k-th point of the same g-cycle, so it walks
@@ -32,8 +51,8 @@ necklace's period is the length of its Lyndon prefix (Ruskey, Savage and
 Wang, "Generating necklaces", J. Algorithms 13, 1992; Cattell, Ruskey,
 Sawada, Serra and Miers, "Fast algorithms to generate necklaces, unlabeled
 necklaces, and irreducible polynomials over GF(2)", J. Algorithms 37, 2000).
-necklace_summaries() closes and scans each on plain integers and tuples, and
-builds no record.
+necklace_summaries() groups a block's necklaces by n, closes each group in
+one _walk, scans each lane, and builds no record.
 
 A record reads phi = +-nums[0] and x0 = nums[0] / |d| from its numerators
 nums.  Per-rank records come from one representative per necklace too: record
@@ -51,19 +70,14 @@ the representative's, with a misalignment counted from index k
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import StructureError
-from .maps import affine_offset
-
-
-def _pattern(bits) -> str:
-    """A 0/1 tuple as the string of its bits."""
-    return "".join(map(str, bits))
 
 
 @dataclass(frozen=True)
@@ -105,7 +119,7 @@ class BitSeq:
         return cls(tuple(int(ch) for ch in text))
 
     def __str__(self) -> str:
-        return _pattern(self.bits)
+        return "".join(map(str, self.bits))
 
 
 class CycleClass(str, Enum):
@@ -144,32 +158,104 @@ class CycleRecord:
         return tuple(Fraction(a, D) for a in self.numerators)
 
 
-def _close(bits: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
-    """(d, phi, nums) for the forced walk of a 0/1 tuple: x0 = phi / d, nums the cycle times |d|, closed.
+def _lane_bits(l: int, n: int) -> int:
+    """Bits that hold every value of a forced walk with n ones in l steps.
+
+    The walk's values are its rotations' offsets c < 2^l 3^(n-1), so its
+    largest sum, 3c + d, stays below 2^(l + bitlen(3^n) + 1).
+    """
+    return l + (3**n).bit_length() + 1
+
+
+def _offsets(bits: list[int], lane: int) -> int:
+    """The closure offsets c of lanes with bit vectors bits: c += b_j (2c + 2^j) at each b_j."""
+    c = 0
+    for j, b in enumerate(bits):
+        c += ((c & b * lane) << 1) + (b << j)
+    return c
+
+
+def _walk(l: int, n: int, ranks: list[int]) -> tuple[int, list[Sequence[int]]]:
+    """(d, lanes): the forced walks of ranks of length l with n ones, walked side by side.
+
+    ranks[i] gets lane i of one integer, w = 64 bits (or a multiple of 64)
+    from bit i * w up, and every step is a handful of operations on all
+    lanes at once (see the module docstring).  A lane holds c_j = x_j * d >= 0,
+    so an odd step is (3c + d) / 2 for either sign of d.  lanes[i] is
+    (c_0, ..., c_l) for ranks[i], closed (c_l = c_0, the closure offset phi).
 
     Checks that d is odd and nonzero, that 3 does not divide d when n >= 1,
-    that every step is parity aligned, and that the walk closes.
+    that every lane stays in [0, 2^_lane_bits(l, n)), that every step is
+    parity aligned, and that every walk closes.  The guard bits above each
+    lane's value bits, two or more, catch a lane that grows past them before
+    it can carry into the next lane, and one that goes negative as it
+    borrows from it.
     """
-    l, n = len(bits), sum(bits)
     d = (1 << l) - 3**n
     if d == 0 or d % 2 != 1:
         raise StructureError(f"d = 2^{l} - 3^{n} must be odd nonzero, got {d}")
     if n >= 1 and d % 3 == 0:
         raise StructureError(f"3 divides d = {d} with n = {n} >= 1")
 
-    phi = affine_offset(bits)
-    D = abs(d)
-    a = phi if d > 0 else -phi
-    nums = [a]
+    m = len(ranks)
+    value_bits = _lane_bits(l, n)
+    size = (value_bits + 65) // 64 * 8  # bytes per lane, at least two guard bits
+    lane = (1 << 8 * size) - 1
+    ones = ((1 << 8 * size * m) - 1) // lane
+    guard = ones * (lane >> value_bits << value_bits) | -1 << 8 * size * m
+    packed = int.from_bytes(b"".join([r.to_bytes(size, "little") for r in ranks]), "little")
+    # bits[j]: bit j of every lane's rank, at the lane's lowest bit
+    bits = [packed >> shift & ones for shift in range(l - 1, -1, -1)]
+
+    def pattern(x):  # the rank of the lowest lane in which x has a set bit
+        i = ((x & -x).bit_length() - 1) // (8 * size)
+        return format(ranks[min(i, m - 1)], f"0{l}b")
+
+    checked = guard | ones
+    c = start = _offsets(bits, lane)
+    steps = []
     for j, b in enumerate(bits):
-        # Closed forced walks are parity aligned with g's own dispatch.
-        if a % 2 != b:
-            raise StructureError(f"parity misalignment at step {j} of {_pattern(bits)}")
-        a = a >> 1 if b == 0 else (3 * a + D) >> 1
-        nums.append(a)
-    if nums[-1] != nums[0]:
-        raise StructureError(f"forced walk of {_pattern(bits)} failed to close")
-    return d, phi, tuple(nums)
+        if c & checked != b:  # one AND checks every lane's guard bits and parity
+            if c & guard:
+                raise StructureError(f"forced walk of {pattern(c & guard)} overflowed its lane at step {j}")
+            # Closed forced walks are parity aligned with g's own dispatch.
+            raise StructureError(f"parity misalignment at step {j} of {pattern(c & ones ^ b)}")
+        steps.append(c)
+        c = (c + ((c & b * lane) << 1) + b * d) >> 1
+    if c != start:  # an overflowed lane has guard bits set, which start has not
+        raise StructureError(f"forced walk of {pattern(c ^ start)} failed to close")
+    steps.append(c)
+
+    if m == 1:  # a lone lane is its own value
+        return d, [steps]
+    # every c_j of every lane, step by step: lane i is every m-th value from i
+    rows = b"".join([c.to_bytes(size * m, "little") for c in steps])
+    if size == 8 and sys.byteorder == "little":  # read in C
+        values = memoryview(rows).cast("Q")
+    else:  # lanes wider than 64 bits
+        values = [int.from_bytes(rows[i : i + size], "little") for i in range(0, len(rows), size)]
+    return d, [values[i::m] for i in range(m)]
+
+
+def _close(bits: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    """(d, phi, nums) for the forced walk of a 0/1 tuple: x0 = phi / d, nums the cycle times |d|, closed.
+
+    The one-lane case of _walk, with all of its checks.
+    """
+    rank = 0
+    for b in bits:
+        rank = rank << 1 | b
+    d, (walk,) = _walk(len(bits), sum(bits), [rank])
+    return d, walk[0], tuple(_numerators(d, walk))
+
+
+def _numerators(d: int, walk: Sequence[int]) -> Sequence[int]:
+    """A lane's x_j * d as a cycle's numerators, x_j * |d|.
+
+    A list, not a tuple: CPython keeps up to 2000 freed tuples of each
+    length for reuse, and a sweep would fill that store for every l.
+    """
+    return walk if d > 0 else [-c for c in walk]
 
 
 def _cycle_class(phi: int, d: int) -> CycleClass:
@@ -187,25 +273,26 @@ def candidate(s: BitSeq) -> CycleRecord:
 
 
 def _realization(
-    d: int, nums: tuple[int, ...], bits: tuple[int, ...], flipped: bool, k: int, *, gate: bool = True
+    d: int, nums: Sequence[int], flipped: bool, k: int = 0, *, gate: bool = True
 ) -> tuple[bool, int | None]:
-    """Does U, or Uflip when flipped, walk the cycle nums / |d| of bits from x_k?
+    """Does U, or Uflip when flipped, walk the cycle nums / |d| from x_k?
 
-    (False, None) when x_k is outside the map's domain (x_k >= 1 for U, x_k
-    >= 0 for Uflip) and gate is set; otherwise (False, i) names the first
-    step, counted cyclically from k, whose floor parity the map rejects: U
-    needs floor(x_j) mod 2 to equal the branch bit b_j, Uflip needs it to
-    differ.  Along any prefix where they match, the walk consists of genuine
-    steps of the map, so the domain stays forward-invariant and only the bit
-    comparison is needed.
+    nums holds x_j * |d| for j <= l, closed.  (False, None) when x_k is
+    outside the map's domain (x_k >= 1 for U, x_k >= 0 for Uflip) and gate
+    is set; otherwise (False, i) names the first step, counted cyclically
+    from k, whose floor parity the map rejects: U needs floor(x_j) mod 2 to
+    equal the branch bit b_j, Uflip needs it to differ.  The forced walk is
+    parity aligned, so b_j is the parity of x_j * |d|.  Along any prefix
+    where they match, the walk consists of genuine steps of the map, so the
+    domain stays forward-invariant and only the bit comparison is needed.
     """
     D = abs(d)
     if gate and nums[k] < (0 if flipped else D):
         return False, None
-    l = len(bits)
+    l = len(nums) - 1
     for i in range(l):
-        j = k + i if k + i < l else k + i - l
-        if (nums[j] // D) % 2 != bits[j] ^ flipped:
+        a = nums[k + i if k + i < l else k + i - l]
+        if (a // D ^ a) & 1 != flipped:
             return False, i
     return True, None
 
@@ -217,7 +304,7 @@ def misaligned_from(rec: CycleRecord, k: int) -> int | None:
     rotation's first misaligned step, whatever its domain; None when there
     is none.
     """
-    return _realization(rec.d, rec.numerators, rec.s.bits, False, k, gate=False)[1]
+    return _realization(rec.d, rec.numerators, False, k, gate=False)[1]
 
 
 def check_realization(
@@ -227,7 +314,7 @@ def check_realization(
 
     k = 0 asks about rec.s itself, k > 0 about its rotation left by k.
     """
-    return _realization(rec.d, rec.numerators, rec.s.bits, flipped, k)
+    return _realization(rec.d, rec.numerators, flipped, k)
 
 
 def evaluate(s: BitSeq) -> CycleRecord:
@@ -253,51 +340,75 @@ def sweep(l_max: int) -> Iterator[CycleRecord]:
             yield evaluate(BitSeq.from_rank(l, rank))
 
 
-def necklaces(l: int, lo: int, hi: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(bits, period) for each necklace of length l whose least rotation has its rank in [lo, hi).
+def necklaces(l: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """(rank, period) for each necklace of length l whose least rotation has its rank in [lo, hi).
 
-    bits is the least rotation, period the number of its distinct rotations,
+    rank is the least rotation, period the number of its distinct rotations,
     so the periods of one length sum to 2^l.  [lo, hi) must be an aligned
     block of 2^b ranks: the words that share one prefix of l - b bits.  FKM
     walks that block's prenecklaces in lexicographic (rank) order.  Each is
-    the periodic extension of its Lyndon prefix of length p; it is a
-    necklace, with period p, when p divides l.  The successor of a
-    prenecklace raises its last 0 to 1 and extends the result periodically;
-    when that 0 lies in the prefix, the block is done.
+    the periodic extension of its Lyndon prefix of length p, the prefix
+    times a repunit of p-bit digits; it is a necklace, with period p, when p
+    divides l.  The successor of a prenecklace raises its last 0 to 1 and
+    extends the result periodically; when that 0 lies in the prefix, the
+    block is done.
     """
     size = hi - lo
     if l < 1 or not 0 <= lo < hi <= 1 << l or size & (size - 1) or lo % size:
         raise StructureError(f"ranks [{lo}, {hi}) of length {l} are not an aligned power-of-two block")
     m = l + 1 - size.bit_length()  # the fixed prefix
-    w = [(lo >> (l - 1 - j)) & 1 for j in range(m)] + [0] * (l - m)
     p = 1
     for j in range(1, m):
-        if w[j] != w[j - p]:
-            if w[j] < w[j - p]:
+        bit, earlier = lo >> (l - 1 - j) & 1, lo >> (l - 1 - j + p) & 1
+        if bit != earlier:
+            if bit < earlier:
                 return  # not a prenecklace, and neither is any word it starts
             p = j + 1
+    extend = [None]  # extend[p]: the repunit and tail length that extend a p-bit prefix to l bits
+    for q in range(1, l + 1):
+        copies, tail = divmod(l, q)
+        extend.append((((1 << copies * q) - 1) // ((1 << q) - 1), tail))
+    prefix = lo >> (l - p)
     while True:
-        for j in range(p, l):
-            w[j] = w[j - p]
-        if l % p == 0:
-            yield tuple(w), p
-        i = l - 1
-        while i >= m and w[i]:
-            i -= 1
-        if i < m:
+        repunit, tail = extend[p]
+        w = prefix * repunit << tail | prefix >> (p - tail)
+        if not tail:
+            yield w, p
+        trailing = (w ^ (w + 1)).bit_length() - 1  # 1s; the last 0 is just above them
+        p = l - trailing
+        if p <= m:
             return
-        w[i] = 1
-        p = i + 1
+        prefix = w >> trailing | 1
+
+
+_LANES = 64  # necklaces per walk: enough to spread a walk's fixed cost, few enough to keep memory small
 
 
 def necklace_summaries(l: int, lo: int, hi: int) -> Iterator[tuple]:
-    """(bits, period, class value, realized_U, realized_Uflip) for each of necklaces(l, lo, hi).
+    """(n, rank, period, class value, realized_U, realized_Uflip) for each of necklaces(l, lo, hi).
 
-    All period rotations of bits share these answers.  Each necklace is
-    closed and scanned on plain integers; no record is built.
+    All period rotations of rank share these answers.  The necklaces of one
+    (l, n) share d = 2^l - 3^n, so they are closed _LANES at a time in one
+    _walk, and each lane is scanned on its own; no record is built.
     """
-    for bits, period in necklaces(l, lo, hi):
-        d, phi, nums = _close(bits)
-        realized_U = _realization(d, nums, bits, False, 0)[0]
-        realized_Uflip = _realization(d, nums, bits, True, 0)[0]
-        yield bits, period, _cycle_class(phi, d).value, realized_U, realized_Uflip
+    groups = {}
+    for rank, period in necklaces(l, lo, hi):
+        group = groups.setdefault(rank.bit_count(), [])
+        group.append((rank, period))
+        if len(group) == _LANES:
+            yield from _summaries(l, group)
+            group.clear()
+    for group in groups.values():
+        if group:
+            yield from _summaries(l, group)
+
+
+def _summaries(l: int, group: list[tuple[int, int]]) -> Iterator[tuple]:
+    """necklace_summaries() for one group of (rank, period) pairs of length l, all with n ones."""
+    n = group[0][0].bit_count()
+    d, lanes = _walk(l, n, [rank for rank, _ in group])
+    for (rank, period), walk in zip(group, lanes):
+        nums = _numerators(d, walk)
+        realized_U = _realization(d, nums, False)[0]
+        realized_Uflip = _realization(d, nums, True)[0]
+        yield n, rank, period, _cycle_class(walk[0], d).value, realized_U, realized_Uflip

@@ -283,12 +283,31 @@ def test_lost_record_is_an_internal_error(capsys, monkeypatch):
     necklaces = cycles.necklaces
 
     def lossy(l, lo, hi):  # drop the class of 0001 and its three rotations
-        return (c for c in necklaces(l, lo, hi) if c[0] != (0, 0, 0, 1))
+        return (c for c in necklaces(l, lo, hi) if (l, c[0]) != (4, 0b0001))
 
     monkeypatch.setattr(cycles, "necklaces", lossy)
     code, out, err = run_cli(capsys, "cycles", "--lmax", "5", "--summary-only")
     assert (code, out) == (5, "")
     assert err == "real3x1: internal error: sweep counted 58 records, expected 62\n"
+
+    def swapped(l, lo, hi):  # 0001 walked as 0011: the same period and class, one more 1
+        return ((0b0011, p) if (l, r) == (4, 0b0001) else (r, p) for r, p in necklaces(l, lo, hi))
+
+    # only the count by (l, n) sees this one: the total and every class count add up
+    monkeypatch.setattr(cycles, "necklaces", swapped)
+    code, out, err = run_cli(capsys, "cycles", "--lmax", "5", "--summary-only")
+    assert (code, out) == (5, "")
+    assert err == "real3x1: internal error: sweep counted 0 records with l = 4, n = 1, expected 4\n"
+
+    # record mode counts by (l, n) in its class walk
+    def swapped_evaluate(s):
+        return evaluate(BitSeq.from_string("0011") if str(s) == "0001" else s)
+
+    monkeypatch.setattr(cycles, "necklaces", necklaces)
+    monkeypatch.setattr(cli, "evaluate", swapped_evaluate)
+    code, _, err = run_cli(capsys, "cycles", "--lmax", "5")
+    assert code == 5
+    assert err == "real3x1: internal error: sweep counted 0 records with l = 4, n = 1, expected 4\n"
 
 
 def test_cycles_validation(capsys):
@@ -639,6 +658,24 @@ def test_malformed_values_are_usage_errors(argv, err, capsys):
     code, got = exit_and_stderr(capsys, *argv)
     assert code == 1
     assert got.endswith(err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cycles", "--lmax", "3", "--lmin", "5"),
+        ("rmap-scan", "--d-range", "5..8000"),
+        ("conjecture", "Q2", "--m-range", "5..1"),
+        ("iterate", "--map", "U", "--start", " , "),
+    ],
+)
+def test_rejected_arguments_leave_the_out_file_untouched(argv, tmp_path, capsys):
+    """Commands check their arguments before they write, and the file opens at the first write."""
+    target = tmp_path / "keep.txt"
+    target.write_text("earlier output\n")
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert (code, out) == (1, "") and err.startswith("real3x1: error: ")
+    assert target.read_text() == "earlier output\n"
 
 
 def test_out_file_and_io_error(tmp_path, capsys):

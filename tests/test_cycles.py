@@ -5,14 +5,16 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from real3x1.cycles import (
     BitSeq,
     CycleClass,
     _close,
+    _numerators,
     _realization,
+    _walk,
     candidate,
     check_realization,
     evaluate,
@@ -219,7 +221,7 @@ def test_necklaces_are_the_least_rotations(l):
 
     def block(lo, hi):
         """The block's (rank, period) pairs, checked to come in rank order."""
-        got = [(int("".join(map(str, bits)), 2), period) for bits, period in necklaces(l, lo, hi)]
+        got = list(necklaces(l, lo, hi))
         assert [rank for rank, _ in got] == sorted(r for r in least if lo <= r < hi)
         return dict(got)
 
@@ -258,17 +260,50 @@ def test_integer_kernel_matches_the_fraction_reference(bits):
     # each map's own walk from x_k, in its domain, against the branch bits
     for flipped, m in ((False, MAPS["U"]), (True, MAPS["Uflip"])):
         for k in range(l):
-            want = (False, None)
-            if cycle[k] >= m.domain_min:
-                x, want = cycle[k], (True, None)
-                for i in range(l):
-                    x, b = step(m, x)
-                    if b != bits[(k + i) % l]:
-                        want = (False, i)
-                        break
-                else:
-                    assert x == cycle[k]
-            assert _realization(d, nums, bits, flipped, k) == want
+            assert _realization(d, nums, flipped, k) == _map_walk(m, cycle, bits, k)
+
+
+def _map_walk(m, cycle, bits, k):
+    """The Fraction reference of _realization: m's own steps from x_k, in its domain, against bits."""
+    l = len(bits)
+    if cycle[k] < m.domain_min:
+        return False, None
+    x = cycle[k]
+    for i in range(l):
+        x, b = step(m, x)
+        if b != bits[(k + i) % l]:
+            return False, i
+    assert x == cycle[k]
+    return True, None
+
+
+@st.composite
+def lane_groups(draw):
+    """A length l, a count n of ones, and a few ranks of l bits with n ones each."""
+    l = draw(st.integers(min_value=1, max_value=32))
+    n = draw(st.integers(min_value=0, max_value=l))
+    words = st.permutations([1] * n + [0] * (l - n)).map(lambda bits: int("".join(map(str, bits)), 2))
+    return l, n, draw(st.lists(words, min_size=1, max_size=6))
+
+
+@settings(deadline=None)
+@given(lane_groups())
+@example((24, 20, [0xF7BDEF, 0xF7DEF7, 0x0FFFFF]))  # d < 0
+@example((32, 31, [0xFFFFFFFE, 0xBFFFFFFF, 0x7FFFFFFF]))  # d < 0, lanes of 128 bits
+@example((32, 20, [0x000FFFFF, 0xAAAAFFF0, 0xFFFFF000]))  # d > 0, lanes of 128 bits
+def test_lane_walk_matches_the_fraction_reference(group):
+    """Every lane of one same-(l, n) walk holds its own g-cycle times d, and scans as the maps walk."""
+    l, n, ranks = group
+    d, lanes = _walk(l, n, ranks)
+    assert d == 2**l - 3**n and len(lanes) == len(ranks)
+    for rank, walk in zip(ranks, lanes):
+        bits = tuple(rank >> (l - 1 - j) & 1 for j in range(l))
+        n3, n2, offset = compose_affine(bits)
+        x0 = F2(offset, n2 - n3)
+        cycle = [x0] + [apply_affine(compose_affine(bits[:j]), x0) for j in range(1, l + 1)]
+        assert list(walk) == [x * d for x in cycle]
+        for flipped, m in ((False, MAPS["U"]), (True, MAPS["Uflip"])):
+            assert _realization(d, _numerators(d, walk), flipped) == _map_walk(m, cycle, bits, 0)
 
 
 def test_close_rejects_a_wrong_offset(monkeypatch):
@@ -279,13 +314,49 @@ def test_close_rejects_a_wrong_offset(monkeypatch):
     """
     with pytest.raises(StructureError, match=r"^d = 2\^0 - 3\^0 must be odd nonzero, got 0$"):
         _close(())
-    offset = cycles.affine_offset
-    monkeypatch.setattr(cycles, "affine_offset", lambda bits: offset(bits) + 4)
+    offsets = cycles._offsets
+    monkeypatch.setattr(cycles, "_offsets", lambda bits, lane: offsets(bits, lane) + 4)
     with pytest.raises(StructureError, match="^parity misalignment at step 2 of 11010$"):
         _close((1, 1, 0, 1, 0))
-    monkeypatch.setattr(cycles, "affine_offset", lambda bits: offset(bits) + 32)
+    monkeypatch.setattr(cycles, "_offsets", lambda bits, lane: offsets(bits, lane) + 32)
     with pytest.raises(StructureError, match="^forced walk of 11010 failed to close$"):
         _close((1, 1, 0, 1, 0))
+
+
+def test_lane_checks_name_the_failing_lane(monkeypatch):
+    """In a group, a broken lane is named by its own pattern, whichever lane it is."""
+    offsets = cycles._offsets
+    # lanes are 64 bits: move only the third lane's offset
+    monkeypatch.setattr(cycles, "_offsets", lambda bits, lane: offsets(bits, lane) + (4 << 128))
+    with pytest.raises(StructureError, match="^parity misalignment at step 2 of 11010$"):
+        _walk(5, 3, [0b00111, 0b01011, 0b11010])
+
+
+def test_a_lane_that_outgrows_its_width_raises(monkeypatch):
+    """With lanes narrowed below the walk's values, the guard bits catch the overflow.
+
+    11100 walks 19, 31, 49, 76, 38 (times 1/5): with 6 value bits it
+    overflows at step 3, with 5 at step 2 and with 4 at once.  01011 walks
+    58 at most, so in a group with 11100 at 6 bits only 11100 is named.
+    """
+    assert _close((1, 1, 1, 0, 0))[2] == (19, 31, 49, 76, 38, 19)
+    assert max(_close((0, 1, 0, 1, 1))[2]) == 58
+    for bits, step_j in ((6, 3), (5, 2), (4, 0)):
+        monkeypatch.setattr(cycles, "_lane_bits", lambda l, n: bits)
+        with pytest.raises(StructureError, match=f"^forced walk of 11100 overflowed its lane at step {step_j}$"):
+            _close((1, 1, 1, 0, 0))
+    monkeypatch.setattr(cycles, "_lane_bits", lambda l, n: 6)
+    with pytest.raises(StructureError, match="^forced walk of 11100 overflowed its lane at step 3$"):
+        _walk(5, 3, [0b01011, 0b11100])
+
+
+def test_overflow_in_a_sweep_is_an_internal_error(monkeypatch, capsys):
+    monkeypatch.setattr(cycles, "_lane_bits", lambda l, n: 5)
+    assert cli.main(["cycles", "--lmax", "6", "--summary-only"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("real3x1: internal error: forced walk of ")
+    assert "overflowed its lane at step" in captured.err
 
 
 @pytest.mark.parametrize("lmax", range(1, 13))

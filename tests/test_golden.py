@@ -211,7 +211,7 @@ FORGED_F = {
 _realization = cycles._realization
 
 
-def _realized_when_d_is_5(d, nums, bits, flipped, k, *, gate=True):
+def _realized_when_d_is_5(d, nums, flipped, k=0, *, gate=True):
     """d depends only on (l, n), so this forgery holds for whole rotation classes.
 
     Only the realization verdict is forged; an ungated scan (misaligned_from)
@@ -219,7 +219,7 @@ def _realized_when_d_is_5(d, nums, bits, flipped, k, *, gate=True):
     """
     if d == 5 and gate:
         return True, None
-    return _realization(d, nums, bits, flipped, k, gate=gate)
+    return _realization(d, nums, flipped, k, gate=gate)
 
 
 def _forge_realized(monkeypatch):
