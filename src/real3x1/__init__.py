@@ -47,7 +47,6 @@ from .remainders import (
     VerdictKind,
     rmap_orbit_scan,
     segment_inequality,
-    synthetic_trace,
     trace,
 )
 from .sampling import sample_integers, sample_rationals
@@ -102,6 +101,5 @@ __all__ = [
     "segment_inequality",
     "step",
     "sweep",
-    "synthetic_trace",
     "trace",
 ]

@@ -48,6 +48,7 @@ _MAX_LENGTH = 32  # cycles --lmax and --lmin; lmax 32 is about 250 times the wor
 _MAX_MODULUS = 1_000_000  # rmap-scan --d and the top of --d-range; one scan's memory grows with d
 _MAX_MODULI = 10_000_000  # the summed moduli of one --d-range, about 20 s at 2 us per unit of d
 _MAX_SAMPLES = 1_000_000  # conjecture --samples; every start is drawn before the first orbit
+_MAX_BITS = 1 << 16  # conjecture --den-bits and --value-bits; iterate's den_bit_cap size-caps a larger denominator
 
 
 _dumps = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True), built once
@@ -121,24 +122,6 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
 
 
 # ------------------------------------------------------------------- config
-
-
-def _extract_config_path(argv: list[str]) -> tuple[list[str], str | None]:
-    out, path, i = [], None, 0
-    while i < len(argv):
-        a = argv[i]
-        if a == "--config":
-            if i + 1 >= len(argv):
-                raise ValueError("--config needs a path")
-            path = argv[i + 1]
-            i += 2
-        elif a.startswith("--config="):
-            path = a.split("=", 1)[1]
-            i += 1
-        else:
-            out.append(a)
-            i += 1
-    return out, path
 
 
 def _config_flags(path: str) -> list[str]:
@@ -588,8 +571,6 @@ def cmd_trace(args, out) -> int:
 
 
 def cmd_rmap_scan(args, out) -> int:
-    if (args.d is None) == (args.d_range is None):
-        raise ValueError("give exactly one of --d or --d-range")
     if args.d is not None:
         if not modulus_ok(args.d):
             raise ValueError(f"--d must be odd, >= 5, and not divisible by 3: {args.d}")
@@ -660,8 +641,8 @@ def build_parser() -> _Parser:
     sp.add_argument("name", choices=sorted(_CONJECTURES))
     sp.add_argument("--samples", type=_at_least(1, _MAX_SAMPLES), default=1000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--den-bits", type=_at_least(1), default=32)
-    sp.add_argument("--value-bits", type=_at_least(1), default=16)
+    sp.add_argument("--den-bits", type=_at_least(1, _MAX_BITS), default=32)
+    sp.add_argument("--value-bits", type=_at_least(1, _MAX_BITS), default=16)
     sp.add_argument("--cap", type=_at_least(0), default=10**4)
     sp.add_argument("--escape", type=_positive_rational, default=_DEFAULT_ESCAPE)
     sp.add_argument("--m-range", default="0..100", help="Q2 only: family indices lo..hi")
@@ -676,8 +657,9 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_trace)
 
     sp = sub.add_parser("rmap-scan", help="closed orbits of the remainder dynamics mod d")
-    sp.add_argument("--d", type=_at_least(5, _MAX_MODULUS), default=None)
-    sp.add_argument("--d-range", default=None, help="lo..hi, invalid moduli skipped")
+    moduli = sp.add_mutually_exclusive_group(required=True)
+    moduli.add_argument("--d", type=_at_least(5, _MAX_MODULUS), default=None)
+    moduli.add_argument("--d-range", default=None, help="lo..hi, invalid moduli skipped")
     sp.add_argument("--max-len", type=_at_least(1), default=None, help="orbit length cap, default 4*d")
     common(sp)
     sp.set_defaults(func=cmd_rmap_scan)
@@ -719,11 +701,13 @@ class _OutFile:
 
 
 def _main(argv: list[str] | None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    # --config and each abbreviation argparse accepts for it, wherever it stands
+    config = _Parser(prog="real3x1", add_help=False)
+    config.add_argument("--config")
     try:
-        argv, config_path = _extract_config_path(argv)
-        if config_path is not None:
-            flags = _config_flags(config_path)  # read first: a missing file is an I/O error
+        known, argv = config.parse_known_args(sys.argv[1:] if argv is None else argv)
+        if known.config is not None:
+            flags = _config_flags(known.config)  # read first: a missing file is an I/O error
             if not argv:
                 raise ValueError("--config given without a subcommand")
             argv = argv[:1] + flags + argv[1:]

@@ -29,8 +29,8 @@ guard: they stay zero while every lane is in range.  A lane that outgrows
 its value bits sets them before it can carry into the next lane, and one
 that goes negative sets them as it borrows from it.  One AND and one
 comparison per step check the guard and the alignment of every lane, and
-closure is c_l == c_0, for all lanes at once.  _close() is the one-lane case;
-candidate() wraps its result in a CycleRecord.
+closure is c_l == c_0, for all lanes at once.  candidate() walks one
+sequence in one lane and wraps its walk in a CycleRecord.
 
 Whether the same closed walk is realized by the floor-parity maps is a
 separate, stricter question: U requires floor(x_i) parity to equal the branch
@@ -237,18 +237,6 @@ def _walk(l: int, n: int, ranks: list[int]) -> tuple[int, list[Sequence[int]]]:
     return d, [values[i::m] for i in range(m)]
 
 
-def _close(bits: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
-    """(d, phi, nums) for the forced walk of a 0/1 tuple: x0 = phi / d, nums the cycle times |d|, closed.
-
-    The one-lane case of _walk, with all of its checks.
-    """
-    rank = 0
-    for b in bits:
-        rank = rank << 1 | b
-    d, (walk,) = _walk(len(bits), sum(bits), [rank])
-    return d, walk[0], tuple(_numerators(d, walk))
-
-
 def _numerators(d: int, walk: Sequence[int]) -> Sequence[int]:
     """A lane's x_j * d as a cycle's numerators, x_j * |d|.
 
@@ -267,9 +255,9 @@ def _cycle_class(phi: int, d: int) -> CycleClass:
 
 
 def candidate(s: BitSeq) -> CycleRecord:
-    """Build the closed forced-branch cycle for s, realization flags unset."""
-    d, phi, nums = _close(s.bits)
-    return CycleRecord(s, d, nums, _cycle_class(phi, d))
+    """Build the closed forced-branch cycle for s, walked in one lane of _walk; realization flags unset."""
+    d, (walk,) = _walk(s.l, s.n, [s.rank])
+    return CycleRecord(s, d, tuple(_numerators(d, walk)), _cycle_class(walk[0], d))
 
 
 def _realization(

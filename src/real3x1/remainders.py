@@ -92,25 +92,27 @@ def _step(d: int, r: int, bit: int) -> int:
     return triple // 2 if triple < 2 * d else triple // 2 - d
 
 
-def _segments(new: tuple[bool, ...], bits: tuple[int, ...]) -> tuple[Segment, ...]:
+def _segments(new: tuple[bool, ...], c: tuple[int, ...]) -> tuple[Segment, ...]:
+    """The segments between new indices of the aligned closed ledger c; step i's bit is c_i's parity."""
     new_idx = [i for i, f in enumerate(new) if f]
     if not new_idx:
         raise StructureError("closed aligned ledger without any new remainder")
-    doubled = bits + bits  # a segment's steps are bits[start:stop], stop < 2l
-    stops = new_idx[1:] + [new_idx[0] + len(bits)]
+    l = len(new)
+    doubled = [ci & 1 for ci in c[:l]] * 2  # a segment's steps are doubled[start:stop], stop < 2l
+    stops = new_idx[1:] + [new_idx[0] + l]
     return tuple(
         Segment(p, stop, sum(doubled[p:stop]), stop - p) for p, stop in zip(new_idx, stops)
     )
 
 
-def _ledger(d: int, c: tuple[int, ...], bits: tuple[int, ...], flipped: bool) -> RemainderTrace:
-    """The ledger of the closed numerators c over d > 0 for the branch bits.
+def _ledger(d: int, c: tuple[int, ...], flipped: bool) -> RemainderTrace:
+    """The ledger of the closed numerators c over d > 0; step i's branch bit is c_i's parity.
 
     Both alignments read one split (qa, ra): (q, r) for U, the ceiling split
     (q + 1, d - r) when flipped.  On every step that departs from an aligned
     index, the directly computed ra is checked against the recurrence, exactly.
     """
-    l = len(bits)
+    l = len(c) - 1
     q = tuple(ci // d for ci in c)
     r = tuple(ci % d for ci in c)
     qa, ra = (tuple(x + 1 for x in q), tuple(d - x for x in r)) if flipped else (q, r)
@@ -131,7 +133,7 @@ def _ledger(d: int, c: tuple[int, ...], bits: tuple[int, ...], flipped: bool) ->
     elif prefix < l:
         verdict, segs = Verdict(VerdictKind.MISALIGNED_AT, prefix), None
     else:
-        verdict, segs = Verdict(VerdictKind.ALIGNED_CLOSED), _segments(new, bits)
+        verdict, segs = Verdict(VerdictKind.ALIGNED_CLOSED), _segments(new, c)
     return RemainderTrace(d, c, q, r, flipped, prefix, new, segs, verdict)
 
 
@@ -144,7 +146,7 @@ def trace(rec: CycleRecord, flipped: bool = False) -> RemainderTrace:
     """
     if rec.d < 0:
         raise PreconditionError(f"remainder ledger undefined for d = {rec.d} < 0")
-    return _ledger(rec.d, rec.numerators, rec.s.bits, flipped)
+    return _ledger(rec.d, rec.numerators, flipped)
 
 
 def synthetic_trace(d: int, r_cycle: Iterable[int]) -> RemainderTrace:
@@ -169,9 +171,9 @@ def synthetic_trace(d: int, r_cycle: Iterable[int]) -> RemainderTrace:
         if nxt not in moves:
             raise ValueError(f"no recurrence branch sends {cur} to {nxt} (d={d})")
         bits.append(moves[nxt])
-    # quotient i has parity bits[i], all that matters downstream
+    # quotient i is bits[i]; over an odd d and an even r_i, c_i's parity is bits[i]
     c = tuple(qi * d + ri for qi, ri in zip(bits + bits[:1], states + states[:1]))
-    return _ledger(d, c, tuple(bits), False)
+    return _ledger(d, c, False)
 
 
 # ------------------------------------------------------- inequality ledger

@@ -324,6 +324,10 @@ def _scan_must_not_start(d, max_len):
     pytest.fail(f"rmap-scan started a scan at d = {d}, max_len {max_len}")
 
 
+def _evidence_must_not_start(args, out):
+    pytest.fail(f"conjecture started with den_bits {args.den_bits}, value_bits {args.value_bits}")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -351,11 +355,16 @@ def _scan_must_not_start(d, max_len):
         # a rational bound follows the same rule: escaping |x| > 0 or > -1 is instant
         ("iterate", "--map", "U", "--start", "3", "--escape", "-1"),
         ("conjecture", "RU", "--samples", "3", "--escape", "0"),
+        # a start is drawn below 2^value_bits over a denominator below 2^den_bits
+        ("conjecture", "RU", "--samples", "3", "--den-bits", "65537"),
+        ("conjecture", "NU", "--samples", "3", "--value-bits", "65537"),
+        ("conjecture", "RU", "--samples", "3", "--value-bits", "4000000000"),
     ],
 )
 def test_out_of_range_integers_fail_at_parse_time(argv, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_cycles", _sweep_must_not_start)  # a missed bound fails fast
     monkeypatch.setattr(cli, "rmap_orbit_scan", _scan_must_not_start)
+    monkeypatch.setattr(cli, "cmd_conjecture", _evidence_must_not_start)
     assert parse_error_code(*argv) == 1
     assert "error: argument" in capsys.readouterr().err
 
@@ -467,8 +476,8 @@ def test_rmap_scan_range(capsys):
 
 def test_rmap_scan_validation(capsys):
     assert run_cli(capsys, "rmap-scan", "--d", "9")[0] == 1
-    assert run_cli(capsys, "rmap-scan")[0] == 1
-    assert run_cli(capsys, "rmap-scan", "--d", "19", "--d-range", "5..7")[0] == 1
+    assert parse_error_code("rmap-scan") == 1
+    assert parse_error_code("rmap-scan", "--d", "19", "--d-range", "5..7") == 1
     assert run_cli(capsys, "rmap-scan", "--d-range", "7..5")[0] == 1
 
 
@@ -596,10 +605,20 @@ def test_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("not a pair\n")
     assert run_cli(capsys, "cycles", "--lmax", "2", "--config", str(bad))[0] == 1
-    assert run_cli(capsys, "cycles", "--lmax", "2", "--config")[0] == 1
+    assert parse_error_code("cycles", "--lmax", "2", "--config") == 1
     assert run_cli(capsys, "--config", str(bad))[0] == 1
     missing = tmp_path / "nope.cfg"
     assert run_cli(capsys, "cycles", "--lmax", "2", "--config", str(missing))[0] == 4
+
+
+@pytest.mark.parametrize("spelling", [("--conf", "{}"), ("--con={}",)], ids=["conf", "con="])
+def test_abbreviated_config_loads_the_file(spelling, tmp_path, capsys):
+    """argparse reads --config, so each abbreviation it accepts loads the file too."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("summary_only = true\n")
+    full = run_cli(capsys, "cycles", "--lmax", "2", "--config", str(cfg))
+    assert full[0] == 0 and len(full[1].splitlines()) == 1  # the summary alone
+    assert run_cli(capsys, "cycles", "--lmax", "2", *(a.format(cfg) for a in spelling)) == full
 
 
 def exit_and_stderr(capsys, *argv):
@@ -651,8 +670,12 @@ def test_config_without_a_subcommand(tmp_path, capsys):
             ("iterate", "--map", "U", "--start", "3", "--trap-region", "3"),
             "real3x1: error: interval wants lo,hi: '3'\n",
         ),
+        (  # with a space, argparse would read -1..5 as a flag
+            ("conjecture", "Q2", "--samples", "1", "--m-range=-1..5"),
+            "real3x1: error: bad --m-range: '-1..5'\n",
+        ),
     ],
-    ids=["escape", "m-range", "trap-region"],
+    ids=["escape", "m-range", "trap-region", "m-range-negative"],
 )
 def test_malformed_values_are_usage_errors(argv, err, capsys):
     code, got = exit_and_stderr(capsys, *argv)

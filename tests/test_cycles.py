@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from real3x1.cycles import (
     BitSeq,
     CycleClass,
-    _close,
     _numerators,
     _realization,
     _walk,
@@ -51,6 +50,9 @@ def test_bitseq_basics():
         BitSeq.from_rank(3, 8)
     with pytest.raises(ValueError):
         BitSeq.from_rank(0, 0)
+    for bad in ((), (0, 2)):
+        with pytest.raises(ValueError, match="nonempty 0/1 sequence"):
+            BitSeq(bad)
 
 
 @given(st.integers(min_value=1, max_value=16))
@@ -244,16 +246,16 @@ def test_necklace_blocks_must_be_aligned_powers_of_two(lo, hi):
 @settings(deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=40).map(tuple))
 def test_integer_kernel_matches_the_fraction_reference(bits):
-    """_close and _realization against exact rationals, computed without them."""
+    """candidate and _realization against exact rationals, computed without them."""
     l = len(bits)
-    d, phi, nums = _close(bits)
     rec = candidate(BitSeq(bits))
-    assert (d, phi, nums) == (rec.d, rec.phi, rec.numerators)
+    d, nums = rec.d, rec.numerators
 
     # the closure point of the composed chain, and the g-cycle through it
     n3, n2, offset = compose_affine(bits)
     x0 = F2(offset, n2 - n3)
     assert apply_affine((n3, n2, offset), x0) == x0
+    assert (d, F2(rec.phi, d)) == (n2 - n3, x0)
     cycle = [x0] + [apply_affine(compose_affine(bits[:j]), x0) for j in range(1, l + 1)]
     assert nums == tuple(abs(d) * x for x in cycle)
 
@@ -313,14 +315,14 @@ def test_close_rejects_a_wrong_offset(monkeypatch):
     moving it by 2^l keeps every parity, and the walk misses its start.
     """
     with pytest.raises(StructureError, match=r"^d = 2\^0 - 3\^0 must be odd nonzero, got 0$"):
-        _close(())
+        _walk(0, 0, [0])
     offsets = cycles._offsets
     monkeypatch.setattr(cycles, "_offsets", lambda bits, lane: offsets(bits, lane) + 4)
     with pytest.raises(StructureError, match="^parity misalignment at step 2 of 11010$"):
-        _close((1, 1, 0, 1, 0))
+        candidate(BitSeq((1, 1, 0, 1, 0)))
     monkeypatch.setattr(cycles, "_offsets", lambda bits, lane: offsets(bits, lane) + 32)
     with pytest.raises(StructureError, match="^forced walk of 11010 failed to close$"):
-        _close((1, 1, 0, 1, 0))
+        candidate(BitSeq((1, 1, 0, 1, 0)))
 
 
 def test_lane_checks_name_the_failing_lane(monkeypatch):
@@ -338,16 +340,27 @@ def test_a_lane_that_outgrows_its_width_raises(monkeypatch):
     11100 walks 19, 31, 49, 76, 38 (times 1/5): with 6 value bits it
     overflows at step 3, with 5 at step 2 and with 4 at once.  01011 walks
     58 at most, so in a group with 11100 at 6 bits only 11100 is named.
+
+    At (l, n) = (32, 19) the values need exactly 64 bits, so each lane is
+    128 bits wide: bit 64 of the first lane is its guard, not the lowest
+    bit of the second lane.
     """
-    assert _close((1, 1, 1, 0, 0))[2] == (19, 31, 49, 76, 38, 19)
-    assert max(_close((0, 1, 0, 1, 1))[2]) == 58
+    assert candidate(BitSeq((1, 1, 1, 0, 0))).numerators == (19, 31, 49, 76, 38, 19)
+    assert max(candidate(BitSeq((0, 1, 0, 1, 1))).numerators) == 58
     for bits, step_j in ((6, 3), (5, 2), (4, 0)):
         monkeypatch.setattr(cycles, "_lane_bits", lambda l, n: bits)
         with pytest.raises(StructureError, match=f"^forced walk of 11100 overflowed its lane at step {step_j}$"):
-            _close((1, 1, 1, 0, 0))
+            candidate(BitSeq((1, 1, 1, 0, 0)))
     monkeypatch.setattr(cycles, "_lane_bits", lambda l, n: 6)
     with pytest.raises(StructureError, match="^forced walk of 11100 overflowed its lane at step 3$"):
         _walk(5, 3, [0b01011, 0b11100])
+    monkeypatch.undo()
+    assert cycles._lane_bits(32, 19) == 64
+    offsets = cycles._offsets
+    monkeypatch.setattr(cycles, "_offsets", lambda bits, lane: offsets(bits, lane) + (1 << 64))
+    first = 0x0007FFFF
+    with pytest.raises(StructureError, match=f"^forced walk of {first:032b} overflowed its lane at step 0$"):
+        _walk(32, 19, [first, 0xFFFFE000])
 
 
 def test_overflow_in_a_sweep_is_an_internal_error(monkeypatch, capsys):

@@ -213,7 +213,7 @@ def test_ledger_digest():
 
 
 def _record(bits, d, numerators):
-    """A hand-built record: trace reads only d, the numerators and the bits."""
+    """A hand-built record: trace reads only d and the numerators."""
     return CycleRecord(BitSeq.from_string(bits), d, numerators, CycleClass.FRACTIONAL_POSITIVE)
 
 

@@ -40,8 +40,10 @@ def test_zero_count_and_validation():
         sample_rationals(random.Random(0), 1, den_bits=0)
     with pytest.raises(ValueError):
         sample_rationals(random.Random(0), 1, value_bits=4, minimum=Fraction(16))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty sample range"):
         sample_integers(random.Random(0), 1, value_bits=4, minimum=16)
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        sample_integers(random.Random(0), -1)
 
 
 def test_integer_variant():

@@ -86,3 +86,31 @@ def test_only_the_cli_writes_to_stdout_or_stderr():
         and isinstance(node.value, ast.Name) and node.value.id == "sys"
     ]
     assert writes == []
+
+
+def test_every_public_name_has_a_user():
+    """Each exported name is used by package code outside its own definition, or by the acceptance tests."""
+    used = set()
+    for name, tree in _modules():
+        if name == "__init__.py":  # its imports are the exports themselves
+            continue
+        for stmt in tree.body:
+            refs = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    refs.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    refs.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    refs.update(alias.name for alias in node.names)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                refs.discard(stmt.name)  # a name used only inside its own definition has no user
+            used |= refs
+    acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8"))
+    used |= {
+        alias.name
+        for node in ast.walk(acceptance)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("real3x1")
+        for alias in node.names
+    }
+    assert sorted(set(real3x1.__all__) - used) == []
