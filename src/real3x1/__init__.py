@@ -49,7 +49,7 @@ from .remainders import (
     segment_inequality,
     trace,
 )
-from .sampling import sample_integers, sample_rationals
+from .sampling import sample_rationals
 from .trajectory import (
     Fate,
     FateKind,
@@ -96,7 +96,6 @@ __all__ = [
     "map_from_name",
     "parse_rational",
     "rmap_orbit_scan",
-    "sample_integers",
     "sample_rationals",
     "segment_inequality",
     "step",

@@ -32,7 +32,7 @@ from .errors import StructureError
 from .maps import MAPS, MapSpec, map_from_name, step
 from .rationals import format_rational, parse_rational
 from .remainders import Verdict, VerdictKind, modulus_ok, rmap_orbit_scan, segment_inequality, trace
-from .sampling import sample_integers, sample_rationals
+from .sampling import draw_integers, draw_rationals
 from .trajectory import TENDENCIES, FateKind, detect_period01, iterate
 
 EXIT_OK = 0
@@ -47,7 +47,7 @@ _MAX_FAMILY = 100_000  # Q2 family starts one --m-range may ask for
 _MAX_LENGTH = 32  # cycles --lmax and --lmin; lmax 32 is about 250 times the work of lmax 24
 _MAX_MODULUS = 1_000_000  # rmap-scan --d and the top of --d-range; one scan's memory grows with d
 _MAX_MODULI = 10_000_000  # the summed moduli of one --d-range, about 20 s at 2 us per unit of d
-_MAX_SAMPLES = 1_000_000  # conjecture --samples; every start is drawn before the first orbit
+_MAX_SAMPLES = 1_000_000  # conjecture --samples; each start is drawn as its orbit runs, so this bounds time
 _MAX_BITS = 1 << 16  # conjecture --den-bits and --value-bits; iterate's den_bit_cap size-caps a larger denominator
 
 
@@ -434,10 +434,10 @@ def _run_samples(args, name: str, out, demote=False, counter_lines=(), extra=Non
     m = MAPS[conj.map]
     rng = random.Random(args.seed)
     if conj.integer:
-        ints = sample_integers(rng, args.samples, args.value_bits, minimum=int(m.domain_min))
-        starts = [Fraction(n) for n in ints]
+        ints = draw_integers(rng, args.samples, args.value_bits, minimum=int(m.domain_min))
+        starts = map(Fraction, ints)
     else:
-        starts = sample_rationals(rng, args.samples, args.den_bits, args.value_bits, m.domain_min)
+        starts = draw_rationals(rng, args.samples, args.den_bits, args.value_bits, m.domain_min)
     escape = parse_rational(args.escape)
     trap = None if conj.region is None else (Fraction(conj.region[0]), Fraction(conj.region[1]))
 
@@ -445,7 +445,7 @@ def _run_samples(args, name: str, out, demote=False, counter_lines=(), extra=Non
     classes = dict.fromkeys(("supports", "flagged", "unresolved", "counterexample"), 0)
     lines = {"flagged": [], "counterexample": list(counter_lines)}
     for x in starts:
-        rep = iterate(m, x, cap=args.cap, escape_bound=escape, trap_region=trap, keep=8)
+        rep = iterate(m, x, cap=args.cap, escape_bound=escape, trap_region=trap, keep=1)
         label = rep.fate.label()
         tally[label] = tally.get(label, 0) + 1
         cls, note = _classify(conj, m, rep)

@@ -26,7 +26,14 @@ _TAIL_PAD further steps, so the periodic parity tail is visible in it.
 iterate runs the orbit on reduced integer pairs (p, q) through
 MapSpec.step_pq, compares every bound by cross-multiplication and builds a
 Fraction only for a kept iterate, a cycle value and a basin landing.  The
-report is read off the list of visited pairs after the orbit resolves.
+report is read off the list of visited pairs after the orbit resolves.  The
+fate tests of a step (trap, windows, escape) sit behind one exact hull gate:
+floor(x) lies between the least floor of a trap or window start and the
+greatest floor of a trap or window end whenever x lies in one of them, and
+|floor(x)| >= floor(bound) whenever |x| > bound.  A step whose p // q lies
+outside both cannot settle, so it pays one division instead of the tests.
+contraction_check replays its block on step_pq pairs as well and checks the
+identity by cross-multiplied integers; Fraction appears only at its interface.
 """
 
 from __future__ import annotations
@@ -34,9 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import floor
 
 from .errors import PreconditionError, StructureError
-from .maps import MAPS, MapSpec, step
+from .maps import MAPS, MapSpec
 
 
 class FateKind(str, Enum):
@@ -129,15 +137,24 @@ def iterate(
     step_pq = m.step_pq
     p, q = x0.numerator, x0.denominator
     step_pq(p, q)  # surface domain errors on the start value immediately
+    basins = _BASINS.get(m.name, ())
     windows = [
         (w_lo.numerator, w_lo.denominator, w_hi.numerator, w_hi.denominator, anchor, kind)
-        for w_lo, w_hi, anchor, kind in _BASINS.get(m.name, ())
+        for w_lo, w_hi, anchor, kind in basins
     ]
+    spans = [(w_lo, w_hi) for w_lo, w_hi, _anchor, _kind in basins]
     if trap_region is not None:
         lo, hi = trap_region
         ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        spans.append(trap_region)
     if escape_bound is not None:
         en, ed = escape_bound.numerator, escape_bound.denominator
+    # The hull gate: floor(x) lies in [h_lo, h_hi] whenever x lies in the trap
+    # or in a window, and |floor(x)| >= e_floor whenever |x| > escape_bound.
+    # settle finds no fate anywhere else, so the loop calls it only there.
+    h_lo = min((floor(s_lo) for s_lo, _s_hi in spans), default=1)
+    h_hi = max((floor(s_hi) for _s_lo, s_hi in spans), default=0)  # 1 > 0: no hull
+    e_floor = None if escape_bound is None else floor(escape_bound)
 
     orbit = [(p, q)]  # every visited pair, the same tuples seen holds
     seen = {(p, q): 0}
@@ -147,36 +164,46 @@ def iterate(
             return Fate(FateKind.ENTERED_REGION, region=(lo, hi))
         for w_ln, w_ld, w_hn, w_hd, anchor, kind in windows:
             if w_ln * q < p * w_ld and p * w_hd < w_hn * q:
-                x = Fraction(p, q)
-                try:
-                    confirmed = contraction_check(x, anchor[0], [a % 2 for a in anchor], 1, m)
-                except PreconditionError:  # the block left the anchor's branch pattern
-                    confirmed = False
-                if not confirmed:
-                    raise StructureError(f"certified basin landing failed to confirm at {x}")
-                return Fate(kind, anchor=anchor, confirmed=True)
-        if escape_bound is not None and abs(p) * ed > en * q:
-            return Fate(FateKind.ESCAPED_BOUND, bound=Fraction(escape_bound))
-        return None
+                break
+        else:
+            if escape_bound is not None and abs(p) * ed > en * q:
+                return Fate(FateKind.ESCAPED_BOUND, bound=Fraction(escape_bound))
+            return None
+        x = Fraction(p, q)
+        try:
+            confirmed = contraction_check(x, anchor[0], [a % 2 for a in anchor], 1, m)
+        except PreconditionError:  # the block left the anchor's branch pattern
+            confirmed = False
+        if not confirmed:
+            raise StructureError(
+                f"certified basin landing failed to confirm at {x}"
+                f" (orbit from {x0}, step {len(orbit) - 1})"
+            )
+        return Fate(kind, anchor=anchor, confirmed=True)
 
     fate = settle(p, q)
+    period = 0
     if fate is None:
         for k in range(1, cap + 1):
             p, q, _b = step_pq(p, q)
-            orbit.append((p, q))
-            prev = seen.get((p, q))
-            if prev is not None:
-                fate = Fate(FateKind.ENTERED_CYCLE, period=k - prev, value=Fraction(p, q))
+            pair = p, q
+            orbit.append(pair)
+            prev = seen.setdefault(pair, k)
+            if prev != k:
+                period = k - prev
                 break
-            seen[p, q] = k
-            fate = settle(p, q)
-            if fate is not None:
-                break
+            f = p // q
+            if h_lo <= f <= h_hi or e_floor is not None and abs(f) >= e_floor:
+                fate = settle(p, q)
+                if fate is not None:
+                    break
             if q.bit_length() > den_bit_cap:
                 fate = Fate(FateKind.CAP_REACHED, size_capped=True)
                 break
         else:
             fate = Fate(FateKind.CAP_REACHED)
+    if period:
+        fate = Fate(FateKind.ENTERED_CYCLE, period=period, value=Fraction(p, q))
     steps_used = len(orbit) - 1
     if fate.kind in TENDENCIES or fate.kind is FateKind.ENTERED_CYCLE:
         for _ in range(_TAIL_PAD):
@@ -225,20 +252,27 @@ def contraction_check(
         raise ValueError(f"m_steps must be >= 1, got {m_steps}")
     a = Fraction(a)
     x0 = Fraction(x0)
-    l = len(s)
-    ratio = Fraction(1)
-    for b in s:
-        ratio *= m.params.gamma if b else m.params.alpha
+    ones = sum(s)
+    ratio = m.params.gamma**ones * m.params.alpha ** (len(s) - ones)
 
-    x = x0
+    # x - a == ratio^k (x0 - a) with x = p/q, x0 = p0/q0, a = an/ad and
+    # ratio = rn/rd, cross-multiplied over the positive q, q0 and rd^k:
+    # (p*ad - an*q) * rd^k * q0 == rn^k * (p0*ad - an*q0) * q
+    step_pq = m.step_pq
+    an, ad = a.numerator, a.denominator
+    p, q = x0.numerator, x0.denominator
+    q0, c0 = q, p * ad - an * q
+    rn, rd = ratio.numerator, ratio.denominator
+    rnk = rdk = 1
     ok = True
-    for t in range(m_steps * l):
-        x, b = step(m, x)
-        if b != s[t % l]:
-            raise PreconditionError(
-                f"branch bits diverge from the claimed pattern at step {t}"
-            )
-        if (t + 1) % l == 0:
-            k = (t + 1) // l
-            ok = ok and (x - a == ratio**k * (x0 - a))
+    for k in range(m_steps):
+        for j, want in enumerate(s):
+            p, q, b = step_pq(p, q)
+            if b != want:
+                raise PreconditionError(
+                    f"branch bits diverge from the claimed pattern at step {k * len(s) + j}"
+                )
+        rnk *= rn
+        rdk *= rd
+        ok = ok and (p * ad - an * q) * rdk * q0 == rnk * c0 * q
     return ok

@@ -132,7 +132,17 @@ def test_failed_basin_landing_is_an_internal_error(capsys, monkeypatch):
     monkeypatch.setitem(trajectory._BASINS, "U", ((3, 4, (1, 2), FateKind.TENDS_TO_TRIVIAL),))
     code, out, err = run_cli(capsys, "iterate", "--map", "U", "--start", "7/2")
     assert code == 5 and out == ""
-    assert err == "real3x1: internal error: certified basin landing failed to confirm at 7/2\n"
+    assert err == (
+        "real3x1: internal error: certified basin landing failed to confirm at 7/2"
+        " (orbit from 7/2, step 0)\n"
+    )
+    # 13/2 halves to 13/4, which lands in the forged window one step in
+    code, out, err = run_cli(capsys, "iterate", "--map", "U", "--start", "13/2")
+    assert code == 5 and out == ""
+    assert err == (
+        "real3x1: internal error: certified basin landing failed to confirm at 13/4"
+        " (orbit from 13/2, step 1)\n"
+    )
 
 
 def test_cycles_small_sweep(capsys):

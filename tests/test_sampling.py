@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from real3x1.sampling import sample_integers, sample_rationals
+from real3x1.sampling import draw_integers, draw_rationals, sample_integers, sample_rationals
 
 
 def test_same_seed_same_samples():
@@ -51,3 +51,23 @@ def test_integer_variant():
     b = sample_integers(random.Random(9), 200, value_bits=10, minimum=3)
     assert a == b
     assert all(3 <= n < 1024 for n in a)
+
+
+def test_draws_are_taken_one_at_a_time():
+    """draw_* check their arguments at the call, draw nothing until a value is taken,
+    and then draw the same stream as sample_*."""
+    for draw, sample, args in (
+        (draw_rationals, sample_rationals, (50, 32, 16, Fraction(1, 3))),
+        (draw_integers, sample_integers, (50, 12, 3)),
+    ):
+        rng = random.Random(7)
+        state = rng.getstate()
+        draws = draw(rng, *args)
+        assert rng.getstate() == state
+        first = next(draws)
+        assert rng.getstate() != state
+        assert [first, *draws] == sample(random.Random(7), *args)
+    with pytest.raises(ValueError, match="empty sample range"):
+        draw_rationals(random.Random(0), 1, value_bits=4, minimum=Fraction(16))
+    with pytest.raises(ValueError, match="empty sample range"):
+        draw_integers(random.Random(0), 1, value_bits=4, minimum=16)

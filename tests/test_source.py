@@ -114,3 +114,27 @@ def test_every_public_name_has_a_user():
         for alias in node.names
     }
     assert sorted(set(real3x1.__all__) - used) == []
+
+
+def test_orbit_loops_build_no_fraction():
+    """Orbits step on integer pairs: no Fraction(...) or step(...) call in a for loop of
+    trajectory.iterate or trajectory.contraction_check, so Fraction stays at their interface."""
+    trajectory = dict(_modules())["trajectory.py"]
+    fns = [
+        fn
+        for fn in trajectory.body
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("iterate", "contraction_check")
+    ]
+    assert len(fns) == 2
+    calls = [
+        f"{fn.name}:{node.lineno}"
+        for fn in fns
+        for loop in ast.walk(fn)
+        if isinstance(loop, ast.For)
+        for stmt in loop.body  # what runs per pass; a for-else runs once
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None))
+        in ("Fraction", "step")
+    ]
+    assert calls == []

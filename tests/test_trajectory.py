@@ -10,12 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from real3x1 import trajectory
 from real3x1.cli import jsonable
 from real3x1.errors import DomainError, PreconditionError
-from real3x1.maps import MAPS, map_from_name
+from real3x1.maps import MAPS, map_from_name, step
 from real3x1.rationals import parse_rational
 from real3x1.trajectory import (
+    TENDENCIES,
+    Fate,
     FateKind,
+    TrajectoryReport,
     contraction_check,
     detect_period01,
     iterate,
@@ -257,3 +261,195 @@ def test_seeded_reports_are_unchanged(name):
         for x in _seeded_starts(name)
     ]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ORBIT_DIGESTS[name]
+
+
+# ------------------------------------------- the Fraction and ungated references
+
+
+def _contraction_reference(x0, a, s, m_steps, m):
+    """contraction_check as it ran on Fraction steps: the reference for the pair replay."""
+    s = tuple(s)
+    a = F2(a)
+    x0 = F2(x0)
+    l = len(s)
+    ratio = F2(1)
+    for b in s:
+        ratio *= m.params.gamma if b else m.params.alpha
+    x = x0
+    ok = True
+    for t in range(m_steps * l):
+        x, b = step(m, x)
+        if b != s[t % l]:
+            raise PreconditionError(f"branch bits diverge from the claimed pattern at step {t}")
+        if (t + 1) % l == 0:
+            k = (t + 1) // l
+            ok = ok and (x - a == ratio**k * (x0 - a))
+    return ok
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except PreconditionError as exc:
+        return ("PreconditionError", str(exc))
+
+
+def _contraction_cases(name, count=150):
+    """Seeded (x0, a, s, m_steps): s is the orbit's own first l bits, or l random bits,
+    and a is the fixed point of that block's affine map, or that point moved by 1."""
+    rng = random.Random(f"contraction-{name}")
+    m = MAPS[name]
+    cases = []
+    for _ in range(count):
+        den = rng.randint(1, 64)
+        x0 = m.domain_min + F2(rng.randint(0, 12 * den), den)
+        l = rng.randint(1, 4)
+        if rng.randint(0, 3):
+            s, x = [], x0
+            for _ in range(l):
+                x, b = step(m, x)
+                s.append(b)
+        else:
+            s = [rng.randint(0, 1) for _ in range(l)]
+        offset, ratio = F2(0), F2(1)  # the block's affine map is y -> ratio * y + offset
+        for b in s:
+            slope, shift = (m.params.gamma, m.params.delta) if b else (m.params.alpha, m.params.beta)
+            offset, ratio = slope * offset + shift, slope * ratio
+        a = offset / (1 - ratio) + rng.randint(0, 1)
+        cases.append((x0, a, tuple(s), rng.randint(1, 4)))
+    return cases
+
+
+@pytest.mark.parametrize("name", ["U", "Uflip", "F", "V"])
+def test_contraction_check_matches_the_fraction_reference(name):
+    m = MAPS[name]
+    outcomes = set()
+    for case in _contraction_cases(name):
+        want = _outcome(_contraction_reference, *case, m)
+        assert _outcome(contraction_check, *case, m) == want, case
+        outcomes.add(want if isinstance(want, bool) else want[0])
+    assert outcomes == {True, False, "PreconditionError"}
+
+
+def _iterate_reference(m, x0, cap=10**4, escape_bound=None, *, trap_region=None, den_bit_cap=1 << 16, keep=1024):
+    """iterate with settle's full test on every step and no hull gate."""
+    x0 = F2(x0)
+    step_pq = m.step_pq
+    p, q = x0.numerator, x0.denominator
+    step_pq(p, q)
+    orbit = [(p, q)]
+    seen = {(p, q): 0}
+
+    def settle(x):
+        if trap_region is not None and trap_region[0] <= x < trap_region[1]:
+            return Fate(FateKind.ENTERED_REGION, region=trap_region)
+        for w_lo, w_hi, anchor, kind in trajectory._BASINS.get(m.name, ()):
+            if w_lo < x < w_hi:
+                assert _contraction_reference(x, anchor[0], [a % 2 for a in anchor], 1, m)
+                return Fate(kind, anchor=anchor, confirmed=True)
+        if escape_bound is not None and abs(x) > escape_bound:
+            return Fate(FateKind.ESCAPED_BOUND, bound=F2(escape_bound))
+        return None
+
+    fate = settle(x0)
+    if fate is None:
+        for k in range(1, cap + 1):
+            p, q, _b = step_pq(p, q)
+            orbit.append((p, q))
+            if (p, q) in seen:
+                fate = Fate(FateKind.ENTERED_CYCLE, period=k - seen[p, q], value=F2(p, q))
+                break
+            seen[p, q] = k
+            fate = settle(F2(p, q))
+            if fate is not None:
+                break
+            if q.bit_length() > den_bit_cap:
+                fate = Fate(FateKind.CAP_REACHED, size_capped=True)
+                break
+        else:
+            fate = Fate(FateKind.CAP_REACHED)
+    steps_used = len(orbit) - 1
+    if fate.kind in TENDENCIES or fate.kind is FateKind.ENTERED_CYCLE:
+        for _ in range(trajectory._TAIL_PAD):
+            p, q, _b = step_pq(p, q)
+            orbit.append((p, q))
+    kept = max(keep, 1)
+    iterates = [F2(p, q) for p, q in orbit[:kept]]
+    bits = [(p // q) & 1 for p, q in orbit]
+    return TrajectoryReport(x0, iterates, bits, fate, steps_used, len(orbit) > kept)
+
+
+_NO_MINIMUM = "Phi:1/2,1/3,-3/2,1/2,1/2"  # floor(x + 1/2) parity, unbounded below
+
+# per map: (trap region, escape bound) of the gated runs besides the plain one
+_GATE_SETTINGS = {
+    "T": ((F2(5), F2(9)), F2(40)),
+    "f": ((F2(3), F2(6)), F2(100)),
+    "g": ((F2(-7, 3), F2(5)), F2(60)),
+    "U": ((F2(5, 2), F2(7, 2)), F2(100)),
+    "Uflip": ((F2(3), F2(9, 2)), F2(77, 3)),
+    "F": ((F2(6), F2(13, 2)), F2(100)),
+    "V": ((F2(1), F2(3)), F2(50)),
+    _NO_MINIMUM: ((F2(-5, 2), F2(1, 3)), F2(50)),
+}
+
+
+def _in_domain(m, x):
+    try:
+        step(m, x)
+    except DomainError:
+        return False
+    return True
+
+
+def _boundary_starts(m, trap, bound):
+    """Each window endpoint, the trap's ends and +-bound, then every one-step preimage of them,
+    so that the gate meets each boundary both as a start and after a step."""
+    points = {trap[0], trap[1], bound, -bound}
+    for w_lo, w_hi, _anchor, _kind in trajectory._BASINS.get(m.name, ()):
+        points |= {F2(w_lo), F2(w_hi)}
+    par = m.params
+    preimages = {
+        y
+        for v in points
+        for slope, offset in ((par.alpha, par.beta), (par.gamma, par.delta))
+        if slope
+        for y in [(v - offset) / slope]
+        if _in_domain(m, y) and step(m, y)[0] == v
+    }
+    return sorted(x for x in points | preimages if _in_domain(m, x))
+
+
+@pytest.mark.parametrize("name", sorted(_GATE_SETTINGS))
+def test_gated_loop_matches_the_ungated_reference(name):
+    m = map_from_name(name)
+    trap, bound = _GATE_SETTINGS[name]
+    rng = random.Random(f"gate-{name}")
+    starts = _seeded_starts(name, 40) if name in MAPS else []
+    while len(starts) < 40:  # the Phi map: any sign, any denominator
+        starts.append(F2(rng.randint(-(1 << 10), 1 << 10), rng.randint(1, 1 << 6)))
+    boundary = _boundary_starts(m, trap, bound)
+    assert {trap[0], trap[1], bound} <= set(boundary)
+    runs = [(x, {}) for x in starts]
+    runs += [(x, {"escape_bound": bound, "trap_region": trap}) for x in starts + boundary]
+    runs += [(x, {"escape_bound": bound, "den_bit_cap": 12}) for x in starts[:10] + boundary]
+    for x, kwargs in runs:
+        got = jsonable(iterate(m, x, cap=300, keep=16, **kwargs))
+        want = jsonable(_iterate_reference(m, x, cap=300, keep=16, **kwargs))
+        assert got == want, (x, kwargs)
+
+
+def test_gate_boundaries_after_a_step():
+    """The trap holds lo, not hi, and |x| equal to the escape bound does not escape,
+    also when the orbit reaches them through the gate one step in."""
+    v, trap, bound = MAPS["V"], (F2(1), F2(2)), F2(50)
+    rep = iterate(v, F2(2), trap_region=trap)  # 2 (hi) -> 1 (lo)
+    assert (rep.fate.kind, rep.steps_used) == (FateKind.ENTERED_REGION, 1)
+    assert iterate(v, F2(4), cap=1, trap_region=trap).fate.kind is FateKind.CAP_REACHED  # 4 -> 2
+    assert iterate(v, F2(100, 3), cap=1, escape_bound=bound).fate.kind is FateKind.CAP_REACHED  # -> 50
+    rep = iterate(v, F2(35), cap=1, escape_bound=bound)  # 35 -> 105/2
+    assert (rep.fate.kind, rep.steps_used) == (FateKind.ESCAPED_BOUND, 1)
+    phi, bound = map_from_name("Phi:1/2,0,3/2,1/2,0"), F2(52)  # U's pieces, unbounded below
+    assert iterate(phi, F2(-35), cap=1, escape_bound=bound).fate.kind is FateKind.CAP_REACHED  # -> -52
+    rep = iterate(phi, F2(-37), cap=1, escape_bound=bound)  # -37 -> -55
+    assert (rep.fate.kind, rep.steps_used) == (FateKind.ESCAPED_BOUND, 1)
