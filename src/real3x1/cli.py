@@ -27,7 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from math import comb, gcd
 
-from .cycles import BitSeq, CycleClass, CycleRecord, check_realization, evaluate, misaligned_from, necklace_summaries
+from .cycles import BitSeq, CycleClass, evaluate, necklace_summaries, rotation_checks
 from .errors import StructureError
 from .maps import MAPS, MapSpec, map_from_name, step
 from .rationals import format_rational, parse_rational
@@ -195,36 +195,10 @@ def cmd_iterate(args, out) -> int:
 _CHUNK_RANKS = 1 << 14
 
 
-def _record_json_dict(rec: CycleRecord, k: int, rank: int) -> dict:
-    """The fields of rank, rec.s turned left by k, which closes at x_k = numerators[k] / |d|.
-
-    cycles prints them for every rank, and trace (k = 0) before its ledgers.
-    """
-    l, d = rec.s.l, rec.d
-    D = abs(d)
-    a = rec.numerators[k]
-    g = gcd(a, D)
-    realized_U, misalign_U = check_realization(rec, False, k)
-    realized_Uflip, misalign_Uflip = check_realization(rec, True, k)
-    return {
-        "l": l,
-        "rank": rank,
-        "bits": format(rank, f"0{l}b"),
-        "d": str(d),
-        "phi": str(a if d > 0 else -a),
-        "x0": str(a // g) if g == D else f"{a // g}/{D // g}",  # as format_rational prints a/D
-        "class": rec.cls.value,
-        "realized_U": realized_U,
-        "realized_Uflip": realized_Uflip,
-        "misalign_U": misalign_U,
-        "misalign_Uflip": misalign_Uflip,
-    }
-
-
 _NON_INTEGER = {CycleClass.FRACTIONAL_POSITIVE.value, CycleClass.FRACTIONAL_NEGATIVE.value}
 
 
-def _sweep_chunk(task) -> tuple[str, dict, list]:
+def _sweep_chunk(task) -> tuple[list[str], dict, list]:
     """Record lines, record counts by (l, n, class) and realized rows for one rank range of one length.
 
     A realized row is (pattern, class, realized_U, realized_Uflip).  Without
@@ -235,7 +209,8 @@ def _sweep_chunk(task) -> tuple[str, dict, list]:
     cmd_cycles puts the rows back in order.  With lines, the first rank r of
     each class that the range meets is evaluated (and traced) once, and each
     rotation of r in the range, r turned left by k, gets r's cycle seen from
-    x_k.
+    x_k: its checks from one rotation_checks scan, and its line from one
+    template that holds the class's own fields.
     """
     l, lo, hi, emit_lines, with_verdict = task
     counts, realized = {}, []
@@ -246,33 +221,48 @@ def _sweep_chunk(task) -> tuple[str, dict, list]:
             if on_U or on_Uflip:
                 s = format(rank, f"0{l}b")
                 realized += [(s[k:] + s[:k], cls, on_U, on_Uflip) for k in range(period)]
-        return "", counts, realized
-    top, mask = l - 1, (1 << l) - 1
+        return [], counts, realized
+    top, mask, spec = l - 1, (1 << l) - 1, f"0{l}b"
     lines = [None] * (hi - lo)  # a filled slot marks its class as walked
     for r in range(lo, hi):
         if lines[r - lo] is not None:
             continue
         rec = evaluate(BitSeq.from_rank(l, r))
-        verdict = trace(rec).verdict if with_verdict and rec.d > 0 else None
+        d, nums, cls = rec.d, rec.numerators, rec.cls.value
+        D, sign = abs(d), 1 if d > 0 else -1
+        verdict = trace(rec).verdict if with_verdict and d > 0 else None
         misaligned = verdict is not None and verdict.kind is VerdictKind.MISALIGNED_AT
-        cls = rec.cls.value
+        # a line is _dumps of its record: keys sorted, and no value needs escaping;
+        # head and tail hold the fields that every rotation of the class shares
+        head = f'", "class": "{cls}", "d": "{d}", "l": {l}, "misalign_U": '
+        tail = ""
+        if with_verdict:
+            tail = ', "verdict": null' if verdict is None else f', "verdict": "{verdict.label()}"'
+        checks = rotation_checks(rec)
         x, k, written = r, 0, 0
         while True:
             if lo <= x < hi:
-                obj = _record_json_dict(rec, k, x)
-                if with_verdict:  # a misaligned step is counted from x_k
-                    v = Verdict(verdict.kind, misaligned_from(rec, k)) if misaligned else verdict
-                    obj["verdict"] = None if v is None else v.label()
-                if obj["realized_U"] or obj["realized_Uflip"]:
-                    realized.append((obj["bits"], cls, obj["realized_U"], obj["realized_Uflip"]))
-                lines[x - lo] = _dumps(obj) + "\n"
+                on_U, misalign_U, on_Uflip, misalign_Uflip, step = checks[k]
+                if misaligned:  # a misaligned step is counted from x_k
+                    tail = f', "verdict": "misaligned_at:{step}"'
+                a = nums[k]
+                g = gcd(a, D)
+                lines[x - lo] = (
+                    f'{{"bits": "{x:{spec}}{head}{"null" if misalign_U is None else misalign_U}, '
+                    f'"misalign_Uflip": {"null" if misalign_Uflip is None else misalign_Uflip}, '
+                    f'"phi": "{a * sign}", "rank": {x}, "realized_U": {"true" if on_U else "false"}, '
+                    f'"realized_Uflip": {"true" if on_Uflip else "false"}{tail}, '
+                    f'"x0": "{a // g if g == D else f"{a // g}/{D // g}"}"}}\n'
+                )
+                if on_U or on_Uflip:
+                    realized.append((format(x, spec), cls, on_U, on_Uflip))
                 written += 1
             x, k = ((x << 1) & mask) | (x >> top), k + 1  # r turned left by k
             if x == r:
                 break
         key = (l, rec.s.n, cls)
         counts[key] = counts.get(key, 0) + written
-    return "".join(lines), counts, realized
+    return lines, counts, realized
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -295,8 +285,8 @@ def cmd_cycles(args, out) -> int:
     tallies, realized = {}, []
 
     def merge(result):
-        text, chunk_counts, chunk_realized = result
-        out.write(text)
+        lines, chunk_counts, chunk_realized = result
+        out.writelines(lines)
         for key, k in chunk_counts.items():
             tallies[key] = tallies.get(key, 0) + k
         realized.extend(chunk_realized)
@@ -552,7 +542,8 @@ def cmd_trace(args, out) -> int:
     except ValueError as exc:
         raise ValueError(f"--bits: {exc}") from exc
     rec = evaluate(s)
-    obj = _record_json_dict(rec, 0, s.rank)
+    (line,), _, _ = _sweep_chunk((s.l, s.rank, s.rank + 1, True, False))
+    obj = json.loads(line)  # the record fields as cycles prints them; the ledgers join them
     if rec.d > 0:
         for suffix, flipped in (("", False), ("_flipped", True)):
             tr = trace(rec, flipped)
@@ -690,10 +681,16 @@ class _OutFile:
     def __init__(self, path: str):
         self.path, self.fh = path, None
 
-    def write(self, text: str) -> int:
+    def _file(self):
         if self.fh is None:
             self.fh = open(self.path, "w", encoding="utf-8", newline="")
-        return self.fh.write(text)
+        return self.fh
+
+    def write(self, text: str) -> int:
+        return self._file().write(text)
+
+    def writelines(self, lines) -> None:
+        self._file().writelines(lines)
 
     def close(self) -> None:
         if self.fh is not None:

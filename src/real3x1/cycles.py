@@ -36,8 +36,8 @@ Whether the same closed walk is realized by the floor-parity maps is a
 separate, stricter question: U requires floor(x_i) parity to equal the branch
 bit at every step (and x0 >= 1), Uflip requires the opposite parity at every
 step (and x0 >= 0).  The sweep records the first index where each of these
-fails; _realization() is the one scan, on the integers, for a lane as for a
-record.
+fails; _realization() is the one scan from x_0, on the integers, for a lane
+as for a record, and rotation_checks() applies its rule from every x_k.
 
 Both answers, and the cycle class, are shared by every rotation of s.  The
 rotation by k closes at x_k, the k-th point of the same g-cycle, so it walks
@@ -59,13 +59,15 @@ nums.  Per-rank records come from one representative per necklace too: record
 mode evaluates the first rank of each class that a rank block meets, whether
 or not it is the least rotation.  Its rotation k closes at x_k = nums[k] / |d|,
 so its phi is +-nums[k], and its realization checks are the representative's
-cycle scanned from index k (check_realization(rec, flipped, k)).  The
+cycle scanned from index k.  The parity that U rejects at a step is the
+rotation's as well as the representative's, so rotation_checks() scans the
+numerators once and reads every rotation's checks off that one scan.  The
 remainder ledger (remainders.trace) checks its recurrence on the cyclic pairs
 (c_{i-1}, c_i) that leave an aligned index, and every rotation has the same
 set of pairs, only renumbered.  One trace per necklace and block therefore
 makes every check that a trace per rank would make; rotation k's verdict is
-the representative's, with a misalignment counted from index k
-(misaligned_from).
+the representative's, with a misalignment counted from index k (the last
+field of rotation_checks(), U's first rejected step whatever the domain).
 """
 
 from __future__ import annotations
@@ -260,49 +262,58 @@ def candidate(s: BitSeq) -> CycleRecord:
     return CycleRecord(s, d, tuple(_numerators(d, walk)), _cycle_class(walk[0], d))
 
 
-def _realization(
-    d: int, nums: Sequence[int], flipped: bool, k: int = 0, *, gate: bool = True
-) -> tuple[bool, int | None]:
-    """Does U, or Uflip when flipped, walk the cycle nums / |d| from x_k?
+def _realization(d: int, nums: Sequence[int], flipped: bool) -> tuple[bool, int | None]:
+    """Does U, or Uflip when flipped, walk the cycle nums / |d| from x_0?
 
-    nums holds x_j * |d| for j <= l, closed.  (False, None) when x_k is
-    outside the map's domain (x_k >= 1 for U, x_k >= 0 for Uflip) and gate
-    is set; otherwise (False, i) names the first step, counted cyclically
-    from k, whose floor parity the map rejects: U needs floor(x_j) mod 2 to
-    equal the branch bit b_j, Uflip needs it to differ.  The forced walk is
-    parity aligned, so b_j is the parity of x_j * |d|.  Along any prefix
-    where they match, the walk consists of genuine steps of the map, so the
-    domain stays forward-invariant and only the bit comparison is needed.
+    nums holds x_j * |d| for j <= l, closed.  (False, None) when x_0 is
+    outside the map's domain (x_0 >= 1 for U, x_0 >= 0 for Uflip); otherwise
+    (False, i) names the first step whose floor parity the map rejects: U
+    needs floor(x_j) mod 2 to equal the branch bit b_j, Uflip needs it to
+    differ.  The forced walk is parity aligned, so b_j is the parity of
+    x_j * |d|.  Along any prefix where they match, the walk consists of
+    genuine steps of the map, so the domain stays forward-invariant and only
+    the bit comparison is needed.
     """
     D = abs(d)
-    if gate and nums[k] < (0 if flipped else D):
+    if nums[0] < (0 if flipped else D):
         return False, None
-    l = len(nums) - 1
-    for i in range(l):
-        a = nums[k + i if k + i < l else k + i - l]
+    for i in range(len(nums) - 1):
+        a = nums[i]
         if (a // D ^ a) & 1 != flipped:
             return False, i
     return True, None
 
 
-def misaligned_from(rec: CycleRecord, k: int) -> int | None:
-    """Steps from index k, taken cyclically, to the first floor parity U rejects.
+def check_realization(rec: CycleRecord, flipped: bool = False) -> tuple[bool, int | None]:
+    """Does U, or Uflip when flipped, walk rec's cycle from x_0?  (False, i) names the first bad step."""
+    return _realization(rec.d, rec.numerators, flipped)
 
-    Rotation k of rec.s walks rec's cycle from x_k, so this is that
-    rotation's first misaligned step, whatever its domain; None when there
-    is none.
+
+def rotation_checks(rec: CycleRecord) -> list[tuple[bool, int | None, bool, int | None, int | None]]:
+    """(realized_U, misalign_U, realized_Uflip, misalign_Uflip, misaligned) for each rotation k < l of rec.s.
+
+    Rotation k, rec.s turned left by k, walks rec's cycle from x_k, so one
+    scan of the numerators answers for every k.  U rejects step j iff
+    floor(x_j) and x_j * |d| differ in parity (see _realization), Uflip
+    rejects exactly the other steps, and a rotation's first rejection is the
+    first one counted cyclically from k.  The first four fields are
+    check_realization's for the rotation, its domain gate applied at x_k;
+    misaligned is U's first rejection whatever the domain, or None.
     """
-    return _realization(rec.d, rec.numerators, False, k, gate=False)[1]
-
-
-def check_realization(
-    rec: CycleRecord, flipped: bool = False, k: int = 0
-) -> tuple[bool, int | None]:
-    """Does U, or Uflip when flipped, walk rec's cycle from x_k?  (False, i) names the first bad step.
-
-    k = 0 asks about rec.s itself, k > 0 about its rotation left by k.
-    """
-    return _realization(rec.d, rec.numerators, flipped, k)
+    D = abs(rec.d)
+    nums = rec.numerators
+    l = len(nums) - 1
+    rejects = "".join(["1" if (a // D ^ a) & 1 else "0" for a in nums[:l]])  # "1": U rejects step j
+    twice = rejects * 2
+    on_U, on_Uflip = "1" not in rejects, "0" not in rejects
+    checks = []
+    for k in range(l):
+        misaligned = None if on_U else twice.index("1", k) - k
+        misaligned_flip = None if on_Uflip else twice.index("0", k) - k
+        U = (on_U, misaligned) if nums[k] >= D else (False, None)
+        Uflip = (on_Uflip, misaligned_flip) if nums[k] >= 0 else (False, None)
+        checks.append((*U, *Uflip, misaligned))
+    return checks
 
 
 def evaluate(s: BitSeq) -> CycleRecord:

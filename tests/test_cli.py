@@ -9,7 +9,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import real3x1
@@ -211,9 +211,9 @@ def test_rotated_lines_equal_direct_evaluation(l):
         expected = [cli._dumps(direct_record(r, with_verdict)) for r in recs]
         for size in [1, 4, 16] if l <= 10 else []:
             blocks = [(l, lo, min(lo + size, total), True, with_verdict) for lo in range(0, total, size)]
-            assert "".join(cli._sweep_chunk(b)[0] for b in blocks).splitlines() == expected
-        text, counts, realized = cli._sweep_chunk((l, 0, total, True, with_verdict))
-        assert text.splitlines() == expected
+            assert "".join(line for b in blocks for line in cli._sweep_chunk(b)[0]).splitlines() == expected
+        lines, counts, realized = cli._sweep_chunk((l, 0, total, True, with_verdict))
+        assert "".join(lines).splitlines() == expected
     assert sum(counts.values()) == len(recs)
     assert sorted(realized) == [  # cmd_cycles orders the rows; equal-length patterns sort by rank
         (str(r.s), r.cls.value, r.realized_U, r.realized_Uflip)
@@ -226,8 +226,54 @@ def test_rotated_lines_equal_direct_evaluation(l):
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=24))
 def test_rotated_record_equals_direct_evaluation(bits):
     s = BitSeq(tuple(bits))
-    text, _, _ = cli._sweep_chunk((s.l, s.rank, s.rank + 1, True, True))
-    assert text == cli._dumps(direct_record(evaluate(s))) + "\n"
+    lines, _, _ = cli._sweep_chunk((s.l, s.rank, s.rank + 1, True, True))
+    assert lines == [cli._dumps(direct_record(evaluate(s))) + "\n"]
+
+
+bits = st.integers(min_value=0, max_value=1)
+
+
+@st.composite
+def block_patterns(draw):
+    """Up to 24 bits; half of them repeat a word of 1 to 4 bits up to their last 4.
+
+    Rotation k of a rank lies in the rank's 16-rank block when the first
+    l - 4 + k bits have period k, so a periodic head puts rotations k > 0
+    in the block.
+    """
+    l = draw(st.integers(min_value=1, max_value=24))
+    head = max(l - 4, 0)
+    if draw(st.booleans()):
+        word = draw(st.lists(bits, min_size=1, max_size=4))
+        start = (word * l)[:head]
+    else:
+        start = draw(st.lists(bits, min_size=head, max_size=head))
+    return tuple(start + draw(st.lists(bits, min_size=l - head, max_size=l - head)))
+
+
+@settings(deadline=None)
+@given(block_patterns())
+@example((1,) * 21 + (0,) * 3)  # met at 1^20 0001, so 1^21 000 is its rotation by 23
+def test_rotated_block_lines_equal_direct_evaluation(pattern):
+    """Each line of a pattern's aligned block of 16 ranks (or all 2^l) is its rank's own evaluation."""
+    s = BitSeq(pattern)
+    size = min(16, 1 << s.l)
+    lo = s.rank - s.rank % size
+    lines, _, _ = cli._sweep_chunk((s.l, lo, lo + size, True, True))
+    assert lines == [
+        cli._dumps(direct_record(evaluate(BitSeq.from_rank(s.l, x)))) + "\n" for x in range(lo, lo + size)
+    ]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_record_sweep_writes_the_same_bytes_to_a_file(workers, tmp_path, capsys):
+    """--out takes each chunk's line list through _OutFile.writelines; at 2 workers the lists come from a pool."""
+    argv = ["cycles", "--lmax", "10", "--with-verdict", "--workers", workers]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    path = tmp_path / "records.jsonl"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert path.read_bytes() == stdout.encode()
 
 
 def test_records_evaluate_and_trace_each_necklace_once(capsys, monkeypatch):

@@ -18,6 +18,7 @@ from real3x1.cycles import (
     check_realization,
     evaluate,
     necklaces,
+    rotation_checks,
     sweep,
 )
 from real3x1 import cli, cycles
@@ -147,9 +148,9 @@ def test_record_chunks_partition_cleanly():
     parts = []
     for l in range(1, 7):
         for lo in range(0, 1 << l, 5):
-            text, counts, _ = cli._sweep_chunk((l, lo, min(lo + 5, 1 << l), True, True))
-            parts.extend(json.loads(line)["bits"] for line in text.splitlines())
-            assert sum(counts.values()) == len(text.splitlines())
+            lines, counts, _ = cli._sweep_chunk((l, lo, min(lo + 5, 1 << l), True, True))
+            parts.extend(json.loads(line)["bits"] for line in lines)
+            assert sum(counts.values()) == len(lines)
     assert parts == whole
     with pytest.raises(ValueError):
         list(sweep(0))
@@ -246,7 +247,7 @@ def test_necklace_blocks_must_be_aligned_powers_of_two(lo, hi):
 @settings(deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=40).map(tuple))
 def test_integer_kernel_matches_the_fraction_reference(bits):
-    """candidate and _realization against exact rationals, computed without them."""
+    """candidate, _realization and rotation_checks against exact rationals, computed without them."""
     l = len(bits)
     rec = candidate(BitSeq(bits))
     d, nums = rec.d, rec.numerators
@@ -259,10 +260,12 @@ def test_integer_kernel_matches_the_fraction_reference(bits):
     cycle = [x0] + [apply_affine(compose_affine(bits[:j]), x0) for j in range(1, l + 1)]
     assert nums == tuple(abs(d) * x for x in cycle)
 
-    # each map's own walk from x_k, in its domain, against the branch bits
+    # each map's own walk from x_0, and from every x_k, in its domain, against the branch bits
     for flipped, m in ((False, MAPS["U"]), (True, MAPS["Uflip"])):
-        for k in range(l):
-            assert _realization(d, nums, flipped, k) == _map_walk(m, cycle, bits, k)
+        assert _realization(d, nums, flipped) == _map_walk(m, cycle, bits, 0)
+    for k, check in enumerate(rotation_checks(rec)):
+        assert check[:2] == _map_walk(MAPS["U"], cycle, bits, k)
+        assert check[2:4] == _map_walk(MAPS["Uflip"], cycle, bits, k)
 
 
 def _map_walk(m, cycle, bits, k):
@@ -277,6 +280,45 @@ def _map_walk(m, cycle, bits, k):
             return False, i
     assert x == cycle[k]
     return True, None
+
+
+def _first_misaligned(rec):
+    """The first step whose floor parity differs from rec's branch bit, whatever the domain; None if none."""
+    fl = floors(rec)
+    return next((i for i, b in enumerate(rec.s.bits) if fl[i] % 2 != b), None)
+
+
+def _evaluated_checks(rot):
+    """What rotation_checks gives for a rotation, read off that rotation's own evaluation."""
+    return rot.realized_U, rot.misalign_U, rot.realized_Uflip, rot.misalign_Uflip, _first_misaligned(rot)
+
+
+@pytest.mark.parametrize("l", range(1, 13))
+def test_rotation_checks_match_every_rotations_own_evaluation(l):
+    """rotation_checks(rec)[k] is the evaluation of rec.s turned left by k, for every pattern of l bits."""
+    mask = (1 << l) - 1
+    recs = [evaluate(BitSeq.from_rank(l, rank)) for rank in range(1 << l)]
+    want = [_evaluated_checks(rec) for rec in recs]
+    gates = set()  # (d > 0, U's gate at x_0, U's gate at x_k)
+    for r, rec in enumerate(recs):
+        for k, check in enumerate(rotation_checks(rec)):
+            rot = (r << k | r >> (l - k)) & mask
+            assert check == want[rot], f"rotation {k} of {rec.s}"
+            gates.add((rec.d > 0, rec.x0 >= 1, recs[rot].x0 >= 1))
+    if l >= 5:  # d of each sign, and gates passed, failed and split within a class
+        assert {(True, True, True), (True, False, False), (True, True, False), (False, False, False)} <= gates
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=40).map(tuple))
+@example((1,) * 30 + (0,) * 3)  # d < 0
+@example((1, 1, 1, 0, 0) * 8)  # d > 0, every x_k >= 1
+@example((1,) + (0,) * 39)  # d > 0, every x_k < 1
+def test_rotation_checks_match_rotated_evaluation(bits):
+    """The same, for patterns up to l = 40: each rotation evaluated on its own."""
+    s = BitSeq(bits)
+    for k, check in enumerate(rotation_checks(evaluate(s))):
+        assert check == _evaluated_checks(evaluate(rotated(s, k))), f"rotation {k} of {s}"
 
 
 @st.composite

@@ -18,10 +18,11 @@ verdict, from lmin above 1, and across two workers.  The last iterate rows
 pin a zero step cap and a report that keeps only its start.
 
 The FORGED rows take branches that honest runs never take.  The realized
-forgery patches the one integer realization scan, cycles._realization, which
-check_realization reaches for record lines and necklace_summaries for the
-summary, so the sweep reports a counterexample in record mode as well as
-with --summary-only.
+forgery patches both integer realization scans: cycles._realization, which
+necklace_summaries reaches for the summary and check_realization for
+evaluate, and rotation_checks, from which record mode reads the checks of
+every rank's line.  So the sweep reports a counterexample in record mode as
+well as with --summary-only.
 """
 
 import hashlib
@@ -209,22 +210,32 @@ FORGED_F = {
 
 
 _realization = cycles._realization
+_rotation_checks = cycles.rotation_checks
 
 
-def _realized_when_d_is_5(d, nums, flipped, k=0, *, gate=True):
-    """d depends only on (l, n), so this forgery holds for whole rotation classes.
-
-    Only the realization verdict is forged; an ungated scan (misaligned_from)
-    still counts the true misaligned step.
-    """
-    if d == 5 and gate:
+def _realized_when_d_is_5(d, nums, flipped):
+    """d depends only on (l, n), so this forgery holds for whole rotation classes."""
+    if d == 5:
         return True, None
-    return _realization(d, nums, flipped, k, gate=gate)
+    return _realization(d, nums, flipped)
+
+
+def _rotations_realized_when_d_is_5(rec):
+    """Every rotation of a d = 5 class realized by both maps.
+
+    Only the realization verdicts are forged; the ungated misaligned step,
+    which a misaligned ledger's verdict names, stays the true one.
+    """
+    checks = _rotation_checks(rec)
+    if rec.d == 5:
+        return [(True, None, True, None, misaligned) for *_, misaligned in checks]
+    return checks
 
 
 def _forge_realized(monkeypatch):
-    """Records reach _realization through check_realization, summaries through necklace_summaries."""
+    """Summaries reach _realization through necklace_summaries, record lines call rotation_checks."""
     monkeypatch.setattr(cycles, "_realization", _realized_when_d_is_5)
+    monkeypatch.setattr(cli, "rotation_checks", _rotations_realized_when_d_is_5)
 
 
 def _run(argv, capsys):

@@ -138,3 +138,27 @@ def test_orbit_loops_build_no_fraction():
         in ("Fraction", "step")
     ]
     assert calls == []
+
+
+def test_record_lines_are_built_per_class():
+    """Record mode pays its per-record costs once per class: no _dumps(...), check_realization(...)
+    or _realization(...) call in a loop of cli._sweep_chunk's record branch, which follows the
+    summary branch's `if not emit_lines:` block."""
+    cli = dict(_modules())["cli.py"]
+    (fn,) = [fn for fn in cli.body if isinstance(fn, ast.FunctionDef) and fn.name == "_sweep_chunk"]
+    record_branch = [
+        stmt for stmt in fn.body if not (isinstance(stmt, ast.If) and ast.unparse(stmt.test) == "not emit_lines")
+    ]
+    assert len(record_branch) < len(fn.body)
+    calls = [
+        f"_sweep_chunk:{node.lineno}"
+        for stmt in record_branch
+        for loop in ast.walk(stmt)
+        if isinstance(loop, (ast.For, ast.While))
+        for body_stmt in loop.body  # what runs per pass; a loop's else runs once
+        for node in ast.walk(body_stmt)
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None))
+        in ("_dumps", "check_realization", "_realization")
+    ]
+    assert calls == []
