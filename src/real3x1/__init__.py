@@ -16,7 +16,6 @@ from .cycles import (
     CycleClass,
     CycleRecord,
     candidate,
-    check_realization,
     evaluate,
     sweep,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "affine_offset",
     "apply_affine",
     "candidate",
-    "check_realization",
     "compare_pow3_pow2",
     "compose_affine",
     "contraction_check",

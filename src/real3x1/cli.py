@@ -27,7 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from math import comb, gcd
 
-from .cycles import BitSeq, CycleClass, evaluate, necklace_summaries, rotation_checks
+from .cycles import BitSeq, CycleClass, candidate, necklace_summaries, rotation_checks
 from .errors import StructureError
 from .maps import MAPS, MapSpec, map_from_name, step
 from .rationals import format_rational, parse_rational
@@ -207,10 +207,11 @@ def _sweep_chunk(task) -> tuple[list[str], dict, list]:
     counting for all its rotations; a pattern string is built only for the
     rows of a realized class, whose rotations may lie in other ranges, so
     cmd_cycles puts the rows back in order.  With lines, the first rank r of
-    each class that the range meets is evaluated (and traced) once, and each
-    rotation of r in the range, r turned left by k, gets r's cycle seen from
-    x_k: its checks from one rotation_checks scan, and its line from one
-    template that holds the class's own fields.
+    each class that the range meets is closed by candidate (and traced) once,
+    and each rotation of r in the range, r turned left by k, gets r's cycle
+    seen from x_k: its checks, rotation 0's included, from one
+    rotation_checks scan, and its line from one template that holds the
+    class's own fields.
     """
     l, lo, hi, emit_lines, with_verdict = task
     counts, realized = {}, []
@@ -227,7 +228,7 @@ def _sweep_chunk(task) -> tuple[list[str], dict, list]:
     for r in range(lo, hi):
         if lines[r - lo] is not None:
             continue
-        rec = evaluate(BitSeq.from_rank(l, r))
+        rec = candidate(BitSeq.from_rank(l, r))
         d, nums, cls = rec.d, rec.numerators, rec.cls.value
         D, sign = abs(d), 1 if d > 0 else -1
         verdict = trace(rec).verdict if with_verdict and d > 0 else None
@@ -238,7 +239,7 @@ def _sweep_chunk(task) -> tuple[list[str], dict, list]:
         tail = ""
         if with_verdict:
             tail = ', "verdict": null' if verdict is None else f', "verdict": "{verdict.label()}"'
-        checks = rotation_checks(rec)
+        checks = rotation_checks(d, nums)
         x, k, written = r, 0, 0
         while True:
             if lo <= x < hi:
@@ -541,7 +542,7 @@ def cmd_trace(args, out) -> int:
         s = BitSeq.from_string(args.bits)
     except ValueError as exc:
         raise ValueError(f"--bits: {exc}") from exc
-    rec = evaluate(s)
+    rec = candidate(s)
     (line,), _, _ = _sweep_chunk((s.l, s.rank, s.rank + 1, True, False))
     obj = json.loads(line)  # the record fields as cycles prints them; the ledgers join them
     if rec.d > 0:

@@ -36,8 +36,11 @@ Whether the same closed walk is realized by the floor-parity maps is a
 separate, stricter question: U requires floor(x_i) parity to equal the branch
 bit at every step (and x0 >= 1), Uflip requires the opposite parity at every
 step (and x0 >= 0).  The sweep records the first index where each of these
-fails; _realization() is the one scan from x_0, on the integers, for a lane
-as for a record, and rotation_checks() applies its rule from every x_k.
+fails.  One rule decides both maps: U rejects step j iff floor(x_j) and
+x_j * |d| differ in parity, and Uflip rejects exactly the other steps.  So
+_realization() answers U and Uflip from one scan from x_0, on the integers,
+for a lane as for a record, and rotation_checks() applies the same rule, to
+the same d and numerators, from every x_k.
 
 Both answers, and the cycle class, are shared by every rotation of s.  The
 rotation by k closes at x_k, the k-th point of the same g-cycle, so it walks
@@ -56,18 +59,20 @@ one _walk, scans each lane, and builds no record.
 
 A record reads phi = +-nums[0] and x0 = nums[0] / |d| from its numerators
 nums.  Per-rank records come from one representative per necklace too: record
-mode evaluates the first rank of each class that a rank block meets, whether
-or not it is the least rotation.  Its rotation k closes at x_k = nums[k] / |d|,
-so its phi is +-nums[k], and its realization checks are the representative's
-cycle scanned from index k.  The parity that U rejects at a step is the
-rotation's as well as the representative's, so rotation_checks() scans the
-numerators once and reads every rotation's checks off that one scan.  The
-remainder ledger (remainders.trace) checks its recurrence on the cyclic pairs
-(c_{i-1}, c_i) that leave an aligned index, and every rotation has the same
-set of pairs, only renumbered.  One trace per necklace and block therefore
-makes every check that a trace per rank would make; rotation k's verdict is
-the representative's, with a misalignment counted from index k (the last
-field of rotation_checks(), U's first rejected step whatever the domain).
+mode closes the first rank of each class that a rank block meets with
+candidate(), whether or not it is the least rotation, and runs no
+_realization() scan.  Its rotation k closes at x_k = nums[k] / |d|, so its
+phi is +-nums[k], and its realization checks are the representative's cycle
+scanned from index k.  The parity that U rejects at a step is the rotation's
+as well as the representative's, so rotation_checks() scans the numerators
+once and reads every rotation's checks, rotation 0's included, off that one
+scan.  The remainder ledger (remainders.trace) checks its recurrence on the
+cyclic pairs (c_{i-1}, c_i) that leave an aligned index, and every rotation
+has the same set of pairs, only renumbered.  One trace per necklace and block
+therefore makes every check that a trace per rank would make; rotation k's
+verdict is the representative's, with a misalignment counted from index k
+(the last field of rotation_checks(), U's first rejected step whatever the
+domain).
 """
 
 from __future__ import annotations
@@ -262,46 +267,49 @@ def candidate(s: BitSeq) -> CycleRecord:
     return CycleRecord(s, d, tuple(_numerators(d, walk)), _cycle_class(walk[0], d))
 
 
-def _realization(d: int, nums: Sequence[int], flipped: bool) -> tuple[bool, int | None]:
-    """Does U, or Uflip when flipped, walk the cycle nums / |d| from x_0?
+def _realization(d: int, nums: Sequence[int]) -> tuple[bool, int | None, bool, int | None]:
+    """(realized_U, misalign_U, realized_Uflip, misalign_Uflip): do U and Uflip walk nums / |d| from x_0?
 
-    nums holds x_j * |d| for j <= l, closed.  (False, None) when x_0 is
-    outside the map's domain (x_0 >= 1 for U, x_0 >= 0 for Uflip); otherwise
-    (False, i) names the first step whose floor parity the map rejects: U
-    needs floor(x_j) mod 2 to equal the branch bit b_j, Uflip needs it to
-    differ.  The forced walk is parity aligned, so b_j is the parity of
-    x_j * |d|.  Along any prefix where they match, the walk consists of
-    genuine steps of the map, so the domain stays forward-invariant and only
-    the bit comparison is needed.
+    nums holds x_j * |d| for j <= l, closed.  A map gives (False, None) when
+    x_0 is outside its domain (x_0 >= 1 for U, x_0 >= 0 for Uflip);
+    otherwise (False, i) names the first step whose floor parity it rejects.
+    U needs floor(x_j) mod 2 to equal the branch bit b_j, Uflip needs it to
+    differ, and the forced walk is parity aligned, so b_j is the parity of
+    x_j * |d|: U rejects step j iff floor(x_j) and x_j * |d| differ in
+    parity, and Uflip rejects exactly the other steps.  So one scan answers
+    both: the map that rejects step 0 misaligns at 0, and the other at the
+    first step whose bit differs from step 0's, a scan skipped when x_0 is
+    outside that map's domain.  Along any prefix where the bits match, the
+    walk consists of genuine steps of the map, so the domain stays
+    forward-invariant and only the bit comparison is needed.
     """
     D = abs(d)
-    if nums[0] < (0 if flipped else D):
-        return False, None
-    for i in range(len(nums) - 1):
-        a = nums[i]
-        if (a // D ^ a) & 1 != flipped:
-            return False, i
-    return True, None
+    a = nums[0]
+    flip = (a // D ^ a) & 1  # 1: U rejects step 0, 0: Uflip does
+    in_U, in_Uflip = a >= D, a >= 0  # x_0 in each map's domain
+    step = None  # the first step that the map accepting step 0 rejects
+    if in_Uflip if flip else in_U:
+        for j in range(1, len(nums) - 1):
+            a = nums[j]
+            if (a // D ^ a) & 1 != flip:
+                step = j
+                break
+    rejected, scanned = (False, 0), (step is None, step)
+    U, Uflip = (rejected, scanned) if flip else (scanned, rejected)
+    return (*(U if in_U else (False, None)), *(Uflip if in_Uflip else (False, None)))
 
 
-def check_realization(rec: CycleRecord, flipped: bool = False) -> tuple[bool, int | None]:
-    """Does U, or Uflip when flipped, walk rec's cycle from x_0?  (False, i) names the first bad step."""
-    return _realization(rec.d, rec.numerators, flipped)
+def rotation_checks(d: int, nums: Sequence[int]) -> list[tuple[bool, int | None, bool, int | None, int | None]]:
+    """(realized_U, misalign_U, realized_Uflip, misalign_Uflip, misaligned) for each rotation k < l of a cycle.
 
-
-def rotation_checks(rec: CycleRecord) -> list[tuple[bool, int | None, bool, int | None, int | None]]:
-    """(realized_U, misalign_U, realized_Uflip, misalign_Uflip, misaligned) for each rotation k < l of rec.s.
-
-    Rotation k, rec.s turned left by k, walks rec's cycle from x_k, so one
-    scan of the numerators answers for every k.  U rejects step j iff
-    floor(x_j) and x_j * |d| differ in parity (see _realization), Uflip
-    rejects exactly the other steps, and a rotation's first rejection is the
-    first one counted cyclically from k.  The first four fields are
-    check_realization's for the rotation, its domain gate applied at x_k;
-    misaligned is U's first rejection whatever the domain, or None.
+    nums holds x_j * |d| for j <= l, closed, as for _realization.  Rotation
+    k, the cycle's pattern turned left by k, walks the cycle from x_k, so
+    one scan of the numerators answers for every k: a rotation's first
+    rejection is the first one counted cyclically from k.  The first four
+    fields are _realization's for the rotation, its domain gate applied at
+    x_k; misaligned is U's first rejection whatever the domain, or None.
     """
-    D = abs(rec.d)
-    nums = rec.numerators
+    D = abs(d)
     l = len(nums) - 1
     rejects = "".join(["1" if (a // D ^ a) & 1 else "0" for a in nums[:l]])  # "1": U rejects step j
     twice = rejects * 2
@@ -319,9 +327,7 @@ def rotation_checks(rec: CycleRecord) -> list[tuple[bool, int | None, bool, int 
 def evaluate(s: BitSeq) -> CycleRecord:
     """candidate() plus both realization checks."""
     rec = candidate(s)
-    return CycleRecord(
-        s, rec.d, rec.numerators, rec.cls, *check_realization(rec), *check_realization(rec, True)
-    )
+    return CycleRecord(s, rec.d, rec.numerators, rec.cls, *_realization(rec.d, rec.numerators))
 
 
 def sweep(l_max: int) -> Iterator[CycleRecord]:
@@ -407,7 +413,5 @@ def _summaries(l: int, group: list[tuple[int, int]]) -> Iterator[tuple]:
     n = group[0][0].bit_count()
     d, lanes = _walk(l, n, [rank for rank, _ in group])
     for (rank, period), walk in zip(group, lanes):
-        nums = _numerators(d, walk)
-        realized_U = _realization(d, nums, False)[0]
-        realized_Uflip = _realization(d, nums, True)[0]
+        realized_U, _, realized_Uflip, _ = _realization(d, _numerators(d, walk))
         yield n, rank, period, _cycle_class(walk[0], d).value, realized_U, realized_Uflip

@@ -5,7 +5,7 @@ conjecture command is reproducible from its seed alone.  Values are exact
 Fractions; den_bits / value_bits bound the sizes before reduction.  The
 draw_* functions check their arguments at the call and then draw one value
 per item taken, so a caller that takes them as it goes holds one at a time;
-sample_* take them all into a list.
+sample_rationals takes its draws all into a list.
 """
 
 from __future__ import annotations
@@ -71,12 +71,3 @@ def sample_rationals(
     """The draws of draw_rationals as one list."""
     return list(draw_rationals(rng, count, den_bits, value_bits, minimum))
 
-
-def sample_integers(
-    rng: random.Random,
-    count: int,
-    value_bits: int = 16,
-    minimum: int = 1,
-) -> list[int]:
-    """The draws of draw_integers as one list."""
-    return list(draw_integers(rng, count, value_bits, minimum))

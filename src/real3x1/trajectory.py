@@ -25,15 +25,16 @@ _TAIL_PAD further steps, so the periodic parity tail is visible in it.
 
 iterate runs the orbit on reduced integer pairs (p, q) through
 MapSpec.step_pq, compares every bound by cross-multiplication and builds a
-Fraction only for a kept iterate, a cycle value and a basin landing.  The
-report is read off the list of visited pairs after the orbit resolves.  The
-fate tests of a step (trap, windows, escape) sit behind one exact hull gate:
-floor(x) lies between the least floor of a trap or window start and the
-greatest floor of a trap or window end whenever x lies in one of them, and
-|floor(x)| >= floor(bound) whenever |x| > bound.  A step whose p // q lies
-outside both cannot settle, so it pays one division instead of the tests.
-contraction_check replays its block on step_pq pairs as well and checks the
-identity by cross-multiplied integers; Fraction appears only at its interface.
+Fraction only for a kept iterate past the start (the first is x0 itself), a
+cycle value and a basin landing.  The report is read off the list of visited
+pairs after the orbit resolves.  The fate tests of a step (trap, windows,
+escape) sit behind one exact hull gate: floor(x) lies between the least
+floor of a trap or window start and the greatest floor of a trap or window
+end whenever x lies in one of them, and |floor(x)| >= floor(bound) whenever
+|x| > bound.  A step whose p // q lies outside both cannot settle, so it
+pays one division instead of the tests.  contraction_check replays its block
+on step_pq pairs as well and checks the identity by cross-multiplied
+integers; Fraction appears only at its interface.
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ def iterate(
             orbit.append((p, q))
 
     kept = max(keep, 1)  # the start is always kept
-    iterates = [Fraction(p, q) for p, q in orbit[:kept]]
+    iterates = [x0] + [Fraction(p, q) for p, q in orbit[1:kept]]
     bits = [(p // q) & 1 for p, q in orbit]
     return TrajectoryReport(x0, iterates, bits, fate, steps_used, len(orbit) > kept)
 

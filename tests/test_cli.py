@@ -16,7 +16,7 @@ import real3x1
 import real3x1.cli as cli
 from real3x1 import cycles, trajectory
 from real3x1.cli import main
-from real3x1.cycles import BitSeq, evaluate
+from real3x1.cycles import BitSeq, candidate, evaluate
 from real3x1.errors import StructureError
 from real3x1.maps import MAPS, step
 from real3x1.rationals import format_rational
@@ -121,7 +121,7 @@ def test_internal_error_exit(capsys, monkeypatch):
     def broken(s):
         raise StructureError(f"forced walk of {s} failed to close")
 
-    monkeypatch.setattr(cli, "evaluate", broken)
+    monkeypatch.setattr(cli, "candidate", broken)
     code, out, err = run_cli(capsys, "trace", "--bits", "10")
     assert code == 5 and out == ""
     assert err == "real3x1: internal error: forced walk of 10 failed to close\n"
@@ -279,15 +279,15 @@ def test_record_sweep_writes_the_same_bytes_to_a_file(workers, tmp_path, capsys)
 def test_records_evaluate_and_trace_each_necklace_once(capsys, monkeypatch):
     evaluated, traced = [], []
 
-    def counting_evaluate(s):
+    def counting_candidate(s):
         evaluated.append(str(s))
-        return evaluate(s)
+        return candidate(s)
 
     def counting_trace(rec, flipped=False):
         traced.append(str(rec.s))
         return trace(rec, flipped)
 
-    monkeypatch.setattr(cli, "evaluate", counting_evaluate)
+    monkeypatch.setattr(cli, "candidate", counting_candidate)
     monkeypatch.setattr(cli, "trace", counting_trace)
     assert run_cli(capsys, "cycles", "--lmax", "10", "--with-verdict")[0] == 0
     least = []  # equal-length bit strings order as their ranks do
@@ -299,18 +299,18 @@ def test_records_evaluate_and_trace_each_necklace_once(capsys, monkeypatch):
 
 
 def test_record_blocks_evaluate_each_class_once(capsys, monkeypatch):
-    """A block evaluates the first rank of each class it meets, and traces it when d > 0."""
+    """A block closes the first rank of each class it meets once, and traces it when d > 0."""
     evaluated, traced = [], []
 
-    def counting_evaluate(s):
+    def counting_candidate(s):
         evaluated.append(str(s))
-        return evaluate(s)
+        return candidate(s)
 
     def counting_trace(rec, flipped=False):
         traced.append(str(rec.s))
         return trace(rec, flipped)
 
-    monkeypatch.setattr(cli, "evaluate", counting_evaluate)
+    monkeypatch.setattr(cli, "candidate", counting_candidate)
     monkeypatch.setattr(cli, "trace", counting_trace)
     monkeypatch.setattr(cli, "_CHUNK_RANKS", 16)
     assert run_cli(capsys, "cycles", "--lmax", "8", "--with-verdict")[0] == 0
@@ -356,11 +356,11 @@ def test_lost_record_is_an_internal_error(capsys, monkeypatch):
     assert err == "real3x1: internal error: sweep counted 0 records with l = 4, n = 1, expected 4\n"
 
     # record mode counts by (l, n) in its class walk
-    def swapped_evaluate(s):
-        return evaluate(BitSeq.from_string("0011") if str(s) == "0001" else s)
+    def swapped_candidate(s):
+        return candidate(BitSeq.from_string("0011") if str(s) == "0001" else s)
 
     monkeypatch.setattr(cycles, "necklaces", necklaces)
-    monkeypatch.setattr(cli, "evaluate", swapped_evaluate)
+    monkeypatch.setattr(cli, "candidate", swapped_candidate)
     code, _, err = run_cli(capsys, "cycles", "--lmax", "5")
     assert code == 5
     assert err == "real3x1: internal error: sweep counted 0 records with l = 4, n = 1, expected 4\n"

@@ -15,7 +15,6 @@ from real3x1.cycles import (
     _realization,
     _walk,
     candidate,
-    check_realization,
     evaluate,
     necklaces,
     rotation_checks,
@@ -179,17 +178,20 @@ def test_fractional_denominators_are_at_least_five():
 
 
 def test_realization_checks_match_direct_walk():
-    """The recorded misalignment index is the first floor-parity mismatch."""
+    """The recorded misalignment index is the first floor-parity mismatch, and each half
+    of the one scan's answer is its map's own walk."""
     for rec in sweep(9):
         fl = floors(rec)
-        ok_U, idx_U = check_realization(rec)
+        checks = _realization(rec.d, rec.numerators)
+        assert checks[:2] == _map_walk(MAPS["U"], rec.g_cycle, rec.s.bits, 0)
+        assert checks[2:] == _map_walk(MAPS["Uflip"], rec.g_cycle, rec.s.bits, 0)
+        ok_U, idx_U, ok_f, idx_f = checks
         if rec.x0 >= 1:
             mismatches = [i for i, b in enumerate(rec.s.bits) if fl[i] % 2 != b]
             assert ok_U == (not mismatches)
             assert idx_U == (mismatches[0] if mismatches else None)
         else:
             assert (ok_U, idx_U) == (False, None)
-        ok_f, idx_f = check_realization(rec, flipped=True)
         if rec.x0 >= 0:
             mismatches = [i for i, b in enumerate(rec.s.bits) if fl[i] % 2 != 1 - b]
             assert ok_f == (not mismatches)
@@ -261,9 +263,10 @@ def test_integer_kernel_matches_the_fraction_reference(bits):
     assert nums == tuple(abs(d) * x for x in cycle)
 
     # each map's own walk from x_0, and from every x_k, in its domain, against the branch bits
-    for flipped, m in ((False, MAPS["U"]), (True, MAPS["Uflip"])):
-        assert _realization(d, nums, flipped) == _map_walk(m, cycle, bits, 0)
-    for k, check in enumerate(rotation_checks(rec)):
+    checks = _realization(d, nums)
+    assert checks[:2] == _map_walk(MAPS["U"], cycle, bits, 0)
+    assert checks[2:] == _map_walk(MAPS["Uflip"], cycle, bits, 0)
+    for k, check in enumerate(rotation_checks(d, nums)):
         assert check[:2] == _map_walk(MAPS["U"], cycle, bits, k)
         assert check[2:4] == _map_walk(MAPS["Uflip"], cycle, bits, k)
 
@@ -295,13 +298,14 @@ def _evaluated_checks(rot):
 
 @pytest.mark.parametrize("l", range(1, 13))
 def test_rotation_checks_match_every_rotations_own_evaluation(l):
-    """rotation_checks(rec)[k] is the evaluation of rec.s turned left by k, for every pattern of l bits."""
+    """rotation_checks(rec.d, rec.numerators)[k] is the evaluation of rec.s turned left by k,
+    for every pattern of l bits."""
     mask = (1 << l) - 1
     recs = [evaluate(BitSeq.from_rank(l, rank)) for rank in range(1 << l)]
     want = [_evaluated_checks(rec) for rec in recs]
     gates = set()  # (d > 0, U's gate at x_0, U's gate at x_k)
     for r, rec in enumerate(recs):
-        for k, check in enumerate(rotation_checks(rec)):
+        for k, check in enumerate(rotation_checks(rec.d, rec.numerators)):
             rot = (r << k | r >> (l - k)) & mask
             assert check == want[rot], f"rotation {k} of {rec.s}"
             gates.add((rec.d > 0, rec.x0 >= 1, recs[rot].x0 >= 1))
@@ -317,7 +321,8 @@ def test_rotation_checks_match_every_rotations_own_evaluation(l):
 def test_rotation_checks_match_rotated_evaluation(bits):
     """The same, for patterns up to l = 40: each rotation evaluated on its own."""
     s = BitSeq(bits)
-    for k, check in enumerate(rotation_checks(evaluate(s))):
+    rec = candidate(s)
+    for k, check in enumerate(rotation_checks(rec.d, rec.numerators)):
         assert check == _evaluated_checks(evaluate(rotated(s, k))), f"rotation {k} of {s}"
 
 
@@ -346,8 +351,9 @@ def test_lane_walk_matches_the_fraction_reference(group):
         x0 = F2(offset, n2 - n3)
         cycle = [x0] + [apply_affine(compose_affine(bits[:j]), x0) for j in range(1, l + 1)]
         assert list(walk) == [x * d for x in cycle]
-        for flipped, m in ((False, MAPS["U"]), (True, MAPS["Uflip"])):
-            assert _realization(d, _numerators(d, walk), flipped) == _map_walk(m, cycle, bits, 0)
+        checks = _realization(d, _numerators(d, walk))
+        assert checks[:2] == _map_walk(MAPS["U"], cycle, bits, 0)
+        assert checks[2:] == _map_walk(MAPS["Uflip"], cycle, bits, 0)
 
 
 def test_close_rejects_a_wrong_offset(monkeypatch):

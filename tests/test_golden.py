@@ -18,11 +18,13 @@ verdict, from lmin above 1, and across two workers.  The last iterate rows
 pin a zero step cap and a report that keeps only its start.
 
 The FORGED rows take branches that honest runs never take.  The realized
-forgery patches both integer realization scans: cycles._realization, which
-necklace_summaries reaches for the summary and check_realization for
-evaluate, and rotation_checks, from which record mode reads the checks of
-every rank's line.  So the sweep reports a counterexample in record mode as
-well as with --summary-only.
+forgery patches both integer realization scans: cycles._realization, whose
+one scan answers U and Uflip for each necklace that necklace_summaries
+reaches for the summary, and rotation_checks, from which record mode reads
+the checks of every rank's line; record mode closes its classes with
+candidate and runs no _realization scan.  Both forgeries take (d, nums).  So
+the sweep reports a counterexample in record mode as well as with
+--summary-only.
 """
 
 import hashlib
@@ -213,21 +215,21 @@ _realization = cycles._realization
 _rotation_checks = cycles.rotation_checks
 
 
-def _realized_when_d_is_5(d, nums, flipped):
+def _realized_when_d_is_5(d, nums):
     """d depends only on (l, n), so this forgery holds for whole rotation classes."""
     if d == 5:
-        return True, None
-    return _realization(d, nums, flipped)
+        return True, None, True, None
+    return _realization(d, nums)
 
 
-def _rotations_realized_when_d_is_5(rec):
+def _rotations_realized_when_d_is_5(d, nums):
     """Every rotation of a d = 5 class realized by both maps.
 
     Only the realization verdicts are forged; the ungated misaligned step,
     which a misaligned ledger's verdict names, stays the true one.
     """
-    checks = _rotation_checks(rec)
-    if rec.d == 5:
+    checks = _rotation_checks(d, nums)
+    if d == 5:
         return [(True, None, True, None, misaligned) for *_, misaligned in checks]
     return checks
 

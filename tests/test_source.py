@@ -141,9 +141,9 @@ def test_orbit_loops_build_no_fraction():
 
 
 def test_record_lines_are_built_per_class():
-    """Record mode pays its per-record costs once per class: no _dumps(...), check_realization(...)
-    or _realization(...) call in a loop of cli._sweep_chunk's record branch, which follows the
-    summary branch's `if not emit_lines:` block."""
+    """Record mode pays its per-record costs once per class: no _dumps(...) or _realization(...)
+    call in a loop of cli._sweep_chunk's record branch, which follows the summary branch's
+    `if not emit_lines:` block."""
     cli = dict(_modules())["cli.py"]
     (fn,) = [fn for fn in cli.body if isinstance(fn, ast.FunctionDef) and fn.name == "_sweep_chunk"]
     record_branch = [
@@ -159,6 +159,21 @@ def test_record_lines_are_built_per_class():
         for node in ast.walk(body_stmt)
         if isinstance(node, ast.Call)
         and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None))
-        in ("_dumps", "check_realization", "_realization")
+        in ("_dumps", "_realization")
+    ]
+    assert calls == []
+
+
+def test_cli_runs_no_realization_scan():
+    """cli.py calls neither evaluate(...) nor _realization(...): record mode reads every rank's
+    checks from rotation_checks and the summary from necklace_summaries, so no line reads
+    their scans."""
+    cli = dict(_modules())["cli.py"]
+    calls = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(cli)
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None))
+        in ("evaluate", "_realization")
     ]
     assert calls == []
