@@ -27,7 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from math import comb, gcd
 
-from .cycles import BitSeq, CycleClass, candidate, necklace_summaries, rotation_checks
+from .cycles import BitSeq, CycleClass, candidate, necklace_totals, rotation_checks
 from .errors import StructureError
 from .maps import MAPS, MapSpec, map_from_name, step
 from .rationals import format_rational, parse_rational
@@ -198,31 +198,37 @@ _CHUNK_RANKS = 1 << 14
 _NON_INTEGER = {CycleClass.FRACTIONAL_POSITIVE.value, CycleClass.FRACTIONAL_NEGATIVE.value}
 
 
-def _sweep_chunk(task) -> tuple[list[str], dict, list]:
-    """Record lines, record counts by (l, n, class) and realized rows for one rank range of one length.
+def _sweep_chunk(task) -> tuple[list[str], dict, list, int]:
+    """Record lines, record counts by (l, n, class), realized rows and necklaces closed for one rank range.
 
     A realized row is (pattern, class, realized_U, realized_Uflip).  Without
-    lines, the necklaces of the range are closed and scanned once per
-    (l, n) group, on plain integers, each through its least rotation and
-    counting for all its rotations; a pattern string is built only for the
-    rows of a realized class, whose rotations may lie in other ranges, so
-    cmd_cycles puts the rows back in order.  With lines, the first rank r of
-    each class that the range meets is closed by candidate (and traced) once,
-    and each rotation of r in the range, r turned left by k, gets r's cycle
-    seen from x_k: its checks, rotation 0's included, from one
-    rotation_checks scan, and its line from one template that holds the
+    lines, necklace_totals closes the necklaces of the range, each through
+    its least rotation and counting for all its rotations, in lane groups of
+    one (l, n) (a group with d < 0 runs no realization scan), and the chunk
+    adds each group's totals; a pattern string is built only for the rows of
+    a realized class, whose rotations may lie in other ranges, so cmd_cycles
+    puts the rows back in order.  The necklaces closed are the range's share
+    of the necklaces of length l, whose sum cmd_cycles checks against
+    Moreau's count; record mode meets a class in more than one range, so it
+    reports 0.  With lines, the
+    first rank r of each class that the range meets is closed by candidate
+    (and traced) once, and each rotation of r in the range, r turned left by
+    k, gets r's cycle seen from x_k: its checks, rotation 0's included, from
+    one rotation_checks scan, and its line from one template that holds the
     class's own fields.
     """
     l, lo, hi, emit_lines, with_verdict = task
     counts, realized = {}, []
     if not emit_lines:
-        for n, rank, period, cls, on_U, on_Uflip in necklace_summaries(l, lo, hi):
-            key = (l, n, cls)
-            counts[key] = counts.get(key, 0) + period
-            if on_U or on_Uflip:
+        closed = 0
+        for n, group_size, group_counts, rows in necklace_totals(l, lo, hi):
+            closed += group_size
+            for cls, k in group_counts.items():
+                counts[l, n, cls] = counts.get((l, n, cls), 0) + k
+            for rank, period, cls, on_U, on_Uflip in rows:
                 s = format(rank, f"0{l}b")
                 realized += [(s[k:] + s[:k], cls, on_U, on_Uflip) for k in range(period)]
-        return [], counts, realized
+        return [], counts, realized, closed
     top, mask, spec = l - 1, (1 << l) - 1, f"0{l}b"
     lines = [None] * (hi - lo)  # a filled slot marks its class as walked
     for r in range(lo, hi):
@@ -263,7 +269,7 @@ def _sweep_chunk(task) -> tuple[list[str], dict, list]:
                 break
         key = (l, rec.s.n, cls)
         counts[key] = counts.get(key, 0) + written
-    return lines, counts, realized
+    return lines, counts, realized, 0
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -283,25 +289,26 @@ def cmd_cycles(args, out) -> int:
                 (l, lo, min(lo + _CHUNK_RANKS, total), not args.summary_only, args.with_verdict)
             )
 
-    tallies, realized = {}, []
+    tallies, realized, closed = {}, [], {}
 
-    def merge(result):
-        lines, chunk_counts, chunk_realized = result
+    def merge(task, result):
+        lines, chunk_counts, chunk_realized, chunk_closed = result
         out.writelines(lines)
         for key, k in chunk_counts.items():
             tallies[key] = tallies.get(key, 0) + k
         realized.extend(chunk_realized)
+        closed[task[0]] = closed.get(task[0], 0) + chunk_closed
 
     workers = _pool_size(args.workers, len(tasks))
     if workers <= 1:
         for task in tasks:
-            merge(_sweep_chunk(task))
+            merge(task, _sweep_chunk(task))
     else:
         # imported here: the pool loads multiprocessing, which no one-worker run needs
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(_sweep_chunk, tasks):
-                merge(result)
+            for task, result in zip(tasks, pool.map(_sweep_chunk, tasks)):
+                merge(task, result)
 
     records = sum(tallies.values())  # every record has exactly one (l, n, class)
     expected = (1 << (args.lmax + 1)) - (1 << args.lmin)
@@ -318,6 +325,13 @@ def cmd_cycles(args, out) -> int:
                     f"sweep counted {by_length.get((l, n), 0)} records with l = {l}, n = {n}, "
                     f"expected {comb(l, n)}"
                 )
+    if args.summary_only:  # record mode meets a class in more than one chunk
+        for l in range(args.lmin, args.lmax + 1):
+            # Moreau's count of necklaces of l bits, (1/l) sum over e | l of phi(e) 2^(l/e),
+            # is (1/l) sum over k < l of 2^gcd(k, l): the rotation by k fixes 2^gcd(k, l) words
+            moreau = sum(1 << gcd(k, l) for k in range(l)) // l
+            if closed[l] != moreau:
+                raise StructureError(f"sweep closed {closed[l]} necklaces with l = {l}, expected {moreau}")
     realized.sort(key=lambda row: (len(row[0]), int(row[0], 2)))  # (l, rank)
     non_integer = [bits for bits, cls, on_U, _ in realized if on_U and cls in _NON_INTEGER]
     realized_Uflip = [bits for bits, _, _, on_Uflip in realized if on_Uflip]
@@ -543,7 +557,7 @@ def cmd_trace(args, out) -> int:
     except ValueError as exc:
         raise ValueError(f"--bits: {exc}") from exc
     rec = candidate(s)
-    (line,), _, _ = _sweep_chunk((s.l, s.rank, s.rank + 1, True, False))
+    (line,) = _sweep_chunk((s.l, s.rank, s.rank + 1, True, False))[0]
     obj = json.loads(line)  # the record fields as cycles prints them; the ledgers join them
     if rec.d > 0:
         for suffix, flipped in (("", False), ("_flipped", True)):

@@ -39,8 +39,10 @@ step (and x0 >= 0).  The sweep records the first index where each of these
 fails.  One rule decides both maps: U rejects step j iff floor(x_j) and
 x_j * |d| differ in parity, and Uflip rejects exactly the other steps.  So
 _realization() answers U and Uflip from one scan from x_0, on the integers,
-for a lane as for a record, and rotation_checks() applies the same rule, to
-the same d and numerators, from every x_k.
+for every lane of a group in one loop (a record is a group of one lane), and
+rotation_checks() applies the same rule, to the same d and numerators, from
+every x_k.  With d < 0 (so n >= 1), every x_0 is negative, outside both
+domains, and no scan is needed.
 
 Both answers, and the cycle class, are shared by every rotation of s.  The
 rotation by k closes at x_k, the k-th point of the same g-cycle, so it walks
@@ -54,8 +56,11 @@ necklace's period is the length of its Lyndon prefix (Ruskey, Savage and
 Wang, "Generating necklaces", J. Algorithms 13, 1992; Cattell, Ruskey,
 Sawada, Serra and Miers, "Fast algorithms to generate necklaces, unlabeled
 necklaces, and irreducible polynomials over GF(2)", J. Algorithms 37, 2000).
-necklace_summaries() groups a block's necklaces by n, closes each group in
-one _walk, scans each lane, and builds no record.
+necklace_totals() groups a block's necklaces by n and closes each lane group
+in one _walk.  It returns the group's totals, not one answer per necklace:
+its record counts by class, weighted by period, and the realized rows alone.
+A group with d < 0 takes its class from c_0 % d and runs no _realization()
+scan; a group with d > 0 runs one, over all its lanes.  No record is built.
 
 A record reads phi = +-nums[0] and x0 = nums[0] / |d| from its numerators
 nums.  Per-rank records come from one representative per necklace too: record
@@ -82,7 +87,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import StructureError
 
@@ -253,12 +258,16 @@ def _numerators(d: int, walk: Sequence[int]) -> Sequence[int]:
     return walk if d > 0 else [-c for c in walk]
 
 
+_CLASSES = {  # (d > 0, x_0 an integer): the class of a nonzero cycle
+    (True, True): CycleClass.INTEGER_POSITIVE,
+    (True, False): CycleClass.FRACTIONAL_POSITIVE,
+    (False, True): CycleClass.INTEGER_NEGATIVE,
+    (False, False): CycleClass.FRACTIONAL_NEGATIVE,
+}
+
+
 def _cycle_class(phi: int, d: int) -> CycleClass:
-    if phi == 0:
-        return CycleClass.ZERO
-    if phi % d == 0:
-        return CycleClass.INTEGER_POSITIVE if d > 0 else CycleClass.INTEGER_NEGATIVE
-    return CycleClass.FRACTIONAL_POSITIVE if d > 0 else CycleClass.FRACTIONAL_NEGATIVE
+    return CycleClass.ZERO if phi == 0 else _CLASSES[d > 0, phi % d == 0]
 
 
 def candidate(s: BitSeq) -> CycleRecord:
@@ -267,36 +276,40 @@ def candidate(s: BitSeq) -> CycleRecord:
     return CycleRecord(s, d, tuple(_numerators(d, walk)), _cycle_class(walk[0], d))
 
 
-def _realization(d: int, nums: Sequence[int]) -> tuple[bool, int | None, bool, int | None]:
-    """(realized_U, misalign_U, realized_Uflip, misalign_Uflip): do U and Uflip walk nums / |d| from x_0?
+def _realization(d: int, lanes: Iterable[Sequence[int]]) -> list[tuple[bool, int | None, bool, int | None]]:
+    """(realized_U, misalign_U, realized_Uflip, misalign_Uflip) per lane: do U and Uflip walk it from x_0?
 
-    nums holds x_j * |d| for j <= l, closed.  A map gives (False, None) when
-    x_0 is outside its domain (x_0 >= 1 for U, x_0 >= 0 for Uflip);
-    otherwise (False, i) names the first step whose floor parity it rejects.
-    U needs floor(x_j) mod 2 to equal the branch bit b_j, Uflip needs it to
-    differ, and the forced walk is parity aligned, so b_j is the parity of
-    x_j * |d|: U rejects step j iff floor(x_j) and x_j * |d| differ in
-    parity, and Uflip rejects exactly the other steps.  So one scan answers
-    both: the map that rejects step 0 misaligns at 0, and the other at the
-    first step whose bit differs from step 0's, a scan skipped when x_0 is
-    outside that map's domain.  Along any prefix where the bits match, the
-    walk consists of genuine steps of the map, so the domain stays
-    forward-invariant and only the bit comparison is needed.
+    Each lane, nums, holds x_j * |d| for j <= l, closed.  A map gives
+    (False, None) when x_0 is outside its domain (x_0 >= 1 for U, x_0 >= 0
+    for Uflip); otherwise (False, i) names the first step whose floor parity
+    it rejects.  U needs floor(x_j) mod 2 to equal the branch bit b_j, Uflip
+    needs it to differ, and the forced walk is parity aligned, so b_j is the
+    parity of x_j * |d|: U rejects step j iff floor(x_j) and x_j * |d|
+    differ in parity, and Uflip rejects exactly the other steps.  So one
+    scan answers both: the map that rejects step 0 misaligns at 0, and the
+    other at the first step whose bit differs from step 0's, a scan skipped
+    when x_0 is outside that map's domain.  Along any prefix where the bits
+    match, the walk consists of genuine steps of the map, so the domain
+    stays forward-invariant and only the bit comparison is needed.
     """
     D = abs(d)
-    a = nums[0]
-    flip = (a // D ^ a) & 1  # 1: U rejects step 0, 0: Uflip does
-    in_U, in_Uflip = a >= D, a >= 0  # x_0 in each map's domain
-    step = None  # the first step that the map accepting step 0 rejects
-    if in_Uflip if flip else in_U:
-        for j in range(1, len(nums) - 1):
-            a = nums[j]
-            if (a // D ^ a) & 1 != flip:
-                step = j
-                break
-    rejected, scanned = (False, 0), (step is None, step)
-    U, Uflip = (rejected, scanned) if flip else (scanned, rejected)
-    return (*(U if in_U else (False, None)), *(Uflip if in_Uflip else (False, None)))
+    outside = (False, None)
+    checks = []
+    for nums in lanes:
+        a = nums[0]
+        flip = (a // D ^ a) & 1  # 1: U rejects step 0, 0: Uflip does
+        in_U, in_Uflip = a >= D, a >= 0  # x_0 in each map's domain
+        step = None  # the first step that the map accepting step 0 rejects
+        if in_Uflip if flip else in_U:
+            for j in range(1, len(nums) - 1):
+                a = nums[j]
+                if (a // D ^ a) & 1 != flip:
+                    step = j
+                    break
+        rejected, scanned = (False, 0), (step is None, step)
+        U, Uflip = (rejected, scanned) if flip else (scanned, rejected)
+        checks.append((*(U if in_U else outside), *(Uflip if in_Uflip else outside)))
+    return checks
 
 
 def rotation_checks(d: int, nums: Sequence[int]) -> list[tuple[bool, int | None, bool, int | None, int | None]]:
@@ -327,7 +340,8 @@ def rotation_checks(d: int, nums: Sequence[int]) -> list[tuple[bool, int | None,
 def evaluate(s: BitSeq) -> CycleRecord:
     """candidate() plus both realization checks."""
     rec = candidate(s)
-    return CycleRecord(s, rec.d, rec.numerators, rec.cls, *_realization(rec.d, rec.numerators))
+    (checks,) = _realization(rec.d, [rec.numerators])
+    return CycleRecord(s, rec.d, rec.numerators, rec.cls, *checks)
 
 
 def sweep(l_max: int) -> Iterator[CycleRecord]:
@@ -389,29 +403,41 @@ def necklaces(l: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
 _LANES = 64  # necklaces per walk: enough to spread a walk's fixed cost, few enough to keep memory small
 
 
-def necklace_summaries(l: int, lo: int, hi: int) -> Iterator[tuple]:
-    """(n, rank, period, class value, realized_U, realized_Uflip) for each of necklaces(l, lo, hi).
+def necklace_totals(l: int, lo: int, hi: int) -> Iterator[tuple[int, int, dict[str, int], list[tuple]]]:
+    """(n, necklaces, records by class value, realized rows) for each lane group of necklaces(l, lo, hi).
 
-    All period rotations of rank share these answers.  The necklaces of one
-    (l, n) share d = 2^l - 3^n, so they are closed _LANES at a time in one
-    _walk, and each lane is scanned on its own; no record is built.
+    The necklaces of one (l, n) share d = 2^l - 3^n, so they are closed
+    _LANES at a time in one _walk.  A group's records by class count every
+    rotation of each of its necklaces, and a realized row is
+    (rank, period, class value, realized_U, realized_Uflip) for a necklace
+    that U or Uflip realizes; no record is built.
     """
-    groups = {}
-    for rank, period in necklaces(l, lo, hi):
-        group = groups.setdefault(rank.bit_count(), [])
-        group.append((rank, period))
+    groups = [[] for _ in range(l + 1)]  # groups[n]: the pending (rank, period) pairs with n ones
+    for pair in necklaces(l, lo, hi):
+        group = groups[pair[0].bit_count()]
+        group.append(pair)
         if len(group) == _LANES:
-            yield from _summaries(l, group)
+            yield _group_totals(l, group)
             group.clear()
-    for group in groups.values():
+    for group in groups:
         if group:
-            yield from _summaries(l, group)
+            yield _group_totals(l, group)
 
 
-def _summaries(l: int, group: list[tuple[int, int]]) -> Iterator[tuple]:
-    """necklace_summaries() for one group of (rank, period) pairs of length l, all with n ones."""
+def _group_totals(l: int, group: list[tuple[int, int]]) -> tuple[int, int, dict[str, int], list[tuple]]:
+    """necklace_totals() for one group of (rank, period) pairs of length l, all with n ones."""
     n = group[0][0].bit_count()
     d, lanes = _walk(l, n, [rank for rank, _ in group])
-    for (rank, period), walk in zip(group, lanes):
-        realized_U, _, realized_Uflip, _ = _realization(d, _numerators(d, walk))
-        yield n, rank, period, _cycle_class(walk[0], d).value, realized_U, realized_Uflip
+    # x_0 = c_0 / d is an integer iff d divides c_0, which few lanes do; it is 0 only for n = 0
+    integer = sum([period for (_, period), walk in zip(group, lanes) if walk[0] % d == 0])
+    fractional = sum([period for _, period in group]) - integer
+    whole = CycleClass.ZERO if n == 0 else _CLASSES[d > 0, True]
+    counts = {cls.value: k for cls, k in ((whole, integer), (_CLASSES[d > 0, False], fractional)) if k}
+    if d < 0:  # n >= 1 and x_0 < 0 in every lane: outside both maps' domains, so no scan
+        return n, len(group), counts, []
+    rows = [
+        (rank, period, _cycle_class(walk[0], d).value, on_U, on_Uflip)
+        for (rank, period), walk, (on_U, _, on_Uflip, _) in zip(group, lanes, _realization(d, lanes))
+        if on_U or on_Uflip
+    ]
+    return n, len(group), counts, rows

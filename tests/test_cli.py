@@ -212,9 +212,10 @@ def test_rotated_lines_equal_direct_evaluation(l):
         for size in [1, 4, 16] if l <= 10 else []:
             blocks = [(l, lo, min(lo + size, total), True, with_verdict) for lo in range(0, total, size)]
             assert "".join(line for b in blocks for line in cli._sweep_chunk(b)[0]).splitlines() == expected
-        lines, counts, realized = cli._sweep_chunk((l, 0, total, True, with_verdict))
+        lines, counts, realized, closed = cli._sweep_chunk((l, 0, total, True, with_verdict))
         assert "".join(lines).splitlines() == expected
     assert sum(counts.values()) == len(recs)
+    assert closed == 0  # record mode reports no necklace count
     assert sorted(realized) == [  # cmd_cycles orders the rows; equal-length patterns sort by rank
         (str(r.s), r.cls.value, r.realized_U, r.realized_Uflip)
         for r in recs
@@ -226,7 +227,7 @@ def test_rotated_lines_equal_direct_evaluation(l):
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=24))
 def test_rotated_record_equals_direct_evaluation(bits):
     s = BitSeq(tuple(bits))
-    lines, _, _ = cli._sweep_chunk((s.l, s.rank, s.rank + 1, True, True))
+    lines, _, _, _ = cli._sweep_chunk((s.l, s.rank, s.rank + 1, True, True))
     assert lines == [cli._dumps(direct_record(evaluate(s))) + "\n"]
 
 
@@ -259,7 +260,7 @@ def test_rotated_block_lines_equal_direct_evaluation(pattern):
     s = BitSeq(pattern)
     size = min(16, 1 << s.l)
     lo = s.rank - s.rank % size
-    lines, _, _ = cli._sweep_chunk((s.l, lo, lo + size, True, True))
+    lines, _, _, _ = cli._sweep_chunk((s.l, lo, lo + size, True, True))
     assert lines == [
         cli._dumps(direct_record(evaluate(BitSeq.from_rank(s.l, x)))) + "\n" for x in range(lo, lo + size)
     ]
@@ -364,6 +365,23 @@ def test_lost_record_is_an_internal_error(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "cycles", "--lmax", "5")
     assert code == 5
     assert err == "real3x1: internal error: sweep counted 0 records with l = 4, n = 1, expected 4\n"
+
+
+def test_split_necklace_is_an_internal_error(capsys, monkeypatch):
+    """0011 closed as two necklaces of period 2: every record count adds up, the necklace count does not."""
+    necklaces = cycles.necklaces
+
+    def split(l, lo, hi):
+        for rank, period in necklaces(l, lo, hi):
+            if (l, rank) == (4, 0b0011):
+                yield from [(rank, 2), (rank, 2)]
+            else:
+                yield rank, period
+
+    monkeypatch.setattr(cycles, "necklaces", split)
+    code, out, err = run_cli(capsys, "cycles", "--lmax", "5", "--summary-only")
+    assert (code, out) == (5, "")
+    assert err == "real3x1: internal error: sweep closed 7 necklaces with l = 4, expected 6\n"
 
 
 def test_cycles_validation(capsys):

@@ -16,6 +16,7 @@ from real3x1.cycles import (
     _walk,
     candidate,
     evaluate,
+    necklace_totals,
     necklaces,
     rotation_checks,
     sweep,
@@ -147,7 +148,7 @@ def test_record_chunks_partition_cleanly():
     parts = []
     for l in range(1, 7):
         for lo in range(0, 1 << l, 5):
-            lines, counts, _ = cli._sweep_chunk((l, lo, min(lo + 5, 1 << l), True, True))
+            lines, counts, _, _ = cli._sweep_chunk((l, lo, min(lo + 5, 1 << l), True, True))
             parts.extend(json.loads(line)["bits"] for line in lines)
             assert sum(counts.values()) == len(lines)
     assert parts == whole
@@ -182,7 +183,7 @@ def test_realization_checks_match_direct_walk():
     of the one scan's answer is its map's own walk."""
     for rec in sweep(9):
         fl = floors(rec)
-        checks = _realization(rec.d, rec.numerators)
+        (checks,) = _realization(rec.d, [rec.numerators])
         assert checks[:2] == _map_walk(MAPS["U"], rec.g_cycle, rec.s.bits, 0)
         assert checks[2:] == _map_walk(MAPS["Uflip"], rec.g_cycle, rec.s.bits, 0)
         ok_U, idx_U, ok_f, idx_f = checks
@@ -263,7 +264,7 @@ def test_integer_kernel_matches_the_fraction_reference(bits):
     assert nums == tuple(abs(d) * x for x in cycle)
 
     # each map's own walk from x_0, and from every x_k, in its domain, against the branch bits
-    checks = _realization(d, nums)
+    (checks,) = _realization(d, [nums])
     assert checks[:2] == _map_walk(MAPS["U"], cycle, bits, 0)
     assert checks[2:] == _map_walk(MAPS["Uflip"], cycle, bits, 0)
     for k, check in enumerate(rotation_checks(d, nums)):
@@ -345,15 +346,97 @@ def test_lane_walk_matches_the_fraction_reference(group):
     l, n, ranks = group
     d, lanes = _walk(l, n, ranks)
     assert d == 2**l - 3**n and len(lanes) == len(ranks)
-    for rank, walk in zip(ranks, lanes):
+    scans = _realization(d, [_numerators(d, walk) for walk in lanes])
+    assert len(scans) == len(ranks)
+    for rank, walk, checks in zip(ranks, lanes, scans):
         bits = tuple(rank >> (l - 1 - j) & 1 for j in range(l))
         n3, n2, offset = compose_affine(bits)
         x0 = F2(offset, n2 - n3)
         cycle = [x0] + [apply_affine(compose_affine(bits[:j]), x0) for j in range(1, l + 1)]
         assert list(walk) == [x * d for x in cycle]
-        checks = _realization(d, _numerators(d, walk))
         assert checks[:2] == _map_walk(MAPS["U"], cycle, bits, 0)
         assert checks[2:] == _map_walk(MAPS["Uflip"], cycle, bits, 0)
+
+
+def reference_totals(l, lo, hi):
+    """necklace_totals(l, lo, hi) added up by n, from each necklace's own evaluation.
+
+    {n: [necklaces, records by class value, realized rows in rank order]}.
+    """
+    totals = {}
+    for rank, period in necklaces(l, lo, hi):
+        rec = evaluate(BitSeq.from_rank(l, rank))
+        total = totals.setdefault(rec.s.n, [0, {}, []])
+        total[0] += 1
+        total[1][rec.cls.value] = total[1].get(rec.cls.value, 0) + period
+        if rec.realized_U or rec.realized_Uflip:
+            total[2].append((rank, period, rec.cls.value, rec.realized_U, rec.realized_Uflip))
+    return totals
+
+
+def kernel_totals(l, lo, hi):
+    """necklace_totals(l, lo, hi) added up by n, each lane group checked to be one (l, n)."""
+    totals = {}
+    for n, closed, counts, rows in necklace_totals(l, lo, hi):
+        assert 1 <= closed <= cycles._LANES
+        assert all(k > 0 for k in counts.values())
+        assert all(rank.bit_count() == n for rank, *_ in rows)
+        if 2**l < 3**n:  # outside both maps' domains
+            assert rows == [] and set(counts) <= {"integer_negative", "fractional_negative"}
+        total = totals.setdefault(n, [0, {}, []])
+        total[0] += closed
+        for cls, k in counts.items():
+            total[1][cls] = total[1].get(cls, 0) + k
+        total[2] += rows
+    return totals
+
+
+@pytest.mark.parametrize("l", range(1, 17))
+def test_group_totals_match_the_per_lane_reference(l):
+    """Every aligned block of 32 and of 4,096 ranks (or all 2^l) up to l = 16."""
+    for size in (32, 4096):
+        size = min(size, 1 << l)
+        for lo in range(0, 1 << l, size):
+            assert kernel_totals(l, lo, lo + size) == reference_totals(l, lo, lo + size), (l, lo)
+
+
+@st.composite
+def necklace_blocks(draw):
+    """An aligned block of up to 64 ranks of l <= 32 bits that holds the least rotation of a drawn word.
+
+    The word's count n of ones is drawn first, so both signs of d = 2^l - 3^n are common.
+    """
+    l = draw(st.integers(min_value=1, max_value=32))
+    n = draw(st.integers(min_value=0, max_value=l))
+    word = "".join(map(str, draw(st.permutations([1] * n + [0] * (l - n)))))
+    rank = min(int(word[k:] + word[:k], 2) for k in range(l))
+    size = 1 << draw(st.integers(min_value=0, max_value=min(l, 6)))
+    return l, rank - rank % size, rank - rank % size + size
+
+
+@settings(deadline=None)
+@given(necklace_blocks())
+@example((32, 0x7FFFFFC0, 0x80000000))  # d < 0, lanes of 128 bits
+@example((32, 0x000FFFC0, 0x00100000))  # d > 0, n up to 20: lanes of 128 bits
+@example((30, 0x000FFFC0, 0x00100000))  # both signs of d, lanes of 128 bits at n >= 20
+def test_group_totals_match_the_per_lane_reference_on_deep_blocks(block):
+    l, lo, hi = block
+    assert kernel_totals(l, lo, hi) == reference_totals(l, lo, hi)
+
+
+def test_negative_d_groups_make_no_realization_call(monkeypatch):
+    """A lane group with d < 0 is outside both maps' domains: its class comes from c_0 % d, and
+    the realization seam sees only the d > 0 groups, once each, with all their lanes."""
+    realization, calls = cycles._realization, []
+
+    def counting(d, lanes):
+        calls.append((d, len(lanes)))
+        return realization(d, lanes)
+
+    monkeypatch.setattr(cycles, "_realization", counting)
+    groups = list(necklace_totals(8, 0, 256))
+    assert {n for n, *_ in groups} == set(range(9))  # d > 0 for n <= 5, d < 0 for n >= 6
+    assert calls == [(2**8 - 3**n, closed) for n, closed, _, _ in groups if n <= 5]
 
 
 def test_close_rejects_a_wrong_offset(monkeypatch):

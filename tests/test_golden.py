@@ -18,13 +18,14 @@ verdict, from lmin above 1, and across two workers.  The last iterate rows
 pin a zero step cap and a report that keeps only its start.
 
 The FORGED rows take branches that honest runs never take.  The realized
-forgery patches both integer realization scans: cycles._realization, whose
-one scan answers U and Uflip for each necklace that necklace_summaries
-reaches for the summary, and rotation_checks, from which record mode reads
-the checks of every rank's line; record mode closes its classes with
-candidate and runs no _realization scan.  Both forgeries take (d, nums).  So
-the sweep reports a counterexample in record mode as well as with
---summary-only.
+forgery patches both integer realization scans: cycles._realization, which
+answers U and Uflip for every lane of a d > 0 lane group that
+necklace_totals closes for the summary (a d < 0 group is outside both maps'
+domains and makes no call), and rotation_checks, from which record mode
+reads the checks of every rank's line; record mode closes its classes with
+candidate and runs no _realization scan.  The first forgery takes (d, lanes)
+and the second (d, nums).  So the sweep reports a counterexample in record
+mode as well as with --summary-only.
 """
 
 import hashlib
@@ -215,11 +216,11 @@ _realization = cycles._realization
 _rotation_checks = cycles.rotation_checks
 
 
-def _realized_when_d_is_5(d, nums):
+def _realized_when_d_is_5(d, lanes):
     """d depends only on (l, n), so this forgery holds for whole rotation classes."""
     if d == 5:
-        return True, None, True, None
-    return _realization(d, nums)
+        return [(True, None, True, None) for _ in lanes]
+    return _realization(d, lanes)
 
 
 def _rotations_realized_when_d_is_5(d, nums):
@@ -235,7 +236,7 @@ def _rotations_realized_when_d_is_5(d, nums):
 
 
 def _forge_realized(monkeypatch):
-    """Summaries reach _realization through necklace_summaries, record lines call rotation_checks."""
+    """Summaries reach _realization through necklace_totals, record lines call rotation_checks."""
     monkeypatch.setattr(cycles, "_realization", _realized_when_d_is_5)
     monkeypatch.setattr(cli, "rotation_checks", _rotations_realized_when_d_is_5)
 

@@ -166,8 +166,8 @@ def test_record_lines_are_built_per_class():
 
 def test_cli_runs_no_realization_scan():
     """cli.py calls neither evaluate(...) nor _realization(...): record mode reads every rank's
-    checks from rotation_checks and the summary from necklace_summaries, so no line reads
-    their scans."""
+    checks from rotation_checks and the summary its group totals from necklace_totals, so no
+    line reads their scans."""
     cli = dict(_modules())["cli.py"]
     calls = [
         f"cli.py:{node.lineno}"
@@ -177,3 +177,24 @@ def test_cli_runs_no_realization_scan():
         in ("evaluate", "_realization")
     ]
     assert calls == []
+
+
+def test_cli_sees_only_group_totals():
+    """cli.py names neither necklaces nor necklace_summaries, by import, name or attribute: the
+    summary branch of _sweep_chunk adds the totals of each lane group that necklace_totals
+    returns and sees no necklace on its own."""
+
+    def names(node):
+        if isinstance(node, ast.ImportFrom):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.Name):
+            return [node.id]
+        return [node.attr] if isinstance(node, ast.Attribute) else []
+
+    cli = dict(_modules())["cli.py"]
+    refs = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(cli)
+        if {"necklaces", "necklace_summaries"}.intersection(names(node))
+    ]
+    assert refs == []
