@@ -29,7 +29,7 @@ from math import comb, gcd
 
 from .cycles import BitSeq, CycleClass, candidate, necklace_totals, rotation_checks
 from .errors import StructureError
-from .maps import MAPS, MapSpec, map_from_name, step
+from .maps import MAPS, MapSpec, map_from_name
 from .rationals import format_rational, parse_rational
 from .remainders import Verdict, VerdictKind, modulus_ok, rmap_orbit_scan, segment_inequality, trace
 from .sampling import draw_integers, draw_rationals
@@ -398,12 +398,12 @@ _NOT_A_PROOF = (
 
 
 def _cycle_values(m: MapSpec, value: Fraction, period: int) -> set[Fraction]:
-    vals = {value}
-    x = value
+    p, q = value.numerator, value.denominator
+    pairs = [(p, q)]
     for _ in range(period - 1):
-        x, _b = step(m, x)
-        vals.add(x)
-    return vals
+        p, q, _b = m.step_pq(p, q)
+        pairs.append((p, q))
+    return {Fraction(p, q) for p, q in pairs}
 
 
 def _classify(conj: _Conjecture, m: MapSpec, rep) -> tuple[str, str | None]:

@@ -20,7 +20,12 @@ one, gamma*x + delta) ran.
 A step is encoded once, as MapSpec.step_pq on a reduced integer pair (p, q)
 with q > 0: the branch bit, the image and the domain check are integer
 arithmetic on p and q.  Orbits run on these pairs (see trajectory), and step
-is the Fraction view of the same step.
+is the Fraction view of the same step.  step_pq takes one of two forms, built
+from the map's pieces.  U, Uflip, F, V and every Phi map of their shape (floor
+parity, an integer tau, an integer minimum or none, pieces (a*x + b) / e with
+a in {1, 3} and e a power of two) get the shaped form: one floor p // q and
+no gcd.  Every other map (T, f, g, a fractional tau or minimum, any other
+piece) gets the generic form, with a general floor and two gcd calls.
 """
 
 from __future__ import annotations
@@ -76,45 +81,102 @@ class MapSpec:
 
         The domain is checked first (integers only, odd denominator, minimum),
         each failure a DomainError naming x = p/q.  The bit is floor(x + tau)
-        mod 2, computed as (p*td + tn*q) // (q*td) for tau = tn/td, or the
-        numerator parity.
+        mod 2, or the numerator parity.
         Each piece is stored once per map as integers (a, b, e) with e > 0,
         so that its image of p/q is (a*p + b*q) / (e*q).  Since gcd(p, q) = 1,
         gcd(a*p + b*q, q) = gcd(a, q): the common factor of the image divides
         e*gcd(a, q), a small number, and dividing it out leaves (p', q')
         reduced with q' > 0 again.
+
+        A floor-parity map that is not integral, with an integer tau, an
+        integer minimum mn or none, and pieces with a in {1, 3} and e a power
+        of two gets the shaped step.  One floor f = p // q gives the domain
+        check (x >= mn iff f >= mn, since mn is an integer) and the bit
+        (f + tau) mod 2, and the common factor is found with no gcd.  Its odd
+        part is gcd(a, q), since e has none: 3 when a = 3 and 3 | q (and then
+        3 divides 3p + b*q), else 1.  Its 2-part is the lowest set bit of
+        num | e*q, where num = a*p + b*q.  A zero image needs no case of its
+        own: a*p = -b*q with gcd(p, q) = 1 makes q divide a, so once the 3 is
+        out the denominator is e, whose 2-part leaves (0, 1).  Every other
+        map gets the generic step, whose floor is (p*td + tn*q) // (q*td)
+        for tau = tn/td and whose common factor takes two gcd calls.
         """
-        par = self.params
-        pieces = tuple(_piece(a, b) for a, b in ((par.alpha, par.beta), (par.gamma, par.delta)))
-        tn, td = par.tau.numerator, par.tau.denominator
-        floor_rule = self.branch_rule is BranchRule.FLOOR_PARITY
-        lo = self.domain_min
-        mn, md = (None, None) if lo is None else (lo.numerator, lo.denominator)
-        name, integral = self.name, self.integral
-
-        def step_pq(p: int, q: int) -> tuple[int, int, int]:
-            if integral and q != 1:
-                raise DomainError(f"{name} is defined on integers only, got {Fraction(p, q)}")
-            if not floor_rule and not q & 1:
-                raise DomainError(f"{name} needs an odd reduced denominator, got {Fraction(p, q)}")
-            if mn is not None and p * md < mn * q:
-                raise DomainError(f"{name} is defined for x >= {lo}, got {Fraction(p, q)}")
-            bit = ((p * td + tn * q) // (q * td)) & 1 if floor_rule else p & 1
-            a, b, e = pieces[bit]
-            num = a * p + b * q
-            g = gcd(num, e * gcd(a, q))
-            return num // g, e * q // g, bit
-
-        return step_pq
+        return _shaped_step_pq(self) or _generic_step_pq(self)
 
 
-def _piece(slope: Fraction, offset: Fraction) -> tuple[int, int, int]:
-    """(a, b, e) in lowest terms with e > 0 and slope*x + offset = (a*x + b) / e."""
-    a = slope.numerator * offset.denominator
-    b = offset.numerator * slope.denominator
-    e = slope.denominator * offset.denominator
-    g = gcd(a, b, e)
-    return a // g, b // g, e // g
+def _shaped_step_pq(m: MapSpec) -> Callable[[int, int], tuple[int, int, int]] | None:
+    """m's step in the shaped form (see MapSpec.step_pq), or None when m lacks the shape."""
+    pieces = _pieces(m.params)
+    tau, lo = m.params.tau, m.domain_min
+    if not (
+        m.branch_rule is BranchRule.FLOOR_PARITY
+        and tau.denominator == 1
+        and not m.integral
+        and (lo is None or lo.denominator == 1)
+        and all(a in (1, 3) and not e & (e - 1) for a, _b, e in pieces)
+    ):
+        return None
+    name, mn = m.name, None if lo is None else lo.numerator
+    by_floor = []  # per floor parity: (a, b, k) with e = 2^k, whether a = 3, and the bit
+    for parity in (0, 1):
+        bit = (parity + tau.numerator) & 1
+        a, b, e = pieces[bit]
+        by_floor.append((a, b, e.bit_length() - 1, a == 3, bit))
+
+    def step_pq(p: int, q: int) -> tuple[int, int, int]:
+        f = p // q
+        if mn is not None and f < mn:
+            raise DomainError(f"{name} is defined for x >= {lo}, got {Fraction(p, q)}")
+        a, b, k, three, bit = by_floor[f & 1]
+        num = a * p + b * q
+        den = q << k
+        if three and not q % 3:
+            num //= 3
+            den //= 3
+        low = num | den
+        if low & 1:
+            return num, den, bit
+        low &= -low  # 2^min(v2(num), v2(den))
+        return num // low, den // low, bit
+
+    return step_pq
+
+
+def _generic_step_pq(m: MapSpec) -> Callable[[int, int], tuple[int, int, int]]:
+    """m's step for any map: one general floor and two gcd calls (see MapSpec.step_pq)."""
+    pieces = _pieces(m.params)
+    tn, td = m.params.tau.numerator, m.params.tau.denominator
+    floor_rule = m.branch_rule is BranchRule.FLOOR_PARITY
+    lo = m.domain_min
+    mn, md = (None, None) if lo is None else (lo.numerator, lo.denominator)
+    name, integral = m.name, m.integral
+
+    def step_pq(p: int, q: int) -> tuple[int, int, int]:
+        if integral and q != 1:
+            raise DomainError(f"{name} is defined on integers only, got {Fraction(p, q)}")
+        if not floor_rule and not q & 1:
+            raise DomainError(f"{name} needs an odd reduced denominator, got {Fraction(p, q)}")
+        if mn is not None and p * md < mn * q:
+            raise DomainError(f"{name} is defined for x >= {lo}, got {Fraction(p, q)}")
+        bit = ((p * td + tn * q) // (q * td)) & 1 if floor_rule else p & 1
+        a, b, e = pieces[bit]
+        num = a * p + b * q
+        g = gcd(num, e * gcd(a, q))
+        return num // g, e * q // g, bit
+
+    return step_pq
+
+
+def _pieces(par: PhiParams) -> tuple[tuple[int, int, int], ...]:
+    """Each piece slope*x + offset as (a, b, e) in lowest terms with e > 0, so that it is (a*x + b) / e."""
+    pieces = []
+    for slope, offset in ((par.alpha, par.beta), (par.gamma, par.delta)):
+        a = slope.numerator * offset.denominator
+        b = offset.numerator * slope.denominator
+        e = slope.denominator * offset.denominator
+        g = gcd(a, b, e)
+        pieces.append((a // g, b // g, e // g))
+    return tuple(pieces)
 
 
 def step(m: MapSpec, x: Fraction) -> tuple[Fraction, int]:

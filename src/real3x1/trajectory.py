@@ -32,9 +32,14 @@ escape) sit behind one exact hull gate: floor(x) lies between the least
 floor of a trap or window start and the greatest floor of a trap or window
 end whenever x lies in one of them, and |floor(x)| >= floor(bound) whenever
 |x| > bound.  A step whose p // q lies outside both cannot settle, so it
-pays one division instead of the tests.  contraction_check replays its block
-on step_pq pairs as well and checks the identity by cross-multiplied
-integers; Fraction appears only at its interface.
+pays one division and comparisons with integers fixed before the loop
+instead of the tests.  The report's parity bits come from the step bits
+when a map's bit is floor(x + tau) mod 2 for an integer tau: floor(x) mod 2
+is that bit XOR tau mod 2, so only the last visited pair pays a division
+for its bit.  For any other tau, and for the numerator-parity maps, each
+bit is (p // q) mod 2.  contraction_check replays its block on step_pq
+pairs as well and checks the identity by cross-multiplied integers;
+Fraction appears only at its interface.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from fractions import Fraction
 from math import floor
 
 from .errors import PreconditionError, StructureError
-from .maps import MAPS, MapSpec
+from .maps import MAPS, BranchRule, MapSpec
 
 
 class FateKind(str, Enum):
@@ -148,16 +153,22 @@ def iterate(
         lo, hi = trap_region
         ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
         spans.append(trap_region)
-    if escape_bound is not None:
-        en, ed = escape_bound.numerator, escape_bound.denominator
     # The hull gate: floor(x) lies in [h_lo, h_hi] whenever x lies in the trap
-    # or in a window, and |floor(x)| >= e_floor whenever |x| > escape_bound.
+    # or in a window, and outside (e_lo, e_hi) whenever |x| > escape_bound.
     # settle finds no fate anywhere else, so the loop calls it only there.
     h_lo = min((floor(s_lo) for s_lo, _s_hi in spans), default=1)
     h_hi = max((floor(s_hi) for _s_lo, s_hi in spans), default=0)  # 1 > 0: no hull
-    e_floor = None if escape_bound is None else floor(escape_bound)
+    e_hi = None
+    if escape_bound is not None:
+        en, ed = escape_bound.numerator, escape_bound.denominator
+        e_hi = floor(escape_bound)
+        e_lo = -e_hi
+    den_shift = max(den_bit_cap, 0)  # q >> den_shift is nonzero iff q has more than den_bit_cap bits
+    flip, tau = None, m.params.tau  # floor(x) mod 2 is the step bit XOR flip, when flip is set
+    if m.branch_rule is BranchRule.FLOOR_PARITY and tau.denominator == 1:
+        flip = tau.numerator & 1
 
-    orbit = [(p, q)]  # every visited pair, the same tuples seen holds
+    steps = []  # step_pq's result from every visited pair but the last: (next p, next q, bit)
     seen = {(p, q): 0}
 
     def settle(p: int, q: int) -> Fate | None:
@@ -178,7 +189,7 @@ def iterate(
         if not confirmed:
             raise StructureError(
                 f"certified basin landing failed to confirm at {x}"
-                f" (orbit from {x0}, step {len(orbit) - 1})"
+                f" (orbit from {x0}, step {len(steps)})"
             )
         return Fate(kind, anchor=anchor, confirmed=True)
 
@@ -186,35 +197,40 @@ def iterate(
     period = 0
     if fate is None:
         for k in range(1, cap + 1):
-            p, q, _b = step_pq(p, q)
+            s = step_pq(p, q)
+            steps.append(s)
+            p, q, _b = s
             pair = p, q
-            orbit.append(pair)
             prev = seen.setdefault(pair, k)
             if prev != k:
                 period = k - prev
                 break
             f = p // q
-            if h_lo <= f <= h_hi or e_floor is not None and abs(f) >= e_floor:
+            if h_lo <= f <= h_hi or e_hi is not None and not e_lo < f < e_hi:
                 fate = settle(p, q)
                 if fate is not None:
                     break
-            if q.bit_length() > den_bit_cap:
+            if q >> den_shift:
                 fate = Fate(FateKind.CAP_REACHED, size_capped=True)
                 break
         else:
             fate = Fate(FateKind.CAP_REACHED)
     if period:
         fate = Fate(FateKind.ENTERED_CYCLE, period=period, value=Fraction(p, q))
-    steps_used = len(orbit) - 1
+    steps_used = len(steps)
     if fate.kind in TENDENCIES or fate.kind is FateKind.ENTERED_CYCLE:
         for _ in range(_TAIL_PAD):
-            p, q, _b = step_pq(p, q)
-            orbit.append((p, q))
+            s = step_pq(p, q)
+            steps.append(s)
+            p, q, _b = s
 
     kept = max(keep, 1)  # the start is always kept
-    iterates = [x0] + [Fraction(p, q) for p, q in orbit[1:kept]]
-    bits = [(p // q) & 1 for p, q in orbit]
-    return TrajectoryReport(x0, iterates, bits, fate, steps_used, len(orbit) > kept)
+    iterates = [x0] + [Fraction(p, q) for p, q, _b in steps[: kept - 1]]
+    if flip is None:
+        bits = [(x0.numerator // x0.denominator) & 1] + [(p // q) & 1 for p, q, _b in steps]
+    else:  # p, q is the last visited pair
+        bits = [b ^ flip for _p, _q, b in steps] + [(p // q) & 1]
+    return TrajectoryReport(x0, iterates, bits, fate, steps_used, len(steps) >= kept)
 
 
 # ------------------------------------------------------------- diagnostics

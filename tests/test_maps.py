@@ -2,12 +2,14 @@
 
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from real3x1 import maps
 from real3x1.errors import DomainError
 from real3x1.maps import (
     MAPS,
@@ -20,6 +22,7 @@ from real3x1.maps import (
     map_from_name,
     step,
 )
+from real3x1.sampling import draw_rationals
 
 F2 = Fraction
 
@@ -108,11 +111,17 @@ def test_phi_parsing():
 
 
 def test_maps_pickle_after_use():
-    m = map_from_name("Phi:1/2,0,3/2,1/2,1/3,0")
-    for spec in (m, MAPS["U"]):
+    """The cached step is dropped on pickling and rebuilt, in the same form, on the copy's first use."""
+    generic = map_from_name("Phi:1/2,0,3/2,1/2,1/3,0")
+    shaped = map_from_name("Phi:1/2,0,3/2,1/2,1")
+    for spec in (generic, MAPS["U"], shaped):
         step(spec, F2(3, 2))  # caches the integer step on the spec
+        assert "step_pq" not in spec.__getstate__()
         copy = pickle.loads(pickle.dumps(spec))
-        assert copy == spec and step(copy, F2(3, 2)) == step(spec, F2(3, 2))
+        assert copy == spec and "step_pq" not in vars(copy)
+        for x in (F2(3, 2), F2(7), F2(19, 5), F2(11, 3)):
+            assert step(copy, x) == step(spec, x)
+        assert copy.step_pq.__qualname__ == spec.step_pq.__qualname__
 
 
 def test_phi_params_validation():
@@ -166,7 +175,24 @@ phi_maps = st.builds(
 )
 
 
-@given(st.sampled_from(list(MAPS.values())) | phi_maps, rationals)
+# Phi maps of the shaped form: pieces (a*x + b) / e with a in {1, 3} and e in {1, 2, 4},
+# an integer tau and an integer minimum or none
+shaped_pieces = st.tuples(st.sampled_from([1, 3]), st.integers(-12, 12), st.sampled_from([1, 2, 4]))
+shaped_phi_maps = st.builds(
+    lambda p0, p1, tau, lo: MapSpec(
+        "Phi",
+        PhiParams(F2(p0[0], p0[2]), F2(p0[1], p0[2]), F2(p1[0], p1[2]), F2(p1[1], p1[2]), tau),
+        BranchRule.FLOOR_PARITY,
+        lo,
+    ),
+    shaped_pieces,
+    shaped_pieces,
+    st.sampled_from([0, 1]),
+    st.none() | st.integers(-20, 20).map(Fraction),
+)
+
+
+@given(st.sampled_from(list(MAPS.values())) | phi_maps | shaped_phi_maps, rationals)
 @settings(max_examples=300, deadline=None)
 def test_integer_step_matches_the_fraction_oracle(m, x):
     """Image, bit and DomainError text agree; the pair comes back reduced."""
@@ -182,6 +208,60 @@ def test_integer_step_matches_the_fraction_oracle(m, x):
     y, bit = want
     assert m.step_pq(x.numerator, x.denominator) == (y.numerator, y.denominator, bit)
     assert step(m, x) == want
+
+
+def _form(m):
+    return m.step_pq.__qualname__.split(".")[0]
+
+
+def test_step_form_follows_the_piece_shape():
+    """Named floor-parity maps and Phi maps of their shape get the shaped step; tau = 1/2, a
+    fractional minimum, a slope outside {1, 3}/2^k and the numerator-parity maps keep the generic one."""
+    shaped = [MAPS[n] for n in ("U", "Uflip", "V", "F")]
+    shaped += [map_from_name(t) for t in ("Phi:1/2,0,3/2,1/2,0", "Phi:1/2,0,3/2,1/2,1,-3", "Phi:1/4,5/4,3,-7,1")]
+    generic = [MAPS[n] for n in ("T", "f", "g")]
+    generic += [
+        map_from_name(t)
+        for t in ("Phi:1/2,0,3/2,1/2,1/2", "Phi:1/2,0,3/2,1/2,0,1/2", "Phi:1/2,0,5/2,1/2,0", "Phi:1/3,0,3/2,1/2,0")
+    ]
+    assert {_form(m) for m in shaped} == {"_shaped_step_pq"}
+    assert {_form(m) for m in generic} == {"_generic_step_pq"}
+
+
+def _outcome(fn, p, q):
+    try:
+        return fn(p, q)
+    except DomainError as exc:
+        return "DomainError", str(exc)
+
+
+def test_shaped_step_matches_the_generic_step():
+    """Image, bit and DomainError text of the shaped step equal the generic step's on orbit pairs
+    from 32-bit starts, on negative starts of an unbounded map, on zero images and below each minimum."""
+    rng = random.Random("shaped-step")
+    unbounded = map_from_name("Phi:1/2,0,3/2,1/2,0")  # U's pieces, no minimum
+    cases = [(MAPS[n], draw_rationals(rng, 60, 32, 32, MAPS[n].domain_min)) for n in ("U", "Uflip", "V", "F")]
+    cases.append((unbounded, [F2(-rng.randint(1, 1 << 32), rng.randint(1, 1 << 32)) for _ in range(60)]))
+    pairs = {}
+    for m, starts in cases:
+        seen = pairs.setdefault(m, set())
+        for x in starts:
+            p, q = x.numerator, x.denominator
+            for _ in range(40):
+                seen.add((p, q))
+                p, q, _b = m.step_pq(p, q)
+    for m in (*pairs, map_from_name("Phi:1/2,0,3/2,1/2,1,-3"), map_from_name("Phi:1/2,0,3,1,0")):
+        # zero images (x = 0 halves, x = -1/3 through (3x + 1) / 2 and, with F's pieces, 3x + 1)
+        # and starts below the minimum
+        pairs.setdefault(m, set()).update({(0, 1), (-1, 3), (-2, 3), (-1, 1), (-7, 2), (1, 3), (-19, 6)})
+    zeros = 0
+    for m, todo in pairs.items():
+        generic = maps._generic_step_pq(m)
+        for p, q in sorted(todo):
+            got = _outcome(m.step_pq, p, q)
+            assert got == _outcome(generic, p, q), (m.name, p, q)
+            zeros += got[:2] == (0, 1)
+    assert zeros == 4
 
 
 def test_affine_offset_frozen():

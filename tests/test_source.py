@@ -118,14 +118,16 @@ def test_every_public_name_has_a_user():
 
 def test_orbit_loops_build_no_fraction():
     """Orbits step on integer pairs: no Fraction(...) or step(...) call in a for loop of
-    trajectory.iterate or trajectory.contraction_check, so Fraction stays at their interface."""
-    trajectory = dict(_modules())["trajectory.py"]
+    trajectory.iterate, trajectory.contraction_check or cli._cycle_values, so Fraction stays
+    at their interface."""
+    modules = dict(_modules())
     fns = [
         fn
-        for fn in trajectory.body
-        if isinstance(fn, ast.FunctionDef) and fn.name in ("iterate", "contraction_check")
+        for module, names in (("trajectory.py", ("iterate", "contraction_check")), ("cli.py", ("_cycle_values",)))
+        for fn in modules[module].body
+        if isinstance(fn, ast.FunctionDef) and fn.name in names
     ]
-    assert len(fns) == 2
+    assert len(fns) == 3
     calls = [
         f"{fn.name}:{node.lineno}"
         for fn in fns

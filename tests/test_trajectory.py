@@ -380,6 +380,10 @@ def _iterate_reference(m, x0, cap=10**4, escape_bound=None, *, trap_region=None,
 
 
 _NO_MINIMUM = "Phi:1/2,1/3,-3/2,1/2,1/2"  # floor(x + 1/2) parity, unbounded below
+# U's pieces with tau = 0 and with tau = 1, unbounded below: the shaped step on negative floors,
+# and the parity bits iterate reads from its bits
+_SHAPED_NO_MINIMUM = "Phi:1/2,0,3/2,1/2,0"
+_SHAPED_FLIP_NO_MINIMUM = "Phi:1/2,0,3/2,1/2,1"
 
 # per map: (trap region, escape bound) of the gated runs besides the plain one
 _GATE_SETTINGS = {
@@ -391,6 +395,8 @@ _GATE_SETTINGS = {
     "F": ((F2(6), F2(13, 2)), F2(100)),
     "V": ((F2(1), F2(3)), F2(50)),
     _NO_MINIMUM: ((F2(-5, 2), F2(1, 3)), F2(50)),
+    _SHAPED_NO_MINIMUM: ((F2(-9, 2), F2(-3)), F2(60)),
+    _SHAPED_FLIP_NO_MINIMUM: ((F2(-7, 3), F2(-1, 2)), F2(45, 2)),
 }
 
 
