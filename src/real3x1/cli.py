@@ -8,6 +8,14 @@ length each.  Record lines are merged back in rank order.  A summary block is
 the FKM walk of the necklaces that share one prefix; its class counts are
 sums, and its realized rows are sorted by (length, rank) at the end.
 
+Start-up only parses and wires: at module level this imports no package
+module but errors and rationals.  Each command imports the modules it runs
+inside its own function: cycles for a sweep (and remainders with
+--with-verdict), cycles and remainders for trace, remainders for rmap-scan,
+maps and trajectory for iterate, and those two and sampling for conjecture.
+The others stay unrun (the package registers them lazily).  So a test that
+replaces one of their functions patches it on its own module.
+
 Exit codes: 0 resolved/completed, 1 usage or domain error, 2 a trajectory hit
 an iteration or size cap, 3 counterexample found (a realized cycle that the
 two cycle theorems rule out), 4 file I/O failure, 5 internal invariant failure
@@ -17,23 +25,16 @@ two cycle theorems rule out), 4 file I/O failure, 5 internal invariant failure
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
-import random
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb, gcd
 
-from .cycles import BitSeq, CycleClass, candidate, necklace_totals, rotation_checks
 from .errors import StructureError
-from .maps import MAPS, MapSpec, map_from_name
 from .rationals import format_rational, parse_rational
-from .remainders import Verdict, VerdictKind, modulus_ok, rmap_orbit_scan, segment_inequality, trace
-from .sampling import draw_integers, draw_rationals
-from .trajectory import TENDENCIES, FateKind, detect_period01, iterate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,6 +52,7 @@ _MAX_SAMPLES = 1_000_000  # conjecture --samples; each start is drawn as its orb
 _MAX_BITS = 1 << 16  # conjecture --den-bits and --value-bits; iterate's den_bit_cap size-caps a larger denominator
 
 
+_REMAINDERS = f"{__package__}.remainders"
 _dumps = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True), built once
 
 
@@ -65,9 +67,12 @@ def jsonable(obj):
         return format_rational(obj)
     if isinstance(obj, Enum):
         return obj.value
-    if isinstance(obj, Verdict):
-        return obj.label()
     if is_dataclass(obj):
+        if type(obj).__module__ == _REMAINDERS:  # so remainders has run, and importing it is free
+            from .remainders import Verdict
+
+            if isinstance(obj, Verdict):
+                return obj.label()
         return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, (tuple, list)):
         return [jsonable(x) for x in obj]
@@ -160,6 +165,9 @@ def _parse_interval(text: str) -> tuple[Fraction, Fraction]:
 
 
 def cmd_iterate(args, out) -> int:
+    from .maps import map_from_name
+    from .trajectory import FateKind, iterate
+
     m = map_from_name(args.map)
     starts = [parse_rational(tok) for tok in args.start.split(",") if tok.strip()]
     if not starts:
@@ -179,6 +187,8 @@ def cmd_iterate(args, out) -> int:
         for x in starts
     ]
     if args.format == "csv":
+        import csv
+
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["start", "fate", "steps"])
         for rep in reports:
@@ -195,7 +205,7 @@ def cmd_iterate(args, out) -> int:
 _CHUNK_RANKS = 1 << 14
 
 
-_NON_INTEGER = {CycleClass.FRACTIONAL_POSITIVE.value, CycleClass.FRACTIONAL_NEGATIVE.value}
+_NON_INTEGER = {"fractional_positive", "fractional_negative"}  # CycleClass values of the non-integer cycles
 
 
 def _sweep_chunk(task) -> tuple[list[str], dict, list, int]:
@@ -220,6 +230,8 @@ def _sweep_chunk(task) -> tuple[list[str], dict, list, int]:
     l, lo, hi, emit_lines, with_verdict = task
     counts, realized = {}, []
     if not emit_lines:
+        from .cycles import necklace_totals
+
         closed = 0
         for n, group_size, group_counts, rows in necklace_totals(l, lo, hi):
             closed += group_size
@@ -229,6 +241,11 @@ def _sweep_chunk(task) -> tuple[list[str], dict, list, int]:
                 s = format(rank, f"0{l}b")
                 realized += [(s[k:] + s[:k], cls, on_U, on_Uflip) for k in range(period)]
         return [], counts, realized, closed
+    from .cycles import BitSeq, candidate, rotation_checks
+
+    if with_verdict:
+        from .remainders import VerdictKind, trace
+
     top, mask, spec = l - 1, (1 << l) - 1, f"0{l}b"
     lines = [None] * (hi - lo)  # a filled slot marks its class as walked
     for r in range(lo, hi):
@@ -306,6 +323,13 @@ def cmd_cycles(args, out) -> int:
     else:
         # imported here: the pool loads multiprocessing, which no one-worker run needs
         from concurrent.futures import ProcessPoolExecutor
+
+        # a module runs at its first use: the chunks' modules run here, before the
+        # pool forks, so that no worker runs them again
+        from .cycles import necklace_totals  # noqa: F401
+        if args.with_verdict:
+            from .remainders import trace  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for task, result in zip(tasks, pool.map(_sweep_chunk, tasks)):
                 merge(task, result)
@@ -397,7 +421,8 @@ _NOT_A_PROOF = (
 )
 
 
-def _cycle_values(m: MapSpec, value: Fraction, period: int) -> set[Fraction]:
+def _cycle_values(m, value: Fraction, period: int) -> set[Fraction]:
+    """The values of the cycle of map m through value."""
     p, q = value.numerator, value.denominator
     pairs = [(p, q)]
     for _ in range(period - 1):
@@ -406,8 +431,10 @@ def _cycle_values(m: MapSpec, value: Fraction, period: int) -> set[Fraction]:
     return {Fraction(p, q) for p, q in pairs}
 
 
-def _classify(conj: _Conjecture, m: MapSpec, rep) -> tuple[str, str | None]:
+def _classify(conj: _Conjecture, m, rep) -> tuple[str, str | None]:
     """One of supports / counterexample / flagged / unresolved, plus a note."""
+    from .trajectory import TENDENCIES, FateKind, detect_period01
+
     fate = rep.fate
     kind = fate.kind
     if kind is FateKind.ENTERED_CYCLE:
@@ -435,6 +462,12 @@ def _run_samples(args, name: str, out, demote=False, counter_lines=(), extra=Non
     counter_lines precede the sampled counterexamples, extra joins the summary,
     and demote turns a sampled counterexample into a flag.
     """
+    import random
+
+    from .maps import MAPS
+    from .sampling import draw_integers, draw_rationals
+    from .trajectory import iterate
+
     conj = _CONJECTURES[name]
     m = MAPS[conj.map]
     rng = random.Random(args.seed)
@@ -509,6 +542,8 @@ def _run_q2(args, out) -> int:
         raise ValueError(f"bad --m-range: {args.m_range!r}")
     if m_hi - m_lo + 1 > _MAX_FAMILY:
         raise ValueError(f"--m-range spans more than {_MAX_FAMILY} starts: {args.m_range!r}")
+    from .maps import MAPS
+
     step_pq = MAPS["F"].step_pq
     violations = []
     for m_val in range(m_lo, m_hi + 1):
@@ -552,6 +587,9 @@ def cmd_conjecture(args, out) -> int:
 
 
 def cmd_trace(args, out) -> int:
+    from .cycles import BitSeq, candidate
+    from .remainders import VerdictKind, segment_inequality, trace
+
     try:
         s = BitSeq.from_string(args.bits)
     except ValueError as exc:
@@ -577,6 +615,8 @@ def cmd_trace(args, out) -> int:
 
 
 def cmd_rmap_scan(args, out) -> int:
+    from .remainders import modulus_ok, rmap_orbit_scan
+
     if args.d is not None:
         if not modulus_ok(args.d):
             raise ValueError(f"--d must be odd, >= 5, and not divisible by 3: {args.d}")

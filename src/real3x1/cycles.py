@@ -83,11 +83,11 @@ domain).
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
 
 from .errors import StructureError
 

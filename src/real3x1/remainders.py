@@ -29,11 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .cycles import CycleRecord
 from .errors import PreconditionError, StructureError
 from .rationals import compare_pow3_pow2
+
+if TYPE_CHECKING:  # an annotation only: rmap-scan runs nothing of cycles
+    from .cycles import CycleRecord
 
 
 class VerdictKind(str, Enum):
@@ -147,33 +149,6 @@ def trace(rec: CycleRecord, flipped: bool = False) -> RemainderTrace:
     if rec.d < 0:
         raise PreconditionError(f"remainder ledger undefined for d = {rec.d} < 0")
     return _ledger(rec.d, rec.numerators, flipped)
-
-
-def synthetic_trace(d: int, r_cycle: Iterable[int]) -> RemainderTrace:
-    """A formally aligned closed ledger from a remainder cycle alone.
-
-    Each consecutive pair must match exactly one recurrence branch (with its
-    side condition); quotients are synthesized with the matching parity.  This
-    is the honest way to exercise segment_inequality, since no genuine
-    candidate ever closes aligned.
-    """
-    _check_modulus(d)
-    states = tuple(r_cycle)
-    if not states:
-        raise ValueError("empty remainder cycle")
-    l = len(states)
-    bits = []
-    for i in range(l):
-        cur, nxt = states[i], states[(i + 1) % l]
-        if not (0 < cur < d and cur % 2 == 0):
-            raise ValueError(f"state {cur} not an even residue in (0, {d})")
-        moves = dict(_moves(d, cur))
-        if nxt not in moves:
-            raise ValueError(f"no recurrence branch sends {cur} to {nxt} (d={d})")
-        bits.append(moves[nxt])
-    # quotient i is bits[i]; over an odd d and an even r_i, c_i's parity is bits[i]
-    c = tuple(qi * d + ri for qi, ri in zip(bits + bits[:1], states + states[:1]))
-    return _ledger(d, c, False)
 
 
 # ------------------------------------------------------- inequality ledger

@@ -142,7 +142,7 @@ def iterate(
     x0 = Fraction(x0)
     step_pq = m.step_pq
     p, q = x0.numerator, x0.denominator
-    step_pq(p, q)  # surface domain errors on the start value immediately
+    s = step_pq(p, q)  # the step from x0, taken first: a start outside m's domain fails at once
     basins = _BASINS.get(m.name, ())
     windows = [
         (w_lo.numerator, w_lo.denominator, w_hi.numerator, w_hi.denominator, anchor, kind)
@@ -197,7 +197,8 @@ def iterate(
     period = 0
     if fate is None:
         for k in range(1, cap + 1):
-            s = step_pq(p, q)
+            if k > 1:  # the first step is s from above
+                s = step_pq(p, q)
             steps.append(s)
             p, q, _b = s
             pair = p, q
@@ -219,7 +220,10 @@ def iterate(
         fate = Fate(FateKind.ENTERED_CYCLE, period=period, value=Fraction(p, q))
     steps_used = len(steps)
     if fate.kind in TENDENCIES or fate.kind is FateKind.ENTERED_CYCLE:
-        for _ in range(_TAIL_PAD):
+        if not steps:  # the start settled at once: the pad's first step is s from above
+            steps.append(s)
+            p, q, _b = s
+        while len(steps) < steps_used + _TAIL_PAD:
             s = step_pq(p, q)
             steps.append(s)
             p, q, _b = s

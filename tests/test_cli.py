@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import real3x1
 import real3x1.cli as cli
-from real3x1 import cycles, trajectory
+from real3x1 import cycles, maps, remainders, trajectory
 from real3x1.cli import main
 from real3x1.cycles import BitSeq, candidate, evaluate
 from real3x1.errors import StructureError
@@ -121,7 +121,7 @@ def test_internal_error_exit(capsys, monkeypatch):
     def broken(s):
         raise StructureError(f"forced walk of {s} failed to close")
 
-    monkeypatch.setattr(cli, "candidate", broken)
+    monkeypatch.setattr(cycles, "candidate", broken)
     code, out, err = run_cli(capsys, "trace", "--bits", "10")
     assert code == 5 and out == ""
     assert err == "real3x1: internal error: forced walk of 10 failed to close\n"
@@ -288,8 +288,8 @@ def test_records_evaluate_and_trace_each_necklace_once(capsys, monkeypatch):
         traced.append(str(rec.s))
         return trace(rec, flipped)
 
-    monkeypatch.setattr(cli, "candidate", counting_candidate)
-    monkeypatch.setattr(cli, "trace", counting_trace)
+    monkeypatch.setattr(cycles, "candidate", counting_candidate)
+    monkeypatch.setattr(remainders, "trace", counting_trace)
     assert run_cli(capsys, "cycles", "--lmax", "10", "--with-verdict")[0] == 0
     least = []  # equal-length bit strings order as their ranks do
     for l in range(1, 11):
@@ -311,8 +311,8 @@ def test_record_blocks_evaluate_each_class_once(capsys, monkeypatch):
         traced.append(str(rec.s))
         return trace(rec, flipped)
 
-    monkeypatch.setattr(cli, "candidate", counting_candidate)
-    monkeypatch.setattr(cli, "trace", counting_trace)
+    monkeypatch.setattr(cycles, "candidate", counting_candidate)
+    monkeypatch.setattr(remainders, "trace", counting_trace)
     monkeypatch.setattr(cli, "_CHUNK_RANKS", 16)
     assert run_cli(capsys, "cycles", "--lmax", "8", "--with-verdict")[0] == 0
     first = []
@@ -361,7 +361,7 @@ def test_lost_record_is_an_internal_error(capsys, monkeypatch):
         return candidate(BitSeq.from_string("0011") if str(s) == "0001" else s)
 
     monkeypatch.setattr(cycles, "necklaces", necklaces)
-    monkeypatch.setattr(cli, "candidate", swapped_candidate)
+    monkeypatch.setattr(cycles, "candidate", swapped_candidate)
     code, _, err = run_cli(capsys, "cycles", "--lmax", "5")
     assert code == 5
     assert err == "real3x1: internal error: sweep counted 0 records with l = 4, n = 1, expected 4\n"
@@ -437,7 +437,7 @@ def _evidence_must_not_start(args, out):
 )
 def test_out_of_range_integers_fail_at_parse_time(argv, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_cycles", _sweep_must_not_start)  # a missed bound fails fast
-    monkeypatch.setattr(cli, "rmap_orbit_scan", _scan_must_not_start)
+    monkeypatch.setattr(remainders, "rmap_orbit_scan", _scan_must_not_start)
     monkeypatch.setattr(cli, "cmd_conjecture", _evidence_must_not_start)
     assert parse_error_code(*argv) == 1
     assert "error: argument" in capsys.readouterr().err
@@ -464,7 +464,7 @@ def test_q2_family_range_is_bounded(capsys, monkeypatch):
     def family_step(p, q):
         raise StructureError(f"a family start was stepped at {p}/{q}")
 
-    monkeypatch.setitem(cli.MAPS, "F", SimpleNamespace(step_pq=family_step))
+    monkeypatch.setitem(maps.MAPS, "F", SimpleNamespace(step_pq=family_step))
     for m_range in ("0..100000000", "0..100000"):  # 10^8 + 1 and 100,001 starts
         code, out, err = run_cli(
             capsys, "conjecture", "Q2", "--samples", "1", "--m-range", m_range, "--steps", "1"
@@ -495,6 +495,97 @@ def test_importing_the_cli_starts_no_pool_machinery():
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert (done.returncode, done.stdout) == (0, "[]\n")
+
+
+@pytest.mark.parametrize(
+    "command,loaded",
+    [
+        ("cli.build_parser()", ["cli", "errors", "rationals"]),
+        (
+            "cli.main(['cycles', '--lmax', '6', '--summary-only', '--out', os.devnull])",
+            ["cli", "cycles", "errors", "rationals"],
+        ),
+        (  # a pool imports its chunks' modules before it forks, so the workers inherit them
+            "cli.main(['cycles', '--lmax', '6', '--summary-only', '--workers', '2', '--out', os.devnull])",
+            ["cli", "cycles", "errors", "rationals"],
+        ),
+        (
+            "cli.main(['cycles', '--lmax', '6', '--with-verdict', '--workers', '2', '--out', os.devnull])",
+            ["cli", "cycles", "errors", "rationals", "remainders"],
+        ),
+        (
+            "cli.main(['conjecture', 'RU', '--samples', '3', '--out', os.devnull])",
+            ["cli", "errors", "maps", "rationals", "sampling", "trajectory"],
+        ),
+        (
+            "cli.main(['iterate', '--map', 'U', '--start', '3/2,7', '--out', os.devnull])",
+            ["cli", "errors", "maps", "rationals", "trajectory"],
+        ),
+        (
+            "cli.main(['trace', '--bits', '11100', '--out', os.devnull])",
+            ["cli", "cycles", "errors", "rationals", "remainders"],
+        ),
+        (
+            "cli.main(['rmap-scan', '--d', '19', '--out', os.devnull])",
+            ["cli", "errors", "rationals", "remainders"],
+        ),
+    ],
+    ids=["parser", "sweep", "sweep-pool", "records-pool", "conjecture", "iterate", "trace", "rmap-scan"],
+)
+def test_each_command_loads_only_its_modules(command, loaded):
+    """Start-up parses and wires; a command runs the package modules it needs and no other.
+
+    The package registers its modules lazily, so every one is in sys.modules;
+    one that has not run is still of the lazy module type.
+    """
+    probe = (
+        f"import os, sys, types, real3x1.cli as cli; {command}; "
+        "print(sorted(n.partition('.')[2] for n, m in sys.modules.items()"
+        " if n.startswith('real3x1.') and type(m) is types.ModuleType))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(real3x1.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, f"{loaded}\n")
+
+
+def test_importing_the_cli_makes_every_module_known():
+    """Every module that defines an export is in sys.modules once the cli is imported.
+
+    A tool that takes the package's modules from sys.modules then (a tracer
+    patching functions, say) holds the objects that later run, not stale ones.
+    """
+    probe = (
+        "import sys, real3x1.cli; m = dict(sys.modules); "
+        "import real3x1.cycles, real3x1.remainders, real3x1.trajectory; "
+        "print(sorted(n for n in m if n.startswith('real3x1.')), "
+        "all(sys.modules[n] is m[n] for n in m if n.startswith('real3x1.')), "
+        "real3x1.cycles.candidate.__module__)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(real3x1.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    known = [f"real3x1.{name}" for name in ["cli", *sorted(real3x1._EXPORTS)]]
+    assert (done.returncode, done.stdout) == (0, f"{sorted(known)} True real3x1.cycles\n")
+
+
+def test_exports_resolve_to_their_home_definitions():
+    """real3x1.X, from real3x1 import X and import * give the object X's own module defines."""
+    namespace = {}
+    exec("from real3x1 import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == real3x1.__all__
+    assert len(real3x1.__all__) == 38
+    for name in real3x1.__all__:
+        obj = getattr(real3x1, name)
+        module = sys.modules[f"real3x1.{real3x1._HOME[name]}"]
+        assert obj is namespace[name] is vars(module)[name]
+        assert getattr(obj, "__module__", module.__name__) == module.__name__  # defined there, not imported
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        real3x1.no_such_name
+
+
+def test_non_integer_classes_are_the_fractional_ones():
+    """cli names the classes of a realized non-integer cycle by value, so that it needs no cycles import."""
+    fractional = {cycles.CycleClass.FRACTIONAL_POSITIVE, cycles.CycleClass.FRACTIONAL_NEGATIVE}
+    assert cli._NON_INTEGER == {cls.value for cls in fractional}
 
 
 def test_trace_fractional(capsys):
@@ -556,7 +647,7 @@ def test_rmap_scan_validation(capsys):
 
 
 def test_rmap_scan_range_is_bounded_before_any_scan(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "rmap_orbit_scan", _scan_must_not_start)
+    monkeypatch.setattr(remainders, "rmap_orbit_scan", _scan_must_not_start)
     code, out, err = run_cli(capsys, "rmap-scan", "--d-range", "5..1000001")
     assert (code, out) == (1, "")
     assert err == "real3x1: error: --d-range must end at or below 1000000, got '5..1000001'\n"
@@ -565,7 +656,7 @@ def test_rmap_scan_range_is_bounded_before_any_scan(capsys, monkeypatch):
 @pytest.mark.parametrize("d_range", ["5..8000", "5..1000000", "-1000000000000..1000000"])
 def test_rmap_scan_range_width_is_bounded_before_any_scan(d_range, capsys, monkeypatch):
     """Valid moduli summing past 10,000,000 (5..8000 sums to 10,669,332) run no scan."""
-    monkeypatch.setattr(cli, "rmap_orbit_scan", _scan_must_not_start)
+    monkeypatch.setattr(remainders, "rmap_orbit_scan", _scan_must_not_start)
     code, out, err = run_cli(capsys, "rmap-scan", f"--d-range={d_range}")
     assert (code, out) == (1, "")
     assert err == f"real3x1: error: --d-range moduli must sum to at most 10000000, got {d_range!r}\n"
@@ -573,7 +664,7 @@ def test_rmap_scan_range_width_is_bounded_before_any_scan(d_range, capsys, monke
 
 @pytest.mark.parametrize("d_range,scanned", [("5..7000", 2332), ("-1000000000000..5", 1)])
 def test_rmap_scan_range_within_the_bound_runs(d_range, scanned, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "rmap_orbit_scan", lambda d, max_len: [])
+    monkeypatch.setattr(remainders, "rmap_orbit_scan", lambda d, max_len: [])
     code, out, _ = run_cli(capsys, "rmap-scan", f"--d-range={d_range}")
     assert code == 0
     assert jsonl(out)[-1]["scanned"] == scanned

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import pytest
 
-from real3x1 import cli, cycles, maps
+from real3x1 import cli, cycles, maps, trajectory
 from real3x1.maps import map_from_name
 
 GOLDEN = {
@@ -238,7 +238,7 @@ def _rotations_realized_when_d_is_5(d, nums):
 def _forge_realized(monkeypatch):
     """Summaries reach _realization through necklace_totals, record lines call rotation_checks."""
     monkeypatch.setattr(cycles, "_realization", _realized_when_d_is_5)
-    monkeypatch.setattr(cli, "rotation_checks", _rotations_realized_when_d_is_5)
+    monkeypatch.setattr(cycles, "rotation_checks", _rotations_realized_when_d_is_5)
 
 
 def _run(argv, capsys):
@@ -260,7 +260,7 @@ def test_forged_outcomes_are_golden(forge, argv, monkeypatch, capsys):
     elif forge in FORGED_F:
         monkeypatch.setitem(maps.MAPS, "F", map_from_name(FORGED_F[forge]))
     else:
-        monkeypatch.setattr(cli, "detect_period01", lambda bits: None)
+        monkeypatch.setattr(trajectory, "detect_period01", lambda bits: None)
     assert _run(argv, capsys) == FORGED[forge, argv]
 
 

@@ -13,12 +13,41 @@ from real3x1.rationals import compare_pow3_pow2
 from real3x1.remainders import (
     Segment,
     VerdictKind,
+    _check_modulus,
+    _ledger,
+    _moves,
     modulus_ok,
     rmap_orbit_scan,
     segment_inequality,
-    synthetic_trace,
     trace,
 )
+
+
+def synthetic_trace(d, r_cycle):
+    """A formally aligned closed ledger from a remainder cycle alone.
+
+    Each consecutive pair must match exactly one recurrence branch (with its
+    side condition); quotients are synthesized with the matching parity.  This
+    is the honest way to exercise segment_inequality, since no genuine
+    candidate ever closes aligned.
+    """
+    _check_modulus(d)
+    states = tuple(r_cycle)
+    if not states:
+        raise ValueError("empty remainder cycle")
+    l = len(states)
+    bits = []
+    for i in range(l):
+        cur, nxt = states[i], states[(i + 1) % l]
+        if not (0 < cur < d and cur % 2 == 0):
+            raise ValueError(f"state {cur} not an even residue in (0, {d})")
+        moves = dict(_moves(d, cur))
+        if nxt not in moves:
+            raise ValueError(f"no recurrence branch sends {cur} to {nxt} (d={d})")
+        bits.append(moves[nxt])
+    # quotient i is bits[i]; over an odd d and an even r_i, c_i's parity is bits[i]
+    c = tuple(qi * d + ri for qi, ri in zip(bits + bits[:1], states + states[:1]))
+    return _ledger(d, c, False)
 
 
 def test_trace_misaligned_example():

@@ -200,3 +200,15 @@ def test_cli_sees_only_group_totals():
         if {"necklaces", "necklace_summaries"}.intersection(names(node))
     ]
     assert refs == []
+
+
+def test_cli_imports_only_errors_and_rationals_at_module_level():
+    """A command imports the package modules it runs inside its own function, so start-up
+    (import real3x1.cli and build_parser) runs only errors and rationals of the package."""
+    cli = dict(_modules())["cli.py"]
+    imported = [
+        f"cli.py:{node.lineno} .{node.module or ''}"
+        for node in cli.body
+        if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module not in ("errors", "rationals")
+    ]
+    assert imported == []

@@ -5,6 +5,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -459,3 +460,42 @@ def test_gate_boundaries_after_a_step():
     assert iterate(phi, F2(-35), cap=1, escape_bound=bound).fate.kind is FateKind.CAP_REACHED  # -> -52
     rep = iterate(phi, F2(-37), cap=1, escape_bound=bound)  # -37 -> -55
     assert (rep.fate.kind, rep.steps_used) == (FateKind.ESCAPED_BOUND, 1)
+
+
+@pytest.mark.parametrize("name", ["T", "U", "Uflip", "F", "V"])
+def test_each_step_is_taken_once(name, monkeypatch):
+    """iterate calls step_pq once per step it reports, tail pad included: the step that checks
+    the start's domain is the orbit's first.  A start that settles at once still makes that one
+    call.  Basin confirmations replay their block on the real map, outside the count."""
+    m, calls = MAPS[name], []
+
+    def counting_step_pq(p, q):
+        calls.append((p, q))
+        return m.step_pq(p, q)
+
+    counted = SimpleNamespace(name=m.name, params=m.params, branch_rule=m.branch_rule, step_pq=counting_step_pq)
+    check = trajectory.contraction_check
+    monkeypatch.setattr(trajectory, "contraction_check", lambda x0, a, s, k, _m: check(x0, a, s, k, m))
+    starts = _seeded_starts(name, 20)
+    starts += [(F2(w_lo) + F2(w_hi)) / 2 for w_lo, w_hi, _a, _k in trajectory._BASINS.get(name, ())]
+    settings = [
+        {"cap": 0},
+        {"cap": 3},
+        {"cap": 300},
+        {"cap": 300, "escape_bound": F2(1 << 12)},
+        {"cap": 300, "trap_region": (F2(1), F2(3))},
+        {"den_bit_cap": 16},
+    ]
+    fates, settled = set(), 0
+    for x in starts:
+        for kwargs in settings:
+            calls.clear()
+            rep = iterate(counted, x, **kwargs)
+            steps = len(rep.parity_bits) - 1  # a bit for the start and one per step
+            assert len(calls) == max(steps, 1), (x, kwargs)
+            assert rep == iterate(m, x, **kwargs), (x, kwargs)
+            fates.add(rep.fate.kind)
+            settled += rep.steps_used == 0 and steps > 0
+    assert FateKind.CAP_REACHED in fates and len(fates) > 1
+    if name in trajectory._BASINS:  # each window's midpoint settles at once and still pads its tail
+        assert settled >= len(trajectory._BASINS[name])
