@@ -439,104 +439,23 @@ def _classify(conj: _Conjecture, m, rep) -> tuple[str, str | None]:
     kind = fate.kind
     if kind is FateKind.ENTERED_CYCLE:
         values = _cycle_values(m, fate.value, fate.period)
-        if values == set(map(Fraction, _TRIVIAL_CYCLES.get(conj.map, ()))):
-            if conj.wants_01 and detect_period01(rep.parity_bits) is None:
-                return "flagged", "trivial cycle entered but no (0,1) parity tail seen"
-            return "supports", None
-        shown = ", ".join(format_rational(v) for v in sorted(values))
-        return "counterexample", f"entered a cycle outside the trivial one: {shown}"
-    if kind in TENDENCIES:
-        if conj.wants_01 and detect_period01(rep.parity_bits) is None:
-            return "flagged", "tendency certified but no (0,1) parity tail seen"
+        if values != set(map(Fraction, _TRIVIAL_CYCLES.get(conj.map, ()))):
+            shown = ", ".join(format_rational(v) for v in sorted(values))
+            return "counterexample", f"entered a cycle outside the trivial one: {shown}"
+    elif kind is FateKind.ENTERED_REGION:
         return "supports", None
-    if kind is FateKind.ENTERED_REGION:
-        return "supports", None
-    if kind is FateKind.ESCAPED_BOUND:
+    elif kind is FateKind.ESCAPED_BOUND:
         return "flagged", "escaped the bound, inconclusive for an open conjecture"
-    return "unresolved", None
+    elif kind not in TENDENCIES:
+        return "unresolved", None
+    if conj.wants_01 and detect_period01(rep.parity_bits) is None:  # the trivial cycle or a tendency
+        seen = "trivial cycle entered" if kind is FateKind.ENTERED_CYCLE else "tendency certified"
+        return "flagged", seen + " but no (0,1) parity tail seen"
+    return "supports", None
 
 
-def _run_samples(args, name: str, out, demote=False, counter_lines=(), extra=None) -> int:
-    """Sample starts for name, iterate each to a fate, and report the tally.
-
-    counter_lines precede the sampled counterexamples, extra joins the summary,
-    and demote turns a sampled counterexample into a flag.
-    """
-    import random
-
-    from .maps import MAPS
-    from .sampling import draw_integers, draw_rationals
-    from .trajectory import iterate
-
-    conj = _CONJECTURES[name]
-    m = MAPS[conj.map]
-    rng = random.Random(args.seed)
-    if conj.integer:
-        ints = draw_integers(rng, args.samples, args.value_bits, minimum=int(m.domain_min))
-        starts = map(Fraction, ints)
-    else:
-        starts = draw_rationals(rng, args.samples, args.den_bits, args.value_bits, m.domain_min)
-    escape = parse_rational(args.escape)
-    trap = None if conj.region is None else (Fraction(conj.region[0]), Fraction(conj.region[1]))
-
-    tally: dict[str, int] = {}  # by fate label
-    classes = dict.fromkeys(("supports", "flagged", "unresolved", "counterexample"), 0)
-    lines = {"flagged": [], "counterexample": list(counter_lines)}
-    for x in starts:
-        rep = iterate(m, x, cap=args.cap, escape_bound=escape, trap_region=trap, keep=1)
-        label = rep.fate.label()
-        tally[label] = tally.get(label, 0) + 1
-        cls, note = _classify(conj, m, rep)
-        if cls == "counterexample" and demote:
-            cls = "flagged"
-        classes[cls] += 1
-        if cls == "counterexample" or cls == "flagged" and classes[cls] <= args.flag_limit:
-            line = {
-                "type": cls,
-                "start": format_rational(x),
-                "fate": label,
-                "steps": rep.steps_used,
-                "note": note,
-            }
-            lines[cls].append(line)
-    counter_lines = lines["counterexample"]
-    for line in lines["flagged"] + counter_lines:
-        out.write(_dumps(line) + "\n")
-
-    if counter_lines:
-        verdict = f"COUNTEREXAMPLE FOUND among {args.samples} samples"
-    else:
-        verdict = (
-            f"no counterexample among {args.samples} samples "
-            f"(cap {args.cap} steps, escape bound {args.escape})"
-        )
-    summary = {
-        "type": "summary",
-        "command": "conjecture",
-        "name": name,
-        "statement": conj.statement,
-        "map": conj.map,
-        "samples": args.samples,
-        "seed": args.seed,
-        "den_bits": args.den_bits,
-        "value_bits": args.value_bits,
-        "cap": args.cap,
-        "escape": args.escape,
-        "tally": tally,
-        "supporting": classes["supports"],
-        "flagged": classes["flagged"],
-        "unresolved": classes["unresolved"],
-        "counterexamples": len(counter_lines),
-        "verdict": verdict,
-        "note": _NOT_A_PROOF,
-        **(extra or {}),
-    }
-    out.write(_dumps(summary) + "\n")
-    return EXIT_COUNTEREXAMPLE if counter_lines else EXIT_OK
-
-
-def _run_q2(args, out) -> int:
-    """The 2m + 3/2 family must climb forever; other F-starts are sampled."""
+def _q2_family(args) -> tuple[list[dict], dict]:
+    """Check that the 2m + 3/2 family climbs: its violation lines and its summary entry."""
     m_lo, m_hi = _parse_range(args.m_range, "--m-range")
     if m_lo < 0:
         raise ValueError(f"bad --m-range: {args.m_range!r}")
@@ -570,17 +489,89 @@ def _run_q2(args, out) -> int:
         "verified": m_hi - m_lo + 1 - len(violations),
         "violations": len(violations),
     }
-    # an exact nontrivial F-cycle is not ruled out by the theorems; it is
-    # loud Q2 evidence rather than a contract violation, hence demote
-    return _run_samples(
-        args, "Q2", out, demote=True, counter_lines=violations, extra={"family": family}
-    )
+    return violations, {"family": family}
 
 
 def cmd_conjecture(args, out) -> int:
-    if args.name == "Q2":
-        return _run_q2(args, out)
-    return _run_samples(args, args.name, out)
+    """Sample starts for the named conjecture, iterate each to a fate, and report the tally.
+
+    Q2 first checks its 2m + 3/2 family: the family's violations precede the
+    sampled counterexamples, and its family entry joins the summary.
+    """
+    import random
+
+    from .maps import MAPS
+    from .sampling import draw_integers, draw_rationals
+    from .trajectory import iterate
+
+    name = args.name
+    counter_lines, extra = _q2_family(args) if name == "Q2" else ([], {})
+    conj = _CONJECTURES[name]
+    m = MAPS[conj.map]
+    rng = random.Random(args.seed)
+    if conj.integer:
+        ints = draw_integers(rng, args.samples, args.value_bits, minimum=int(m.domain_min))
+        starts = map(Fraction, ints)
+    else:
+        starts = draw_rationals(rng, args.samples, args.den_bits, args.value_bits, m.domain_min)
+    escape = parse_rational(args.escape)
+    trap = None if conj.region is None else (Fraction(conj.region[0]), Fraction(conj.region[1]))
+
+    tally: dict[str, int] = {}  # by fate label
+    classes = dict.fromkeys(("supports", "flagged", "unresolved", "counterexample"), 0)
+    lines = {"flagged": [], "counterexample": counter_lines}
+    for x in starts:
+        rep = iterate(m, x, cap=args.cap, escape_bound=escape, trap_region=trap, keep=1)
+        label = rep.fate.label()
+        tally[label] = tally.get(label, 0) + 1
+        cls, note = _classify(conj, m, rep)
+        if cls == "counterexample" and name == "Q2":
+            # an exact nontrivial F-cycle is not ruled out by the theorems; it is
+            # loud Q2 evidence rather than a contract violation, hence a flag
+            cls = "flagged"
+        classes[cls] += 1
+        if cls == "counterexample" or cls == "flagged" and classes[cls] <= args.flag_limit:
+            line = {
+                "type": cls,
+                "start": format_rational(x),
+                "fate": label,
+                "steps": rep.steps_used,
+                "note": note,
+            }
+            lines[cls].append(line)
+    for line in lines["flagged"] + counter_lines:
+        out.write(_dumps(line) + "\n")
+
+    if counter_lines:
+        verdict = f"COUNTEREXAMPLE FOUND among {args.samples} samples"
+    else:
+        verdict = (
+            f"no counterexample among {args.samples} samples "
+            f"(cap {args.cap} steps, escape bound {args.escape})"
+        )
+    summary = {
+        "type": "summary",
+        "command": "conjecture",
+        "name": name,
+        "statement": conj.statement,
+        "map": conj.map,
+        "samples": args.samples,
+        "seed": args.seed,
+        "den_bits": args.den_bits,
+        "value_bits": args.value_bits,
+        "cap": args.cap,
+        "escape": args.escape,
+        "tally": tally,
+        "supporting": classes["supports"],
+        "flagged": classes["flagged"],
+        "unresolved": classes["unresolved"],
+        "counterexamples": len(counter_lines),
+        "verdict": verdict,
+        "note": _NOT_A_PROOF,
+        **extra,
+    }
+    out.write(_dumps(summary) + "\n")
+    return EXIT_COUNTEREXAMPLE if counter_lines else EXIT_OK
 
 
 # ------------------------------------------------------------------ trace

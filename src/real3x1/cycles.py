@@ -249,15 +249,6 @@ def _walk(l: int, n: int, ranks: list[int]) -> tuple[int, list[Sequence[int]]]:
     return d, [values[i::m] for i in range(m)]
 
 
-def _numerators(d: int, walk: Sequence[int]) -> Sequence[int]:
-    """A lane's x_j * d as a cycle's numerators, x_j * |d|.
-
-    A list, not a tuple: CPython keeps up to 2000 freed tuples of each
-    length for reuse, and a sweep would fill that store for every l.
-    """
-    return walk if d > 0 else [-c for c in walk]
-
-
 _CLASSES = {  # (d > 0, x_0 an integer): the class of a nonzero cycle
     (True, True): CycleClass.INTEGER_POSITIVE,
     (True, False): CycleClass.FRACTIONAL_POSITIVE,
@@ -273,7 +264,8 @@ def _cycle_class(phi: int, d: int) -> CycleClass:
 def candidate(s: BitSeq) -> CycleRecord:
     """Build the closed forced-branch cycle for s, walked in one lane of _walk; realization flags unset."""
     d, (walk,) = _walk(s.l, s.n, [s.rank])
-    return CycleRecord(s, d, tuple(_numerators(d, walk)), _cycle_class(walk[0], d))
+    nums = tuple(walk if d > 0 else [-c for c in walk])  # the lane holds x_j * d, a record x_j * |d|
+    return CycleRecord(s, d, nums, _cycle_class(walk[0], d))
 
 
 def _realization(d: int, lanes: Iterable[Sequence[int]]) -> list[tuple[bool, int | None, bool, int | None]]:

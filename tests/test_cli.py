@@ -726,6 +726,18 @@ def test_conjecture_q2_family(capsys):
     }
 
 
+def test_q2_flags_are_read_by_q2_alone(capsys):
+    """RU ignores --m-range and --steps, even a malformed range that Q2 rejects."""
+    plain = run_cli(capsys, "conjecture", "RU", "--samples", "20")
+    assert plain[0] == 0 and plain[1]
+    with_q2_flags = run_cli(
+        capsys, "conjecture", "RU", "--samples", "20", "--m-range", "5..1", "--steps", "7"
+    )
+    assert with_q2_flags == plain
+    code, out, err = run_cli(capsys, "conjecture", "Q2", "--samples", "20", "--m-range", "5..1")
+    assert (code, out, err) == (1, "", "real3x1: error: bad --m-range: '5..1'\n")
+
+
 def test_conjecture_unknown_name(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["conjecture", "XY"])

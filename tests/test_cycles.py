@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from real3x1.cycles import (
     BitSeq,
     CycleClass,
-    _numerators,
     _realization,
     _walk,
     candidate,
@@ -346,7 +345,7 @@ def test_lane_walk_matches_the_fraction_reference(group):
     l, n, ranks = group
     d, lanes = _walk(l, n, ranks)
     assert d == 2**l - 3**n and len(lanes) == len(ranks)
-    scans = _realization(d, [_numerators(d, walk) for walk in lanes])
+    scans = _realization(d, [walk if d > 0 else [-c for c in walk] for walk in lanes])  # x_j * |d|
     assert len(scans) == len(ranks)
     for rank, walk, checks in zip(ranks, lanes, scans):
         bits = tuple(rank >> (l - 1 - j) & 1 for j in range(l))
