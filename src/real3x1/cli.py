@@ -225,7 +225,9 @@ def _sweep_chunk(task) -> tuple[list[str], dict, list, int]:
     (and traced) once, and each rotation of r in the range, r turned left by
     k, gets r's cycle seen from x_k: its checks, rotation 0's included, from
     one rotation_checks scan, and its line from one template that holds the
-    class's own fields.
+    class's own fields.  Both the ledger's verdict and that scan name U's
+    first misaligned step from r; a class whose two reads differ raises
+    StructureError.
     """
     l, lo, hi, emit_lines, with_verdict = task
     counts, realized = {}, []
@@ -263,6 +265,11 @@ def _sweep_chunk(task) -> tuple[list[str], dict, list, int]:
         if with_verdict:
             tail = ', "verdict": null' if verdict is None else f', "verdict": "{verdict.label()}"'
         checks = rotation_checks(d, nums)
+        scan = checks[0][4]  # U's first misaligned step from r, as the ledger's verdict names it
+        if verdict is not None and scan != verdict.index:
+            raise StructureError(f"the ledger of {r:{spec}} says {verdict.label()}, its parity scan {scan}")
+        g = gcd(nums[0], D)  # the whole cycle's: D is odd, and prime to 3 when the cycle triples
+        den = "" if g == D else f"/{D // g}"
         x, k, written = r, 0, 0
         while True:
             if lo <= x < hi:
@@ -270,13 +277,12 @@ def _sweep_chunk(task) -> tuple[list[str], dict, list, int]:
                 if misaligned:  # a misaligned step is counted from x_k
                     tail = f', "verdict": "misaligned_at:{step}"'
                 a = nums[k]
-                g = gcd(a, D)
                 lines[x - lo] = (
                     f'{{"bits": "{x:{spec}}{head}{"null" if misalign_U is None else misalign_U}, '
                     f'"misalign_Uflip": {"null" if misalign_Uflip is None else misalign_Uflip}, '
                     f'"phi": "{a * sign}", "rank": {x}, "realized_U": {"true" if on_U else "false"}, '
                     f'"realized_Uflip": {"true" if on_Uflip else "false"}{tail}, '
-                    f'"x0": "{a // g if g == D else f"{a // g}/{D // g}"}"}}\n'
+                    f'"x0": "{a // g}{den}"}}\n'
                 )
                 if on_U or on_Uflip:
                     realized.append((format(x, spec), cls, on_U, on_Uflip))

@@ -26,20 +26,20 @@ _TAIL_PAD further steps, so the periodic parity tail is visible in it.
 iterate runs the orbit on reduced integer pairs (p, q) through
 MapSpec.step_pq, compares every bound by cross-multiplication and builds a
 Fraction only for a kept iterate past the start (the first is x0 itself), a
-cycle value and a basin landing.  The report is read off the list of visited
-pairs after the orbit resolves.  The fate tests of a step (trap, windows,
+cycle value and a basin landing.  The fate tests of a step (trap, windows,
 escape) sit behind one exact hull gate: floor(x) lies between the least
 floor of a trap or window start and the greatest floor of a trap or window
 end whenever x lies in one of them, and |floor(x)| >= floor(bound) whenever
 |x| > bound.  A step whose p // q lies outside both cannot settle, so it
 pays one division and comparisons with integers fixed before the loop
-instead of the tests.  The report's parity bits come from the step bits
-when a map's bit is floor(x + tau) mod 2 for an integer tau: floor(x) mod 2
-is that bit XOR tau mod 2, so only the last visited pair pays a division
-for its bit.  For any other tau, and for the numerator-parity maps, each
-bit is (p // q) mod 2.  contraction_check replays its block on step_pq
-pairs as well and checks the identity by cross-multiplied integers;
-Fraction appears only at its interface.
+instead of the tests.  That division is also the report's parity bit:
+floor(x) mod 2 is (p // q) mod 2 for every visited pair, a cycle's closing
+pair and the tail pad included, whatever the map's own branch rule.  So
+iterate reads nothing of a map but its name and step_pq.  The iterates are
+read off the list of visited pairs after the orbit resolves.
+contraction_check replays its block on step_pq pairs as well and checks the
+identity by cross-multiplied integers; Fraction appears only at its
+interface.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from fractions import Fraction
 from math import floor
 
 from .errors import PreconditionError, StructureError
-from .maps import MAPS, BranchRule, MapSpec
+from .maps import MAPS, MapSpec
 
 
 class FateKind(str, Enum):
@@ -164,11 +164,9 @@ def iterate(
         e_hi = floor(escape_bound)
         e_lo = -e_hi
     den_shift = max(den_bit_cap, 0)  # q >> den_shift is nonzero iff q has more than den_bit_cap bits
-    flip, tau = None, m.params.tau  # floor(x) mod 2 is the step bit XOR flip, when flip is set
-    if m.branch_rule is BranchRule.FLOOR_PARITY and tau.denominator == 1:
-        flip = tau.numerator & 1
 
     steps = []  # step_pq's result from every visited pair but the last: (next p, next q, bit)
+    bits = [(p // q) & 1]  # floor(x) mod 2 for every visited pair
     seen = {(p, q): 0}
 
     def settle(p: int, q: int) -> Fate | None:
@@ -201,12 +199,12 @@ def iterate(
                 s = step_pq(p, q)
             steps.append(s)
             p, q, _b = s
-            pair = p, q
-            prev = seen.setdefault(pair, k)
+            f = p // q
+            bits.append(f & 1)
+            prev = seen.setdefault((p, q), k)
             if prev != k:
                 period = k - prev
                 break
-            f = p // q
             if h_lo <= f <= h_hi or e_hi is not None and not e_lo < f < e_hi:
                 fate = settle(p, q)
                 if fate is not None:
@@ -220,20 +218,15 @@ def iterate(
         fate = Fate(FateKind.ENTERED_CYCLE, period=period, value=Fraction(p, q))
     steps_used = len(steps)
     if fate.kind in TENDENCIES or fate.kind is FateKind.ENTERED_CYCLE:
-        if not steps:  # the start settled at once: the pad's first step is s from above
+        for j in range(_TAIL_PAD):
+            if j or steps_used:  # a start that settled at once pads from s above
+                s = step_pq(p, q)
             steps.append(s)
             p, q, _b = s
-        while len(steps) < steps_used + _TAIL_PAD:
-            s = step_pq(p, q)
-            steps.append(s)
-            p, q, _b = s
+            bits.append((p // q) & 1)
 
     kept = max(keep, 1)  # the start is always kept
     iterates = [x0] + [Fraction(p, q) for p, q, _b in steps[: kept - 1]]
-    if flip is None:
-        bits = [(x0.numerator // x0.denominator) & 1] + [(p // q) & 1 for p, q, _b in steps]
-    else:  # p, q is the last visited pair
-        bits = [b ^ flip for _p, _q, b in steps] + [(p // q) & 1]
     return TrajectoryReport(x0, iterates, bits, fate, steps_used, len(steps) >= kept)
 
 

@@ -384,6 +384,23 @@ def test_split_necklace_is_an_internal_error(capsys, monkeypatch):
     assert err == "real3x1: internal error: sweep closed 7 necklaces with l = 4, expected 6\n"
 
 
+def test_ledger_and_parity_scan_must_agree(capsys, monkeypatch):
+    """A ledger whose misaligned step is one past the one rotation_checks finds is an internal error."""
+
+    def shifted_trace(rec, flipped=False):
+        rt = trace(rec, flipped)
+        if rt.verdict.kind is remainders.VerdictKind.MISALIGNED_AT:
+            rt.verdict = remainders.Verdict(rt.verdict.kind, rt.verdict.index + 1)
+        return rt
+
+    monkeypatch.setattr(remainders, "trace", shifted_trace)
+    code, _, err = run_cli(capsys, "cycles", "--lmax", "3", "--with-verdict")
+    assert code == 5
+    assert err == "real3x1: internal error: the ledger of 001 says misaligned_at:3, its parity scan 2\n"
+    # without --with-verdict no ledger is read, so there is nothing to compare
+    assert run_cli(capsys, "cycles", "--lmax", "3")[0] == 0
+
+
 def test_cycles_validation(capsys):
     assert parse_error_code("cycles", "--lmax", "0") == 1
     assert run_cli(capsys, "cycles", "--lmax", "3", "--lmin", "5")[0] == 1

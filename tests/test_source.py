@@ -142,6 +142,20 @@ def test_orbit_loops_build_no_fraction():
     assert calls == []
 
 
+def test_iterate_reads_only_the_maps_name_and_step():
+    """trajectory.iterate reads each parity bit off p // q, so of its map m it reads only the name
+    (for the basin table) and step_pq: no attribute of m but those two."""
+    trajectory = dict(_modules())["trajectory.py"]
+    (fn,) = [fn for fn in trajectory.body if isinstance(fn, ast.FunctionDef) and fn.name == "iterate"]
+    reads = [
+        f"iterate:{node.lineno} m.{node.attr}"
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "m"
+        and node.attr not in ("name", "step_pq")
+    ]
+    assert reads == []
+
+
 def test_record_lines_are_built_per_class():
     """Record mode pays its per-record costs once per class: no _dumps(...) or _realization(...)
     call in a loop of cli._sweep_chunk's record branch, which follows the summary branch's
