@@ -205,32 +205,28 @@ def cmd_iterate(args, out) -> int:
 _CHUNK_RANKS = 1 << 14
 
 
-_NON_INTEGER = {"fractional_positive", "fractional_negative"}  # CycleClass values of the non-integer cycles
-
-
 def _sweep_chunk(task) -> tuple[list[str], dict, list, int]:
     """Record lines, record counts by (l, n, class), realized rows and necklaces closed for one rank range.
 
-    A realized row is (pattern, class, realized_U, realized_Uflip).  Without
-    lines, necklace_totals closes the necklaces of the range, each through
-    its least rotation and counting for all its rotations, in lane groups of
-    one (l, n) (a group with d < 0 runs no realization scan), and the chunk
-    adds each group's totals; a pattern string is built only for the rows of
-    a realized class, whose rotations may lie in other ranges, so cmd_cycles
-    puts the rows back in order.  The necklaces closed are the range's share
-    of the necklaces of length l, whose sum cmd_cycles checks against
-    Moreau's count; record mode meets a class in more than one range, so it
-    reports 0.  With lines, the
-    first rank r of each class that the range meets is closed by candidate
-    (and traced) once, and each rotation of r in the range, r turned left by
-    k, gets r's cycle seen from x_k: its checks, rotation 0's included, from
-    one rotation_checks scan, and its line from one template that holds the
-    class's own fields.  Both the ledger's verdict and that scan name U's
-    first misaligned step from r; a class whose two reads differ raises
-    StructureError.
+    A realized row is (l, rank, x_0 is an integer, realized_U,
+    realized_Uflip).  Without lines, necklace_totals closes the necklaces of
+    the range, each through its least rotation and counting for all its
+    rotations, in lane groups of one (l, n) (a group with d < 0 runs no
+    realization scan), and the chunk adds each group's totals; the rows of a
+    realized class list its rotations, which may lie in other ranges, so
+    cmd_cycles puts the rows back in order.  The necklaces closed are the
+    range's share of the necklaces of length l, whose sum cmd_cycles checks
+    against Moreau's count; record mode meets a class in more than one range,
+    so it reports 0.  With lines, the first rank r of each class that the
+    range meets is closed by candidate (and traced) once, and each rotation
+    of r in the range, r turned left by k, gets r's cycle seen from x_k: its
+    checks, rotation 0's included, from one rotation_checks scan, and its
+    line from one template that holds the class's own fields.  Both the
+    ledger's verdict and that scan name U's first misaligned step from r; a
+    class whose two reads differ raises StructureError.
     """
     l, lo, hi, emit_lines, with_verdict = task
-    counts, realized = {}, []
+    counts, realized, mask = {}, [], (1 << l) - 1
     if not emit_lines:
         from .cycles import necklace_totals
 
@@ -239,16 +235,15 @@ def _sweep_chunk(task) -> tuple[list[str], dict, list, int]:
             closed += group_size
             for cls, k in group_counts.items():
                 counts[l, n, cls] = counts.get((l, n, cls), 0) + k
-            for rank, period, cls, on_U, on_Uflip in rows:
-                s = format(rank, f"0{l}b")
-                realized += [(s[k:] + s[:k], cls, on_U, on_Uflip) for k in range(period)]
+            for rank, period, integer, on_U, on_Uflip in rows:  # rank turned left by k
+                realized += [(l, (rank << k | rank >> l - k) & mask, integer, on_U, on_Uflip) for k in range(period)]
         return [], counts, realized, closed
     from .cycles import BitSeq, candidate, rotation_checks
 
     if with_verdict:
         from .remainders import VerdictKind, trace
 
-    top, mask, spec = l - 1, (1 << l) - 1, f"0{l}b"
+    top, spec = l - 1, f"0{l}b"
     lines = [None] * (hi - lo)  # a filled slot marks its class as walked
     for r in range(lo, hi):
         if lines[r - lo] is not None:
@@ -285,7 +280,7 @@ def _sweep_chunk(task) -> tuple[list[str], dict, list, int]:
                     f'"x0": "{a // g}{den}"}}\n'
                 )
                 if on_U or on_Uflip:
-                    realized.append((format(x, spec), cls, on_U, on_Uflip))
+                    realized.append((l, x, g == D, on_U, on_Uflip))
                 written += 1
             x, k = ((x << 1) & mask) | (x >> top), k + 1  # r turned left by k
             if x == r:
@@ -362,8 +357,9 @@ def cmd_cycles(args, out) -> int:
             moreau = sum(1 << gcd(k, l) for k in range(l)) // l
             if closed[l] != moreau:
                 raise StructureError(f"sweep closed {closed[l]} necklaces with l = {l}, expected {moreau}")
-    realized.sort(key=lambda row: (len(row[0]), int(row[0], 2)))  # (l, rank)
-    non_integer = [bits for bits, cls, on_U, _ in realized if on_U and cls in _NON_INTEGER]
+    realized.sort()  # by (l, rank), which no two rows share
+    realized = [(format(rank, f"0{l}b"), integer, on_U, on_Uflip) for l, rank, integer, on_U, on_Uflip in realized]
+    non_integer = [bits for bits, integer, on_U, _ in realized if on_U and not integer]
     realized_Uflip = [bits for bits, _, _, on_Uflip in realized if on_Uflip]
     counterexample = bool(non_integer or realized_Uflip)
     summary = {

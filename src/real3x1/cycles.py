@@ -257,15 +257,11 @@ _CLASSES = {  # (d > 0, x_0 an integer): the class of a nonzero cycle
 }
 
 
-def _cycle_class(phi: int, d: int) -> CycleClass:
-    return CycleClass.ZERO if phi == 0 else _CLASSES[d > 0, phi % d == 0]
-
-
 def candidate(s: BitSeq) -> CycleRecord:
     """Build the closed forced-branch cycle for s, walked in one lane of _walk; realization flags unset."""
     d, (walk,) = _walk(s.l, s.n, [s.rank])
     nums = tuple(walk if d > 0 else [-c for c in walk])  # the lane holds x_j * d, a record x_j * |d|
-    return CycleRecord(s, d, nums, _cycle_class(walk[0], d))
+    return CycleRecord(s, d, nums, CycleClass.ZERO if walk[0] == 0 else _CLASSES[d > 0, walk[0] % d == 0])
 
 
 def _realization(d: int, lanes: Iterable[Sequence[int]]) -> list[tuple[bool, int | None, bool, int | None]]:
@@ -400,9 +396,9 @@ def necklace_totals(l: int, lo: int, hi: int) -> Iterator[tuple[int, int, dict[s
 
     The necklaces of one (l, n) share d = 2^l - 3^n, so they are closed
     _LANES at a time in one _walk.  A group's records by class count every
-    rotation of each of its necklaces, and a realized row is
-    (rank, period, class value, realized_U, realized_Uflip) for a necklace
-    that U or Uflip realizes; no record is built.
+    rotation of each of its necklaces, and a realized row is (rank, period,
+    x_0 is an integer, realized_U, realized_Uflip) for a necklace that U or
+    Uflip realizes; no record is built.
     """
     groups = [[] for _ in range(l + 1)]  # groups[n]: the pending (rank, period) pairs with n ones
     for pair in necklaces(l, lo, hi):
@@ -428,7 +424,7 @@ def _group_totals(l: int, group: list[tuple[int, int]]) -> tuple[int, int, dict[
     if d < 0:  # n >= 1 and x_0 < 0 in every lane: outside both maps' domains, so no scan
         return n, len(group), counts, []
     rows = [
-        (rank, period, _cycle_class(walk[0], d).value, on_U, on_Uflip)
+        (rank, period, walk[0] % d == 0, on_U, on_Uflip)
         for (rank, period), walk, (on_U, _, on_Uflip, _) in zip(group, lanes, _realization(d, lanes))
         if on_U or on_Uflip
     ]

@@ -35,8 +35,9 @@ pays one division and comparisons with integers fixed before the loop
 instead of the tests.  That division is also the report's parity bit:
 floor(x) mod 2 is (p // q) mod 2 for every visited pair, a cycle's closing
 pair and the tail pad included, whatever the map's own branch rule.  So
-iterate reads nothing of a map but its name and step_pq.  The iterates are
-read off the list of visited pairs after the orbit resolves.
+iterate reads nothing of a map but its name and step_pq.  Its iterates are
+read off the repetition check's dict, which holds each visited pair once,
+and off the pairs it lacks: a cycle's closing pair and the tail pad.
 contraction_check replays its block on step_pq pairs as well and checks the
 identity by cross-multiplied integers; Fraction appears only at its
 interface.
@@ -47,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, islice
 from math import floor
 
 from .errors import PreconditionError, StructureError
@@ -165,9 +167,9 @@ def iterate(
         e_lo = -e_hi
     den_shift = max(den_bit_cap, 0)  # q >> den_shift is nonzero iff q has more than den_bit_cap bits
 
-    steps = []  # step_pq's result from every visited pair but the last: (next p, next q, bit)
     bits = [(p // q) & 1]  # floor(x) mod 2 for every visited pair
-    seen = {(p, q): 0}
+    seen = {(p, q): 0}  # every visited pair to its index, in visit order: the orbit's head
+    tail = []  # the visited pairs that seen lacks: a cycle's closing pair and the tail pad
 
     def settle(p: int, q: int) -> Fate | None:
         if trap_region is not None and ln * q <= p * ld and p * hd < hn * q:
@@ -187,7 +189,7 @@ def iterate(
         if not confirmed:
             raise StructureError(
                 f"certified basin landing failed to confirm at {x}"
-                f" (orbit from {x0}, step {len(steps)})"
+                f" (orbit from {x0}, step {len(bits) - 1})"
             )
         return Fate(kind, anchor=anchor, confirmed=True)
 
@@ -195,10 +197,7 @@ def iterate(
     period = 0
     if fate is None:
         for k in range(1, cap + 1):
-            if k > 1:  # the first step is s from above
-                s = step_pq(p, q)
-            steps.append(s)
-            p, q, _b = s
+            p, q, _b = step_pq(p, q) if k > 1 else s  # the first step is s from above
             f = p // q
             bits.append(f & 1)
             prev = seen.setdefault((p, q), k)
@@ -215,19 +214,18 @@ def iterate(
         else:
             fate = Fate(FateKind.CAP_REACHED)
     if period:
+        tail.append((p, q))
         fate = Fate(FateKind.ENTERED_CYCLE, period=period, value=Fraction(p, q))
-    steps_used = len(steps)
+    steps_used = len(bits) - 1
     if fate.kind in TENDENCIES or fate.kind is FateKind.ENTERED_CYCLE:
         for j in range(_TAIL_PAD):
-            if j or steps_used:  # a start that settled at once pads from s above
-                s = step_pq(p, q)
-            steps.append(s)
-            p, q, _b = s
+            p, q, _b = step_pq(p, q) if j or steps_used else s  # a start that settled at once pads from s
+            tail.append((p, q))
             bits.append((p // q) & 1)
 
     kept = max(keep, 1)  # the start is always kept
-    iterates = [x0] + [Fraction(p, q) for p, q, _b in steps[: kept - 1]]
-    return TrajectoryReport(x0, iterates, bits, fate, steps_used, len(steps) >= kept)
+    iterates = [x0] + [Fraction(p, q) for p, q in islice(chain(seen, tail), 1, kept)]
+    return TrajectoryReport(x0, iterates, bits, fate, steps_used, len(bits) > kept)
 
 
 # ------------------------------------------------------------- diagnostics

@@ -216,8 +216,8 @@ def test_rotated_lines_equal_direct_evaluation(l):
         assert "".join(lines).splitlines() == expected
     assert sum(counts.values()) == len(recs)
     assert closed == 0  # record mode reports no necklace count
-    assert sorted(realized) == [  # cmd_cycles orders the rows; equal-length patterns sort by rank
-        (str(r.s), r.cls.value, r.realized_U, r.realized_Uflip)
+    assert sorted(realized) == [  # cmd_cycles orders the rows by (l, rank)
+        (l, r.s.rank, r.x0.denominator == 1, r.realized_U, r.realized_Uflip)
         for r in recs
         if r.realized_U or r.realized_Uflip
     ]
@@ -597,12 +597,6 @@ def test_exports_resolve_to_their_home_definitions():
         assert getattr(obj, "__module__", module.__name__) == module.__name__  # defined there, not imported
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         real3x1.no_such_name
-
-
-def test_non_integer_classes_are_the_fractional_ones():
-    """cli names the classes of a realized non-integer cycle by value, so that it needs no cycles import."""
-    fractional = {cycles.CycleClass.FRACTIONAL_POSITIVE, cycles.CycleClass.FRACTIONAL_NEGATIVE}
-    assert cli._NON_INTEGER == {cls.value for cls in fractional}
 
 
 def test_trace_fractional(capsys):

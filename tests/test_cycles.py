@@ -369,7 +369,7 @@ def reference_totals(l, lo, hi):
         total[0] += 1
         total[1][rec.cls.value] = total[1].get(rec.cls.value, 0) + period
         if rec.realized_U or rec.realized_Uflip:
-            total[2].append((rank, period, rec.cls.value, rec.realized_U, rec.realized_Uflip))
+            total[2].append((rank, period, rec.x0.denominator == 1, rec.realized_U, rec.realized_Uflip))
     return totals
 
 

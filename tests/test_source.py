@@ -216,6 +216,22 @@ def test_cli_sees_only_group_totals():
     assert refs == []
 
 
+def test_cli_holds_no_class_value():
+    """cli.py holds no string that equals a CycleClass value: a realized row carries whether its
+    x_0 is an integer, and the class counts carry the values that cycles gives them, so the
+    classes have one holder."""
+    from real3x1.cycles import CycleClass
+
+    cli = dict(_modules())["cli.py"]
+    values = {cls.value for cls in CycleClass}
+    copies = [
+        f"cli.py:{node.lineno} {node.value!r}"
+        for node in ast.walk(cli)
+        if isinstance(node, ast.Constant) and node.value in values
+    ]
+    assert copies == []
+
+
 def test_cli_imports_only_errors_and_rationals_at_module_level():
     """A command imports the package modules it runs inside its own function, so start-up
     (import real3x1.cli and build_parser) runs only errors and rationals of the package."""

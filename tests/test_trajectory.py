@@ -401,6 +401,16 @@ _GATE_SETTINGS = {
 }
 
 
+# per map: orbits compared at every keep from 1 to one past their last bit, so that the kept
+# iterates cross from the repetition check's pairs into a cycle's closing pair and the tail pad
+_SEAM_RUNS = {
+    "T": [(F2(27), {})],  # entered_cycle
+    "g": [(F2(-5), {})],  # a negative cycle
+    "U": [(F2(1), {}), (F2(4, 3), {})],  # a cycle at the start; a basin midpoint, settled and padded
+    "F": [(F2(3, 2), {"cap": 3})],  # the step cap
+}
+
+
 def _in_domain(m, x):
     try:
         step(m, x)
@@ -440,9 +450,13 @@ def test_gated_loop_matches_the_ungated_reference(name):
     runs = [(x, {}) for x in starts]
     runs += [(x, {"escape_bound": bound, "trap_region": trap}) for x in starts + boundary]
     runs += [(x, {"escape_bound": bound, "den_bit_cap": 12}) for x in starts[:10] + boundary]
+    for x, kwargs in _SEAM_RUNS.get(name, []):
+        bits = len(iterate(m, x, **kwargs).parity_bits)
+        runs += [(x, {**kwargs, "keep": keep}) for keep in range(1, bits + 2)]
     for x, kwargs in runs:
-        got = jsonable(iterate(m, x, cap=300, keep=16, **kwargs))
-        want = jsonable(_iterate_reference(m, x, cap=300, keep=16, **kwargs))
+        kwargs = {"cap": 300, "keep": 16, **kwargs}
+        got = jsonable(iterate(m, x, **kwargs))
+        want = jsonable(_iterate_reference(m, x, **kwargs))
         assert got == want, (x, kwargs)
 
 
