@@ -203,6 +203,11 @@ def cmd_iterate(args, out) -> int:
 # ----------------------------------------------------------------- cycles
 
 _CHUNK_RANKS = 1 << 14
+# A sweep forks a pool only from this much work, counted in summary ranks, a
+# record rank weighing 1 << 5 of them.  A pool costs about 50 ms to start; on
+# 2 cores it breaks even with one process near 2^20 summary ranks (lmax 19)
+# and 2^15 record ranks (lmax 14), and wins above.
+_POOL_MIN_RANKS = 1 << 20
 
 
 def _sweep_chunk(task) -> tuple[list[str], dict, list, int]:
@@ -290,9 +295,17 @@ def _sweep_chunk(task) -> tuple[list[str], dict, list, int]:
     return lines, counts, realized, 0
 
 
-def _pool_size(workers: int, tasks: int) -> int:
-    """Processes to start; a pool forks them all up front, so cap by cores and tasks."""
-    return min(workers, os.cpu_count() or 1, tasks)
+def _pool_size(workers: int, tasks: list) -> int:
+    """Processes to start, 1 for no pool: a sweep below _POOL_MIN_RANKS of work runs in process.
+
+    The work is the tasks' rank ranges, a record rank weighing 1 << 5
+    summary ranks.  A pool forks all its processes up front, so it is
+    capped by cores and tasks.
+    """
+    work = sum((hi - lo) << (5 if emit_lines else 0) for _, lo, hi, emit_lines, _ in tasks)
+    if work < _POOL_MIN_RANKS:
+        return 1
+    return min(workers, os.cpu_count() or 1, len(tasks))
 
 
 def cmd_cycles(args, out) -> int:
@@ -317,7 +330,7 @@ def cmd_cycles(args, out) -> int:
         realized.extend(chunk_realized)
         closed[task[0]] = closed.get(task[0], 0) + chunk_closed
 
-    workers = _pool_size(args.workers, len(tasks))
+    workers = _pool_size(args.workers, tasks)
     if workers <= 1:
         for task in tasks:
             merge(task, _sweep_chunk(task))

@@ -267,8 +267,9 @@ def test_rotated_block_lines_equal_direct_evaluation(pattern):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_record_sweep_writes_the_same_bytes_to_a_file(workers, tmp_path, capsys):
+def test_record_sweep_writes_the_same_bytes_to_a_file(workers, tmp_path, capsys, monkeypatch):
     """--out takes each chunk's line list through _OutFile.writelines; at 2 workers the lists come from a pool."""
+    monkeypatch.setattr(cli, "_POOL_MIN_RANKS", 0)  # a sweep this short would run in process
     argv = ["cycles", "--lmax", "10", "--with-verdict", "--workers", workers]
     assert main(argv) == 0
     stdout = capsys.readouterr().out
@@ -328,7 +329,8 @@ def test_record_blocks_evaluate_each_class_once(capsys, monkeypatch):
     assert any(bits != min(bits[k:] + bits[:k] for k in range(len(bits))) for bits in first)
 
 
-def test_cycles_worker_count_does_not_change_output(tmp_path):
+def test_cycles_worker_count_does_not_change_output(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_POOL_MIN_RANKS", 0)  # a sweep this short would run in process
     one = tmp_path / "w1.jsonl"
     two = tmp_path / "w2.jsonl"
     assert main(["cycles", "--lmax", "6", "--out", str(one)]) == 0
@@ -490,16 +492,38 @@ def test_q2_family_range_is_bounded(capsys, monkeypatch):
         assert err == f"real3x1: error: --m-range spans more than 100000 starts: {m_range!r}\n"
 
 
+def sweep_tasks(lmax, records):
+    """The rank chunks that cmd_cycles builds for a sweep of lengths 1..lmax."""
+    return [
+        (l, lo, min(lo + cli._CHUNK_RANKS, 1 << l), records, False)
+        for l in range(1, lmax + 1)
+        for lo in range(0, 1 << l, cli._CHUNK_RANKS)
+    ]
+
+
 def test_pool_size_is_capped_by_cores_and_tasks(monkeypatch):
+    def chunks(n):  # n summary chunks, 2^14 n ranks in all
+        return [(22, 0, 1 << 14, False, False)] * n
+
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    assert cli._pool_size(64, 100) == 2
-    assert cli._pool_size(1, 100) == 1
-    assert cli._pool_size(2, 1) == 1
+    assert cli._pool_size(64, chunks(100)) == 2
+    assert cli._pool_size(1, chunks(100)) == 1
+    assert cli._pool_size(2, [(22, 0, 1 << 22, False, False)]) == 1
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 16)
-    assert cli._pool_size(8, 3) == 3
-    assert cli._pool_size(8, 100) == 8
+    assert cli._pool_size(8, [(22, 0, 1 << 21, False, False)] * 3) == 3
+    assert cli._pool_size(8, chunks(100)) == 8
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown core count
-    assert cli._pool_size(8, 100) == 1
+    assert cli._pool_size(8, chunks(100)) == 1
+    # below _POOL_MIN_RANKS of work a sweep runs in process; a record rank weighs 32 summary ranks
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli._pool_size(2, sweep_tasks(16, records=False)) == 1
+    assert cli._pool_size(2, sweep_tasks(19, records=False)) == 1
+    assert cli._pool_size(2, sweep_tasks(20, records=False)) == 2
+    assert cli._pool_size(2, sweep_tasks(22, records=False)) == 2
+    assert cli._pool_size(2, sweep_tasks(13, records=True)) == 1
+    assert cli._pool_size(2, sweep_tasks(14, records=True)) == 1
+    assert cli._pool_size(2, sweep_tasks(15, records=True)) == 2
+    assert cli._pool_size(2, sweep_tasks(17, records=True)) == 2
 
 
 def test_importing_the_cli_starts_no_pool_machinery():
@@ -514,6 +538,27 @@ def test_importing_the_cli_starts_no_pool_machinery():
     assert (done.returncode, done.stdout) == (0, "[]\n")
 
 
+def test_a_short_sweep_starts_no_pool():
+    """Below the pool's threshold --workers 2 runs in process, and writes what --workers 1 writes."""
+    probe = (
+        "import sys, real3x1.cli as cli; code = cli.main(sys.argv[1:]); "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules),"
+        " file=sys.stderr); sys.exit(code)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(real3x1.__file__).parents[1])}
+    runs = {
+        workers: subprocess.run(
+            [sys.executable, "-c", probe, "cycles", "--lmax", "16", "--summary-only", "--workers", workers],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        for workers in ("1", "2")
+    }
+    assert (runs["2"].returncode, runs["2"].stderr) == (0, "[]\n")
+    assert runs["2"].stdout == runs["1"].stdout
+
+
 @pytest.mark.parametrize(
     "command,loaded",
     [
@@ -522,11 +567,14 @@ def test_importing_the_cli_starts_no_pool_machinery():
             "cli.main(['cycles', '--lmax', '6', '--summary-only', '--out', os.devnull])",
             ["cli", "cycles", "errors", "rationals"],
         ),
-        (  # a pool imports its chunks' modules before it forks, so the workers inherit them
+        (  # a pool imports its chunks' modules before it forks, so the workers inherit them;
+            # a sweep this short runs in process unless the pool's threshold is lowered
+            "cli._POOL_MIN_RANKS = 0; "
             "cli.main(['cycles', '--lmax', '6', '--summary-only', '--workers', '2', '--out', os.devnull])",
             ["cli", "cycles", "errors", "rationals"],
         ),
         (
+            "cli._POOL_MIN_RANKS = 0; "
             "cli.main(['cycles', '--lmax', '6', '--with-verdict', '--workers', '2', '--out', os.devnull])",
             ["cli", "cycles", "errors", "rationals", "remainders"],
         ),
