@@ -28,10 +28,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb, gcd
+from typing import NamedTuple
 
 from .errors import StructureError
 from .rationals import format_rational, parse_rational
@@ -60,23 +60,28 @@ def jsonable(obj):
     """The JSON form of a report is its fields, recursively.
 
     A Fraction prints exactly as p/q, an Enum as its value and a Verdict as
-    its label; a dataclass becomes a dict over its fields and a tuple or list
-    a list.  Anything else (int, bool, str, None) passes through unchanged.
+    its label; a record (a NamedTuple) becomes a dict over its fields, except
+    a Segment or SegmentBound, a row of integers, which becomes a list like
+    any other tuple or list.  Anything else (int, bool, str, None) passes
+    through unchanged.
     """
     if isinstance(obj, Fraction):
         return format_rational(obj)
     if isinstance(obj, Enum):
         return obj.value
-    if is_dataclass(obj):
-        if type(obj).__module__ == _REMAINDERS:  # so remainders has run, and importing it is free
-            from .remainders import Verdict
+    if not isinstance(obj, (tuple, list)):
+        return obj
+    fields = getattr(obj, "_fields", ())
+    if type(obj).__module__ == _REMAINDERS:  # so remainders has run, and importing it is free
+        from .remainders import Segment, SegmentBound, Verdict
 
-            if isinstance(obj, Verdict):
-                return obj.label()
-        return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, (tuple, list)):
-        return [jsonable(x) for x in obj]
-    return obj
+        if isinstance(obj, Verdict):
+            return obj.label()
+        if isinstance(obj, (Segment, SegmentBound)):
+            fields = ()
+    if fields:
+        return {name: jsonable(value) for name, value in zip(fields, obj)}
+    return [jsonable(x) for x in obj]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -394,8 +399,7 @@ def cmd_cycles(args, out) -> int:
 # ------------------------------------------------------------- conjecture
 
 
-@dataclass(frozen=True)
-class _Conjecture:
+class _Conjecture(NamedTuple):
     """One named conjecture: what to sample, which map to run, what supports it."""
 
     map: str  # starts are sampled from its domain_min

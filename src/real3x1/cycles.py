@@ -84,24 +84,27 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from typing import NamedTuple
 
 from .errors import StructureError
 
 
-@dataclass(frozen=True)
-class BitSeq:
+class BitSeq(NamedTuple("BitSeq", [("bits", tuple[int, ...])])):
     """A nonempty 0/1 branch sequence; rank is its value as a binary numeral."""
 
-    bits: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(self.bits))
-        if not self.bits or not {0, 1}.issuperset(self.bits):
-            raise ValueError(f"bits must be a nonempty 0/1 sequence: {self.bits!r}")
+    def __new__(cls, bits):
+        bits = tuple(bits)
+        if not bits or not {0, 1}.issuperset(bits):
+            raise ValueError(f"bits must be a nonempty 0/1 sequence: {bits!r}")
+        return super().__new__(cls, bits)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, so a changed copy is checked too
+        return cls(*iterable)
 
     @property
     def l(self) -> int:
@@ -142,8 +145,7 @@ class CycleClass(str, Enum):
     FRACTIONAL_NEGATIVE = "fractional_negative"
 
 
-@dataclass(frozen=True)
-class CycleRecord:
+class CycleRecord(NamedTuple):
     """One candidate cycle: closure point, exact cycle, realization verdicts."""
 
     s: BitSeq
@@ -160,11 +162,11 @@ class CycleRecord:
         """The closure offset: x0 = phi / d, so phi = +-numerators[0]."""
         return self.numerators[0] if self.d > 0 else -self.numerators[0]
 
-    @cached_property
+    @property
     def x0(self) -> Fraction:
         return Fraction(self.phi, self.d)
 
-    @cached_property
+    @property
     def g_cycle(self) -> tuple[Fraction, ...]:
         D = abs(self.d)
         return tuple(Fraction(a, D) for a in self.numerators)

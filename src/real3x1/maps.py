@@ -31,11 +31,11 @@ piece) gets the generic form, with a general floor and two gcd calls.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 from .errors import DomainError
 from .rationals import parse_rational
@@ -46,34 +46,38 @@ class BranchRule(Enum):
     NUMERATOR_PARITY = "numerator_parity"
 
 
-@dataclass(frozen=True)
-class PhiParams:
+class PhiParams(
+    NamedTuple("PhiParams", [(name, Fraction) for name in ("alpha", "beta", "gamma", "delta", "tau")])
+):
     """Slopes and offsets of the two pieces, plus the floor shift tau."""
 
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    delta: Fraction
-    tau: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "delta", "tau"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __new__(cls, alpha, beta, gamma, delta, tau):
+        self = super().__new__(cls, *map(Fraction, (alpha, beta, gamma, delta, tau)))
         if not (0 <= self.tau < 2):
             raise ValueError(f"tau must lie in [0, 2), got {self.tau}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, so a changed copy is checked too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class MapSpec:
+class _MapFields(NamedTuple):
     name: str
     params: PhiParams
     branch_rule: BranchRule
     domain_min: Fraction | None = None
     integral: bool = False  # domain restricted to integers
 
+
+class MapSpec(_MapFields):
+    """A map's fields, and its step on reduced pairs, built on first use and kept in the instance."""
+
     def __getstate__(self):
-        # the cached step_pq is a closure, which pickle cannot send; it is rebuilt on use
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        # the fields travel as the tuple; the cached step_pq is a closure, which pickle cannot send
+        return {}
 
     @cached_property
     def step_pq(self) -> Callable[[int, int], tuple[int, int, int]]:

@@ -27,7 +27,6 @@ comparisons, never logarithms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -44,8 +43,7 @@ class VerdictKind(str, Enum):
     INTEGER_CYCLE = "integer_cycle"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: VerdictKind
     index: int | None = None
 
@@ -64,8 +62,7 @@ class Segment(NamedTuple):
     gap: int  # stop - start
 
 
-@dataclass
-class RemainderTrace:
+class RemainderTrace(NamedTuple):
     """The full ledger for one candidate: numerators, quotients, remainders."""
 
     d: int
@@ -163,8 +160,7 @@ class SegmentBound(NamedTuple):
     strict_holds: bool  # derived per-segment form: 3^ones > 3 * 2^(gap-1)
 
 
-@dataclass
-class InequalityLedger:
+class InequalityLedger(NamedTuple):
     segments: tuple[SegmentBound, ...]
     n_total: int
     l_total: int
@@ -208,8 +204,7 @@ def segment_inequality(tr: RemainderTrace) -> InequalityLedger:
 # ------------------------------------------------------------- orbit scan
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     """A closed orbit of the remainder recurrence over even residues."""
 
     states: tuple[int, ...]

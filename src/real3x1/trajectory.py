@@ -45,11 +45,11 @@ interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, islice
 from math import floor
+from typing import NamedTuple
 
 from .errors import PreconditionError, StructureError
 from .maps import MAPS, MapSpec
@@ -64,8 +64,7 @@ class FateKind(str, Enum):
     ENTERED_REGION = "entered_region"
 
 
-@dataclass(frozen=True)
-class Fate:
+class Fate(NamedTuple):
     kind: FateKind
     period: int | None = None
     value: Fraction | None = None  # the exactly repeated iterate
@@ -87,8 +86,7 @@ class Fate:
         return self.kind.value
 
 
-@dataclass
-class TrajectoryReport:
+class TrajectoryReport(NamedTuple):
     start: Fraction
     iterates: list[Fraction]  # head of the orbit; full when not truncated
     parity_bits: list[int]  # floor(x_i) mod 2 for every step taken

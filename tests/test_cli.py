@@ -392,7 +392,7 @@ def test_ledger_and_parity_scan_must_agree(capsys, monkeypatch):
     def shifted_trace(rec, flipped=False):
         rt = trace(rec, flipped)
         if rt.verdict.kind is remainders.VerdictKind.MISALIGNED_AT:
-            rt.verdict = remainders.Verdict(rt.verdict.kind, rt.verdict.index + 1)
+            rt = rt._replace(verdict=remainders.Verdict(rt.verdict.kind, rt.verdict.index + 1))
         return rt
 
     monkeypatch.setattr(remainders, "trace", shifted_trace)
@@ -526,15 +526,19 @@ def test_pool_size_is_capped_by_cores_and_tasks(monkeypatch):
     assert cli._pool_size(2, sweep_tasks(17, records=True)) == 2
 
 
+def _fresh(probe, *argv):
+    """Run probe, with argv as its sys.argv[1:], in a fresh interpreter that imports this package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(real3x1.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True)
+
+
 def test_importing_the_cli_starts_no_pool_machinery():
     """Only a --workers > 1 sweep needs multiprocessing; a fresh interpreter shows what loads."""
     probe = (
         "import sys, real3x1.cli; "
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))"
     )
-    src = str(Path(real3x1.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    done = _fresh(probe)
     assert (done.returncode, done.stdout) == (0, "[]\n")
 
 
@@ -545,58 +549,52 @@ def test_a_short_sweep_starts_no_pool():
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules),"
         " file=sys.stderr); sys.exit(code)"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(real3x1.__file__).parents[1])}
     runs = {
-        workers: subprocess.run(
-            [sys.executable, "-c", probe, "cycles", "--lmax", "16", "--summary-only", "--workers", workers],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
+        workers: _fresh(probe, "cycles", "--lmax", "16", "--summary-only", "--workers", workers)
         for workers in ("1", "2")
     }
     assert (runs["2"].returncode, runs["2"].stderr) == (0, "[]\n")
     assert runs["2"].stdout == runs["1"].stdout
 
 
-@pytest.mark.parametrize(
-    "command,loaded",
-    [
-        ("cli.build_parser()", ["cli", "errors", "rationals"]),
-        (
-            "cli.main(['cycles', '--lmax', '6', '--summary-only', '--out', os.devnull])",
-            ["cli", "cycles", "errors", "rationals"],
-        ),
-        (  # a pool imports its chunks' modules before it forks, so the workers inherit them;
-            # a sweep this short runs in process unless the pool's threshold is lowered
-            "cli._POOL_MIN_RANKS = 0; "
-            "cli.main(['cycles', '--lmax', '6', '--summary-only', '--workers', '2', '--out', os.devnull])",
-            ["cli", "cycles", "errors", "rationals"],
-        ),
-        (
-            "cli._POOL_MIN_RANKS = 0; "
-            "cli.main(['cycles', '--lmax', '6', '--with-verdict', '--workers', '2', '--out', os.devnull])",
-            ["cli", "cycles", "errors", "rationals", "remainders"],
-        ),
-        (
-            "cli.main(['conjecture', 'RU', '--samples', '3', '--out', os.devnull])",
-            ["cli", "errors", "maps", "rationals", "sampling", "trajectory"],
-        ),
-        (
-            "cli.main(['iterate', '--map', 'U', '--start', '3/2,7', '--out', os.devnull])",
-            ["cli", "errors", "maps", "rationals", "trajectory"],
-        ),
-        (
-            "cli.main(['trace', '--bits', '11100', '--out', os.devnull])",
-            ["cli", "cycles", "errors", "rationals", "remainders"],
-        ),
-        (
-            "cli.main(['rmap-scan', '--d', '19', '--out', os.devnull])",
-            ["cli", "errors", "rationals", "remainders"],
-        ),
-    ],
-    ids=["parser", "sweep", "sweep-pool", "records-pool", "conjecture", "iterate", "trace", "rmap-scan"],
-)
+# per probe id: a command run in a fresh interpreter, and the package modules it runs
+_COMMAND_PROBES = {
+    "parser": ("cli.build_parser()", ["cli", "errors", "rationals"]),
+    "sweep": (
+        "cli.main(['cycles', '--lmax', '6', '--summary-only', '--out', os.devnull])",
+        ["cli", "cycles", "errors", "rationals"],
+    ),
+    "sweep-pool": (  # a pool imports its chunks' modules before it forks, so the workers inherit them;
+        # a sweep this short runs in process unless the pool's threshold is lowered
+        "cli._POOL_MIN_RANKS = 0; "
+        "cli.main(['cycles', '--lmax', '6', '--summary-only', '--workers', '2', '--out', os.devnull])",
+        ["cli", "cycles", "errors", "rationals"],
+    ),
+    "records-pool": (
+        "cli._POOL_MIN_RANKS = 0; "
+        "cli.main(['cycles', '--lmax', '6', '--with-verdict', '--workers', '2', '--out', os.devnull])",
+        ["cli", "cycles", "errors", "rationals", "remainders"],
+    ),
+    "conjecture": (
+        "cli.main(['conjecture', 'RU', '--samples', '3', '--out', os.devnull])",
+        ["cli", "errors", "maps", "rationals", "sampling", "trajectory"],
+    ),
+    "iterate": (
+        "cli.main(['iterate', '--map', 'U', '--start', '3/2,7', '--out', os.devnull])",
+        ["cli", "errors", "maps", "rationals", "trajectory"],
+    ),
+    "trace": (
+        "cli.main(['trace', '--bits', '11100', '--out', os.devnull])",
+        ["cli", "cycles", "errors", "rationals", "remainders"],
+    ),
+    "rmap-scan": (
+        "cli.main(['rmap-scan', '--d', '19', '--out', os.devnull])",
+        ["cli", "errors", "rationals", "remainders"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command,loaded", list(_COMMAND_PROBES.values()), ids=list(_COMMAND_PROBES))
 def test_each_command_loads_only_its_modules(command, loaded):
     """Start-up parses and wires; a command runs the package modules it needs and no other.
 
@@ -608,9 +606,29 @@ def test_each_command_loads_only_its_modules(command, loaded):
         "print(sorted(n.partition('.')[2] for n, m in sys.modules.items()"
         " if n.startswith('real3x1.') and type(m) is types.ModuleType))"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(real3x1.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    done = _fresh(probe)
     assert (done.returncode, done.stdout) == (0, f"{loaded}\n")
+
+
+_SHOW_INTROSPECTION = "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+
+
+@pytest.fixture(scope="module")
+def bare_introspection():
+    """What a bare interpreter has loaded of dataclasses and inspect (a site .pth may load them)."""
+    done = _fresh(f"import sys; {_SHOW_INTROSPECTION}")
+    assert done.returncode == 0
+    return done.stdout
+
+
+@pytest.mark.parametrize(
+    "command", [command for command, _ in _COMMAND_PROBES.values()], ids=list(_COMMAND_PROBES)
+)
+def test_no_command_loads_dataclasses_or_inspect(command, bare_introspection):
+    """The package's records are NamedTuples, so no command loads dataclasses, whose import
+    of inspect, ast, dis and tokenize costs a process about 13 ms."""
+    done = _fresh(f"import os, sys, real3x1.cli as cli; {command}; {_SHOW_INTROSPECTION}")
+    assert (done.returncode, done.stdout) == (0, bare_introspection)
 
 
 def test_importing_the_cli_makes_every_module_known():
@@ -626,8 +644,7 @@ def test_importing_the_cli_makes_every_module_known():
         "all(sys.modules[n] is m[n] for n in m if n.startswith('real3x1.')), "
         "real3x1.cycles.candidate.__module__)"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(real3x1.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    done = _fresh(probe)
     known = [f"real3x1.{name}" for name in ["cli", *sorted(real3x1._EXPORTS)]]
     assert (done.returncode, done.stdout) == (0, f"{sorted(known)} True real3x1.cycles\n")
 

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -279,7 +278,7 @@ def test_segment_inequality_rejects_forged_segments():
     tr = synthetic_trace(19, (8, 12, 18))  # one segment (0, 3], 3 ones
     for segments in (None, ()):
         with pytest.raises(StructureError, match="without segments"):
-            segment_inequality(replace(tr, segments=segments))
+            segment_inequality(tr._replace(segments=segments))
     for segments in ((Segment(0, 2, 2, 2),), (Segment(0, 3, 2, 3),)):
         with pytest.raises(StructureError, match="do not tile"):
-            segment_inequality(replace(tr, segments=segments))
+            segment_inequality(tr._replace(segments=segments))

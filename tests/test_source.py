@@ -35,6 +35,19 @@ def test_no_float_in_the_package():
     assert floats == []
 
 
+def test_no_module_imports_dataclasses():
+    """Records are NamedTuples: dataclasses, with the inspect, ast, dis and tokenize it imports,
+    costs every process about 13 ms to load, so no module imports it."""
+    imports = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(alias.name == "dataclasses" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert imports == []
+
+
 def test_no_private_name_crosses_modules():
     """A module uses another only through its public names, the seams tests patch."""
     private = [
