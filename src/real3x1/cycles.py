@@ -36,12 +36,16 @@ Whether the same closed walk is realized by the floor-parity maps is a
 separate, stricter question: U requires floor(x_i) parity to equal the branch
 bit at every step (and x0 >= 1), Uflip requires the opposite parity at every
 step (and x0 >= 0).  The sweep records the first index where each of these
-fails.  One rule decides both maps: U rejects step j iff floor(x_j) and
-x_j * |d| differ in parity, and Uflip rejects exactly the other steps.  So
-_realization() answers U and Uflip from one scan from x_0, on the integers,
-for every lane of a group in one loop (a record is a group of one lane), and
-rotation_checks() applies the same rule, to the same d and numerators, from
-every x_k.  With d < 0 (so n >= 1), every x_0 is negative, outside both
+fails.  One rule decides both maps: U rejects step j iff c_j mod |d| is odd,
+and Uflip rejects exactly the other steps.  (The branch bit is the parity of
+c_j = x_j * |d|, and floor(x_j) differs from it in parity iff the remainder
+is odd; remainders' docstring gives the argument.)  Along the steps a map
+takes, its walk is the map's own, so it stays in the map's domain, and only
+x_0's domain gate and the parities decide.  rotation_checks() reads the rule
+from every x_k of a cycle in one scan of its numerators, and evaluate()
+takes its checks from row 0.  The summary reads less: a lane is realized iff
+x_0 is in the domain of the map that takes step 0 and every step has step
+0's parity.  With d < 0 (so n >= 1), every x_0 is negative, outside both
 domains, and no scan is needed.
 
 Both answers, and the cycle class, are shared by every rotation of s.  The
@@ -59,31 +63,31 @@ necklaces, and irreducible polynomials over GF(2)", J. Algorithms 37, 2000).
 necklace_totals() groups a block's necklaces by n and closes each lane group
 in one _walk.  It returns the group's totals, not one answer per necklace:
 its record counts by class, weighted by period, and the realized rows alone.
-A group with d < 0 takes its class from c_0 % d and runs no _realization()
-scan; a group with d > 0 runs one, over all its lanes.  No record is built.
+A group with d < 0 takes its class from c_0 % d and scans nothing; a group
+with d > 0 scans each lane up to its first step of the other parity.  No
+record is built.
 
 A record reads phi = +-nums[0] and x0 = nums[0] / |d| from its numerators
 nums.  Per-rank records come from one representative per necklace too: record
 mode closes the first rank of each class that a rank block meets with
-candidate(), whether or not it is the least rotation, and runs no
-_realization() scan.  Its rotation k closes at x_k = nums[k] / |d|, so its
-phi is +-nums[k], and its realization checks are the representative's cycle
-scanned from index k.  The parity that U rejects at a step is the rotation's
-as well as the representative's, so rotation_checks() scans the numerators
-once and reads every rotation's checks, rotation 0's included, off that one
-scan.  The remainder ledger (remainders.trace) checks its recurrence on the
-cyclic pairs (c_{i-1}, c_i) that leave an aligned index, and every rotation
-has the same set of pairs, only renumbered.  One trace per necklace and block
-therefore makes every check that a trace per rank would make; rotation k's
-verdict is the representative's, with a misalignment counted from index k
-(the last field of rotation_checks(), U's first rejected step whatever the
-domain).
+candidate(), whether or not it is the least rotation.  Its rotation k closes
+at x_k = nums[k] / |d|, so its phi is +-nums[k], and its realization checks
+are the representative's cycle scanned from index k.  The parity that U
+rejects at a step is the rotation's as well as the representative's, so
+rotation_checks() scans the numerators once and reads every rotation's checks,
+rotation 0's included, off that one scan.  The remainder ledger
+(remainders.trace) checks its recurrence on the cyclic pairs (c_{i-1}, c_i)
+that leave an aligned index, and every rotation has the same set of pairs,
+only renumbered.  One trace per necklace and block therefore makes every check
+that a trace per rank would make; rotation k's verdict is the
+representative's, with a misalignment counted from index k (the last field of
+rotation_checks(), U's first rejected step whatever the domain).
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -266,55 +270,20 @@ def candidate(s: BitSeq) -> CycleRecord:
     return CycleRecord(s, d, nums, CycleClass.ZERO if walk[0] == 0 else _CLASSES[d > 0, walk[0] % d == 0])
 
 
-def _realization(d: int, lanes: Iterable[Sequence[int]]) -> list[tuple[bool, int | None, bool, int | None]]:
-    """(realized_U, misalign_U, realized_Uflip, misalign_Uflip) per lane: do U and Uflip walk it from x_0?
-
-    Each lane, nums, holds x_j * |d| for j <= l, closed.  A map gives
-    (False, None) when x_0 is outside its domain (x_0 >= 1 for U, x_0 >= 0
-    for Uflip); otherwise (False, i) names the first step whose floor parity
-    it rejects.  U needs floor(x_j) mod 2 to equal the branch bit b_j, Uflip
-    needs it to differ, and the forced walk is parity aligned, so b_j is the
-    parity of x_j * |d|: U rejects step j iff floor(x_j) and x_j * |d|
-    differ in parity, and Uflip rejects exactly the other steps.  So one
-    scan answers both: the map that rejects step 0 misaligns at 0, and the
-    other at the first step whose bit differs from step 0's, a scan skipped
-    when x_0 is outside that map's domain.  Along any prefix where the bits
-    match, the walk consists of genuine steps of the map, so the domain
-    stays forward-invariant and only the bit comparison is needed.
-    """
-    D = abs(d)
-    outside = (False, None)
-    checks = []
-    for nums in lanes:
-        a = nums[0]
-        flip = (a // D ^ a) & 1  # 1: U rejects step 0, 0: Uflip does
-        in_U, in_Uflip = a >= D, a >= 0  # x_0 in each map's domain
-        step = None  # the first step that the map accepting step 0 rejects
-        if in_Uflip if flip else in_U:
-            for j in range(1, len(nums) - 1):
-                a = nums[j]
-                if (a // D ^ a) & 1 != flip:
-                    step = j
-                    break
-        rejected, scanned = (False, 0), (step is None, step)
-        U, Uflip = (rejected, scanned) if flip else (scanned, rejected)
-        checks.append((*(U if in_U else outside), *(Uflip if in_Uflip else outside)))
-    return checks
-
-
 def rotation_checks(d: int, nums: Sequence[int]) -> list[tuple[bool, int | None, bool, int | None, int | None]]:
     """(realized_U, misalign_U, realized_Uflip, misalign_Uflip, misaligned) for each rotation k < l of a cycle.
 
-    nums holds x_j * |d| for j <= l, closed, as for _realization.  Rotation
-    k, the cycle's pattern turned left by k, walks the cycle from x_k, so
-    one scan of the numerators answers for every k: a rotation's first
-    rejection is the first one counted cyclically from k.  The first four
-    fields are _realization's for the rotation, its domain gate applied at
-    x_k; misaligned is U's first rejection whatever the domain, or None.
+    nums holds x_j * |d| for j <= l, closed.  Rotation k, the cycle's
+    pattern turned left by k, walks the cycle from x_k, so one scan of the
+    numerators answers for every k: a rotation's first rejection is the
+    first one counted cyclically from k.  A map gives (False, None) when x_k
+    is outside its domain (x_k >= 1 for U, x_k >= 0 for Uflip); otherwise
+    (False, i) names the first step it rejects, or (True, None) none.
+    misaligned is U's first rejection whatever the domain, or None.
     """
     D = abs(d)
     l = len(nums) - 1
-    rejects = "".join(["1" if (a // D ^ a) & 1 else "0" for a in nums[:l]])  # "1": U rejects step j
+    rejects = "".join(["1" if a % D & 1 else "0" for a in nums[:l]])  # "1": U rejects step j
     twice = rejects * 2
     on_U, on_Uflip = "1" not in rejects, "0" not in rejects
     checks = []
@@ -328,10 +297,9 @@ def rotation_checks(d: int, nums: Sequence[int]) -> list[tuple[bool, int | None,
 
 
 def evaluate(s: BitSeq) -> CycleRecord:
-    """candidate() plus both realization checks."""
+    """candidate() plus both realization checks: row 0 of rotation_checks()."""
     rec = candidate(s)
-    (checks,) = _realization(rec.d, [rec.numerators])
-    return CycleRecord(s, rec.d, rec.numerators, rec.cls, *checks)
+    return CycleRecord(s, rec.d, rec.numerators, rec.cls, *rotation_checks(rec.d, rec.numerators)[0][:4])
 
 
 def sweep(l_max: int) -> Iterator[CycleRecord]:
@@ -425,9 +393,14 @@ def _group_totals(l: int, group: list[tuple[int, int]]) -> tuple[int, int, dict[
     counts = {cls.value: k for cls, k in ((whole, integer), (_CLASSES[d > 0, False], fractional)) if k}
     if d < 0:  # n >= 1 and x_0 < 0 in every lane: outside both maps' domains, so no scan
         return n, len(group), counts, []
-    rows = [
-        (rank, period, walk[0] % d == 0, on_U, on_Uflip)
-        for (rank, period), walk, (on_U, _, on_Uflip, _) in zip(group, lanes, _realization(d, lanes))
-        if on_U or on_Uflip
-    ]
+    rows = []
+    for (rank, period), walk in zip(group, lanes):
+        a = walk[0]
+        flip = a % d & 1  # 1: U rejects step 0, 0: Uflip does
+        if flip or a >= d:  # x_0 in the domain of the map that takes step 0
+            for c in walk:  # that map realizes the cycle iff it takes every step
+                if c % d & 1 != flip:
+                    break
+            else:
+                rows.append((rank, period, a % d == 0, not flip, flip == 1))
     return n, len(group), counts, rows

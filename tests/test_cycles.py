@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from real3x1.cycles import (
     BitSeq,
     CycleClass,
-    _realization,
+    _group_totals,
     _walk,
     candidate,
     evaluate,
@@ -182,7 +182,7 @@ def test_realization_checks_match_direct_walk():
     of the one scan's answer is its map's own walk."""
     for rec in sweep(9):
         fl = floors(rec)
-        (checks,) = _realization(rec.d, [rec.numerators])
+        checks = rec.realized_U, rec.misalign_U, rec.realized_Uflip, rec.misalign_Uflip
         assert checks[:2] == _map_walk(MAPS["U"], rec.g_cycle, rec.s.bits, 0)
         assert checks[2:] == _map_walk(MAPS["Uflip"], rec.g_cycle, rec.s.bits, 0)
         ok_U, idx_U, ok_f, idx_f = checks
@@ -249,7 +249,7 @@ def test_necklace_blocks_must_be_aligned_powers_of_two(lo, hi):
 @settings(deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=40).map(tuple))
 def test_integer_kernel_matches_the_fraction_reference(bits):
-    """candidate, _realization and rotation_checks against exact rationals, computed without them."""
+    """candidate, evaluate and rotation_checks against exact rationals, computed without them."""
     l = len(bits)
     rec = candidate(BitSeq(bits))
     d, nums = rec.d, rec.numerators
@@ -263,7 +263,8 @@ def test_integer_kernel_matches_the_fraction_reference(bits):
     assert nums == tuple(abs(d) * x for x in cycle)
 
     # each map's own walk from x_0, and from every x_k, in its domain, against the branch bits
-    (checks,) = _realization(d, [nums])
+    ev = evaluate(BitSeq(bits))
+    checks = ev.realized_U, ev.misalign_U, ev.realized_Uflip, ev.misalign_Uflip
     assert checks[:2] == _map_walk(MAPS["U"], cycle, bits, 0)
     assert checks[2:] == _map_walk(MAPS["Uflip"], cycle, bits, 0)
     for k, check in enumerate(rotation_checks(d, nums)):
@@ -272,7 +273,7 @@ def test_integer_kernel_matches_the_fraction_reference(bits):
 
 
 def _map_walk(m, cycle, bits, k):
-    """The Fraction reference of _realization: m's own steps from x_k, in its domain, against bits."""
+    """The Fraction reference of the realization checks: m's own steps from x_k, in its domain, against bits."""
     l = len(bits)
     if cycle[k] < m.domain_min:
         return False, None
@@ -341,20 +342,21 @@ def lane_groups(draw):
 @example((32, 31, [0xFFFFFFFE, 0xBFFFFFFF, 0x7FFFFFFF]))  # d < 0, lanes of 128 bits
 @example((32, 20, [0x000FFFFF, 0xAAAAFFF0, 0xFFFFF000]))  # d > 0, lanes of 128 bits
 def test_lane_walk_matches_the_fraction_reference(group):
-    """Every lane of one same-(l, n) walk holds its own g-cycle times d, and scans as the maps walk."""
+    """Every lane of one same-(l, n) walk holds its own g-cycle times d, and its group's realized
+    row says whether U and Uflip walk it."""
     l, n, ranks = group
     d, lanes = _walk(l, n, ranks)
     assert d == 2**l - 3**n and len(lanes) == len(ranks)
-    scans = _realization(d, [walk if d > 0 else [-c for c in walk] for walk in lanes])  # x_j * |d|
-    assert len(scans) == len(ranks)
-    for rank, walk, checks in zip(ranks, lanes, scans):
+    _, _, _, rows = _group_totals(l, [(rank, 1) for rank in ranks])
+    realized = {rank: flags for rank, _, *flags in rows}  # a rank drawn twice gives two equal rows
+    for rank, walk in zip(ranks, lanes):
         bits = tuple(rank >> (l - 1 - j) & 1 for j in range(l))
         n3, n2, offset = compose_affine(bits)
         x0 = F2(offset, n2 - n3)
         cycle = [x0] + [apply_affine(compose_affine(bits[:j]), x0) for j in range(1, l + 1)]
         assert list(walk) == [x * d for x in cycle]
-        assert checks[:2] == _map_walk(MAPS["U"], cycle, bits, 0)
-        assert checks[2:] == _map_walk(MAPS["Uflip"], cycle, bits, 0)
+        (on_U, _), (on_Uflip, _) = _map_walk(MAPS["U"], cycle, bits, 0), _map_walk(MAPS["Uflip"], cycle, bits, 0)
+        assert realized.get(rank) == ([x0.denominator == 1, on_U, on_Uflip] if on_U or on_Uflip else None)
 
 
 def reference_totals(l, lo, hi):
@@ -423,21 +425,6 @@ def test_group_totals_match_the_per_lane_reference_on_deep_blocks(block):
     assert kernel_totals(l, lo, hi) == reference_totals(l, lo, hi)
 
 
-def test_negative_d_groups_make_no_realization_call(monkeypatch):
-    """A lane group with d < 0 is outside both maps' domains: its class comes from c_0 % d, and
-    the realization seam sees only the d > 0 groups, once each, with all their lanes."""
-    realization, calls = cycles._realization, []
-
-    def counting(d, lanes):
-        calls.append((d, len(lanes)))
-        return realization(d, lanes)
-
-    monkeypatch.setattr(cycles, "_realization", counting)
-    groups = list(necklace_totals(8, 0, 256))
-    assert {n for n, *_ in groups} == set(range(9))  # d > 0 for n <= 5, d < 0 for n >= 6
-    assert calls == [(2**8 - 3**n, closed) for n, closed, _, _ in groups if n <= 5]
-
-
 def test_close_rejects_a_wrong_offset(monkeypatch):
     """The closure checks raise, with the pattern named.
 
@@ -473,7 +460,8 @@ def test_a_lane_that_outgrows_its_width_raises(monkeypatch):
 
     At (l, n) = (32, 19) the values need exactly 64 bits, so each lane is
     128 bits wide: bit 64 of the first lane is its guard, not the lowest
-    bit of the second lane.
+    bit of the second lane.  At (30, 20) they need 63, and the lane is
+    still 128 bits wide, so that two guard bits are left above them.
     """
     assert candidate(BitSeq((1, 1, 1, 0, 0))).numerators == (19, 31, 49, 76, 38, 19)
     assert max(candidate(BitSeq((0, 1, 0, 1, 1))).numerators) == 58
@@ -491,6 +479,10 @@ def test_a_lane_that_outgrows_its_width_raises(monkeypatch):
     first = 0x0007FFFF
     with pytest.raises(StructureError, match=f"^forced walk of {first:032b} overflowed its lane at step 0$"):
         _walk(32, 19, [first, 0xFFFFE000])
+    assert cycles._lane_bits(30, 20) == 63
+    first = 0b000000000011111111111111111111
+    with pytest.raises(StructureError, match=f"^forced walk of {first:030b} overflowed its lane at step 0$"):
+        _walk(30, 20, [first, 0b111111111111111111110000000000])
 
 
 def test_overflow_in_a_sweep_is_an_internal_error(monkeypatch, capsys):
@@ -500,6 +492,18 @@ def test_overflow_in_a_sweep_is_an_internal_error(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("real3x1: internal error: forced walk of ")
     assert "overflowed its lane at step" in captured.err
+
+
+@pytest.mark.parametrize("l", range(1, 17))
+def test_integer_classes_are_the_known_integer_cycles(l, capsys):
+    """The integer cycles of T are 0, {1, 2}, {-1}, {-5, -7, -10} and the 11-cycle through -17
+    (Lagarias, "The 3x+1 problem and its generalizations", Amer. Math. Monthly 92, 1985).  A
+    cycle of period p appears at length l iff p divides l, once per rotation."""
+    assert cli.main(["cycles", "--lmin", str(l), "--lmax", str(l), "--summary-only"]) == 0
+    counts = json.loads(capsys.readouterr().out)["class_counts"]
+    assert counts.get("zero", 0) == 1
+    assert counts.get("integer_positive", 0) == 2 * (l % 2 == 0)
+    assert counts.get("integer_negative", 0) == 1 + 3 * (l % 3 == 0) + 11 * (l % 11 == 0)
 
 
 @pytest.mark.parametrize("lmax", range(1, 13))

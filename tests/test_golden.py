@@ -18,14 +18,13 @@ verdict, from lmin above 1, and across two workers.  The last iterate rows
 pin a zero step cap and a report that keeps only its start.
 
 The FORGED rows take branches that honest runs never take.  The realized
-forgery patches both integer realization scans: cycles._realization, which
-answers U and Uflip for every lane of a d > 0 lane group that
-necklace_totals closes for the summary (a d < 0 group is outside both maps'
-domains and makes no call), and rotation_checks, from which record mode
-reads the checks of every rank's line; record mode closes its classes with
-candidate and runs no _realization scan.  The first forgery takes (d, lanes)
-and the second (d, nums).  So the sweep reports a counterexample in record
-mode as well as with --summary-only.
+forgery patches both integer realization scans: cycles._group_totals, which
+necklace_totals calls for the totals and realized rows of each lane group
+that it closes for the summary, and rotation_checks, from which record mode
+reads the checks of every rank's line.  The first forgery takes (l, group)
+and lists every lane of a d = 5 group as realized by both maps; the second
+takes (d, nums).  So the sweep reports a counterexample in record mode as
+well as with --summary-only.
 """
 
 import hashlib
@@ -212,15 +211,20 @@ FORGED_F = {
 }
 
 
-_realization = cycles._realization
+_group_totals = cycles._group_totals
 _rotation_checks = cycles.rotation_checks
 
 
-def _realized_when_d_is_5(d, lanes):
-    """d depends only on (l, n), so this forgery holds for whole rotation classes."""
+def _realized_when_d_is_5(l, group):
+    """Every lane of a d = 5 group realized by both maps.
+
+    d depends only on (l, n), so this forgery holds for whole rotation classes.
+    """
+    n, closed, counts, rows = _group_totals(l, group)
+    d, lanes = cycles._walk(l, n, [rank for rank, _ in group])
     if d == 5:
-        return [(True, None, True, None) for _ in lanes]
-    return _realization(d, lanes)
+        rows = [(rank, period, walk[0] % d == 0, True, True) for (rank, period), walk in zip(group, lanes)]
+    return n, closed, counts, rows
 
 
 def _rotations_realized_when_d_is_5(d, nums):
@@ -236,8 +240,8 @@ def _rotations_realized_when_d_is_5(d, nums):
 
 
 def _forge_realized(monkeypatch):
-    """Summaries reach _realization through necklace_totals, record lines call rotation_checks."""
-    monkeypatch.setattr(cycles, "_realization", _realized_when_d_is_5)
+    """Summaries reach _group_totals through necklace_totals, record lines call rotation_checks."""
+    monkeypatch.setattr(cycles, "_group_totals", _realized_when_d_is_5)
     monkeypatch.setattr(cycles, "rotation_checks", _rotations_realized_when_d_is_5)
 
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from real3x1 import cli, remainders
 from real3x1.cli import jsonable
 from real3x1.cycles import BitSeq, CycleClass, CycleRecord, evaluate, sweep
 from real3x1.errors import PreconditionError, StructureError
@@ -15,6 +16,7 @@ from real3x1.remainders import (
     _check_modulus,
     _ledger,
     _moves,
+    _segments,
     modulus_ok,
     rmap_orbit_scan,
     segment_inequality,
@@ -182,6 +184,16 @@ def test_rmap_scan_small_moduli():
     assert rmap_orbit_scan(19, max_len=3) == orbits
 
 
+def test_a_closed_orbit_within_the_power_bound_raises(monkeypatch, capsys):
+    """With every power comparison forged to a tie, the one closed orbit modulo 19 fails its
+    3^n > 2^l check, and rmap-scan exits 5 before it writes a line."""
+    monkeypatch.setattr(remainders, "compare_pow3_pow2", lambda n, l: 0)
+    with pytest.raises(StructureError, match=r"^closed orbit \(8, 12, 18\) with 3\^3 <= 2\^3$"):
+        rmap_orbit_scan(19)
+    assert cli.main(["rmap-scan", "--d", "19"]) == 5
+    assert capsys.readouterr() == ("", "real3x1: internal error: closed orbit (8, 12, 18) with 3^3 <= 2^3\n")
+
+
 def test_rmap_scan_rejects_bad_moduli():
     for bad in (1, 3, 4, 9, 15, -5, True, 19.0):
         with pytest.raises(ValueError):
@@ -272,6 +284,11 @@ def test_trace_rejects_three_r_equal_to_two_d(flipped, c0):
     # d - r = 6 and q + 1 odd.
     with pytest.raises(StructureError, match="3r = 2d"):
         trace(_record("1", 9, (c0, c0)), flipped)
+
+
+def test_segments_need_a_new_remainder():
+    with pytest.raises(StructureError, match="^closed aligned ledger without any new remainder$"):
+        _segments((False,) * 3, (8, 12, 18, 8))
 
 
 def test_segment_inequality_rejects_forged_segments():

@@ -101,12 +101,11 @@ def test_only_the_cli_writes_to_stdout_or_stderr():
     assert writes == []
 
 
-def test_every_public_name_has_a_user():
-    """Each exported name is used by package code outside its own definition, or by the acceptance tests."""
+def _uses(trees):
+    """The names that the code of the module trees uses, as a name, an attribute or an import, outside the
+    definition that names them: a name used only inside its own definition has no user."""
     used = set()
-    for name, tree in _modules():
-        if name == "__init__.py":  # its imports are the exports themselves
-            continue
+    for tree in trees:
         for stmt in tree.body:
             refs = set()
             for node in ast.walk(stmt):
@@ -117,8 +116,14 @@ def test_every_public_name_has_a_user():
                 elif isinstance(node, ast.ImportFrom):
                     refs.update(alias.name for alias in node.names)
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                refs.discard(stmt.name)  # a name used only inside its own definition has no user
+                refs.discard(stmt.name)
             used |= refs
+    return used
+
+
+def test_every_public_name_has_a_user():
+    """Each exported name is used by package code outside its own definition, or by the acceptance tests."""
+    used = _uses(tree for name, tree in _modules() if name != "__init__.py")  # __init__ names every export
     acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8"))
     used |= {
         alias.name
@@ -127,6 +132,22 @@ def test_every_public_name_has_a_user():
         for alias in node.names
     }
     assert sorted(set(real3x1.__all__) - used) == []
+
+
+def test_every_helper_has_a_user():
+    """Each module-level function or class that the package does not export is used by package
+    code outside its own definition.  __init__'s __getattr__, which Python calls, is exempt."""
+    modules = _modules()
+    used = _uses(tree for _, tree in modules)
+    unused = [
+        f"{name} {stmt.name}"
+        for name, tree in modules
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name not in used | set(real3x1.__all__)
+        and (name, stmt.name) != ("__init__.py", "__getattr__")
+    ]
+    assert unused == []
 
 
 def test_orbit_loops_build_no_fraction():
@@ -170,9 +191,9 @@ def test_iterate_reads_only_the_maps_name_and_step():
 
 
 def test_record_lines_are_built_per_class():
-    """Record mode pays its per-record costs once per class: no _dumps(...) or _realization(...)
-    call in a loop of cli._sweep_chunk's record branch, which follows the summary branch's
-    `if not emit_lines:` block."""
+    """Record mode pays its per-record costs once per class: no _dumps(...) call in a loop of
+    cli._sweep_chunk's record branch, which follows the summary branch's `if not emit_lines:`
+    block."""
     cli = dict(_modules())["cli.py"]
     (fn,) = [fn for fn in cli.body if isinstance(fn, ast.FunctionDef) and fn.name == "_sweep_chunk"]
     record_branch = [
@@ -188,22 +209,21 @@ def test_record_lines_are_built_per_class():
         for node in ast.walk(body_stmt)
         if isinstance(node, ast.Call)
         and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None))
-        in ("_dumps", "_realization")
+        == "_dumps"
     ]
     assert calls == []
 
 
 def test_cli_runs_no_realization_scan():
-    """cli.py calls neither evaluate(...) nor _realization(...): record mode reads every rank's
-    checks from rotation_checks and the summary its group totals from necklace_totals, so no
-    line reads their scans."""
+    """cli.py calls no evaluate(...): record mode reads every rank's checks from rotation_checks
+    and the summary its group totals from necklace_totals, so no line reads a scan of its own."""
     cli = dict(_modules())["cli.py"]
     calls = [
         f"cli.py:{node.lineno}"
         for node in ast.walk(cli)
         if isinstance(node, ast.Call)
         and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None))
-        in ("evaluate", "_realization")
+        == "evaluate"
     ]
     assert calls == []
 
