@@ -52,17 +52,16 @@ _MAX_SAMPLES = 1_000_000  # conjecture --samples; each start is drawn as its orb
 _MAX_BITS = 1 << 16  # conjecture --den-bits and --value-bits; iterate's den_bit_cap size-caps a larger denominator
 
 
-_REMAINDERS = f"{__package__}.remainders"
 _dumps = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True), built once
 
 
 def jsonable(obj):
     """The JSON form of a report is its fields, recursively.
 
-    A Fraction prints exactly as p/q, an Enum as its value and a Verdict as
-    its label; a record (a NamedTuple) becomes a dict over its fields, except
-    a Segment or SegmentBound, a row of integers, which becomes a list like
-    any other tuple or list.  Anything else (int, bool, str, None) passes
+    A Fraction prints exactly as p/q and an Enum as its value.  A record
+    with a json_form() method prints as what that method returns; any other
+    record (a NamedTuple) becomes a dict over its fields, and any other
+    tuple or list a list.  Anything else (int, bool, str, None) passes
     through unchanged.
     """
     if isinstance(obj, Fraction):
@@ -71,15 +70,9 @@ def jsonable(obj):
         return obj.value
     if not isinstance(obj, (tuple, list)):
         return obj
-    fields = getattr(obj, "_fields", ())
-    if type(obj).__module__ == _REMAINDERS:  # so remainders has run, and importing it is free
-        from .remainders import Segment, SegmentBound, Verdict
-
-        if isinstance(obj, Verdict):
-            return obj.label()
-        if isinstance(obj, (Segment, SegmentBound)):
-            fields = ()
-    if fields:
+    if (form := getattr(obj, "json_form", None)) is not None:
+        return form()
+    if fields := getattr(obj, "_fields", ()):
         return {name: jsonable(value) for name, value in zip(fields, obj)}
     return [jsonable(x) for x in obj]
 
@@ -261,7 +254,7 @@ def _sweep_chunk(task) -> tuple[list[str], dict, list, int]:
         rec = candidate(BitSeq.from_rank(l, r))
         d, nums, cls = rec.d, rec.numerators, rec.cls.value
         D, sign = abs(d), 1 if d > 0 else -1
-        verdict = trace(rec).verdict if with_verdict and d > 0 else None
+        verdict = trace(d, nums).verdict if with_verdict and d > 0 else None
         misaligned = verdict is not None and verdict.kind is VerdictKind.MISALIGNED_AT
         # a line is _dumps of its record: keys sorted, and no value needs escaping;
         # head and tail hold the fields that every rotation of the class shares
@@ -609,7 +602,7 @@ def cmd_trace(args, out) -> int:
     obj = json.loads(line)  # the record fields as cycles prints them; the ledgers join them
     if rec.d > 0:
         for suffix, flipped in (("", False), ("_flipped", True)):
-            tr = trace(rec, flipped)
+            tr = trace(rec.d, rec.numerators, flipped)
             aligned = tr.verdict.kind is VerdictKind.ALIGNED_CLOSED
             obj["trace" + suffix] = jsonable(tr)
             obj["inequalities" + suffix] = jsonable(segment_inequality(tr)) if aligned else None

@@ -76,9 +76,9 @@ are the representative's cycle scanned from index k.  The parity that U
 rejects at a step is the rotation's as well as the representative's, so
 rotation_checks() scans the numerators once and reads every rotation's checks,
 rotation 0's included, off that one scan.  The remainder ledger
-(remainders.trace) checks its recurrence on the cyclic pairs (c_{i-1}, c_i)
-that leave an aligned index, and every rotation has the same set of pairs,
-only renumbered.  One trace per necklace and block therefore makes every check
+remainders.trace(d, nums) checks its recurrence on the cyclic pairs
+(c_{i-1}, c_i) that leave an aligned index, and every rotation has the same
+set of pairs, only renumbered.  One trace per necklace and block therefore makes every check
 that a trace per rank would make; rotation k's verdict is the
 representative's, with a misalignment counted from index k (the last field of
 rotation_checks(), U's first rejected step whatever the domain).

@@ -14,7 +14,8 @@ autonomous integer recurrence:
 (q_i != c_i mod 2, the Uflip condition) is the same rule read off the
 ceiling split c_i = (q_i + 1) * d - (d - r_i): with q_i + 1 in place of q_i
 and d - r_i in place of r_i, it is U's alignment, and the even remainders,
-the recurrence and the "new" test above all apply unchanged.
+the recurrence and the "new" test above all apply unchanged.  So a ledger
+depends on d and the closed numerators c alone, and trace(d, c) takes no more.
 
 Between consecutive "new" indices p < q the recurrence telescopes into the
 strict integer inequality 3^n(p,q) > 3 * 2^(q-p-1), where n(p,q) counts the
@@ -28,13 +29,10 @@ comparisons, never logarithms.
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import PreconditionError, StructureError
 from .rationals import compare_pow3_pow2
-
-if TYPE_CHECKING:  # an annotation only: rmap-scan runs nothing of cycles
-    from .cycles import CycleRecord
 
 
 class VerdictKind(str, Enum):
@@ -52,6 +50,8 @@ class Verdict(NamedTuple):
             return f"misaligned_at:{self.index}"
         return self.kind.value
 
+    json_form = label
+
 
 class Segment(NamedTuple):
     """Consecutive new indices (start, stop], stop may wrap past l."""
@@ -60,6 +60,9 @@ class Segment(NamedTuple):
     stop: int
     ones: int  # multiplying steps inside (start, stop]
     gap: int  # stop - start
+
+    def json_form(self) -> list[int]:
+        return list(self)
 
 
 class RemainderTrace(NamedTuple):
@@ -104,13 +107,18 @@ def _segments(new: tuple[bool, ...], c: tuple[int, ...]) -> tuple[Segment, ...]:
     )
 
 
-def _ledger(d: int, c: tuple[int, ...], flipped: bool) -> RemainderTrace:
+def trace(d: int, c: tuple[int, ...], flipped: bool = False) -> RemainderTrace:
     """The ledger of the closed numerators c over d > 0; step i's branch bit is c_i's parity.
 
+    Integer-valued candidates (d divides every c_i) report IntegerCycle: all
+    remainders vanish and the ledger is empty of content.  Fractional ones
+    report either the first misaligned index or a fully aligned closure.
     Both alignments read one split (qa, ra): (q, r) for U, the ceiling split
     (q + 1, d - r) when flipped.  On every step that departs from an aligned
     index, the directly computed ra is checked against the recurrence, exactly.
     """
+    if d <= 0:
+        raise PreconditionError(f"remainder ledger undefined for d = {d} <= 0")
     l = len(c) - 1
     q = tuple(ci // d for ci in c)
     r = tuple(ci % d for ci in c)
@@ -136,18 +144,6 @@ def _ledger(d: int, c: tuple[int, ...], flipped: bool) -> RemainderTrace:
     return RemainderTrace(d, c, q, r, flipped, prefix, new, segs, verdict)
 
 
-def trace(rec: CycleRecord, flipped: bool = False) -> RemainderTrace:
-    """Replay rec's cycle as a remainder ledger; d must be positive.
-
-    Integer-valued candidates (d divides every c_i) report IntegerCycle: all
-    remainders vanish and the ledger is empty of content.  Fractional ones
-    report either the first misaligned index or a fully aligned closure.
-    """
-    if rec.d < 0:
-        raise PreconditionError(f"remainder ledger undefined for d = {rec.d} < 0")
-    return _ledger(rec.d, rec.numerators, flipped)
-
-
 # ------------------------------------------------------- inequality ledger
 
 
@@ -158,6 +154,9 @@ class SegmentBound(NamedTuple):
     gap: int
     bound_holds: bool  # faithful encoding: 3^ones > 2^gap
     strict_holds: bool  # derived per-segment form: 3^ones > 3 * 2^(gap-1)
+
+    def json_form(self) -> list[int | bool]:
+        return list(self)
 
 
 class InequalityLedger(NamedTuple):

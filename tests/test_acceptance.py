@@ -74,7 +74,7 @@ def sweep16_audit():
                 sign_bad.append(str(rec.s))
         if rec.cls is CycleClass.FRACTIONAL_POSITIVE and rec.x0 >= 1:
             fractional += 1
-            tr = trace(rec)
+            tr = trace(rec.d, rec.numerators)
             if tr.verdict.kind is not VerdictKind.MISALIGNED_AT:
                 mis_bad.append((str(rec.s), tr.verdict.label()))
                 continue
@@ -244,7 +244,7 @@ def test_criterion_08_family_climbs_with_odd_floors():
 def test_criterion_09_fractional_candidates_misalign(sweep16_audit):
     bad = sweep16_audit["mis_bad"]
     rec = evaluate(BitSeq.from_string("11100"))
-    tr = trace(rec)
+    tr = trace(rec.d, rec.numerators)
     worked = (
         tr.d == 5
         and tr.r[:5] == (4, 1, 4, 1, 3)

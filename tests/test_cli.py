@@ -193,7 +193,7 @@ def direct_record(rec, with_verdict=True):
         "misalign_Uflip": rec.misalign_Uflip,
     }
     if with_verdict:
-        obj["verdict"] = trace(rec).verdict.label() if rec.d > 0 else None
+        obj["verdict"] = trace(rec.d, rec.numerators).verdict.label() if rec.d > 0 else None
     return obj
 
 
@@ -285,9 +285,9 @@ def test_records_evaluate_and_trace_each_necklace_once(capsys, monkeypatch):
         evaluated.append(str(s))
         return candidate(s)
 
-    def counting_trace(rec, flipped=False):
-        traced.append(str(rec.s))
-        return trace(rec, flipped)
+    def counting_trace(d, c, flipped=False):
+        traced.append(c)
+        return trace(d, c, flipped)
 
     monkeypatch.setattr(cycles, "candidate", counting_candidate)
     monkeypatch.setattr(remainders, "trace", counting_trace)
@@ -297,7 +297,9 @@ def test_records_evaluate_and_trace_each_necklace_once(capsys, monkeypatch):
         patterns = (f"{r:0{l}b}" for r in range(1 << l))
         least += sorted({min(p[k:] + p[:k] for k in range(l)) for p in patterns})
     assert evaluated == least
-    assert traced == [bits for bits in least if 2 ** len(bits) > 3 ** bits.count("1")]
+    assert traced == [
+        candidate(BitSeq.from_string(bits)).numerators for bits in least if 2 ** len(bits) > 3 ** bits.count("1")
+    ]
 
 
 def test_record_blocks_evaluate_each_class_once(capsys, monkeypatch):
@@ -308,9 +310,9 @@ def test_record_blocks_evaluate_each_class_once(capsys, monkeypatch):
         evaluated.append(str(s))
         return candidate(s)
 
-    def counting_trace(rec, flipped=False):
-        traced.append(str(rec.s))
-        return trace(rec, flipped)
+    def counting_trace(d, c, flipped=False):
+        traced.append(c)
+        return trace(d, c, flipped)
 
     monkeypatch.setattr(cycles, "candidate", counting_candidate)
     monkeypatch.setattr(remainders, "trace", counting_trace)
@@ -325,7 +327,9 @@ def test_record_blocks_evaluate_each_class_once(capsys, monkeypatch):
                 block.setdefault(min(p[k:] + p[:k] for k in range(l)), p)
             first += block.values()
     assert evaluated == first
-    assert traced == [bits for bits in first if 2 ** len(bits) > 3 ** bits.count("1")]
+    assert traced == [
+        candidate(BitSeq.from_string(bits)).numerators for bits in first if 2 ** len(bits) > 3 ** bits.count("1")
+    ]
     assert any(bits != min(bits[k:] + bits[:k] for k in range(len(bits))) for bits in first)
 
 
@@ -389,8 +393,8 @@ def test_split_necklace_is_an_internal_error(capsys, monkeypatch):
 def test_ledger_and_parity_scan_must_agree(capsys, monkeypatch):
     """A ledger whose misaligned step is one past the one rotation_checks finds is an internal error."""
 
-    def shifted_trace(rec, flipped=False):
-        rt = trace(rec, flipped)
+    def shifted_trace(d, c, flipped=False):
+        rt = trace(d, c, flipped)
         if rt.verdict.kind is remainders.VerdictKind.MISALIGNED_AT:
             rt = rt._replace(verdict=remainders.Verdict(rt.verdict.kind, rt.verdict.index + 1))
         return rt

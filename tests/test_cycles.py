@@ -425,6 +425,23 @@ def test_group_totals_match_the_per_lane_reference_on_deep_blocks(block):
     assert kernel_totals(l, lo, hi) == reference_totals(l, lo, hi)
 
 
+def test_a_lane_that_only_uflip_walks_is_a_uflip_row(monkeypatch):
+    """A realized row reads realized_U off step 0's parity, not off the sweep's finding.
+
+    No honest lane is realized by Uflip, so the walk is forged: every lane of
+    the d = 5 group (l = 5, n = 3) holds c_j = 1, whose remainder 1 is odd at
+    every step.  U rejects step 0, and Uflip takes every step from x_0 = 1/5.
+    """
+    walk = cycles._walk
+
+    def forged(l, n, ranks):
+        return (5, [(1,) * 6] * len(ranks)) if (l, n) == (5, 3) else walk(l, n, ranks)
+
+    monkeypatch.setattr(cycles, "_walk", forged)
+    rows = [row for n, _, _, group_rows in necklace_totals(5, 0, 32) if n == 3 for row in group_rows]
+    assert rows == [(0b00111, 5, False, False, True), (0b01011, 5, False, False, True)]
+
+
 def test_close_rejects_a_wrong_offset(monkeypatch):
     """The closure checks raise, with the pattern named.
 

@@ -15,7 +15,7 @@ from real3x1.trajectory import iterate
 def _records():
     """(record, frozen) for one instance of each of the package's eleven record types."""
     rec = candidate(BitSeq.from_string("11100"))
-    tr = trace(rec)
+    tr = trace(rec.d, rec.numerators)
     rep = iterate(MAPS["U"], Fraction(3, 2))
     return [
         (cli._CONJECTURES["RV"], True),

@@ -7,14 +7,13 @@ import pytest
 
 from real3x1 import cli, remainders
 from real3x1.cli import jsonable
-from real3x1.cycles import BitSeq, CycleClass, CycleRecord, evaluate, sweep
+from real3x1.cycles import BitSeq, CycleClass, evaluate, sweep
 from real3x1.errors import PreconditionError, StructureError
 from real3x1.rationals import compare_pow3_pow2
 from real3x1.remainders import (
     Segment,
     VerdictKind,
     _check_modulus,
-    _ledger,
     _moves,
     _segments,
     modulus_ok,
@@ -48,13 +47,13 @@ def synthetic_trace(d, r_cycle):
         bits.append(moves[nxt])
     # quotient i is bits[i]; over an odd d and an even r_i, c_i's parity is bits[i]
     c = tuple(qi * d + ri for qi, ri in zip(bits + bits[:1], states + states[:1]))
-    return _ledger(d, c, False)
+    return trace(d, c)
 
 
 def test_trace_misaligned_example():
     # s = 11100: d = 32 - 27 = 5, x0 = 19/5, the standard worked fractional case.
     rec = evaluate(BitSeq.from_string("11100"))
-    tr = trace(rec)
+    tr = trace(rec.d, rec.numerators)
     assert tr.d == 5
     assert tr.c == (19, 31, 49, 76, 38, 19)
     assert tr.q == (3, 6, 9, 15, 7, 3)
@@ -74,7 +73,7 @@ def test_trace_misaligned_example():
 
 def test_trace_flipped_example():
     rec = evaluate(BitSeq.from_string("11100"))
-    tr = trace(rec, flipped=True)
+    tr = trace(rec.d, rec.numerators, flipped=True)
     # Complements w = d - r drive the flipped recurrence; the start itself is
     # unflip-aligned, so the flipped ledger dies immediately.
     assert tr.new == (False, False, True, False, False)
@@ -85,7 +84,7 @@ def test_trace_flipped_example():
 def test_trace_integer_cycle_both_modes():
     rec = evaluate(BitSeq.from_string("10"))  # the 1 -> 2 -> 1 cycle, d = 1
     for flipped, prefix in ((False, 2), (True, 0)):
-        tr = trace(rec, flipped=flipped)
+        tr = trace(rec.d, rec.numerators, flipped=flipped)
         assert tr.verdict.kind is VerdictKind.INTEGER_CYCLE
         assert tr.r == (0, 0, 0)
         assert tr.segments is None
@@ -95,9 +94,17 @@ def test_trace_integer_cycle_both_modes():
 def test_trace_rejects_negative_d():
     rec = evaluate(BitSeq.from_string("110"))  # d = 8 - 9 = -1
     with pytest.raises(PreconditionError):
-        trace(rec)
+        trace(rec.d, rec.numerators)
     with pytest.raises(PreconditionError):
-        trace(rec, flipped=True)
+        trace(rec.d, rec.numerators, flipped=True)
+
+
+@pytest.mark.parametrize("flipped", [False, True])
+def test_trace_rejects_zero_d(flipped):
+    # No pattern has d = 2^l - 3^n = 0, but trace takes raw integers: d = 0
+    # is a bad input that names itself, not a ZeroDivisionError.
+    with pytest.raises(PreconditionError, match="^remainder ledger undefined for d = 0 <= 0$"):
+        trace(0, (1, 1), flipped)
 
 
 def test_synthetic_trace_d19():
@@ -138,10 +145,12 @@ def test_synthetic_trace_rejects_bad_input():
 
 
 def test_segment_inequality_needs_aligned_closure():
-    misaligned = trace(evaluate(BitSeq.from_string("11100")))
+    rec = evaluate(BitSeq.from_string("11100"))
+    misaligned = trace(rec.d, rec.numerators)
     with pytest.raises(PreconditionError):
         segment_inequality(misaligned)
-    integral = trace(evaluate(BitSeq.from_string("10")))
+    rec = evaluate(BitSeq.from_string("10"))
+    integral = trace(rec.d, rec.numerators)
     with pytest.raises(PreconditionError):
         segment_inequality(integral)
 
@@ -211,8 +220,8 @@ def test_sweep_traces_match_realization():
     for rec in sweep(12):
         if rec.d < 0:
             continue
-        tr = trace(rec)
-        trf = trace(rec, flipped=True)
+        tr = trace(rec.d, rec.numerators)
+        trf = trace(rec.d, rec.numerators, flipped=True)
         if rec.cls is not CycleClass.FRACTIONAL_POSITIVE:
             assert tr.verdict.kind is VerdictKind.INTEGER_CYCLE
             continue
@@ -242,8 +251,8 @@ def test_ledger_digest():
 
     for rec in sweep(12):
         if rec.d > 0:
-            add(trace(rec))
-            add(trace(rec, flipped=True))
+            add(trace(rec.d, rec.numerators))
+            add(trace(rec.d, rec.numerators, flipped=True))
     for d in filter(modulus_ok, range(5, 400)):
         for orbit in rmap_orbit_scan(d):
             tr = synthetic_trace(d, orbit.states)
@@ -252,20 +261,14 @@ def test_ledger_digest():
     assert (count, h.hexdigest()) == (12_872, LEDGER_DIGEST)
 
 
-def _record(bits, d, numerators):
-    """A hand-built record: trace reads only d and the numerators."""
-    return CycleRecord(BitSeq.from_string(bits), d, numerators, CycleClass.FRACTIONAL_POSITIVE)
-
-
 @pytest.mark.parametrize("flipped", [False, True])
 def test_trace_rejects_a_broken_recurrence(flipped):
     # 11100 closes on (19, 31, 49, 76, 38, 19) over d = 5.  Raising 38 to 39
     # makes index 4 (q = 7) U-aligned, so U checks the step out of it; Uflip
     # checks the step into it, which leaves the flip-aligned index 3.
-    good = _record("11100", 5, (19, 31, 49, 76, 38, 19))
-    trace(good, flipped)
+    trace(5, (19, 31, 49, 76, 38, 19), flipped)
     with pytest.raises(StructureError, match="recurrence break"):
-        trace(_record("11100", 5, (19, 31, 49, 76, 39, 19)), flipped)
+        trace(5, (19, 31, 49, 76, 39, 19), flipped)
 
 
 @pytest.mark.parametrize("flipped,c0", [(False, 5), (True, 3)])
@@ -274,7 +277,7 @@ def test_trace_rejects_an_odd_aligned_remainder(flipped, c0):
     # be.  5 = 1*4 + 1 is U-aligned with r = 1; 3 = 0*4 + 3 is flip-aligned
     # with d - r = 1.
     with pytest.raises(StructureError, match="must be even"):
-        trace(_record("1", 4, (c0, c0)), flipped)
+        trace(4, (c0, c0), flipped)
 
 
 @pytest.mark.parametrize("flipped,c0", [(False, 15), (True, 3)])
@@ -283,7 +286,7 @@ def test_trace_rejects_three_r_equal_to_two_d(flipped, c0):
     # U-aligned with r = 6 and q odd; 3 = 0*9 + 3 is flip-aligned with
     # d - r = 6 and q + 1 odd.
     with pytest.raises(StructureError, match="3r = 2d"):
-        trace(_record("1", 9, (c0, c0)), flipped)
+        trace(9, (c0, c0), flipped)
 
 
 def test_segments_need_a_new_remainder():

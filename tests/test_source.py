@@ -228,23 +228,26 @@ def test_cli_runs_no_realization_scan():
     assert calls == []
 
 
+def _names(node):
+    """What one node names: an identifier, an attribute, or an import's module and names."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or "", *(alias.name for alias in node.names)]
+    return []
+
+
 def test_cli_sees_only_group_totals():
     """cli.py names neither necklaces nor necklace_summaries, by import, name or attribute: the
     summary branch of _sweep_chunk adds the totals of each lane group that necklace_totals
     returns and sees no necklace on its own."""
-
-    def names(node):
-        if isinstance(node, ast.ImportFrom):
-            return [alias.name for alias in node.names]
-        if isinstance(node, ast.Name):
-            return [node.id]
-        return [node.attr] if isinstance(node, ast.Attribute) else []
-
     cli = dict(_modules())["cli.py"]
     refs = [
         f"cli.py:{node.lineno}"
         for node in ast.walk(cli)
-        if {"necklaces", "necklace_summaries"}.intersection(names(node))
+        if {"necklaces", "necklace_summaries"}.intersection(_names(node))
     ]
     assert refs == []
 
@@ -275,3 +278,48 @@ def test_cli_imports_only_errors_and_rationals_at_module_level():
         if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module not in ("errors", "rationals")
     ]
     assert imported == []
+
+
+def _defined(tree):
+    """The names that a module's own statements define at module level, imports aside."""
+    return {
+        target.id if isinstance(target, ast.Name) else target.name
+        for stmt in tree.body
+        for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt])
+        if isinstance(target, (ast.Name, ast.FunctionDef, ast.ClassDef))
+    }
+
+
+def test_remainders_names_nothing_of_cycles():
+    """A ledger is a function of d and the numerators: remainders.py names no module, function,
+    class or constant of cycles, not even for an annotation.  And no module hides an import
+    from start-up in an `if TYPE_CHECKING:` block."""
+    modules = dict(_modules())
+    of_cycles = _defined(modules["cycles.py"]) | {"cycles"}
+    refs = [
+        f"remainders.py:{node.lineno} {name}"
+        for node in ast.walk(modules["remainders.py"])
+        for name in _names(node)
+        if name in of_cycles
+    ]
+    assert refs == []
+    blocks = [
+        f"{name}:{node.lineno}"
+        for name, tree in modules.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test)
+    ]
+    assert blocks == []
+
+
+def test_jsonable_imports_nothing_and_names_no_package_type():
+    """cli.jsonable asks a record for its json_form() rather than testing its type, so it imports
+    nothing and names no class of any package module."""
+    modules = dict(_modules())
+    classes = {
+        stmt.name for tree in modules.values() for stmt in tree.body if isinstance(stmt, ast.ClassDef)
+    }
+    (fn,) = [fn for fn in modules["cli.py"].body if isinstance(fn, ast.FunctionDef) and fn.name == "jsonable"]
+    imports = [f"jsonable:{node.lineno}" for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    types = [f"jsonable:{node.lineno} {name}" for node in ast.walk(fn) for name in _names(node) if name in classes]
+    assert (imports, types) == ([], [])
