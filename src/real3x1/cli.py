@@ -28,7 +28,6 @@ import argparse
 import json
 import os
 import sys
-from enum import Enum
 from fractions import Fraction
 from math import comb, gcd
 from typing import NamedTuple
@@ -58,16 +57,14 @@ _dumps = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=Tr
 def jsonable(obj):
     """The JSON form of a report is its fields, recursively.
 
-    A Fraction prints exactly as p/q and an Enum as its value.  A record
-    with a json_form() method prints as what that method returns; any other
-    record (a NamedTuple) becomes a dict over its fields, and any other
-    tuple or list a list.  Anything else (int, bool, str, None) passes
-    through unchanged.
+    A Fraction prints exactly as p/q.  A record with a json_form() method
+    prints as what that method returns; any other record (a NamedTuple)
+    becomes a dict over its fields, and any other tuple or list a list.
+    Anything else (int, bool, str, None) passes through unchanged, and json
+    writes a str Enum as its value.
     """
     if isinstance(obj, Fraction):
         return format_rational(obj)
-    if isinstance(obj, Enum):
-        return obj.value
     if not isinstance(obj, (tuple, list)):
         return obj
     if (form := getattr(obj, "json_form", None)) is not None:
@@ -185,12 +182,8 @@ def cmd_iterate(args, out) -> int:
         for x in starts
     ]
     if args.format == "csv":
-        import csv
-
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["start", "fate", "steps"])
-        for rep in reports:
-            w.writerow([format_rational(rep.start), rep.fate.label(), rep.steps_used])
+        out.write("start,fate,steps\n")  # no field holds a comma, a quote or a newline
+        out.writelines(f"{format_rational(rep.start)},{rep.fate.label()},{rep.steps_used}\n" for rep in reports)
     else:
         for rep in reports:
             out.write(_dumps(jsonable(rep)) + "\n")
@@ -220,13 +213,7 @@ def _sweep_chunk(task) -> tuple[list[str], dict, list, int]:
     cmd_cycles puts the rows back in order.  The necklaces closed are the
     range's share of the necklaces of length l, whose sum cmd_cycles checks
     against Moreau's count; record mode meets a class in more than one range,
-    so it reports 0.  With lines, the first rank r of each class that the
-    range meets is closed by candidate (and traced) once, and each rotation
-    of r in the range, r turned left by k, gets r's cycle seen from x_k: its
-    checks, rotation 0's included, from one rotation_checks scan, and its
-    line from one template that holds the class's own fields.  Both the
-    ledger's verdict and that scan name U's first misaligned step from r; a
-    class whose two reads differ raises StructureError.
+    so it reports 0.  With lines, _record_classes writes them.
     """
     l, lo, hi, emit_lines, with_verdict = task
     counts, realized, mask = {}, [], (1 << l) - 1
@@ -241,15 +228,30 @@ def _sweep_chunk(task) -> tuple[list[str], dict, list, int]:
             for rank, period, integer, on_U, on_Uflip in rows:  # rank turned left by k
                 realized += [(l, (rank << k | rank >> l - k) & mask, integer, on_U, on_Uflip) for k in range(period)]
         return [], counts, realized, closed
+    lines = [None] * (hi - lo)
+    for rec, written in _record_classes(l, lo, lines, realized, with_verdict):
+        key = (l, rec.s.n, rec.cls.value)
+        counts[key] = counts.get(key, 0) + written
+    return lines, counts, realized, 0
+
+
+def _record_classes(l, lo, lines, realized, with_verdict):
+    """Write the record lines of ranks lo.. into lines, and yield (record, lines written) per class.
+
+    The block's first rank r of each class is closed by candidate (and traced)
+    once.  Each rotation of r in the block, r turned left by k, gets r's cycle
+    seen from x_k: its checks, rotation 0's included, from one rotation_checks
+    scan, its line from one template of the class's fields, and its realized
+    row.  A ledger and scan that disagree raise StructureError.
+    """
     from .cycles import BitSeq, candidate, rotation_checks
 
     if with_verdict:
         from .remainders import VerdictKind, trace
 
-    top, spec = l - 1, f"0{l}b"
-    lines = [None] * (hi - lo)  # a filled slot marks its class as walked
+    hi, top, mask, spec = lo + len(lines), l - 1, (1 << l) - 1, f"0{l}b"
     for r in range(lo, hi):
-        if lines[r - lo] is not None:
+        if lines[r - lo] is not None:  # a filled slot marks its class as walked
             continue
         rec = candidate(BitSeq.from_rank(l, r))
         d, nums, cls = rec.d, rec.numerators, rec.cls.value
@@ -288,9 +290,7 @@ def _sweep_chunk(task) -> tuple[list[str], dict, list, int]:
             x, k = ((x << 1) & mask) | (x >> top), k + 1  # r turned left by k
             if x == r:
                 break
-        key = (l, rec.s.n, cls)
-        counts[key] = counts.get(key, 0) + written
-    return lines, counts, realized, 0
+        yield rec, written
 
 
 def _pool_size(workers: int, tasks: list) -> int:
@@ -590,16 +590,16 @@ def cmd_conjecture(args, out) -> int:
 
 
 def cmd_trace(args, out) -> int:
-    from .cycles import BitSeq, candidate
+    from .cycles import BitSeq
     from .remainders import VerdictKind, segment_inequality, trace
 
     try:
         s = BitSeq.from_string(args.bits)
     except ValueError as exc:
         raise ValueError(f"--bits: {exc}") from exc
-    rec = candidate(s)
-    (line,) = _sweep_chunk((s.l, s.rank, s.rank + 1, True, False))[0]
-    obj = json.loads(line)  # the record fields as cycles prints them; the ledgers join them
+    line = [None]
+    ((rec, _),) = _record_classes(s.l, s.rank, line, [], False)
+    obj = json.loads(line[0])  # the record fields as cycles prints them; the ledgers join them
     if rec.d > 0:
         for suffix, flipped in (("", False), ("_flipped", True)):
             tr = trace(rec.d, rec.numerators, flipped)

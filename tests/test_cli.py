@@ -695,6 +695,20 @@ def test_trace_negative_d(capsys):
     assert "trace_error" in rec
 
 
+@pytest.mark.parametrize("bits", ["11100", "110", "0000000000000"])  # d > 0, d < 0, and x_0 = 0
+def test_trace_closes_its_pattern_once(bits, capsys, monkeypatch):
+    """The record line and both ledgers come from one closed walk of the pattern."""
+    closed = []
+
+    def counting_candidate(s):
+        closed.append(str(s))
+        return candidate(s)
+
+    monkeypatch.setattr(cycles, "candidate", counting_candidate)
+    assert run_cli(capsys, "trace", "--bits", bits)[0] == 0
+    assert closed == [bits]
+
+
 def test_trace_bad_bits(capsys):
     assert run_cli(capsys, "trace", "--bits", "2ab")[0] == 1
     assert run_cli(capsys, "trace", "--bits", "")[0] == 1

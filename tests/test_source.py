@@ -192,18 +192,12 @@ def test_iterate_reads_only_the_maps_name_and_step():
 
 def test_record_lines_are_built_per_class():
     """Record mode pays its per-record costs once per class: no _dumps(...) call in a loop of
-    cli._sweep_chunk's record branch, which follows the summary branch's `if not emit_lines:`
-    block."""
+    cli._record_classes, the one writer of record lines."""
     cli = dict(_modules())["cli.py"]
-    (fn,) = [fn for fn in cli.body if isinstance(fn, ast.FunctionDef) and fn.name == "_sweep_chunk"]
-    record_branch = [
-        stmt for stmt in fn.body if not (isinstance(stmt, ast.If) and ast.unparse(stmt.test) == "not emit_lines")
-    ]
-    assert len(record_branch) < len(fn.body)
+    (fn,) = [fn for fn in cli.body if isinstance(fn, ast.FunctionDef) and fn.name == "_record_classes"]
     calls = [
-        f"_sweep_chunk:{node.lineno}"
-        for stmt in record_branch
-        for loop in ast.walk(stmt)
+        f"_record_classes:{node.lineno}"
+        for loop in ast.walk(fn)
         if isinstance(loop, (ast.For, ast.While))
         for body_stmt in loop.body  # what runs per pass; a loop's else runs once
         for node in ast.walk(body_stmt)
@@ -212,6 +206,20 @@ def test_record_lines_are_built_per_class():
         == "_dumps"
     ]
     assert calls == []
+
+
+def test_only_cmd_cycles_runs_a_sweep_chunk():
+    """_sweep_chunk is a pool task of the cycles sweep: cli.py names it only in its own definition
+    and in cmd_cycles, so trace takes its one class from _record_classes and builds no task."""
+    cli = dict(_modules())["cli.py"]
+    defs = [stmt.name for stmt in cli.body if isinstance(stmt, ast.FunctionDef)]
+    users = {
+        getattr(stmt, "name", f"cli.py:{stmt.lineno}")
+        for stmt in cli.body
+        for node in ast.walk(stmt)
+        if "_sweep_chunk" in _names(node)
+    }
+    assert "_sweep_chunk" in defs and users == {"cmd_cycles"}
 
 
 def test_cli_runs_no_realization_scan():
