@@ -195,7 +195,7 @@ def cmd_iterate(args, out) -> int:
 
 _CHUNK_RANKS = 1 << 14
 # A sweep forks a pool only from this much work, counted in summary ranks, a
-# record rank weighing 1 << 5 of them.  A pool costs about 50 ms to start; on
+# record rank weighing 1 << 5 of them.  A pool costs about 40 ms to start; on
 # 2 cores it breaks even with one process near 2^20 summary ranks (lmax 19)
 # and 2^15 record ranks (lmax 14), and wins above.
 _POOL_MIN_RANKS = 1 << 20
@@ -293,68 +293,68 @@ def _record_classes(l, lo, lines, realized, with_verdict):
         yield rec, written
 
 
-def _pool_size(workers: int, tasks: list) -> int:
+def _pool_size(workers: int, work: int, chunks: int) -> int:
     """Processes to start, 1 for no pool: a sweep below _POOL_MIN_RANKS of work runs in process.
 
-    The work is the tasks' rank ranges, a record rank weighing 1 << 5
-    summary ranks.  A pool forks all its processes up front, so it is
-    capped by cores and tasks.
+    The work is counted in summary ranks, a record rank weighing 1 << 5 of
+    them.  A pool forks all its processes up front, so it is capped by cores
+    and chunks.
     """
-    work = sum((hi - lo) << (5 if emit_lines else 0) for _, lo, hi, emit_lines, _ in tasks)
     if work < _POOL_MIN_RANKS:
         return 1
-    return min(workers, os.cpu_count() or 1, len(tasks))
+    return min(workers, os.cpu_count() or 1, chunks)
 
 
 def cmd_cycles(args, out) -> int:
     if args.lmin > args.lmax:  # argparse bounds each; their order is checked here
         raise ValueError(f"--lmin must be in 1..lmax, got {args.lmin}")
+    lengths, emit_lines = range(args.lmin, args.lmax + 1), not args.summary_only
 
-    tasks = []
-    for l in range(args.lmin, args.lmax + 1):
-        total = 1 << l
-        for lo in range(0, total, _CHUNK_RANKS):
-            tasks.append(
-                (l, lo, min(lo + _CHUNK_RANKS, total), not args.summary_only, args.with_verdict)
-            )
+    def tasks():  # the rank chunks in order, made as they are taken
+        for l in lengths:
+            for lo in range(0, 1 << l, _CHUNK_RANKS):
+                yield l, lo, min(lo + _CHUNK_RANKS, 1 << l), emit_lines, args.with_verdict
 
-    tallies, realized, closed = {}, [], {}
+    expected = (1 << (args.lmax + 1)) - (1 << args.lmin)  # records: every rank of every length
+    chunks = sum(-(-(1 << l) // _CHUNK_RANKS) for l in lengths)
+    workers = _pool_size(args.workers, expected << (5 if emit_lines else 0), chunks)
+    tallies, realized, closed = {}, [], dict.fromkeys(lengths, 0)
 
-    def merge(task, result):
+    def merge(l, result):  # a chunk's result lives only in this call
         lines, chunk_counts, chunk_realized, chunk_closed = result
         out.writelines(lines)
         for key, k in chunk_counts.items():
             tallies[key] = tallies.get(key, 0) + k
         realized.extend(chunk_realized)
-        closed[task[0]] = closed.get(task[0], 0) + chunk_closed
+        closed[l] += chunk_closed
 
-    workers = _pool_size(args.workers, tasks)
-    if workers <= 1:
-        for task in tasks:
-            merge(task, _sweep_chunk(task))
-    else:
+    pool = None
+    if workers > 1:
         # imported here: the pool loads multiprocessing, which no one-worker run needs
-        from concurrent.futures import ProcessPoolExecutor
+        import multiprocessing
 
         # a module runs at its first use: the chunks' modules run here, before the
         # pool forks, so that no worker runs them again
         from .cycles import necklace_totals  # noqa: F401
         if args.with_verdict:
             from .remainders import trace  # noqa: F401
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for task, result in zip(tasks, pool.map(_sweep_chunk, tasks)):
-                merge(task, result)
+        pool = multiprocessing.Pool(workers)
+    try:  # imap keeps order and takes tasks as it goes, so the parent holds nothing per chunk
+        results = (map if pool is None else pool.imap)(_sweep_chunk, tasks())
+        for l, *_ in tasks():
+            merge(l, next(results))
+    finally:
+        if pool is not None:
+            pool.terminate()
 
     records = sum(tallies.values())  # every record has exactly one (l, n, class)
-    expected = (1 << (args.lmax + 1)) - (1 << args.lmin)
     if records != expected:
         raise StructureError(f"sweep counted {records} records, expected {expected}")
     counts, by_length = {}, {}
     for (l, n, cls), k in tallies.items():
         counts[cls] = counts.get(cls, 0) + k
         by_length[l, n] = by_length.get((l, n), 0) + k
-    for l in range(args.lmin, args.lmax + 1):
+    for l in lengths:
         for n in range(l + 1):  # one record per pattern of l bits with n ones
             if by_length.get((l, n), 0) != comb(l, n):
                 raise StructureError(
@@ -362,7 +362,7 @@ def cmd_cycles(args, out) -> int:
                     f"expected {comb(l, n)}"
                 )
     if args.summary_only:  # record mode meets a class in more than one chunk
-        for l in range(args.lmin, args.lmax + 1):
+        for l in lengths:
             # Moreau's count of necklaces of l bits, (1/l) sum over e | l of phi(e) 2^(l/e),
             # is (1/l) sum over k < l of 2^gcd(k, l): the rotation by k fixes 2^gcd(k, l) words
             moreau = sum(1 << gcd(k, l) for k in range(l)) // l

@@ -509,25 +509,67 @@ def test_pool_size_is_capped_by_cores_and_tasks(monkeypatch):
     def chunks(n):  # n summary chunks, 2^14 n ranks in all
         return [(22, 0, 1 << 14, False, False)] * n
 
+    def pool_size(workers, tasks):  # the work of the tasks' rank ranges, a record rank weighing 32
+        work = sum((hi - lo) << (5 if records else 0) for _, lo, hi, records, _ in tasks)
+        return cli._pool_size(workers, work, len(tasks))
+
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    assert cli._pool_size(64, chunks(100)) == 2
-    assert cli._pool_size(1, chunks(100)) == 1
-    assert cli._pool_size(2, [(22, 0, 1 << 22, False, False)]) == 1
+    assert pool_size(64, chunks(100)) == 2
+    assert pool_size(1, chunks(100)) == 1
+    assert pool_size(2, [(22, 0, 1 << 22, False, False)]) == 1
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 16)
-    assert cli._pool_size(8, [(22, 0, 1 << 21, False, False)] * 3) == 3
-    assert cli._pool_size(8, chunks(100)) == 8
+    assert pool_size(8, [(22, 0, 1 << 21, False, False)] * 3) == 3
+    assert pool_size(8, chunks(100)) == 8
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown core count
-    assert cli._pool_size(8, chunks(100)) == 1
+    assert pool_size(8, chunks(100)) == 1
     # below _POOL_MIN_RANKS of work a sweep runs in process; a record rank weighs 32 summary ranks
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    assert cli._pool_size(2, sweep_tasks(16, records=False)) == 1
-    assert cli._pool_size(2, sweep_tasks(19, records=False)) == 1
-    assert cli._pool_size(2, sweep_tasks(20, records=False)) == 2
-    assert cli._pool_size(2, sweep_tasks(22, records=False)) == 2
-    assert cli._pool_size(2, sweep_tasks(13, records=True)) == 1
-    assert cli._pool_size(2, sweep_tasks(14, records=True)) == 1
-    assert cli._pool_size(2, sweep_tasks(15, records=True)) == 2
-    assert cli._pool_size(2, sweep_tasks(17, records=True)) == 2
+    assert pool_size(2, sweep_tasks(16, records=False)) == 1
+    assert pool_size(2, sweep_tasks(19, records=False)) == 1
+    assert pool_size(2, sweep_tasks(20, records=False)) == 2
+    assert pool_size(2, sweep_tasks(22, records=False)) == 2
+    assert pool_size(2, sweep_tasks(13, records=True)) == 1
+    assert pool_size(2, sweep_tasks(14, records=True)) == 1
+    assert pool_size(2, sweep_tasks(15, records=True)) == 2
+    assert pool_size(2, sweep_tasks(17, records=True)) == 2
+
+
+def test_a_pool_workers_internal_error_exits_as_in_process(capsys, monkeypatch):
+    """A StructureError in a pool worker exits 5 with the in-process message, and the pool
+    is terminated: no child is left."""
+    import multiprocessing
+
+    monkeypatch.setattr(cli, "_POOL_MIN_RANKS", 0)  # a sweep this short would run in process
+    offsets = cycles._offsets
+    monkeypatch.setattr(cycles, "_offsets", lambda bits, lane: offsets(bits, lane) + 4)
+    runs = {
+        workers: run_cli(capsys, "cycles", "--lmax", "12", "--summary-only", "--workers", workers)
+        for workers in ("1", "2")
+    }
+    assert multiprocessing.active_children() == []
+    code, _, err = runs["1"]
+    assert (code, err) == (5, "real3x1: internal error: forced walk of 0 failed to close\n")
+    assert (runs["2"][0], runs["2"][2]) == (code, err)
+
+
+def test_a_pooled_sweeps_memory_does_not_grow_with_its_chunks():
+    """The parent feeds the pool its chunks as it goes and merges each result once, so 2^14
+    chunks of 16 ranks leave its peak RSS where 28 chunks of up to 2^14 ranks do.
+
+    The peak is VmHWM, which starts afresh at exec; Linux's ru_maxrss keeps the
+    peak of the process that spawned the probe (this test run's, tens of MB).
+    """
+    probe = (
+        "import sys, real3x1.cli as cli; cli._POOL_MIN_RANKS = 0; "
+        "cli._CHUNK_RANKS = int(sys.argv[1]); code = cli.main(sys.argv[2:]); "
+        "print(*(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')), file=sys.stderr); "
+        "sys.exit(code)"
+    )
+    argv = ["cycles", "--lmax", "17", "--summary-only", "--workers", "2"]
+    small, large = (_fresh(probe, str(ranks), *argv) for ranks in (16, 1 << 14))
+    assert (small.returncode, large.returncode) == (0, 0)
+    assert small.stdout == large.stdout
+    assert abs(int(small.stderr) - int(large.stderr)) < 8 * 1024  # in KiB
 
 
 def _fresh(probe, *argv):
