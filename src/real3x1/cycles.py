@@ -280,19 +280,28 @@ def rotation_checks(d: int, nums: Sequence[int]) -> list[tuple[bool, int | None,
     is outside its domain (x_k >= 1 for U, x_k >= 0 for Uflip); otherwise
     (False, i) names the first step it rejects, or (True, None) none.
     misaligned is U's first rejection whatever the domain, or None.
+
+    One backward pass keeps, for each parity p, the first step at or after k
+    with parity p over two laps of the cycle; it starts from lap two, where
+    that step is l plus p's first step.
     """
     D = abs(d)
     l = len(nums) - 1
-    rejects = "".join(["1" if a % D & 1 else "0" for a in nums[:l]])  # "1": U rejects step j
-    twice = rejects * 2
-    on_U, on_Uflip = "1" not in rejects, "0" not in rejects
-    checks = []
-    for k in range(l):
-        misaligned = None if on_U else twice.index("1", k) - k
-        misaligned_flip = None if on_Uflip else twice.index("0", k) - k
-        U = (on_U, misaligned) if nums[k] >= D else (False, None)
-        Uflip = (on_Uflip, misaligned_flip) if nums[k] >= 0 else (False, None)
-        checks.append((*U, *Uflip, misaligned))
+    parities = [a % D & 1 for a in nums[:l]]  # 1: U rejects step j, 0: Uflip does
+    at = [l + parities.index(p) if p in parities else None for p in (0, 1)]
+    on_U, on_Uflip = at[1] is None, at[0] is None
+    checks = [None] * l
+    for k in range(l - 1, -1, -1):
+        at[parities[k]] = k
+        misaligned = None if on_U else at[1] - k
+        a = nums[k]  # x_k * |d|: x_k >= 1 is U's domain, x_k >= 0 Uflip's
+        checks[k] = (
+            a >= D and on_U,
+            misaligned if a >= D else None,
+            a >= 0 and on_Uflip,
+            None if on_Uflip or a < 0 else at[0] - k,
+            misaligned,
+        )
     return checks
 
 

@@ -278,6 +278,47 @@ def test_record_sweep_writes_the_same_bytes_to_a_file(workers, tmp_path, capsys,
     assert path.read_bytes() == stdout.encode()
 
 
+class _Stream:
+    """A text stream that keeps what it is given, in the order it is given."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+        return len(text)
+
+    def writelines(self, lines):
+        self.parts.extend(lines)
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_a_failing_sweep_keeps_what_it_wrote(to_file, tmp_path, capsys, monkeypatch):
+    """A StructureError in the l = 12 chunk exits 5 after every line of l <= 11 has been written,
+    and only then does the error line follow them on the same stream."""
+    assert main(["cycles", "--lmax", "11", "--with-verdict"]) == 0
+    *records, _summary = capsys.readouterr().out.splitlines(keepends=True)
+    real_candidate = cycles.candidate
+
+    def failing_candidate(s):
+        if s.l == 12:
+            raise StructureError("forged at l = 12")
+        return real_candidate(s)
+
+    monkeypatch.setattr(cycles, "candidate", failing_candidate)
+    both = _Stream()  # stdout and stderr in one, so their order shows
+    monkeypatch.setattr(sys, "stdout", both)
+    monkeypatch.setattr(sys, "stderr", both)
+    argv = ["cycles", "--lmax", "12", "--with-verdict"]
+    path = tmp_path / "records.jsonl"
+    assert main(argv + ["--out", str(path)] if to_file else argv) == 5
+    error = "real3x1: internal error: forged at l = 12\n"
+    if to_file:
+        assert ("".join(both.parts), path.read_text(encoding="utf-8")) == (error, "".join(records))
+    else:
+        assert "".join(both.parts) == "".join(records) + error
+
+
 def test_records_evaluate_and_trace_each_necklace_once(capsys, monkeypatch):
     evaluated, traced = [], []
 

@@ -236,6 +236,30 @@ def test_cli_runs_no_realization_scan():
     assert calls == []
 
 
+def test_commands_write_only_to_the_stream_they_are_handed():
+    """Every command writes to the stream _main hands it, stdout or the --out file: cli.py names
+    sys.stdout only in _main, and no cmd_* function calls print."""
+    cli = dict(_modules())["cli.py"]
+
+    def stdout_in(tree):
+        return [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "stdout"
+            and isinstance(node.value, ast.Name) and node.value.id == "sys"
+        ]
+
+    (main,) = [fn for fn in cli.body if isinstance(fn, ast.FunctionDef) and fn.name == "_main"]
+    prints = [
+        f"{fn.name}:{node.lineno}"
+        for fn in cli.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+    ]
+    assert stdout_in(main) and stdout_in(cli) == stdout_in(main) and prints == []
+
+
 def _names(node):
     """What one node names: an identifier, an attribute, or an import's module and names."""
     if isinstance(node, ast.Name):
