@@ -182,11 +182,10 @@ def cmd_iterate(args, out) -> int:
         for x in starts
     ]
     if args.format == "csv":
-        out.write("start,fate,steps\n")  # no field holds a comma, a quote or a newline
-        out.writelines(f"{format_rational(rep.start)},{rep.fate.label()},{rep.steps_used}\n" for rep in reports)
+        rows = (f"{format_rational(rep.start)},{rep.fate.label()},{rep.steps_used}\n" for rep in reports)
+        out.write("start,fate,steps\n" + "".join(rows))  # no field holds a comma, a quote or a newline
     else:
-        for rep in reports:
-            out.write(_dumps(jsonable(rep)) + "\n")
+        out.write("".join(_dumps(jsonable(rep)) + "\n" for rep in reports))
     capped = any(rep.fate.kind is FateKind.CAP_REACHED for rep in reports)
     return EXIT_CAP if capped else EXIT_OK
 
@@ -322,7 +321,8 @@ def cmd_cycles(args, out) -> int:
 
     def merge(l, result):  # a chunk's result lives only in this call
         lines, chunk_counts, chunk_realized, chunk_closed = result
-        out.writelines(lines)
+        for i in range(0, len(lines), 256):  # one write per block: unbuffered, each write is a write(2)
+            out.write("".join(lines[i : i + 256]))
         for key, k in chunk_counts.items():
             tallies[key] = tallies.get(key, 0) + k
         realized.extend(chunk_realized)
@@ -551,8 +551,6 @@ def cmd_conjecture(args, out) -> int:
                 "note": note,
             }
             lines[cls].append(line)
-    for line in lines["flagged"] + counter_lines:
-        out.write(_dumps(line) + "\n")
 
     if counter_lines:
         verdict = f"COUNTEREXAMPLE FOUND among {args.samples} samples"
@@ -582,7 +580,7 @@ def cmd_conjecture(args, out) -> int:
         "note": _NOT_A_PROOF,
         **extra,
     }
-    out.write(_dumps(summary) + "\n")
+    out.write("".join(_dumps(line) + "\n" for line in [*lines["flagged"], *counter_lines, summary]))
     return EXIT_COUNTEREXAMPLE if counter_lines else EXIT_OK
 
 
@@ -746,9 +744,6 @@ class _OutFile:
 
     def write(self, text: str) -> int:
         return self._file().write(text)
-
-    def writelines(self, lines) -> None:
-        self._file().writelines(lines)
 
     def close(self) -> None:
         if self.fh is not None:

@@ -1,5 +1,7 @@
 """Command line behavior: exit codes, output shapes, determinism, config."""
 
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -268,7 +270,7 @@ def test_rotated_block_lines_equal_direct_evaluation(pattern):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_record_sweep_writes_the_same_bytes_to_a_file(workers, tmp_path, capsys, monkeypatch):
-    """--out takes each chunk's line list through _OutFile.writelines; at 2 workers the lists come from a pool."""
+    """--out takes each chunk's lines in blocks through _OutFile.write; at 2 workers the lines come from a pool."""
     monkeypatch.setattr(cli, "_POOL_MIN_RANKS", 0)  # a sweep this short would run in process
     argv = ["cycles", "--lmax", "10", "--with-verdict", "--workers", workers]
     assert main(argv) == 0
@@ -276,6 +278,59 @@ def test_record_sweep_writes_the_same_bytes_to_a_file(workers, tmp_path, capsys,
     path = tmp_path / "records.jsonl"
     assert main(argv + ["--out", str(path)]) == 0
     assert path.read_bytes() == stdout.encode()
+
+
+class _CountingFile(io.FileIO):
+    """A file that counts its raw writes.  Under a write-through text stream, as
+    python -u and PYTHONUNBUFFERED=1 make stdout, each text write is one raw write."""
+
+    def __init__(self, path):
+        super().__init__(path, "w")
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        return super().write(data)
+
+
+@pytest.mark.parametrize(
+    "argv, most, digest",
+    [
+        (  # a block of at most 256 record lines per write, and the summary
+            ["cycles", "--lmax", "13", "--with-verdict"],
+            sum(-(-(1 << l) // 256) for l in range(1, 14)) + 1,
+            "7b7aaa1c6353668970b49253ac0189a9ca3695bc3efec2d6fc3d033460dd1c42",  # perfbench's ledger golden
+        ),
+        (
+            ["iterate", "--map", "U", "--start", ",".join(map(str, range(1, 51)))],
+            1,
+            "a6977131be58b0d6362a90246834b5603b28e00c869bba7186ddd6a65476c723",
+        ),
+    ],
+    ids=["ledger", "iterate"],
+)
+def test_commands_write_blocks_not_lines(argv, most, digest, tmp_path, monkeypatch):
+    path = tmp_path / "stdout"
+    raw = _CountingFile(path)
+    with io.TextIOWrapper(raw, encoding="utf-8", newline="", write_through=True) as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert raw.writes <= most
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_the_environment_never_changes_the_bytes(unbuffered, capsys, monkeypatch):
+    """A fresh interpreter writes the in-process bytes, with PYTHONUNBUFFERED=1 and without it."""
+    argv = ["cycles", "--lmax", "11", "--with-verdict"]
+    assert main(argv) == 0
+    in_process = capsys.readouterr().out
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    done = _fresh("import sys, real3x1.cli as cli; sys.exit(cli.main(sys.argv[1:]))", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (0, in_process, "")
 
 
 class _Stream:
