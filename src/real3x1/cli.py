@@ -18,13 +18,15 @@ replaces one of their functions patches it on its own module.
 
 Exit codes: 0 resolved/completed, 1 usage or domain error, 2 a trajectory hit
 an iteration or size cap, 3 counterexample found (a realized cycle that the
-two cycle theorems rule out), 4 file I/O failure, 5 internal invariant failure
-(a StructureError, which means a bug rather than a bad input).
+two cycle theorems rule out), 4 file I/O failure, a closed stdout included, 5
+internal invariant failure (a StructureError, which means a bug rather than a
+bad input).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -763,7 +765,17 @@ def _main(argv: list[str] | None) -> int:
             argv = argv[:1] + flags + argv[1:]
         args = build_parser().parse_args(argv)
         if args.out == "-":
-            return args.func(args, sys.stdout)
+            try:
+                code = args.func(args, sys.stdout)
+                sys.stdout.flush()  # here, so that a closed stdout is an I/O error, not a failed exit
+                return code
+            except BrokenPipeError:
+                # the reader closed stdout: point its fd at devnull, so that the
+                # interpreter's own final flush of what is left cannot fail again
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                raise
         out = _OutFile(args.out)
         try:
             return args.func(args, out)
@@ -781,7 +793,15 @@ def _main(argv: list[str] | None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    code = main()
+    # Move every tracked object to the permanent generation, so that the
+    # interpreter's shutdown collections do not walk the heap (2-4 ms over some
+    # 13,000 objects).  The cyclic garbage left at exit is then never
+    # collected, so nothing may rely on a finalizer running there: main() has
+    # already closed the --out file, terminated the pool and flushed stdout.
+    # Only here: in-process callers of main() keep collecting as before.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

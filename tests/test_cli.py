@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, output shapes, determinism, config."""
 
+import gc
 import hashlib
 import io
 import json
@@ -320,17 +321,60 @@ def test_commands_write_blocks_not_lines(argv, most, digest, tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])
-def test_the_environment_never_changes_the_bytes(unbuffered, capsys, monkeypatch):
-    """A fresh interpreter writes the in-process bytes, with PYTHONUNBUFFERED=1 and without it."""
-    argv = ["cycles", "--lmax", "11", "--with-verdict"]
-    assert main(argv) == 0
-    in_process = capsys.readouterr().out
+def test_the_environment_never_changes_the_bytes(unbuffered, tmp_path, capsys, monkeypatch):
+    """The entry point in a fresh interpreter writes the in-process bytes and exits with the in-process
+    code, to stdout and to an --out file, with PYTHONUNBUFFERED=1 and without it."""
+    argvs = [
+        ["cycles", "--lmax", "11", "--with-verdict"],
+        ["conjecture", "RU", "--samples", "20"],
+        ["iterate", "--map", "U", "--start", "3/2,7"],
+    ]
+    in_process = []
+    for argv in argvs:
+        code = main(argv)
+        in_process.append((code, capsys.readouterr()))
     if unbuffered:
         monkeypatch.setenv("PYTHONUNBUFFERED", "1")
     else:
         monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
-    done = _fresh("import sys, real3x1.cli as cli; sys.exit(cli.main(sys.argv[1:]))", *argv)
-    assert (done.returncode, done.stdout, done.stderr) == (0, in_process, "")
+    path = tmp_path / "out"
+    for argv, (code, (out, err)) in zip(argvs, in_process):
+        done = _fresh(_RUN, *argv)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+        done = _fresh(_RUN, *argv, "--out", str(path))
+        assert (done.returncode, done.stdout, done.stderr) == (code, "", err)
+        assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_closed_stdout_is_an_io_error(unbuffered, monkeypatch):
+    """A reader that closes stdout before the last flush makes the entry point exit 4 with one
+    error line, whether or not PYTHONUNBUFFERED makes every write reach the pipe at once."""
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _fresh(_RUN, "cycles", "--lmax", "12", "--summary-only", stdout=write)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (cli.EXIT_IO, "real3x1: I/O error: [Errno 32] Broken pipe\n")
+
+
+def test_run_freezes_the_heap_and_main_does_not():
+    """The entry point freezes the heap before the interpreter exits, so its shutdown collections
+    walk nothing; an in-process caller of main() keeps collecting as before."""
+    probe = (
+        "import atexit, gc, sys; from real3x1.cli import run; "
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr)); run()"
+    )
+    done = _fresh(probe, "cycles", "--lmax", "3", "--summary-only")
+    assert (done.returncode, done.stderr) == (0, "True\n")
+    frozen = gc.get_freeze_count()
+    assert main(["cycles", "--lmax", "3", "--summary-only"]) == 0
+    assert gc.get_freeze_count() == frozen
 
 
 class _Stream:
@@ -342,9 +386,6 @@ class _Stream:
     def write(self, text):
         self.parts.append(text)
         return len(text)
-
-    def writelines(self, lines):
-        self.parts.extend(lines)
 
 
 @pytest.mark.parametrize("to_file", [False, True])
@@ -668,10 +709,15 @@ def test_a_pooled_sweeps_memory_does_not_grow_with_its_chunks():
     assert abs(int(small.stderr) - int(large.stderr)) < 8 * 1024  # in KiB
 
 
-def _fresh(probe, *argv):
+_RUN = "from real3x1.cli import run; run()"  # the entry point that real3x1 and python -m real3x1 call
+
+
+def _fresh(probe, *argv, stdout=subprocess.PIPE):
     """Run probe, with argv as its sys.argv[1:], in a fresh interpreter that imports this package."""
     env = {**os.environ, "PYTHONPATH": str(Path(real3x1.__file__).parents[1])}
-    return subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True)
+    return subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True
+    )
 
 
 def test_importing_the_cli_starts_no_pool_machinery():
