@@ -440,7 +440,7 @@ def _cycle_values(m, value: Fraction, period: int) -> set[Fraction]:
     p, q = value.numerator, value.denominator
     pairs = [(p, q)]
     for _ in range(period - 1):
-        p, q, _b = m.step_pq(p, q)
+        p, q, _b = m.step_pq(p, q, p // q)
         pairs.append((p, q))
     return {Fraction(p, q) for p, q in pairs}
 
@@ -482,13 +482,13 @@ def _q2_family(args) -> tuple[list[dict], dict]:
     for m_val in range(m_lo, m_hi + 1):
         p, q = 4 * m_val + 3, 2  # x = 2m + 3/2, reduced
         climbed = 0
-        while climbed < args.steps and (p // q) & 1:  # an odd floor, read as iterate reads bits
-            p2, q2, _b = step_pq(p, q)
+        while (f := p // q) & 1 and climbed < args.steps:  # an odd floor, read as iterate reads bits
+            p2, q2, _b = step_pq(p, q, f)
             if p2 * q <= p * q2:  # F(x) <= x
                 break
             p, q = p2, q2
             climbed += 1
-        if climbed < args.steps or not (p // q) & 1:
+        if climbed < args.steps or not f & 1:
             violations.append(
                 {
                     "type": "counterexample",

@@ -18,14 +18,20 @@ The returned branch bit is 1 exactly when the second piece (the multiplying
 one, gamma*x + delta) ran.
 
 A step is encoded once, as MapSpec.step_pq on a reduced integer pair (p, q)
-with q > 0: the branch bit, the image and the domain check are integer
-arithmetic on p and q.  Orbits run on these pairs (see trajectory), and step
-is the Fraction view of the same step.  step_pq takes one of two forms, built
-from the map's pieces.  U, Uflip, F, V and every Phi map of their shape (floor
-parity, an integer tau, an integer minimum or none, pieces (a*x + b) / e with
-a in {1, 3} and e a power of two) get the shaped form: one floor p // q and
-no gcd.  Every other map (T, f, g, a fractional tau or minimum, any other
-piece) gets the generic form, with a general floor and two gcd calls.
+with q > 0 and the caller's floor f = p // q: the branch bit, the image and
+the domain check are integer arithmetic on p, q and f.  Orbits run on these
+pairs (see trajectory), which take each pair's floor once for their own tests
+and hand it to the step, and step is the Fraction view of the same step.
+step_pq takes one of two forms, built from the map's pieces.  U, Uflip, F, V
+and every Phi map of their shape (floor parity, an integer tau, an integer
+minimum or none, pieces (a*x + b) / e with a in {1, 3} and e a power of two)
+get the shaped form: no division of its own and no gcd.  Every other map (T,
+f, g, a fractional tau or minimum, any other piece) gets the generic form,
+with a general floor for a fractional tau and two gcd calls.
+
+MapSpec.even_q_never_recurs, also read off the pieces, says whether a pair
+with an even denominator can ever come back in an orbit; trajectory indexes
+such pairs only when it can.
 """
 
 from __future__ import annotations
@@ -80,9 +86,12 @@ class MapSpec(_MapFields):
         return {}
 
     @cached_property
-    def step_pq(self) -> Callable[[int, int], tuple[int, int, int]]:
-        """The map on a reduced pair: (p, q) with q > 0 goes to (p', q', bit).
+    def step_pq(self) -> Callable[[int, int, int], tuple[int, int, int]]:
+        """The map on a reduced pair: (p, q) with q > 0, and f = p // q, goes to (p', q', bit).
 
+        The caller passes the floor f it has taken anyway (an orbit reads its
+        parity bits and gates its fate tests off it), so a step divides no
+        more than it must; an f other than p // q gives a wrong step.
         The domain is checked first (integers only, odd denominator, minimum),
         each failure a DomainError naming x = p/q.  The bit is floor(x + tau)
         mod 2, or the numerator parity.
@@ -94,7 +103,7 @@ class MapSpec(_MapFields):
 
         A floor-parity map that is not integral, with an integer tau, an
         integer minimum mn or none, and pieces with a in {1, 3} and e a power
-        of two gets the shaped step.  One floor f = p // q gives the domain
+        of two gets the shaped step.  The floor f gives the domain
         check (x >= mn iff f >= mn, since mn is an integer) and the bit
         (f + tau) mod 2, and the common factor is found with no gcd.  Its odd
         part is gcd(a, q), since e has none: 3 when a = 3 and 3 | q (and then
@@ -102,13 +111,27 @@ class MapSpec(_MapFields):
         num | e*q, where num = a*p + b*q.  A zero image needs no case of its
         own: a*p = -b*q with gcd(p, q) = 1 makes q divide a, so once the 3 is
         out the denominator is e, whose 2-part leaves (0, 1).  Every other
-        map gets the generic step, whose floor is (p*td + tn*q) // (q*td)
-        for tau = tn/td and whose common factor takes two gcd calls.
+        map gets the generic step, whose floor of x + tau is f + tau for an
+        integer tau and (p*td + tn*q) // (q*td) for tau = tn/td otherwise, and
+        whose common factor takes two gcd calls.
         """
         return _shaped_step_pq(self) or _generic_step_pq(self)
 
+    @cached_property
+    def even_q_never_recurs(self) -> bool:
+        """True when no pair with an even denominator is visited twice in an orbit of this map.
 
-def _shaped_step_pq(m: MapSpec) -> Callable[[int, int], tuple[int, int, int]] | None:
+        It holds when every piece (a*x + b) / e, as _pieces writes it, has a
+        odd and e even: T, g, U, Uflip and V.  A reduced pair with q even has
+        p odd, so a*p + b*q is odd and the step's common factor is odd; the
+        image's denominator then has v2(q) + v2(e) > v2(q) factors of 2.  So
+        from the first even denominator on every denominator is even, with a
+        strictly larger power of 2, and no later pair equals an earlier one.
+        """
+        return all(a & 1 and not e & 1 for a, _b, e in _pieces(self.params))
+
+
+def _shaped_step_pq(m: MapSpec) -> Callable[[int, int, int], tuple[int, int, int]] | None:
     """m's step in the shaped form (see MapSpec.step_pq), or None when m lacks the shape."""
     pieces = _pieces(m.params)
     tau, lo = m.params.tau, m.domain_min
@@ -127,8 +150,7 @@ def _shaped_step_pq(m: MapSpec) -> Callable[[int, int], tuple[int, int, int]] | 
         a, b, e = pieces[bit]
         by_floor.append((a, b, e.bit_length() - 1, a == 3, bit))
 
-    def step_pq(p: int, q: int) -> tuple[int, int, int]:
-        f = p // q
+    def step_pq(p: int, q: int, f: int) -> tuple[int, int, int]:
         if mn is not None and f < mn:
             raise DomainError(f"{name} is defined for x >= {lo}, got {Fraction(p, q)}")
         a, b, k, three, bit = by_floor[f & 1]
@@ -146,8 +168,8 @@ def _shaped_step_pq(m: MapSpec) -> Callable[[int, int], tuple[int, int, int]] | 
     return step_pq
 
 
-def _generic_step_pq(m: MapSpec) -> Callable[[int, int], tuple[int, int, int]]:
-    """m's step for any map: one general floor and two gcd calls (see MapSpec.step_pq)."""
+def _generic_step_pq(m: MapSpec) -> Callable[[int, int, int], tuple[int, int, int]]:
+    """m's step for any map: a general floor for a fractional tau and two gcd calls (see MapSpec.step_pq)."""
     pieces = _pieces(m.params)
     tn, td = m.params.tau.numerator, m.params.tau.denominator
     floor_rule = m.branch_rule is BranchRule.FLOOR_PARITY
@@ -155,14 +177,19 @@ def _generic_step_pq(m: MapSpec) -> Callable[[int, int], tuple[int, int, int]]:
     mn, md = (None, None) if lo is None else (lo.numerator, lo.denominator)
     name, integral = m.name, m.integral
 
-    def step_pq(p: int, q: int) -> tuple[int, int, int]:
+    def step_pq(p: int, q: int, f: int) -> tuple[int, int, int]:
         if integral and q != 1:
             raise DomainError(f"{name} is defined on integers only, got {Fraction(p, q)}")
         if not floor_rule and not q & 1:
             raise DomainError(f"{name} needs an odd reduced denominator, got {Fraction(p, q)}")
         if mn is not None and p * md < mn * q:
             raise DomainError(f"{name} is defined for x >= {lo}, got {Fraction(p, q)}")
-        bit = ((p * td + tn * q) // (q * td)) & 1 if floor_rule else p & 1
+        if not floor_rule:
+            bit = p & 1
+        elif td == 1:
+            bit = (f + tn) & 1
+        else:
+            bit = ((p * td + tn * q) // (q * td)) & 1
         a, b, e = pieces[bit]
         num = a * p + b * q
         g = gcd(num, e * gcd(a, q))
@@ -191,7 +218,8 @@ def step(m: MapSpec, x: Fraction) -> tuple[Fraction, int]:
     DomainError on its next step.
     """
     x = Fraction(x)
-    p, q, bit = m.step_pq(x.numerator, x.denominator)
+    p, q = x.numerator, x.denominator
+    p, q, bit = m.step_pq(p, q, p // q)
     return Fraction(p, q), bit
 
 

@@ -34,13 +34,17 @@ end whenever x lies in one of them, and |floor(x)| >= floor(bound) whenever
 pays one division and comparisons with integers fixed before the loop
 instead of the tests.  That division is also the report's parity bit:
 floor(x) mod 2 is (p // q) mod 2 for every visited pair, a cycle's closing
-pair and the tail pad included, whatever the map's own branch rule.  So
-iterate reads nothing of a map but its name and step_pq.  Its iterates are
-read off the repetition check's dict, which holds each visited pair once,
-and off the pairs it lacks: a cycle's closing pair and the tail pad.
-contraction_check replays its block on step_pq pairs as well and checks the
-identity by cross-multiplied integers; Fraction appears only at its
-interface.
+pair and the tail pad included, whatever the map's own branch rule.  And it
+is the floor that step_pq takes, so a step costs one step and one floor
+division.  The repetition check's dict holds a visited pair only while a
+repeat is still possible: for a map whose even_q_never_recurs holds, no pair
+with an even denominator is ever visited twice, so only odd denominators
+are indexed, and the dict of a U, Uflip or V orbit stops growing at its
+first even denominator.  So iterate reads nothing of a map but its name,
+step_pq and even_q_never_recurs.  Its iterates are read off a head list of
+the first keep visited pairs and off the tail pad.  contraction_check
+replays its block on step_pq pairs as well and checks the identity by
+cross-multiplied integers; Fraction appears only at its interface.
 """
 
 from __future__ import annotations
@@ -142,7 +146,8 @@ def iterate(
     x0 = Fraction(x0)
     step_pq = m.step_pq
     p, q = x0.numerator, x0.denominator
-    s = step_pq(p, q)  # the step from x0, taken first: a start outside m's domain fails at once
+    f = p // q
+    s = step_pq(p, q, f)  # the step from x0, taken first: a start outside m's domain fails at once
     basins = _BASINS.get(m.name, ())
     windows = [
         (w_lo.numerator, w_lo.denominator, w_hi.numerator, w_hi.denominator, anchor, kind)
@@ -165,9 +170,12 @@ def iterate(
         e_lo = -e_hi
     den_shift = max(den_bit_cap, 0)  # q >> den_shift is nonzero iff q has more than den_bit_cap bits
 
-    bits = [(p // q) & 1]  # floor(x) mod 2 for every visited pair
-    seen = {(p, q): 0}  # every visited pair to its index, in visit order: the orbit's head
-    tail = []  # the visited pairs that seen lacks: a cycle's closing pair and the tail pad
+    bits = [f & 1]  # floor(x) mod 2 for every visited pair
+    kept = max(keep, 1)  # the start is always kept
+    head = [(p, q)]  # the first kept visited pairs, a cycle's closing pair included
+    seen = {(p, q): 0}  # each visited pair that may still recur, to its index
+    odd_only = m.even_q_never_recurs  # then a pair with an even q is never visited twice
+    tail = []  # the tail pad
 
     def settle(p: int, q: int) -> Fate | None:
         if trap_region is not None and ln * q <= p * ld and p * hd < hn * q:
@@ -195,13 +203,16 @@ def iterate(
     period = 0
     if fate is None:
         for k in range(1, cap + 1):
-            p, q, _b = step_pq(p, q) if k > 1 else s  # the first step is s from above
+            p, q, _b = step_pq(p, q, f) if k > 1 else s  # the first step is s from above
             f = p // q
             bits.append(f & 1)
-            prev = seen.setdefault((p, q), k)
-            if prev != k:
-                period = k - prev
-                break
+            if k < kept:
+                head.append((p, q))
+            if q & 1 or not odd_only:
+                prev = seen.setdefault((p, q), k)
+                if prev != k:
+                    period = k - prev
+                    break
             if h_lo <= f <= h_hi or e_hi is not None and not e_lo < f < e_hi:
                 fate = settle(p, q)
                 if fate is not None:
@@ -212,17 +223,16 @@ def iterate(
         else:
             fate = Fate(FateKind.CAP_REACHED)
     if period:
-        tail.append((p, q))
         fate = Fate(FateKind.ENTERED_CYCLE, period=period, value=Fraction(p, q))
     steps_used = len(bits) - 1
     if fate.kind in TENDENCIES or fate.kind is FateKind.ENTERED_CYCLE:
         for j in range(_TAIL_PAD):
-            p, q, _b = step_pq(p, q) if j or steps_used else s  # a start that settled at once pads from s
+            p, q, _b = step_pq(p, q, f) if j or steps_used else s  # a start that settled at once pads from s
+            f = p // q
             tail.append((p, q))
-            bits.append((p // q) & 1)
+            bits.append(f & 1)
 
-    kept = max(keep, 1)  # the start is always kept
-    iterates = [x0] + [Fraction(p, q) for p, q in islice(chain(seen, tail), 1, kept)]
+    iterates = [x0] + [Fraction(p, q) for p, q in islice(chain(head, tail), 1, kept)]
     return TrajectoryReport(x0, iterates, bits, fate, steps_used, len(bits) > kept)
 
 
@@ -277,7 +287,7 @@ def contraction_check(
     ok = True
     for k in range(m_steps):
         for j, want in enumerate(s):
-            p, q, b = step_pq(p, q)
+            p, q, b = step_pq(p, q, p // q)
             if b != want:
                 raise PreconditionError(
                     f"branch bits diverge from the claimed pattern at step {k * len(s) + j}"

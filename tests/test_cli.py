@@ -621,7 +621,7 @@ def test_sweep_length_cap_holds_in_config_files(tmp_path, capsys, monkeypatch):
 
 
 def test_q2_family_range_is_bounded(capsys, monkeypatch):
-    def family_step(p, q):
+    def family_step(p, q, _f):
         raise StructureError(f"a family start was stepped at {p}/{q}")
 
     monkeypatch.setitem(maps.MAPS, "F", SimpleNamespace(step_pq=family_step))
@@ -707,6 +707,22 @@ def test_a_pooled_sweeps_memory_does_not_grow_with_its_chunks():
     assert (small.returncode, large.returncode) == (0, 0)
     assert small.stdout == large.stdout
     assert abs(int(small.stderr) - int(large.stderr)) < 8 * 1024  # in KiB
+
+
+def test_a_growing_orbits_memory_does_not_grow_with_its_steps():
+    """A V orbit from 7/3 raises its denominator's power of 2 at every step, and under V a pair with
+    an even denominator never recurs, so iterate indexes none of them: run to a 16,384-bit denominator
+    (16,384 steps), it peaks where the same orbit cut at 16 bits does.  The peak is VmHWM, as above."""
+    probe = (
+        "import sys, real3x1.cli as cli; code = cli.main(sys.argv[1:]); "
+        "print(*(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')), file=sys.stderr); "
+        "sys.exit(code)"
+    )
+    argv = ["iterate", "--map", "V", "--start", "7/3", "--cap", "100000", "--keep", "1", "--den-bit-cap"]
+    short, long = (_fresh(probe, *argv, bits) for bits in ("16", "16384"))
+    assert (short.returncode, long.returncode) == (2, 2)  # each stops at its size cap
+    assert all('"size_capped": true' in run.stdout for run in (short, long))
+    assert abs(int(short.stderr) - int(long.stderr)) < 8 * 1024  # in KiB
 
 
 _RUN = "from real3x1.cli import run; run()"  # the entry point that real3x1 and python -m real3x1 call

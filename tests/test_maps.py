@@ -196,17 +196,18 @@ shaped_phi_maps = st.builds(
 @settings(max_examples=300, deadline=None)
 def test_integer_step_matches_the_fraction_oracle(m, x):
     """Image, bit and DomainError text agree; the pair comes back reduced."""
+    p, q = x.numerator, x.denominator
     try:
         want = oracle_step(m, x)
     except DomainError as exc:
         with pytest.raises(DomainError) as got:
-            m.step_pq(x.numerator, x.denominator)
+            m.step_pq(p, q, p // q)
         assert str(got.value) == str(exc)
         with pytest.raises(DomainError):
             step(m, x)
         return
     y, bit = want
-    assert m.step_pq(x.numerator, x.denominator) == (y.numerator, y.denominator, bit)
+    assert m.step_pq(p, q, p // q) == (y.numerator, y.denominator, bit)
     assert step(m, x) == want
 
 
@@ -230,7 +231,7 @@ def test_step_form_follows_the_piece_shape():
 
 def _outcome(fn, p, q):
     try:
-        return fn(p, q)
+        return fn(p, q, p // q)
     except DomainError as exc:
         return "DomainError", str(exc)
 
@@ -249,7 +250,7 @@ def test_shaped_step_matches_the_generic_step():
             p, q = x.numerator, x.denominator
             for _ in range(40):
                 seen.add((p, q))
-                p, q, _b = m.step_pq(p, q)
+                p, q, _b = m.step_pq(p, q, p // q)
     for m in (*pairs, map_from_name("Phi:1/2,0,3/2,1/2,1,-3"), map_from_name("Phi:1/2,0,3,1,0")):
         # zero images (x = 0 halves, x = -1/3 through (3x + 1) / 2 and, with F's pieces, 3x + 1)
         # and starts below the minimum

@@ -178,14 +178,15 @@ def test_orbit_loops_build_no_fraction():
 
 def test_iterate_reads_only_the_maps_name_and_step():
     """trajectory.iterate reads each parity bit off p // q, so of its map m it reads only the name
-    (for the basin table) and step_pq: no attribute of m but those two."""
+    (for the basin table), step_pq and even_q_never_recurs, which tells it whether a pair with an
+    even denominator can recur and so must be indexed: no attribute of m but those three."""
     trajectory = dict(_modules())["trajectory.py"]
     (fn,) = [fn for fn in trajectory.body if isinstance(fn, ast.FunctionDef) and fn.name == "iterate"]
     reads = [
         f"iterate:{node.lineno} m.{node.attr}"
         for node in ast.walk(fn)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "m"
-        and node.attr not in ("name", "step_pq")
+        and node.attr not in ("name", "step_pq", "even_q_never_recurs")
     ]
     assert reads == []
 
@@ -355,3 +356,30 @@ def test_jsonable_imports_nothing_and_names_no_package_type():
     imports = [f"jsonable:{node.lineno}" for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
     types = [f"jsonable:{node.lineno} {name}" for node in ast.walk(fn) for name in _names(node) if name in classes]
     assert (imports, types) == ([], [])
+
+
+def _floor_divisions(nodes):
+    """The p // q divisions in the statements nodes, by line."""
+    return [
+        node.lineno
+        for stmt in nodes
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+        and [getattr(side, "id", None) for side in (node.left, node.right)] == ["p", "q"]
+    ]
+
+
+def test_one_floor_per_visited_pair():
+    """An orbit floors each pair once and hands that floor to the step: the shaped step_pq closure
+    takes no p // q, and each pass of trajectory.iterate's step loop takes exactly one."""
+    modules = dict(_modules())
+    (shaped,) = [fn for fn in modules["maps.py"].body if getattr(fn, "name", None) == "_shaped_step_pq"]
+    (closure,) = [fn for fn in ast.walk(shaped) if isinstance(fn, ast.FunctionDef) and fn.name == "step_pq"]
+    assert _floor_divisions(closure.body) == []
+    (fn,) = [fn for fn in modules["trajectory.py"].body if getattr(fn, "name", None) == "iterate"]
+    (loop,) = [
+        node
+        for node in ast.walk(fn)
+        if isinstance(node, ast.For) and isinstance(node.target, ast.Name) and node.target.id == "k"
+    ]
+    assert len(_floor_divisions(loop.body)) == 1

@@ -337,7 +337,7 @@ def _iterate_reference(m, x0, cap=10**4, escape_bound=None, *, trap_region=None,
     x0 = F2(x0)
     step_pq = m.step_pq
     p, q = x0.numerator, x0.denominator
-    step_pq(p, q)
+    step_pq(p, q, p // q)
     orbit = [(p, q)]
     seen = {(p, q): 0}
 
@@ -355,7 +355,7 @@ def _iterate_reference(m, x0, cap=10**4, escape_bound=None, *, trap_region=None,
     fate = settle(x0)
     if fate is None:
         for k in range(1, cap + 1):
-            p, q, _b = step_pq(p, q)
+            p, q, _b = step_pq(p, q, p // q)
             orbit.append((p, q))
             if (p, q) in seen:
                 fate = Fate(FateKind.ENTERED_CYCLE, period=k - seen[p, q], value=F2(p, q))
@@ -372,7 +372,7 @@ def _iterate_reference(m, x0, cap=10**4, escape_bound=None, *, trap_region=None,
     steps_used = len(orbit) - 1
     if fate.kind in TENDENCIES or fate.kind is FateKind.ENTERED_CYCLE:
         for _ in range(trajectory._TAIL_PAD):
-            p, q, _b = step_pq(p, q)
+            p, q, _b = step_pq(p, q, p // q)
             orbit.append((p, q))
     kept = max(keep, 1)
     iterates = [F2(p, q) for p, q in orbit[:kept]]
@@ -483,11 +483,17 @@ def test_each_step_is_taken_once(name, monkeypatch):
     call.  Basin confirmations replay their block on the real map, outside the count."""
     m, calls = MAPS[name], []
 
-    def counting_step_pq(p, q):
+    def counting_step_pq(p, q, f):
         calls.append((p, q))
-        return m.step_pq(p, q)
+        return m.step_pq(p, q, f)
 
-    counted = SimpleNamespace(name=m.name, params=m.params, branch_rule=m.branch_rule, step_pq=counting_step_pq)
+    counted = SimpleNamespace(
+        name=m.name,
+        params=m.params,
+        branch_rule=m.branch_rule,
+        step_pq=counting_step_pq,
+        even_q_never_recurs=m.even_q_never_recurs,
+    )
     check = trajectory.contraction_check
     monkeypatch.setattr(trajectory, "contraction_check", lambda x0, a, s, k, _m: check(x0, a, s, k, m))
     starts = _seeded_starts(name, 20)
@@ -513,3 +519,48 @@ def test_each_step_is_taken_once(name, monkeypatch):
     assert FateKind.CAP_REACHED in fates and len(fates) > 1
     if name in trajectory._BASINS:  # each window's midpoint settles at once and still pads its tail
         assert settled >= len(trajectory._BASINS[name])
+
+
+# maps whose pieces (a*x + b) / e all have a odd and e even, so that an even denominator never
+# recurs, and maps that break that rule: F and f by e = 1, the identity by e = 1, x + 1/2 by a = 2
+_RULE = {
+    "T": True,
+    "f": False,
+    "g": True,
+    "U": True,
+    "Uflip": True,
+    "F": False,
+    "V": True,
+    "Phi:1,0,1,0,0": False,
+    "Phi:1,1/2,1,-1/2,0": False,
+}
+
+
+def test_even_denominators_never_recur_under_the_rule():
+    """The rule is read off the pieces; under it every step from an even denominator raises the
+    denominator's power of 2, on seeded orbits of U, Uflip and V."""
+    assert {name: map_from_name(name).even_q_never_recurs for name in _RULE} == _RULE
+    for name in ("U", "Uflip", "V"):
+        m = MAPS[name]
+        for x in _seeded_starts(name, 20):
+            p, q = x.numerator, x.denominator
+            for _ in range(60):
+                p2, q2, _b = m.step_pq(p, q, p // q)
+                if not q & 1:
+                    assert (q2 & -q2) > (q & -q), (name, x, p, q)
+                p, q = p2, q2
+
+
+@pytest.mark.parametrize(
+    "name, label", [("Phi:1,0,1,0,0", "entered_cycle:1"), ("Phi:1,1/2,1,-1/2,0", "entered_cycle:2")]
+)
+def test_a_cycle_through_an_even_denominator_is_found(name, label):
+    """Each map breaks one clause of the rule, e = 1 or a = 2, and has a cycle through 1/2, whose
+    denominator is even: iterate indexes its even denominators and finds the cycle where the
+    reference does."""
+    m = map_from_name(name)
+    rep = iterate(m, F2(1, 2))
+    assert rep.fate.label() == label
+    assert (rep.fate.value, rep.steps_used) == (F2(1, 2), rep.fate.period)
+    for x in (F2(1, 2), F2(3, 2), F2(5, 4)):
+        assert iterate(m, x, cap=50) == _iterate_reference(m, x, cap=50), x
