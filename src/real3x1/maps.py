@@ -27,7 +27,7 @@ and every Phi map of their shape (floor parity, an integer tau, an integer
 minimum or none, pieces (a*x + b) / e with a in {1, 3} and e a power of two)
 get the shaped form: no division of its own and no gcd.  Every other map (T,
 f, g, a fractional tau or minimum, any other piece) gets the generic form,
-with a general floor for a fractional tau and two gcd calls.
+with a general floor and two gcd calls.
 
 MapSpec.even_q_never_recurs, also read off the pieces, says whether a pair
 with an even denominator can ever come back in an orbit; trajectory indexes
@@ -111,9 +111,9 @@ class MapSpec(_MapFields):
         num | e*q, where num = a*p + b*q.  A zero image needs no case of its
         own: a*p = -b*q with gcd(p, q) = 1 makes q divide a, so once the 3 is
         out the denominator is e, whose 2-part leaves (0, 1).  Every other
-        map gets the generic step, whose floor of x + tau is f + tau for an
-        integer tau and (p*td + tn*q) // (q*td) for tau = tn/td otherwise, and
-        whose common factor takes two gcd calls.
+        map gets the generic step, which does not read f: its floor of
+        x + tau, for tau = tn/td, is (p*td + tn*q) // (q*td), and its common
+        factor takes two gcd calls.
         """
         return _shaped_step_pq(self) or _generic_step_pq(self)
 
@@ -169,7 +169,7 @@ def _shaped_step_pq(m: MapSpec) -> Callable[[int, int, int], tuple[int, int, int
 
 
 def _generic_step_pq(m: MapSpec) -> Callable[[int, int, int], tuple[int, int, int]]:
-    """m's step for any map: a general floor for a fractional tau and two gcd calls (see MapSpec.step_pq)."""
+    """m's step for any map: one general floor and two gcd calls (see MapSpec.step_pq)."""
     pieces = _pieces(m.params)
     tn, td = m.params.tau.numerator, m.params.tau.denominator
     floor_rule = m.branch_rule is BranchRule.FLOOR_PARITY
@@ -177,19 +177,14 @@ def _generic_step_pq(m: MapSpec) -> Callable[[int, int, int], tuple[int, int, in
     mn, md = (None, None) if lo is None else (lo.numerator, lo.denominator)
     name, integral = m.name, m.integral
 
-    def step_pq(p: int, q: int, f: int) -> tuple[int, int, int]:
+    def step_pq(p: int, q: int, _f: int) -> tuple[int, int, int]:
         if integral and q != 1:
             raise DomainError(f"{name} is defined on integers only, got {Fraction(p, q)}")
         if not floor_rule and not q & 1:
             raise DomainError(f"{name} needs an odd reduced denominator, got {Fraction(p, q)}")
         if mn is not None and p * md < mn * q:
             raise DomainError(f"{name} is defined for x >= {lo}, got {Fraction(p, q)}")
-        if not floor_rule:
-            bit = p & 1
-        elif td == 1:
-            bit = (f + tn) & 1
-        else:
-            bit = ((p * td + tn * q) // (q * td)) & 1
+        bit = ((p * td + tn * q) // (q * td)) & 1 if floor_rule else p & 1
         a, b, e = pieces[bit]
         num = a * p + b * q
         g = gcd(num, e * gcd(a, q))
