@@ -211,17 +211,16 @@ def _sweep_chunk(task) -> tuple[list[str], dict, list, int]:
     rotations, in lane groups of one (l, n) (a group with d < 0 runs no
     realization scan), and the chunk adds each group's totals; the rows of a
     realized class list its rotations, which may lie in other ranges, so
-    cmd_cycles puts the rows back in order.  The necklaces closed are the
-    range's share of the necklaces of length l, whose sum cmd_cycles checks
-    against Moreau's count; record mode meets a class in more than one range,
-    so it reports 0.  With lines, _record_classes writes them.
+    cmd_cycles puts the rows back in order.  With lines, _record_classes
+    writes them.  Either way a necklace is closed by the one range that holds
+    its least rotation, so the necklaces closed are the range's share of the
+    necklaces of length l, whose sum cmd_cycles checks against Moreau's count.
     """
     l, lo, hi, emit_lines, with_verdict = task
-    counts, realized, mask = {}, [], (1 << l) - 1
+    counts, realized, mask, closed = {}, [], (1 << l) - 1, 0
     if not emit_lines:
         from .cycles import necklace_totals
 
-        closed = 0
         for n, group_size, group_counts, rows in necklace_totals(l, lo, hi):
             closed += group_size
             for cls, k in group_counts.items():
@@ -230,20 +229,23 @@ def _sweep_chunk(task) -> tuple[list[str], dict, list, int]:
                 realized += [(l, (rank << k | rank >> l - k) & mask, integer, on_U, on_Uflip) for k in range(period)]
         return [], counts, realized, closed
     lines = [None] * (hi - lo)
-    for rec, written in _record_classes(l, lo, lines, realized, with_verdict):
+    for rec, written, owned in _record_classes(l, lo, lines, realized, with_verdict):
         key = (l, rec.s.n, rec.cls.value)
         counts[key] = counts.get(key, 0) + written
-    return lines, counts, realized, 0
+        closed += owned
+    return lines, counts, realized, closed
 
 
 def _record_classes(l, lo, lines, realized, with_verdict):
-    """Write the record lines of ranks lo.. into lines, and yield (record, lines written) per class.
+    """Write the record lines of ranks lo.. into lines, and yield (record, lines written, owned) per class.
 
     The block's first rank r of each class is closed by candidate (and traced)
     once.  Each rotation of r in the block, r turned left by k, gets r's cycle
     seen from x_k: its checks, rotation 0's included, from one rotation_checks
     scan, its line from one template of the class's fields, and its realized
-    row.  A ledger and scan that disagree raise StructureError.
+    row.  A ledger and scan that disagree raise StructureError.  The block
+    owns the class when no rotation lies below it: only the block of its least
+    rotation does.
     """
     from .cycles import BitSeq, candidate, rotation_checks
 
@@ -271,7 +273,7 @@ def _record_classes(l, lo, lines, realized, with_verdict):
             raise StructureError(f"the ledger of {r:{spec}} says {verdict.label()}, its parity scan {scan}")
         g = gcd(nums[0], D)  # the whole cycle's: D is odd, and prime to 3 when the cycle triples
         den = "" if g == D else f"/{D // g}"
-        x, k, written = r, 0, 0
+        x, k, written, owned = r, 0, 0, True
         while True:
             if lo <= x < hi:
                 on_U, misalign_U, on_Uflip, misalign_Uflip, step = checks[k]
@@ -288,10 +290,12 @@ def _record_classes(l, lo, lines, realized, with_verdict):
                 if on_U or on_Uflip:
                     realized.append((l, x, g == D, on_U, on_Uflip))
                 written += 1
+            elif x < lo:
+                owned = False
             x, k = ((x << 1) & mask) | (x >> top), k + 1  # r turned left by k
             if x == r:
                 break
-        yield rec, written
+        yield rec, written, owned
 
 
 def _pool_size(workers: int, work: int, chunks: int) -> int:
@@ -363,13 +367,11 @@ def cmd_cycles(args, out) -> int:
                     f"sweep counted {by_length.get((l, n), 0)} records with l = {l}, n = {n}, "
                     f"expected {comb(l, n)}"
                 )
-    if args.summary_only:  # record mode meets a class in more than one chunk
-        for l in lengths:
-            # Moreau's count of necklaces of l bits, (1/l) sum over e | l of phi(e) 2^(l/e),
-            # is (1/l) sum over k < l of 2^gcd(k, l): the rotation by k fixes 2^gcd(k, l) words
-            moreau = sum(1 << gcd(k, l) for k in range(l)) // l
-            if closed[l] != moreau:
-                raise StructureError(f"sweep closed {closed[l]} necklaces with l = {l}, expected {moreau}")
+        # Moreau's count of necklaces of l bits, (1/l) sum over e | l of phi(e) 2^(l/e),
+        # is (1/l) sum over k < l of 2^gcd(k, l): the rotation by k fixes 2^gcd(k, l) words
+        moreau = sum(1 << gcd(k, l) for k in range(l)) // l
+        if closed[l] != moreau:
+            raise StructureError(f"sweep closed {closed[l]} necklaces with l = {l}, expected {moreau}")
     realized.sort()  # by (l, rank), which no two rows share
     realized = [(format(rank, f"0{l}b"), integer, on_U, on_Uflip) for l, rank, integer, on_U, on_Uflip in realized]
     non_integer = [bits for bits, integer, on_U, _ in realized if on_U and not integer]
@@ -455,7 +457,9 @@ def _classify(conj: _Conjecture, m, rep) -> tuple[str, str | None]:
         values = _cycle_values(m, fate.value, fate.period)
         if values != set(map(Fraction, _TRIVIAL_CYCLES.get(conj.map, ()))):
             shown = ", ".join(format_rational(v) for v in sorted(values))
-            return "counterexample", f"entered a cycle outside the trivial one: {shown}"
+            # the cycle theorems rule out U's and Uflip's, not F's: a nontrivial F-cycle is a Q2 flag
+            cls = "flagged" if conj.map == "F" else "counterexample"
+            return cls, f"entered a cycle outside the trivial one: {shown}"
     elif kind is FateKind.ENTERED_REGION:
         return "supports", None
     elif kind is FateKind.ESCAPED_BOUND:
@@ -539,10 +543,6 @@ def cmd_conjecture(args, out) -> int:
         label = rep.fate.label()
         tally[label] = tally.get(label, 0) + 1
         cls, note = _classify(conj, m, rep)
-        if cls == "counterexample" and name == "Q2":
-            # an exact nontrivial F-cycle is not ruled out by the theorems; it is
-            # loud Q2 evidence rather than a contract violation, hence a flag
-            cls = "flagged"
         classes[cls] += 1
         if cls == "counterexample" or cls == "flagged" and classes[cls] <= args.flag_limit:
             line = {
@@ -598,7 +598,7 @@ def cmd_trace(args, out) -> int:
     except ValueError as exc:
         raise ValueError(f"--bits: {exc}") from exc
     line = [None]
-    ((rec, _),) = _record_classes(s.l, s.rank, line, [], False)
+    ((rec, _, _),) = _record_classes(s.l, s.rank, line, [], False)
     obj = json.loads(line[0])  # the record fields as cycles prints them; the ledgers join them
     if rec.d > 0:
         for suffix, flipped in (("", False), ("_flipped", True)):

@@ -52,7 +52,6 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, islice
-from math import floor
 from typing import NamedTuple
 
 from .errors import PreconditionError, StructureError
@@ -141,32 +140,32 @@ def iterate(
     orbit as entered_region.  escape_bound triggers on |x| > bound.  Reduced
     denominators beyond den_bit_cap bits resolve as a size-capped cap fate.
     A resolved tendency or cycle appends _TAIL_PAD extra steps of parity bits
-    so that the periodic tail is visible in the report itself.
+    so that the periodic tail is visible in the report itself.  Each bound is
+    held once, as its integer numerator and denominator, and floored as n // d.
     """
     x0 = Fraction(x0)
     step_pq = m.step_pq
     p, q = x0.numerator, x0.denominator
     f = p // q
     s = step_pq(p, q, f)  # the step from x0, taken first: a start outside m's domain fails at once
-    basins = _BASINS.get(m.name, ())
     windows = [
         (w_lo.numerator, w_lo.denominator, w_hi.numerator, w_hi.denominator, anchor, kind)
-        for w_lo, w_hi, anchor, kind in basins
+        for w_lo, w_hi, anchor, kind in _BASINS.get(m.name, ())
     ]
-    spans = [(w_lo, w_hi) for w_lo, w_hi, _anchor, _kind in basins]
-    if trap_region is not None:
-        lo, hi = trap_region
-        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        spans.append(trap_region)
     # The hull gate: floor(x) lies in [h_lo, h_hi] whenever x lies in the trap
     # or in a window, and outside (e_lo, e_hi) whenever |x| > escape_bound.
     # settle finds no fate anywhere else, so the loop calls it only there.
-    h_lo = min((floor(s_lo) for s_lo, _s_hi in spans), default=1)
-    h_hi = max((floor(s_hi) for _s_lo, s_hi in spans), default=0)  # 1 > 0: no hull
+    floors = [(w_ln // w_ld, w_hn // w_hd) for w_ln, w_ld, w_hn, w_hd, _anchor, _kind in windows]
+    if trap_region is not None:
+        lo, hi = trap_region
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        floors.append((ln // ld, hn // hd))
+    h_lo = min((f_lo for f_lo, _f_hi in floors), default=1)
+    h_hi = max((f_hi for _f_lo, f_hi in floors), default=0)  # 1 > 0: no hull
     e_hi = None
     if escape_bound is not None:
         en, ed = escape_bound.numerator, escape_bound.denominator
-        e_hi = floor(escape_bound)
+        e_hi = en // ed
         e_lo = -e_hi
     den_shift = max(den_bit_cap, 0)  # q >> den_shift is nonzero iff q has more than den_bit_cap bits
 

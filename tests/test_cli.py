@@ -206,19 +206,23 @@ def test_rotated_lines_equal_direct_evaluation(l):
 
     A block smaller than the length often meets a class first at a rank that
     is not its least rotation; blocks of 1, 4 and 16 ranks are checked up to
-    l = 10.
+    l = 10, and their necklace counts add up to the length's, as only the
+    block of a class's least rotation owns it.
     """
     total = 1 << l
     recs = [evaluate(BitSeq.from_rank(l, rank)) for rank in range(total)]
+    words = [f"{rank:0{l}b}" for rank in range(total)]
+    necklaces = len({min(w[k:] + w[:k] for k in range(l)) for w in words})
     for with_verdict in (False, True):
         expected = [cli._dumps(direct_record(r, with_verdict)) for r in recs]
         for size in [1, 4, 16] if l <= 10 else []:
-            blocks = [(l, lo, min(lo + size, total), True, with_verdict) for lo in range(0, total, size)]
-            assert "".join(line for b in blocks for line in cli._sweep_chunk(b)[0]).splitlines() == expected
+            blocks = [cli._sweep_chunk((l, lo, min(lo + size, total), True, with_verdict)) for lo in range(0, total, size)]
+            assert "".join(line for b in blocks for line in b[0]).splitlines() == expected
+            assert sum(b[3] for b in blocks) == necklaces
         lines, counts, realized, closed = cli._sweep_chunk((l, 0, total, True, with_verdict))
         assert "".join(lines).splitlines() == expected
     assert sum(counts.values()) == len(recs)
-    assert closed == 0  # record mode reports no necklace count
+    assert closed == necklaces  # the whole-length chunk owns every class
     assert sorted(realized) == [  # cmd_cycles orders the rows by (l, rank)
         (l, r.s.rank, r.x0.denominator == 1, r.realized_U, r.realized_Uflip)
         for r in recs
@@ -525,6 +529,30 @@ def test_split_necklace_is_an_internal_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "cycles", "--lmax", "5", "--summary-only")
     assert (code, out) == (5, "")
     assert err == "real3x1: internal error: sweep closed 7 necklaces with l = 4, expected 6\n"
+
+
+@pytest.mark.parametrize("chunk_ranks", [None, 16])
+def test_record_sweep_checks_the_necklace_count(capsys, monkeypatch, chunk_ranks):
+    """A record sweep whose chunks report 0011 as owned twice, the second report writing no line,
+    adds up every record count but closes 7 necklaces of length 4: it exits 5 as a summary does.
+    With 16-rank chunks the classes of length 5 are met by two chunks and owned by one."""
+    if chunk_ranks is not None:
+        monkeypatch.setattr(cli, "_CHUNK_RANKS", chunk_ranks)
+    code, records, _ = run_cli(capsys, "cycles", "--lmax", "5")
+    assert code == 0
+    record_classes = cli._record_classes
+
+    def owned_twice(l, lo, lines, realized, with_verdict):
+        for rec, written, owned in record_classes(l, lo, lines, realized, with_verdict):
+            yield rec, written, owned
+            if str(rec.s) == "0011":
+                yield rec, 0, True
+
+    monkeypatch.setattr(cli, "_record_classes", owned_twice)
+    code, out, err = run_cli(capsys, "cycles", "--lmax", "5")
+    assert code == 5
+    assert err == "real3x1: internal error: sweep closed 7 necklaces with l = 4, expected 6\n"
+    assert out == records[: records.rindex('{"class_counts"')]  # every record line once, and no summary
 
 
 def test_ledger_and_parity_scan_must_agree(capsys, monkeypatch):

@@ -383,3 +383,39 @@ def test_one_floor_per_visited_pair():
         if isinstance(node, ast.For) and isinstance(node.target, ast.Name) and node.target.id == "k"
     ]
     assert len(_floor_divisions(loop.body)) == 1
+
+
+def test_cmd_conjecture_takes_each_class_from_classify():
+    """_classify alone classes a sample: in cli.cmd_conjecture every binding of cls is the
+    unpacking of a _classify(...) call, so no class is changed after _classify returns it."""
+    cli = dict(_modules())["cli.py"]
+    (fn,) = [fn for fn in cli.body if isinstance(fn, ast.FunctionDef) and fn.name == "cmd_conjecture"]
+    from_classify = {
+        id(name)
+        for stmt in ast.walk(fn)
+        if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call)
+        and getattr(stmt.value.func, "id", None) == "_classify"
+        for target in stmt.targets
+        for name in ast.walk(target)
+    }
+    others = [
+        f"cmd_conjecture:{node.lineno}"
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id == "cls" and isinstance(node.ctx, ast.Store)
+        and id(node) not in from_classify
+    ]
+    assert from_classify and others == []
+
+
+def test_iterate_floors_its_bounds_as_integers():
+    """trajectory.iterate takes every hull and escape floor as an integer n // d of the bounds it
+    holds: trajectory.py imports nothing from math and calls no floor(...)."""
+    trajectory = dict(_modules())["trajectory.py"]
+    refs = [
+        f"trajectory.py:{node.lineno}"
+        for node in ast.walk(trajectory)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "math" in [node.module] + [alias.name for alias in getattr(node, "names", [])]
+        or isinstance(node, ast.Call) and "floor" in _names(node.func)
+    ]
+    assert refs == []
