@@ -32,6 +32,17 @@ with a general floor and two gcd calls.
 MapSpec.even_q_never_recurs, also read off the pieces, says whether a pair
 with an even denominator can ever come back in an orbit; trajectory indexes
 such pairs only when it can.
+
+MapSpec.block_pq takes BLOCK_STEPS = 4 steps at once from a reduced pair with
+an even denominator, for U, Uflip, V and every Phi map of their shape (floor
+parity, an integer tau, an integer minimum or none, every piece (a*x + b) / 2
+with a in {1, 3} and b in {0, 1}).  It rests on a cell argument, as R. Terras
+showed for 3x+1 on the integers: the branches of the four steps depend only
+on floor(27x) mod 432.  Shifting x by 16 moves each of the next three
+iterates by an even integer, so their floor parities repeat with period 16,
+and every branch point of those iterates is a multiple of 1/27.  So each of
+the 432 cells of a 16-long period holds one composed map x -> (A*x + C) / 16
+and three floor parities, and a block is one lookup and one affine map.
 """
 
 from __future__ import annotations
@@ -76,6 +87,9 @@ class _MapFields(NamedTuple):
     branch_rule: BranchRule
     domain_min: Fraction | None = None
     integral: bool = False  # domain restricted to integers
+
+
+BLOCK_STEPS = 4  # the steps one MapSpec.block_pq call takes
 
 
 class MapSpec(_MapFields):
@@ -130,19 +144,99 @@ class MapSpec(_MapFields):
         """
         return all(a & 1 and not e & 1 for a, _b, e in _pieces(self.params))
 
+    @cached_property
+    def block_pq(self) -> Callable[[int, int], tuple[int, int, tuple[int, ...]]] | None:
+        """BLOCK_STEPS = 4 steps at once: a reduced (p, q) with q even goes to (p', q', parities).
+
+        The result is that of four step_pq calls from x = p/q: the pair of
+        x_4, and floor(x_i) mod 2 for x_1, x_2, x_3.  It exists for a
+        floor-parity map that is not integral, with an integer tau, an integer
+        minimum or none, and pieces (a*x + b) / 2 with a in {1, 3} and b in
+        {0, 1}; every other map gets None.
+        The cell argument: x_i = (A_i*x + C_i) / 2^i with A_i a power of 3
+        that divides 27, so for i <= 3 floor(x_i) steps only at multiples of
+        1/27, and x + 16 moves x_i by A_i * 2^(4 - i), an even integer.  So
+        the branch of each of the four steps, and the three parities, depend
+        only on the cell floor(27x) mod 432.  A cell holds A = 3^s, C and the
+        parities, so that x_4 = (A*x + C) / 16; it is filled from its left
+        end, cell / 27, the first time an orbit reaches it.  The image
+        (A*p + C*q) / (16*q) needs no general gcd: p is odd since q is even,
+        so A*p + C*q is odd, and its common factor with 16*q is gcd(A, q),
+        which is 1 unless 3 | q.
+        The domain bound: every piece maps x >= 0 to at least x / 2, so from
+        x >= 8 * max(mn, 0), for a minimum mn, every x_i >= x / 8 >= mn.  A
+        pair below that bound takes its four steps one at a time, so that a
+        step below mn raises its DomainError as step_pq does.
+        """
+        return _block_pq(self)
+
+
+def _floor_shaped(m: MapSpec, piece_ok: Callable[[int, int, int], bool]) -> bool:
+    """Whether m branches on the parity of floor(x) + tau, on all rationals from an integer minimum
+    or none, with tau an integer and every piece (a, b, e) of _pieces passing piece_ok."""
+    lo = m.domain_min
+    return (
+        m.branch_rule is BranchRule.FLOOR_PARITY
+        and m.params.tau.denominator == 1
+        and not m.integral
+        and (lo is None or lo.denominator == 1)
+        and all(piece_ok(*piece) for piece in _pieces(m.params))
+    )
+
+
+def _block_pq(m: MapSpec) -> Callable[[int, int], tuple[int, int, tuple[int, ...]]] | None:
+    """m's block step (see MapSpec.block_pq), or None when m lacks the shape."""
+    if not _floor_shaped(m, lambda a, b, e: a in (1, 3) and b in (0, 1) and e == 2):
+        return None
+    pieces, t, step_pq = _pieces(m.params), m.params.tau.numerator, m.step_pq
+    steps = BLOCK_STEPS
+    n = steps - 1
+    scale = 3**n  # each branch point of x_1 .. x_n is a multiple of 1/scale
+    cells = scale << steps  # x + 2^steps moves x_1 .. x_n by even integers
+    # the domain bound: floor(scale * x) >= c_lo iff x >= 2^n * max(mn, 0)
+    c_lo = None if m.domain_min is None else scale * max(m.domain_min.numerator, 0) << n
+    table: list[tuple[int, int, tuple[int, ...]] | None] = [None] * cells
+
+    def fill(cell: int) -> tuple[int, int, tuple[int, ...]]:
+        big_a, big_c, parities = 1, 0, []
+        num, den = cell, scale  # x_i = num / den, from x = cell / scale, the cell's left end
+        for i in range(steps):
+            f = num // den
+            if i:
+                parities.append(f & 1)
+            a, b, _e = pieces[(f + t) & 1]
+            num, den = a * num + b * den, den << 1
+            big_a, big_c = a * big_a, a * big_c + (b << i)  # x_(i+1) = (big_a*x + big_c) / 2^(i+1)
+        return big_a, big_c, tuple(parities)
+
+    def block_pq(p: int, q: int) -> tuple[int, int, tuple[int, ...]]:
+        c = scale * p // q
+        if c_lo is not None and c < c_lo:  # an x_i may lie below mn: step as step_pq does
+            f, parities = p // q, ()
+            for _ in range(steps):
+                p, q, _b = step_pq(p, q, f)
+                f = p // q
+                parities += (f & 1,)
+            return p, q, parities[:-1]
+        c %= cells
+        cell = table[c]
+        if cell is None:
+            cell = table[c] = fill(c)
+        a, b, parities = cell
+        if a > 1 and not q % 3:
+            g = gcd(a, q)
+            return (a * p + b * q) // g, (q << steps) // g, parities
+        return a * p + b * q, q << steps, parities
+
+    return block_pq
+
 
 def _shaped_step_pq(m: MapSpec) -> Callable[[int, int, int], tuple[int, int, int]] | None:
     """m's step in the shaped form (see MapSpec.step_pq), or None when m lacks the shape."""
+    if not _floor_shaped(m, lambda a, _b, e: a in (1, 3) and not e & (e - 1)):
+        return None
     pieces = _pieces(m.params)
     tau, lo = m.params.tau, m.domain_min
-    if not (
-        m.branch_rule is BranchRule.FLOOR_PARITY
-        and tau.denominator == 1
-        and not m.integral
-        and (lo is None or lo.denominator == 1)
-        and all(a in (1, 3) and not e & (e - 1) for a, _b, e in pieces)
-    ):
-        return None
     name, mn = m.name, None if lo is None else lo.numerator
     by_floor = []  # per floor parity: (a, b, k) with e = 2^k, whether a = 3, and the bit
     for parity in (0, 1):

@@ -40,9 +40,33 @@ division.  The repetition check's dict holds a visited pair only while a
 repeat is still possible: for a map whose even_q_never_recurs holds, no pair
 with an even denominator is ever visited twice, so only odd denominators
 are indexed, and the dict of a U, Uflip or V orbit stops growing at its
-first even denominator.  So iterate reads nothing of a map but its name,
-step_pq and even_q_never_recurs.  Its iterates are read off a head list of
-the first keep visited pairs and off the tail pad.  contraction_check
+first even denominator.
+
+Where a map has MapSpec.block_pq (U, Uflip, V and Phi maps of their shape),
+iterate takes BLOCK_STEPS = 4 steps in one call whenever no test can fire on
+the three pairs the block skips; the fourth pair then takes every test as a
+single step's pair does.  From pair k - 1, with floor f and denominator q,
+the block runs when all of these hold:
+
+  * q is even: block_pq's maps all have even_q_never_recurs, so no pair from
+    here on is indexed;
+  * max(keep, 2) <= k <= cap - 3: no skipped pair is kept, the first step is
+    the one taken before the loop, and the fourth pair is within the cap;
+  * f >= 8 * max(h_hi + 1, 0), for the hull's greatest floor h_hi: each
+    piece maps x >= 0 to at least x / 2, so every skipped pair has a floor
+    above the hull (block_pq itself keeps the domain minimum);
+  * 27 * (f + 2) <= 8 * (e_hi + 1), for the escape floor e_hi: each piece
+    maps x >= 0 to at most (3x + 1) / 2, so x_i + 1 < (3/2)^3 (f + 2) and
+    every skipped pair has a floor below e_hi and above -e_hi;
+  * q.bit_length() + 3 <= den_bit_cap, read as q >> (den_bit_cap - 3) == 0:
+    each step at most doubles the denominator.
+
+So a report is the same with blocks as without.  With the default keep of
+1024 an orbit shorter than that never takes a block; conjecture iterates
+with keep = 1 and takes blocks on most of every U, Uflip and V orbit.  So
+iterate reads nothing of a map but its name, step_pq, even_q_never_recurs
+and block_pq.  Its iterates are read off a head list of the first keep
+visited pairs and off the tail pad.  contraction_check
 replays its block on step_pq pairs as well and checks the identity by
 cross-multiplied integers; Fraction appears only at its interface.
 """
@@ -55,7 +79,7 @@ from itertools import chain, islice
 from typing import NamedTuple
 
 from .errors import PreconditionError, StructureError
-from .maps import MAPS, MapSpec
+from .maps import BLOCK_STEPS, MAPS, MapSpec
 
 
 class FateKind(str, Enum):
@@ -168,9 +192,18 @@ def iterate(
         e_hi = en // ed
         e_lo = -e_hi
     den_shift = max(den_bit_cap, 0)  # q >> den_shift is nonzero iff q has more than den_bit_cap bits
+    kept = max(keep, 1)  # the start is always kept
+    # A block from pair k - 1, with floor f and denominator q, skips pairs k .. k + skip - 1.  It
+    # runs only where none of them can be kept, indexed, gated or size-capped: for k_lo <= k <=
+    # k_hi, f_min <= f <= f_max (no f_max without an escape bound), q even and q >> q_room == 0.
+    block, skip = m.block_pq, BLOCK_STEPS - 1
+    k_lo = max(kept, 2)
+    k_hi = cap - skip if block is not None and den_bit_cap >= skip else 0
+    f_min = max(h_hi + 1, 0) << skip
+    f_max = None if e_hi is None else ((e_hi + 1) << skip) // 3**skip - 2
+    q_room = den_bit_cap - skip
 
     bits = [f & 1]  # floor(x) mod 2 for every visited pair
-    kept = max(keep, 1)  # the start is always kept
     head = [(p, q)]  # the first kept visited pairs, a cycle's closing pair included
     seen = {(p, q): 0}  # each visited pair that may still recur, to its index
     odd_only = m.even_q_never_recurs  # then a pair with an even q is never visited twice
@@ -201,8 +234,15 @@ def iterate(
     fate = settle(p, q)
     period = 0
     if fate is None:
-        for k in range(1, cap + 1):
-            p, q, _b = step_pq(p, q, f) if k > 1 else s  # the first step is s from above
+        k = 0
+        while k < cap:
+            k += 1
+            if k_lo <= k <= k_hi and f_min <= f and not q & 1 and (f_max is None or f <= f_max) and not q >> q_room:
+                p, q, parities = block(p, q)
+                bits += parities
+                k += skip
+            else:
+                p, q, _b = step_pq(p, q, f) if k > 1 else s  # the first step is s from above
             f = p // q
             bits.append(f & 1)
             if k < kept:

@@ -753,6 +753,25 @@ def test_a_growing_orbits_memory_does_not_grow_with_its_steps():
     assert abs(int(short.stderr) - int(long.stderr)) < 8 * 1024  # in KiB
 
 
+def test_a_huge_den_bit_cap_allocates_nothing_of_its_size():
+    """iterate tests a block's denominator room on q itself, never by building 1 << den_bit_cap: a U
+    orbit at keep 1, which takes blocks from its second step, under a cap of 10^12 bits peaks where
+    the same orbit under a 64-bit cap does.  The peak is VmHWM, as above.  The probe's address
+    space is limited to 1 GiB, so a build of that 125 GB number fails at once rather than swamping
+    the machine."""
+    probe = (
+        "import resource, sys, real3x1.cli as cli; "
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); code = cli.main(sys.argv[1:]); "
+        "print(*(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')), file=sys.stderr); "
+        "sys.exit(code)"
+    )
+    argv = ["iterate", "--map", "U", "--start", "1000001/1024", "--cap", "50", "--keep", "1", "--den-bit-cap"]
+    huge, small = (_fresh(probe, *argv, bits) for bits in ("1000000000000", "64"))
+    assert (huge.returncode, small.returncode) == (0, 0)  # each lands in U's basin at step 17
+    assert huge.stdout == small.stdout and '"steps_used": 17' in huge.stdout
+    assert abs(int(huge.stderr) - int(small.stderr)) < 8 * 1024  # in KiB
+
+
 _RUN = "from real3x1.cli import run; run()"  # the entry point that real3x1 and python -m real3x1 call
 
 

@@ -265,6 +265,78 @@ def test_shaped_step_matches_the_generic_step():
     assert zeros == 4
 
 
+def _steps(m, p, q, n):
+    """n step_pq calls from (p, q): the last pair and the floor parities of the n - 1 pairs between,
+    or the DomainError text of the first step that fails."""
+    parities = []
+    try:
+        for _ in range(n):
+            p, q, _b = m.step_pq(p, q, p // q)
+            parities.append((p // q) & 1)
+    except DomainError as exc:
+        return "DomainError", str(exc)
+    return p, q, tuple(parities[:-1])
+
+
+def _blocks(m, p, q):
+    try:
+        return m.block_pq(p, q)
+    except DomainError as exc:
+        return "DomainError", str(exc)
+
+
+_BLOCK_CELLS = 3 ** (maps.BLOCK_STEPS - 1) << maps.BLOCK_STEPS  # 432: the cells of floor(27x) mod 432
+
+
+@pytest.mark.parametrize("name", ["U", "Uflip", "V", "Phi:1/2,0,3/2,1/2,0"])
+def test_a_block_equals_its_steps_in_every_cell(name):
+    """In each of the 432 cells of floor(27x) mod 432, from a seeded point with floor >= 64 and an
+    even denominator >= 2^40, block_pq gives the pair and the three floor parities that four
+    step_pq calls give; the denominators include multiples of 3, where the block's gcd runs."""
+    m, rng = map_from_name(name), random.Random(f"cells-{name}")
+    thirds = 0
+    for cell in range(_BLOCK_CELLS):
+        for _ in range(2):
+            den = (1 << rng.randint(40, 48)) * rng.choice((1, 3, 9, 5)) * (2 * rng.randint(0, 1 << 8) + 1)
+            x = F2(cell + _BLOCK_CELLS * rng.randint(4, 1 << 20), 27) + F2(2 * rng.randint(0, den // 2 - 1) + 1, 27 * den)
+            p, q = x.numerator, x.denominator
+            assert (27 * p // q) % _BLOCK_CELLS == cell and p // q >= 64 and not q & 1 and q >= 1 << 40
+            assert m.block_pq(p, q) == _steps(m, p, q, maps.BLOCK_STEPS), (name, p, q)
+            thirds += not q % 3
+    assert thirds > 0
+
+
+def test_a_block_steps_one_at_a_time_below_eight_times_the_minimum():
+    """Under 8 * max(minimum, 0), where an iterate of the block may leave the domain, block_pq
+    equals four step_pq calls too, DomainError text included: on each side of 800 for the minimum
+    100, under U's pieces with tau 0 and 1, and at x < 0 for Uflip."""
+    rng = random.Random("block-minimum")
+    cases = {
+        "Phi:1/2,0,3/2,1/2,0,100": range(790, 810),
+        "Phi:1/2,0,3/2,1/2,1,100": range(790, 810),
+        "Uflip": range(-3, 3),
+    }
+    raised = 0
+    for name, floors in cases.items():
+        m = map_from_name(name)
+        for f in floors:
+            for frac in (F2(1, 2), F2(1, 6), F2(25, 26), 1 - F2(1, 1 << 40), F2(rng.randint(0, 1 << 30), 1 << 30) + F2(1, 1 << 31)):
+                x = f + frac
+                want = _steps(m, x.numerator, x.denominator, maps.BLOCK_STEPS)
+                assert _blocks(m, x.numerator, x.denominator) == want, (name, x)
+                raised += want[0] == "DomainError"
+    assert raised > 0
+
+
+def test_only_maps_of_the_block_shape_have_a_block():
+    """block_pq exists for floor-parity maps with an integer tau and minimum whose pieces are
+    (a*x + b) / 2, a in {1, 3} and b in {0, 1}: not for the integer maps, g or F, nor for b = 2 or e = 4."""
+    have = ["U", "Uflip", "V", "Phi:1/2,0,3/2,1/2,0", "Phi:1/2,0,3/2,0,1,100", "Phi:1/2,1/2,3/2,0,0,-5"]
+    lack = ["T", "f", "g", "F", "Phi:1/2,1,3/2,1/2,0", "Phi:1/4,0,3/2,1/2,0", "Phi:1/2,0,3/4,1/4,0"]
+    lack += ["Phi:1/2,0,3/2,1/2,1/2", "Phi:1/2,0,3/2,1/2,0,1/2"]
+    assert [name for name in have + lack if map_from_name(name).block_pq is not None] == have
+
+
 def test_affine_offset_frozen():
     assert affine_offset((1,)) == 1
     assert affine_offset((0,)) == 0

@@ -151,7 +151,7 @@ def test_every_helper_has_a_user():
 
 
 def test_orbit_loops_build_no_fraction():
-    """Orbits step on integer pairs: no Fraction(...) or step(...) call in a for loop of
+    """Orbits step on integer pairs: no Fraction(...) or step(...) call in a for or while loop of
     trajectory.iterate, trajectory.contraction_check or cli._cycle_values, so Fraction stays
     at their interface."""
     modules = dict(_modules())
@@ -166,8 +166,8 @@ def test_orbit_loops_build_no_fraction():
         f"{fn.name}:{node.lineno}"
         for fn in fns
         for loop in ast.walk(fn)
-        if isinstance(loop, ast.For)
-        for stmt in loop.body  # what runs per pass; a for-else runs once
+        if isinstance(loop, (ast.For, ast.While))
+        for stmt in loop.body  # what runs per pass; a loop's else runs once
         for node in ast.walk(stmt)
         if isinstance(node, ast.Call)
         and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None))
@@ -178,15 +178,16 @@ def test_orbit_loops_build_no_fraction():
 
 def test_iterate_reads_only_the_maps_name_and_step():
     """trajectory.iterate reads each parity bit off p // q, so of its map m it reads only the name
-    (for the basin table), step_pq and even_q_never_recurs, which tells it whether a pair with an
-    even denominator can recur and so must be indexed: no attribute of m but those three."""
+    (for the basin table), step_pq, even_q_never_recurs, which tells it whether a pair with an
+    even denominator can recur and so must be indexed, and block_pq, which takes several steps
+    at once: no attribute of m but those four."""
     trajectory = dict(_modules())["trajectory.py"]
     (fn,) = [fn for fn in trajectory.body if isinstance(fn, ast.FunctionDef) and fn.name == "iterate"]
     reads = [
         f"iterate:{node.lineno} m.{node.attr}"
         for node in ast.walk(fn)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "m"
-        and node.attr not in ("name", "step_pq", "even_q_never_recurs")
+        and node.attr not in ("name", "step_pq", "even_q_never_recurs", "block_pq")
     ]
     assert reads == []
 
@@ -371,7 +372,8 @@ def _floor_divisions(nodes):
 
 def test_one_floor_per_visited_pair():
     """An orbit floors each pair once and hands that floor to the step: the shaped step_pq closure
-    takes no p // q, and each pass of trajectory.iterate's step loop takes exactly one."""
+    takes no p // q, and each pass of trajectory.iterate's step loop, the while loop over k,
+    takes exactly one, for the pair a step or a block lands on."""
     modules = dict(_modules())
     (shaped,) = [fn for fn in modules["maps.py"].body if getattr(fn, "name", None) == "_shaped_step_pq"]
     (closure,) = [fn for fn in ast.walk(shaped) if isinstance(fn, ast.FunctionDef) and fn.name == "step_pq"]
@@ -380,7 +382,7 @@ def test_one_floor_per_visited_pair():
     (loop,) = [
         node
         for node in ast.walk(fn)
-        if isinstance(node, ast.For) and isinstance(node.target, ast.Name) and node.target.id == "k"
+        if isinstance(node, ast.While) and "k" in [getattr(name, "id", None) for name in ast.walk(node.test)]
     ]
     assert len(_floor_divisions(loop.body)) == 1
 

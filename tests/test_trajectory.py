@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from real3x1 import trajectory
 from real3x1.cli import jsonable
 from real3x1.errors import DomainError, PreconditionError
-from real3x1.maps import MAPS, map_from_name, step
+from real3x1.maps import BLOCK_STEPS, MAPS, map_from_name, step
 from real3x1.rationals import parse_rational
 from real3x1.trajectory import (
     TENDENCIES,
@@ -460,6 +460,89 @@ def test_gated_loop_matches_the_ungated_reference(name):
         assert got == want, (x, kwargs)
 
 
+# maps with a block, and the floors of the block origins tried: U's pieces with tau 0 and 1, V's, no
+# minimum (negative floors too, under a hull below 0), and the minimum 100, whose origins lie by 800
+_BLOCK_ORIGINS = {
+    "U": range(64, 88),
+    "Uflip": range(64, 88),
+    "V": range(64, 88),
+    "Phi:1/2,0,3/2,1/2,0": [*range(-12, 0), *range(64, 76)],
+    "Phi:1/2,0,3/2,1/2,0,100": range(792, 808),
+    "Phi:1/2,0,3/2,1/2,1,100": range(792, 808),
+}
+_BLOCK_FRACTIONS = (F2(1, 1 << 40), F2(1, 6), F2(1, 3), F2(1, 2), F2(5, 6), 1 - F2(1, 1 << 40))
+
+
+def _report_or_error(fn, m, x, kwargs):
+    try:
+        return jsonable(fn(m, x, **kwargs))
+    except DomainError as exc:
+        return "DomainError", str(exc)
+
+
+def _guard_runs(m, y):
+    """Runs that meet each guard of a block from y exactly at the first, second and third pair the
+    block would skip: y is pair 1 of an orbit from a preimage, so at keep = 1 the block from y is the
+    orbit's first.  For the j-th skipped pair z: a trap that holds z and one that ends at z (hull top
+    floor(z)); an escape bound just under z and one equal to z; a den_bit_cap of z's denominator's
+    bits, and one less; a step cap at z; and each preimage's plain run at keep 1, 2 and 3."""
+    par = m.params
+    starts = [
+        x
+        for slope, offset in ((par.alpha, par.beta), (par.gamma, par.delta))
+        for x in [(y - offset) / slope]
+        if _in_domain(m, x) and step(m, x)[0] == y
+    ]
+    skipped, z = [], y
+    for _ in range(BLOCK_STEPS - 1):
+        if not _in_domain(m, z):
+            break
+        z = step(m, z)[0]
+        skipped.append(z)
+    tiny = F2(1, 1 << 80)
+    settings = [{}, {"keep": 2}, {"keep": 3}]
+    for j, z in enumerate(skipped, 1):
+        bits = z.denominator.bit_length()
+        settings += [
+            {"trap_region": (z, z + tiny)},
+            {"trap_region": (F2(math.floor(z)), z)},
+            {"escape_bound": z - tiny},
+            {"escape_bound": z},
+            {"den_bit_cap": bits},
+            {"den_bit_cap": bits - 1},
+            {"cap": 1 + j},
+        ]
+    return [(x, {"cap": 12, "keep": 1, **kwargs}) for x in starts for kwargs in settings]
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_ORIGINS))
+def test_block_guards_match_the_reference_at_their_bounds(name):
+    """Each guard on a block (hull top, domain minimum, escape floor, den_bit_cap, step cap and
+    keep) met exactly at each pair the block skips, on block origins with floors about the
+    guards' bounds: iterate equals the stepwise reference, DomainError text included."""
+    m, blocks = map_from_name(name), []
+
+    def counting_block_pq(p, q):
+        blocks.append((p, q))
+        return m.block_pq(p, q)
+
+    counted = SimpleNamespace(
+        name=m.name,
+        params=m.params,
+        step_pq=m.step_pq,
+        even_q_never_recurs=m.even_q_never_recurs,
+        block_pq=counting_block_pq,
+    )
+    runs = [run for f in _BLOCK_ORIGINS[name] for frac in _BLOCK_FRACTIONS for run in _guard_runs(m, f + frac)]
+    with_blocks = 0
+    for x, kwargs in runs:
+        blocks.clear()
+        got = _report_or_error(iterate, counted, x, kwargs)
+        assert got == _report_or_error(_iterate_reference, m, x, kwargs), (x, kwargs)
+        with_blocks += bool(blocks)
+    assert len(runs) > 1000 and with_blocks > len(runs) // 20
+
+
 def test_gate_boundaries_after_a_step():
     """The trap holds lo, not hi, and |x| equal to the escape bound does not escape,
     also when the orbit reaches them through the gate one step in."""
@@ -478,14 +561,20 @@ def test_gate_boundaries_after_a_step():
 
 @pytest.mark.parametrize("name", ["T", "U", "Uflip", "F", "V"])
 def test_each_step_is_taken_once(name, monkeypatch):
-    """iterate calls step_pq once per step it reports, tail pad included: the step that checks
-    the start's domain is the orbit's first.  A start that settles at once still makes that one
-    call.  Basin confirmations replay their block on the real map, outside the count."""
-    m, calls = MAPS[name], []
+    """iterate takes each step it reports once, tail pad included: a step_pq call counts one step
+    and a block_pq call BLOCK_STEPS.  The step that checks the start's domain is the orbit's first.
+    A start that settles at once still makes that one call.  Basin confirmations replay their
+    block on the real map, outside the count."""
+    m, calls, blocks = MAPS[name], [], []
 
     def counting_step_pq(p, q, f):
         calls.append((p, q))
         return m.step_pq(p, q, f)
+
+    def counting_block_pq(p, q):
+        calls.extend([(p, q)] * BLOCK_STEPS)
+        blocks.append((p, q))
+        return m.block_pq(p, q)
 
     counted = SimpleNamespace(
         name=m.name,
@@ -493,6 +582,7 @@ def test_each_step_is_taken_once(name, monkeypatch):
         branch_rule=m.branch_rule,
         step_pq=counting_step_pq,
         even_q_never_recurs=m.even_q_never_recurs,
+        block_pq=None if m.block_pq is None else counting_block_pq,
     )
     check = trajectory.contraction_check
     monkeypatch.setattr(trajectory, "contraction_check", lambda x0, a, s, k, _m: check(x0, a, s, k, m))
@@ -505,6 +595,8 @@ def test_each_step_is_taken_once(name, monkeypatch):
         {"cap": 300, "escape_bound": F2(1 << 12)},
         {"cap": 300, "trap_region": (F2(1), F2(3))},
         {"den_bit_cap": 16},
+        {"cap": 300, "keep": 1},
+        {"cap": 7, "keep": 2},
     ]
     fates, settled = set(), 0
     for x in starts:
@@ -517,6 +609,7 @@ def test_each_step_is_taken_once(name, monkeypatch):
             fates.add(rep.fate.kind)
             settled += rep.steps_used == 0 and steps > 0
     assert FateKind.CAP_REACHED in fates and len(fates) > 1
+    assert bool(blocks) == (m.block_pq is not None)  # the keep = 1 runs of U, Uflip and V take blocks
     if name in trajectory._BASINS:  # each window's midpoint settles at once and still pads its tail
         assert settled >= len(trajectory._BASINS[name])
 
