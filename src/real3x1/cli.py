@@ -2,19 +2,14 @@
 
 Output is JSONL (one record per line, keys sorted) with a summary object as
 the final line of record streams, or CSV where a flat table is the natural
-shape.  Identical invocations produce byte-identical output, including across
-worker counts: the cycle sweep is partitioned into aligned rank blocks of one
-length each.  Record lines are merged back in rank order.  A summary block is
-the FKM walk of the necklaces that share one prefix; its class counts are
-sums, and its realized rows are sorted by (length, rank) at the end.
+shape.  Identical invocations produce byte-identical output, across worker
+counts too (cycles.sweep_lengths says why).
 
 Start-up only parses and wires: at module level this imports no package
 module but errors and rationals.  Each command imports the modules it runs
-inside its own function: cycles for a sweep (and remainders with
---with-verdict), cycles and remainders for trace, remainders for rmap-scan,
-maps and trajectory for iterate, and those two and sampling for conjecture.
-The others stay unrun (the package registers them lazily).  So a test that
-replaces one of their functions patches it on its own module.
+inside its own function, and the others stay unrun (the package registers
+them lazily).  So a test that replaces one of their functions patches it on
+its own module.
 
 Exit codes: 0 resolved/completed, 1 usage or domain error, 2 a trajectory hit
 an iteration or size cap, 3 counterexample found (a realized cycle that the
@@ -31,7 +26,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import comb, gcd
 from typing import NamedTuple
 
 from .errors import StructureError
@@ -51,6 +45,7 @@ _MAX_MODULUS = 1_000_000  # rmap-scan --d and the top of --d-range; one scan's m
 _MAX_MODULI = 10_000_000  # the summed moduli of one --d-range, about 20 s at 2 us per unit of d
 _MAX_SAMPLES = 1_000_000  # conjecture --samples; each start is drawn as its orbit runs, so this bounds time
 _MAX_BITS = 1 << 16  # conjecture --den-bits and --value-bits; iterate's den_bit_cap size-caps a larger denominator
+_MAX_PATTERN = 4096  # trace --bits; a ledger grows as l^2: at 4096, up to 1 s, 74 MB RSS and 24 MB of output
 
 
 _dumps = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True), built once
@@ -113,6 +108,13 @@ def _positive_rational(text: str) -> str:
     return text
 
 
+def _pattern(text: str) -> str:
+    """An argparse type for trace --bits of at most _MAX_PATTERN characters; the command checks the bits."""
+    if len(text) > _MAX_PATTERN:
+        raise argparse.ArgumentTypeError(f"must be at most {_MAX_PATTERN} bits long, got {len(text)}")
+    return text
+
+
 def _parse_range(text: str, flag: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
@@ -171,18 +173,8 @@ def cmd_iterate(args, out) -> int:
         raise ValueError("no start values given")
     escape = None if args.escape is None else parse_rational(args.escape)
     region = None if args.trap_region is None else _parse_interval(args.trap_region)
-    reports = [
-        iterate(
-            m,
-            x,
-            cap=args.cap,
-            escape_bound=escape,
-            trap_region=region,
-            den_bit_cap=args.den_bit_cap,
-            keep=args.keep,
-        )
-        for x in starts
-    ]
+    bounds = dict(cap=args.cap, escape_bound=escape, trap_region=region, den_bit_cap=args.den_bit_cap, keep=args.keep)
+    reports = [iterate(m, x, **bounds) for x in starts]
     if args.format == "csv":
         rows = (f"{format_rational(rep.start)},{rep.fate.label()},{rep.steps_used}\n" for rep in reports)
         out.write("start,fate,steps\n" + "".join(rows))  # no field holds a comma, a quote or a newline
@@ -194,201 +186,28 @@ def cmd_iterate(args, out) -> int:
 
 # ----------------------------------------------------------------- cycles
 
-_CHUNK_RANKS = 1 << 14
-# A sweep forks a pool only from this much work, counted in summary ranks, a
-# record rank weighing 1 << 5 of them.  A pool costs about 40 ms to start; on
-# 2 cores it breaks even with one process near 2^20 summary ranks (lmax 19)
-# and 2^15 record ranks (lmax 14), and wins above.
-_POOL_MIN_RANKS = 1 << 20
-
-
-def _sweep_chunk(task) -> tuple[list[str], dict, list, int]:
-    """Record lines, record counts by (l, n, class), realized rows and necklaces closed for one rank range.
-
-    A realized row is (l, rank, x_0 is an integer, realized_U,
-    realized_Uflip).  Without lines, necklace_totals closes the necklaces of
-    the range, each through its least rotation and counting for all its
-    rotations, in lane groups of one (l, n) (a group with d < 0 runs no
-    realization scan), and the chunk adds each group's totals; the rows of a
-    realized class list its rotations, which may lie in other ranges, so
-    cmd_cycles puts the rows back in order.  With lines, _record_classes
-    writes them.  Either way a necklace is closed by the one range that holds
-    its least rotation, so the necklaces closed are the range's share of the
-    necklaces of length l, whose sum cmd_cycles checks against Moreau's count.
-    """
-    l, lo, hi, emit_lines, with_verdict = task
-    counts, realized, mask, closed = {}, [], (1 << l) - 1, 0
-    if not emit_lines:
-        from .cycles import necklace_totals
-
-        for n, group_size, group_counts, rows in necklace_totals(l, lo, hi):
-            closed += group_size
-            for cls, k in group_counts.items():
-                counts[l, n, cls] = counts.get((l, n, cls), 0) + k
-            for rank, period, integer, on_U, on_Uflip in rows:  # rank turned left by k
-                realized += [(l, (rank << k | rank >> l - k) & mask, integer, on_U, on_Uflip) for k in range(period)]
-        return [], counts, realized, closed
-    lines = [None] * (hi - lo)
-    for rec, written, owned in _record_classes(l, lo, lines, realized, with_verdict):
-        key = (l, rec.s.n, rec.cls.value)
-        counts[key] = counts.get(key, 0) + written
-        closed += owned
-    return lines, counts, realized, closed
-
-
-def _record_classes(l, lo, lines, realized, with_verdict):
-    """Write the record lines of ranks lo.. into lines, and yield (record, lines written, owned) per class.
-
-    The block's first rank r of each class is closed by candidate (and traced)
-    once.  Each rotation of r in the block, r turned left by k, gets r's cycle
-    seen from x_k: its checks, rotation 0's included, from one rotation_checks
-    scan, its line from one template of the class's fields, and its realized
-    row.  A ledger and scan that disagree raise StructureError.  The block
-    owns the class when no rotation lies below it: only the block of its least
-    rotation does.
-    """
-    from .cycles import BitSeq, candidate, rotation_checks
-
-    if with_verdict:
-        from .remainders import VerdictKind, trace
-
-    hi, top, mask, spec = lo + len(lines), l - 1, (1 << l) - 1, f"0{l}b"
-    for r in range(lo, hi):
-        if lines[r - lo] is not None:  # a filled slot marks its class as walked
-            continue
-        rec = candidate(BitSeq.from_rank(l, r))
-        d, nums, cls = rec.d, rec.numerators, rec.cls.value
-        D, sign = abs(d), 1 if d > 0 else -1
-        verdict = trace(d, nums).verdict if with_verdict and d > 0 else None
-        misaligned = verdict is not None and verdict.kind is VerdictKind.MISALIGNED_AT
-        # a line is _dumps of its record: keys sorted, and no value needs escaping;
-        # head and tail hold the fields that every rotation of the class shares
-        head = f'", "class": "{cls}", "d": "{d}", "l": {l}, "misalign_U": '
-        tail = ""
-        if with_verdict:
-            tail = ', "verdict": null' if verdict is None else f', "verdict": "{verdict.label()}"'
-        checks = rotation_checks(d, nums)
-        scan = checks[0][4]  # U's first misaligned step from r, as the ledger's verdict names it
-        if verdict is not None and scan != verdict.index:
-            raise StructureError(f"the ledger of {r:{spec}} says {verdict.label()}, its parity scan {scan}")
-        g = gcd(nums[0], D)  # the whole cycle's: D is odd, and prime to 3 when the cycle triples
-        den = "" if g == D else f"/{D // g}"
-        x, k, written, owned = r, 0, 0, True
-        while True:
-            if lo <= x < hi:
-                on_U, misalign_U, on_Uflip, misalign_Uflip, step = checks[k]
-                if misaligned:  # a misaligned step is counted from x_k
-                    tail = f', "verdict": "misaligned_at:{step}"'
-                a = nums[k]
-                lines[x - lo] = (
-                    f'{{"bits": "{x:{spec}}{head}{"null" if misalign_U is None else misalign_U}, '
-                    f'"misalign_Uflip": {"null" if misalign_Uflip is None else misalign_Uflip}, '
-                    f'"phi": "{a * sign}", "rank": {x}, "realized_U": {"true" if on_U else "false"}, '
-                    f'"realized_Uflip": {"true" if on_Uflip else "false"}{tail}, '
-                    f'"x0": "{a // g}{den}"}}\n'
-                )
-                if on_U or on_Uflip:
-                    realized.append((l, x, g == D, on_U, on_Uflip))
-                written += 1
-            elif x < lo:
-                owned = False
-            x, k = ((x << 1) & mask) | (x >> top), k + 1  # r turned left by k
-            if x == r:
-                break
-        yield rec, written, owned
-
-
-def _pool_size(workers: int, work: int, chunks: int) -> int:
-    """Processes to start, 1 for no pool: a sweep below _POOL_MIN_RANKS of work runs in process.
-
-    The work is counted in summary ranks, a record rank weighing 1 << 5 of
-    them.  A pool forks all its processes up front, so it is capped by cores
-    and chunks.
-    """
-    if work < _POOL_MIN_RANKS:
-        return 1
-    return min(workers, os.cpu_count() or 1, chunks)
-
 
 def cmd_cycles(args, out) -> int:
+    from .cycles import sweep_lengths
+
     if args.lmin > args.lmax:  # argparse bounds each; their order is checked here
         raise ValueError(f"--lmin must be in 1..lmax, got {args.lmin}")
-    lengths, emit_lines = range(args.lmin, args.lmax + 1), not args.summary_only
 
-    def tasks():  # the rank chunks in order, made as they are taken
-        for l in lengths:
-            for lo in range(0, 1 << l, _CHUNK_RANKS):
-                yield l, lo, min(lo + _CHUNK_RANKS, 1 << l), emit_lines, args.with_verdict
-
-    expected = (1 << (args.lmax + 1)) - (1 << args.lmin)  # records: every rank of every length
-    chunks = sum(-(-(1 << l) // _CHUNK_RANKS) for l in lengths)
-    workers = _pool_size(args.workers, expected << (5 if emit_lines else 0), chunks)
-    tallies, realized, closed = {}, [], dict.fromkeys(lengths, 0)
-
-    def merge(l, result):  # a chunk's result lives only in this call
-        lines, chunk_counts, chunk_realized, chunk_closed = result
-        for i in range(0, len(lines), 256):  # one write per block: unbuffered, each write is a write(2)
+    def write_lines(lines):  # one write per block: unbuffered, each write is a write(2)
+        for i in range(0, len(lines), 256):
             out.write("".join(lines[i : i + 256]))
-        for key, k in chunk_counts.items():
-            tallies[key] = tallies.get(key, 0) + k
-        realized.extend(chunk_realized)
-        closed[l] += chunk_closed
 
-    pool = None
-    if workers > 1:
-        # imported here: the pool loads multiprocessing, which no one-worker run needs
-        import multiprocessing
-
-        # a module runs at its first use: the chunks' modules run here, before the
-        # pool forks, so that no worker runs them again
-        from .cycles import necklace_totals  # noqa: F401
-        if args.with_verdict:
-            from .remainders import trace  # noqa: F401
-        pool = multiprocessing.Pool(workers)
-    try:  # imap keeps order and takes tasks as it goes, so the parent holds nothing per chunk
-        results = (map if pool is None else pool.imap)(_sweep_chunk, tasks())
-        for l, *_ in tasks():
-            merge(l, next(results))
-    finally:
-        if pool is not None:
-            pool.terminate()
-
-    records = sum(tallies.values())  # every record has exactly one (l, n, class)
-    if records != expected:
-        raise StructureError(f"sweep counted {records} records, expected {expected}")
-    counts, by_length = {}, {}
-    for (l, n, cls), k in tallies.items():
-        counts[cls] = counts.get(cls, 0) + k
-        by_length[l, n] = by_length.get((l, n), 0) + k
-    for l in lengths:
-        for n in range(l + 1):  # one record per pattern of l bits with n ones
-            if by_length.get((l, n), 0) != comb(l, n):
-                raise StructureError(
-                    f"sweep counted {by_length.get((l, n), 0)} records with l = {l}, n = {n}, "
-                    f"expected {comb(l, n)}"
-                )
-        # Moreau's count of necklaces of l bits, (1/l) sum over e | l of phi(e) 2^(l/e),
-        # is (1/l) sum over k < l of 2^gcd(k, l): the rotation by k fixes 2^gcd(k, l) words
-        moreau = sum(1 << gcd(k, l) for k in range(l)) // l
-        if closed[l] != moreau:
-            raise StructureError(f"sweep closed {closed[l]} necklaces with l = {l}, expected {moreau}")
-    realized.sort()  # by (l, rank), which no two rows share
-    realized = [(format(rank, f"0{l}b"), integer, on_U, on_Uflip) for l, rank, integer, on_U, on_Uflip in realized]
-    non_integer = [bits for bits, integer, on_U, _ in realized if on_U and not integer]
-    realized_Uflip = [bits for bits, _, _, on_Uflip in realized if on_Uflip]
-    counterexample = bool(non_integer or realized_Uflip)
-    summary = {
-        "type": "summary",
-        "command": "cycles",
-        "lmin": args.lmin,
-        "lmax": args.lmax,
-        "records": records,
-        "class_counts": counts,
+    emit = None if args.summary_only else write_lines
+    counts, rows = sweep_lengths(args.lmin, args.lmax, args.workers, args.with_verdict, emit)
+    realized = [(format(rank, f"0{l}b"), integer, on_U, on_Uflip) for l, rank, integer, on_U, on_Uflip in rows]
+    lists = {
         "realized_U": [bits for bits, _, on_U, _ in realized if on_U],
-        "realized_U_non_integer": non_integer,
-        "realized_Uflip": realized_Uflip,
-        "counterexample": counterexample,
+        "realized_U_non_integer": [bits for bits, integer, on_U, _ in realized if on_U and not integer],
+        "realized_Uflip": [bits for bits, _, _, on_Uflip in realized if on_Uflip],
     }
+    counterexample = bool(lists["realized_U_non_integer"] or lists["realized_Uflip"])
+    summary = {"type": "summary", "command": "cycles", "lmin": args.lmin, "lmax": args.lmax, **lists,
+               "records": sum(counts.values()), "class_counts": counts, "counterexample": counterexample}
     out.write(_dumps(summary) + "\n")
     return EXIT_COUNTEREXAMPLE if counterexample else EXIT_OK
 
@@ -408,24 +227,17 @@ class _Conjecture(NamedTuple):
 
 _CONJECTURES = {
     "RU": _Conjecture("U", "every U-orbit from x >= 1 tends to the cycle {1, 2}"),
-    "RUprime": _Conjecture(
-        "U", "every U-parity sequence is eventually periodic with period (0, 1)", wants_01=True
-    ),
-    "NU": _Conjecture(
-        "U", "every integer U-orbit from n >= 1 reaches the cycle {1, 2}", integer=True
-    ),
+    "RUprime": _Conjecture("U", "every U-parity sequence is eventually periodic with period (0, 1)", wants_01=True),
+    "NU": _Conjecture("U", "every integer U-orbit from n >= 1 reaches the cycle {1, 2}", integer=True),
     "NUprime": _Conjecture(
-        "U", "every integer U-parity sequence is eventually periodic with period (0, 1)",
-        integer=True, wants_01=True,
+        "U", "every integer U-parity sequence is eventually periodic with period (0, 1)", integer=True, wants_01=True
     ),
     "BU": _Conjecture("U", "every U-orbit from x >= 1 is bounded"),
     "RUflip": _Conjecture("Uflip", "every flipped orbit from x >= 0 visits [0, 2)", region=(0, 2)),
     "BUflip": _Conjecture("Uflip", "every flipped orbit from x >= 0 is bounded"),
     "RV": _Conjecture("V", "every V-orbit from x >= 1 visits [1, 3)", region=(1, 3)),
     "BV": _Conjecture("V", "every V-orbit from x >= 1 is bounded"),
-    "Q2": _Conjecture(
-        "F", "2m + 3/2 gives the only F-orbits that fail to tend to the cycle {1, 4, 2}"
-    ),
+    "Q2": _Conjecture("F", "2m + 3/2 gives the only F-orbits that fail to tend to the cycle {1, 4, 2}"),
 }
 
 # per map, the one integer cycle the theorems permit; any other cycle is a counterexample
@@ -590,7 +402,7 @@ def cmd_conjecture(args, out) -> int:
 
 
 def cmd_trace(args, out) -> int:
-    from .cycles import BitSeq
+    from .cycles import BitSeq, record_classes
     from .remainders import VerdictKind, segment_inequality, trace
 
     try:
@@ -598,7 +410,7 @@ def cmd_trace(args, out) -> int:
     except ValueError as exc:
         raise ValueError(f"--bits: {exc}") from exc
     line = [None]
-    ((rec, _, _),) = _record_classes(s.l, s.rank, line, [], False)
+    ((rec, _, _),) = record_classes(s.l, s.rank, line, [], False)
     obj = json.loads(line[0])  # the record fields as cycles prints them; the ledgers join them
     if rec.d > 0:
         for suffix, flipped in (("", False), ("_flipped", True)):
@@ -701,7 +513,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_conjecture)
 
     sp = sub.add_parser("trace", help="remainder ledger for one bit sequence, both alignments")
-    sp.add_argument("--bits", required=True, help="0/1 string, e.g. 11100")
+    sp.add_argument("--bits", type=_pattern, required=True, help="0/1 string, e.g. 11100")
     common(sp)
     sp.set_defaults(func=cmd_trace)
 

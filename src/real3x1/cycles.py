@@ -82,14 +82,26 @@ set of pairs, only renumbered.  One trace per necklace and block therefore makes
 that a trace per rank would make; rotation k's verdict is the
 representative's, with a misalignment counted from index k (the last field of
 rotation_checks(), U's first rejected step whatever the domain).
+
+sweep_lengths() is the sweep that the cycles command prints.  It cuts each
+length's ranks into aligned chunks of one length and runs them in order, in
+process or in a pool that takes them as it goes.  So its output is the same
+at every worker count: record lines are merged back in rank order, a summary
+chunk is the FKM walk of the necklaces that share one prefix, its class
+counts are sums, and the realized rows are sorted by (length, rank) at the
+end.  It then checks that every rank has one record, that C(l, n) of them
+have length l and n ones, and that the necklaces closed at each length
+number Moreau's count.
 """
 
 from __future__ import annotations
 
+import os
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from enum import Enum
 from fractions import Fraction
+from math import comb, gcd
 from typing import NamedTuple
 
 from .errors import StructureError
@@ -413,3 +425,175 @@ def _group_totals(l: int, group: list[tuple[int, int]]) -> tuple[int, int, dict[
             else:
                 rows.append((rank, period, a % d == 0, not flip, flip == 1))
     return n, len(group), counts, rows
+
+
+_CHUNK_RANKS = 1 << 14  # ranks per sweep chunk
+# A sweep forks a pool only from this much work, counted in summary ranks, a
+# record rank weighing 1 << 5 of them.  A pool costs about 40 ms to start; on
+# 2 cores it breaks even with one process near 2^20 summary ranks (lmax 19)
+# and 2^15 record ranks (lmax 14), and wins above.
+_POOL_MIN_RANKS = 1 << 20
+
+
+def record_classes(l, lo, lines, realized, with_verdict):
+    """Write the record lines of ranks lo.. into lines, and yield (record, lines written, owned) per class.
+
+    The block's first rank r of each class is closed by candidate (and traced)
+    once.  Each rotation of r in the block, r turned left by k, gets r's cycle
+    seen from x_k: its checks, rotation 0's included, from one rotation_checks
+    scan, its line from one template of the class's fields, and its realized
+    row.  A ledger and scan that disagree raise StructureError.  The block
+    owns the class when no rotation lies below it: only the block of its least
+    rotation does.
+    """
+    if with_verdict:
+        from .remainders import VerdictKind, trace
+
+    hi, top, mask, spec = lo + len(lines), l - 1, (1 << l) - 1, f"0{l}b"
+    for r in range(lo, hi):
+        if lines[r - lo] is not None:  # a filled slot marks its class as walked
+            continue
+        rec = candidate(BitSeq.from_rank(l, r))
+        d, nums, cls = rec.d, rec.numerators, rec.cls.value
+        D, sign = abs(d), 1 if d > 0 else -1
+        verdict = trace(d, nums).verdict if with_verdict and d > 0 else None
+        misaligned = verdict is not None and verdict.kind is VerdictKind.MISALIGNED_AT
+        # a line is the sorted-key JSON of its record, and no value needs escaping;
+        # head and tail hold the fields that every rotation of the class shares
+        head = f'", "class": "{cls}", "d": "{d}", "l": {l}, "misalign_U": '
+        tail = ""
+        if with_verdict:
+            tail = ', "verdict": null' if verdict is None else f', "verdict": "{verdict.label()}"'
+        checks = rotation_checks(d, nums)
+        scan = checks[0][4]  # U's first misaligned step from r, as the ledger's verdict names it
+        if verdict is not None and scan != verdict.index:
+            raise StructureError(f"the ledger of {r:{spec}} says {verdict.label()}, its parity scan {scan}")
+        g = gcd(nums[0], D)  # the whole cycle's: D is odd, and prime to 3 when the cycle triples
+        den = "" if g == D else f"/{D // g}"
+        x, k, written, owned = r, 0, 0, True
+        while True:
+            if lo <= x < hi:
+                on_U, misalign_U, on_Uflip, misalign_Uflip, step = checks[k]
+                if misaligned:  # a misaligned step is counted from x_k
+                    tail = f', "verdict": "misaligned_at:{step}"'
+                a = nums[k]
+                lines[x - lo] = (
+                    f'{{"bits": "{x:{spec}}{head}{"null" if misalign_U is None else misalign_U}, '
+                    f'"misalign_Uflip": {"null" if misalign_Uflip is None else misalign_Uflip}, '
+                    f'"phi": "{a * sign}", "rank": {x}, "realized_U": {"true" if on_U else "false"}, '
+                    f'"realized_Uflip": {"true" if on_Uflip else "false"}{tail}, '
+                    f'"x0": "{a // g}{den}"}}\n'
+                )
+                if on_U or on_Uflip:
+                    realized.append((l, x, g == D, on_U, on_Uflip))
+                written += 1
+            elif x < lo:
+                owned = False
+            x, k = ((x << 1) & mask) | (x >> top), k + 1  # r turned left by k
+            if x == r:
+                break
+        yield rec, written, owned
+
+
+def _sweep_chunk(task) -> tuple[int, list[str], dict, list, int]:
+    """(l, record lines, record counts by (l, n, class), realized rows, necklaces closed) for one rank range.
+
+    Without records the chunk adds the totals of necklace_totals' groups, and
+    a realized class lists its rotations, which may lie in other ranges.
+    With records, record_classes writes their lines.  Either way a necklace
+    is closed by the one range that holds its least rotation.
+    """
+    l, lo, hi, records, with_verdict = task
+    counts, realized, mask, closed = {}, [], (1 << l) - 1, 0
+    if not records:
+        for n, group_size, group_counts, rows in necklace_totals(l, lo, hi):
+            closed += group_size
+            for cls, k in group_counts.items():
+                counts[l, n, cls] = counts.get((l, n, cls), 0) + k
+            for rank, period, integer, on_U, on_Uflip in rows:  # rank turned left by k
+                realized += [(l, (rank << k | rank >> l - k) & mask, integer, on_U, on_Uflip) for k in range(period)]
+        return l, [], counts, realized, closed
+    lines = [None] * (hi - lo)
+    for rec, written, owned in record_classes(l, lo, lines, realized, with_verdict):
+        key = (l, rec.s.n, rec.cls.value)
+        counts[key] = counts.get(key, 0) + written
+        closed += owned
+    return l, lines, counts, realized, closed
+
+
+def _pool_size(workers: int, work: int, chunks: int) -> int:
+    """Processes to start, 1 for no pool: a sweep below _POOL_MIN_RANKS of work runs in process.
+
+    The work is counted in summary ranks, a record rank weighing 1 << 5 of
+    them.  A pool forks all its processes up front, so it is capped by cores
+    and chunks.
+    """
+    if work < _POOL_MIN_RANKS:
+        return 1
+    return min(workers, os.cpu_count() or 1, chunks)
+
+
+def sweep_lengths(
+    lmin: int, lmax: int, workers: int, with_verdict: bool, emit: Callable[[list[str]], object] | None
+) -> tuple[dict[str, int], list[tuple]]:
+    """(records by class value, realized rows) of every pattern with lmin <= l <= lmax, checked.
+
+    A realized row is (l, rank, x_0 is an integer, realized_U,
+    realized_Uflip), sorted by (l, rank).  emit receives each chunk's record
+    lines, with their remainder-ledger verdicts if with_verdict; None sweeps
+    for a summary alone.  Up to workers processes run the chunks where the
+    work pays for a pool.  A count that fails raises StructureError, after
+    every line is emitted.
+    """
+    lengths, records = range(lmin, lmax + 1), emit is not None
+    tasks = (  # the rank chunks in order, made as they are taken
+        (l, lo, min(lo + _CHUNK_RANKS, 1 << l), records, with_verdict)
+        for l in lengths
+        for lo in range(0, 1 << l, _CHUNK_RANKS)
+    )
+    expected = (1 << (lmax + 1)) - (1 << lmin)  # records: every rank of every length
+    chunks = sum(-(-(1 << l) // _CHUNK_RANKS) for l in lengths)
+    workers = _pool_size(workers, expected << (5 if records else 0), chunks)
+    tallies, realized, closed = {}, [], dict.fromkeys(lengths, 0)
+
+    def merge(l, lines, chunk_counts, chunk_realized, chunk_closed):  # a chunk's result lives only in this call
+        if records:
+            emit(lines)
+        for key, k in chunk_counts.items():
+            tallies[key] = tallies.get(key, 0) + k
+        realized.extend(chunk_realized)
+        closed[l] += chunk_closed
+
+    pool = None
+    if workers > 1:
+        import multiprocessing  # imported here: no one-worker run needs it
+
+        if with_verdict:  # run remainders before the pool forks, so that no worker runs it again
+            from .remainders import trace  # noqa: F401
+        pool = multiprocessing.Pool(workers)
+    try:  # imap keeps order and takes tasks as it goes, so the parent holds nothing per chunk
+        results = (map if pool is None else pool.imap)(_sweep_chunk, tasks)
+        for _ in range(chunks):
+            merge(*next(results))
+    finally:
+        if pool is not None:
+            pool.terminate()
+
+    total = sum(tallies.values())  # every record has exactly one (l, n, class)
+    if total != expected:
+        raise StructureError(f"sweep counted {total} records, expected {expected}")
+    counts, by_length = {}, {}
+    for (l, n, cls), k in tallies.items():
+        counts[cls] = counts.get(cls, 0) + k
+        by_length[l, n] = by_length.get((l, n), 0) + k
+    for l in lengths:
+        for n in range(l + 1):  # one record per pattern of l bits with n ones
+            if (counted := by_length.get((l, n), 0)) != comb(l, n):
+                raise StructureError(f"sweep counted {counted} records with l = {l}, n = {n}, expected {comb(l, n)}")
+        # Moreau's count of necklaces of l bits, (1/l) sum over e | l of phi(e) 2^(l/e),
+        # is (1/l) sum over k < l of 2^gcd(k, l): the rotation by k fixes 2^gcd(k, l) words
+        moreau = sum(1 << gcd(k, l) for k in range(l)) // l
+        if closed[l] != moreau:
+            raise StructureError(f"sweep closed {closed[l]} necklaces with l = {l}, expected {moreau}")
+    realized.sort()  # by (l, rank), which no two rows share
+    return counts, realized

@@ -216,14 +216,15 @@ def test_rotated_lines_equal_direct_evaluation(l):
     for with_verdict in (False, True):
         expected = [cli._dumps(direct_record(r, with_verdict)) for r in recs]
         for size in [1, 4, 16] if l <= 10 else []:
-            blocks = [cli._sweep_chunk((l, lo, min(lo + size, total), True, with_verdict)) for lo in range(0, total, size)]
-            assert "".join(line for b in blocks for line in b[0]).splitlines() == expected
-            assert sum(b[3] for b in blocks) == necklaces
-        lines, counts, realized, closed = cli._sweep_chunk((l, 0, total, True, with_verdict))
+            tasks = [(l, lo, min(lo + size, total), True, with_verdict) for lo in range(0, total, size)]
+            blocks = [cycles._sweep_chunk(task) for task in tasks]
+            assert "".join(line for b in blocks for line in b[1]).splitlines() == expected
+            assert sum(b[4] for b in blocks) == necklaces
+        _, lines, counts, realized, closed = cycles._sweep_chunk((l, 0, total, True, with_verdict))
         assert "".join(lines).splitlines() == expected
     assert sum(counts.values()) == len(recs)
     assert closed == necklaces  # the whole-length chunk owns every class
-    assert sorted(realized) == [  # cmd_cycles orders the rows by (l, rank)
+    assert sorted(realized) == [  # sweep_lengths orders the rows by (l, rank)
         (l, r.s.rank, r.x0.denominator == 1, r.realized_U, r.realized_Uflip)
         for r in recs
         if r.realized_U or r.realized_Uflip
@@ -234,7 +235,7 @@ def test_rotated_lines_equal_direct_evaluation(l):
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=24))
 def test_rotated_record_equals_direct_evaluation(bits):
     s = BitSeq(tuple(bits))
-    lines, _, _, _ = cli._sweep_chunk((s.l, s.rank, s.rank + 1, True, True))
+    _, lines, _, _, _ = cycles._sweep_chunk((s.l, s.rank, s.rank + 1, True, True))
     assert lines == [cli._dumps(direct_record(evaluate(s))) + "\n"]
 
 
@@ -267,7 +268,7 @@ def test_rotated_block_lines_equal_direct_evaluation(pattern):
     s = BitSeq(pattern)
     size = min(16, 1 << s.l)
     lo = s.rank - s.rank % size
-    lines, _, _, _ = cli._sweep_chunk((s.l, lo, lo + size, True, True))
+    _, lines, _, _, _ = cycles._sweep_chunk((s.l, lo, lo + size, True, True))
     assert lines == [
         cli._dumps(direct_record(evaluate(BitSeq.from_rank(s.l, x)))) + "\n" for x in range(lo, lo + size)
     ]
@@ -276,7 +277,7 @@ def test_rotated_block_lines_equal_direct_evaluation(pattern):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_record_sweep_writes_the_same_bytes_to_a_file(workers, tmp_path, capsys, monkeypatch):
     """--out takes each chunk's lines in blocks through _OutFile.write; at 2 workers the lines come from a pool."""
-    monkeypatch.setattr(cli, "_POOL_MIN_RANKS", 0)  # a sweep this short would run in process
+    monkeypatch.setattr(cycles, "_POOL_MIN_RANKS", 0)  # a sweep this short would run in process
     argv = ["cycles", "--lmax", "10", "--with-verdict", "--workers", workers]
     assert main(argv) == 0
     stdout = capsys.readouterr().out
@@ -457,7 +458,7 @@ def test_record_blocks_evaluate_each_class_once(capsys, monkeypatch):
 
     monkeypatch.setattr(cycles, "candidate", counting_candidate)
     monkeypatch.setattr(remainders, "trace", counting_trace)
-    monkeypatch.setattr(cli, "_CHUNK_RANKS", 16)
+    monkeypatch.setattr(cycles, "_CHUNK_RANKS", 16)
     assert run_cli(capsys, "cycles", "--lmax", "8", "--with-verdict")[0] == 0
     first = []
     for l in range(1, 9):
@@ -475,7 +476,7 @@ def test_record_blocks_evaluate_each_class_once(capsys, monkeypatch):
 
 
 def test_cycles_worker_count_does_not_change_output(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_POOL_MIN_RANKS", 0)  # a sweep this short would run in process
+    monkeypatch.setattr(cycles, "_POOL_MIN_RANKS", 0)  # a sweep this short would run in process
     one = tmp_path / "w1.jsonl"
     two = tmp_path / "w2.jsonl"
     assert main(["cycles", "--lmax", "6", "--out", str(one)]) == 0
@@ -537,10 +538,10 @@ def test_record_sweep_checks_the_necklace_count(capsys, monkeypatch, chunk_ranks
     adds up every record count but closes 7 necklaces of length 4: it exits 5 as a summary does.
     With 16-rank chunks the classes of length 5 are met by two chunks and owned by one."""
     if chunk_ranks is not None:
-        monkeypatch.setattr(cli, "_CHUNK_RANKS", chunk_ranks)
+        monkeypatch.setattr(cycles, "_CHUNK_RANKS", chunk_ranks)
     code, records, _ = run_cli(capsys, "cycles", "--lmax", "5")
     assert code == 0
-    record_classes = cli._record_classes
+    record_classes = cycles.record_classes
 
     def owned_twice(l, lo, lines, realized, with_verdict):
         for rec, written, owned in record_classes(l, lo, lines, realized, with_verdict):
@@ -548,7 +549,7 @@ def test_record_sweep_checks_the_necklace_count(capsys, monkeypatch, chunk_ranks
             if str(rec.s) == "0011":
                 yield rec, 0, True
 
-    monkeypatch.setattr(cli, "_record_classes", owned_twice)
+    monkeypatch.setattr(cycles, "record_classes", owned_twice)
     code, out, err = run_cli(capsys, "cycles", "--lmax", "5")
     assert code == 5
     assert err == "real3x1: internal error: sweep closed 7 necklaces with l = 4, expected 6\n"
@@ -662,11 +663,11 @@ def test_q2_family_range_is_bounded(capsys, monkeypatch):
 
 
 def sweep_tasks(lmax, records):
-    """The rank chunks that cmd_cycles builds for a sweep of lengths 1..lmax."""
+    """The rank chunks that sweep_lengths builds for a sweep of lengths 1..lmax."""
     return [
-        (l, lo, min(lo + cli._CHUNK_RANKS, 1 << l), records, False)
+        (l, lo, min(lo + cycles._CHUNK_RANKS, 1 << l), records, False)
         for l in range(1, lmax + 1)
-        for lo in range(0, 1 << l, cli._CHUNK_RANKS)
+        for lo in range(0, 1 << l, cycles._CHUNK_RANKS)
     ]
 
 
@@ -676,19 +677,19 @@ def test_pool_size_is_capped_by_cores_and_tasks(monkeypatch):
 
     def pool_size(workers, tasks):  # the work of the tasks' rank ranges, a record rank weighing 32
         work = sum((hi - lo) << (5 if records else 0) for _, lo, hi, records, _ in tasks)
-        return cli._pool_size(workers, work, len(tasks))
+        return cycles._pool_size(workers, work, len(tasks))
 
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cycles.os, "cpu_count", lambda: 2)
     assert pool_size(64, chunks(100)) == 2
     assert pool_size(1, chunks(100)) == 1
     assert pool_size(2, [(22, 0, 1 << 22, False, False)]) == 1
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 16)
+    monkeypatch.setattr(cycles.os, "cpu_count", lambda: 16)
     assert pool_size(8, [(22, 0, 1 << 21, False, False)] * 3) == 3
     assert pool_size(8, chunks(100)) == 8
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown core count
+    monkeypatch.setattr(cycles.os, "cpu_count", lambda: None)  # unknown core count
     assert pool_size(8, chunks(100)) == 1
     # below _POOL_MIN_RANKS of work a sweep runs in process; a record rank weighs 32 summary ranks
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cycles.os, "cpu_count", lambda: 2)
     assert pool_size(2, sweep_tasks(16, records=False)) == 1
     assert pool_size(2, sweep_tasks(19, records=False)) == 1
     assert pool_size(2, sweep_tasks(20, records=False)) == 2
@@ -704,7 +705,7 @@ def test_a_pool_workers_internal_error_exits_as_in_process(capsys, monkeypatch):
     is terminated: no child is left."""
     import multiprocessing
 
-    monkeypatch.setattr(cli, "_POOL_MIN_RANKS", 0)  # a sweep this short would run in process
+    monkeypatch.setattr(cycles, "_POOL_MIN_RANKS", 0)  # a sweep this short would run in process
     offsets = cycles._offsets
     monkeypatch.setattr(cycles, "_offsets", lambda bits, lane: offsets(bits, lane) + 4)
     runs = {
@@ -723,18 +724,21 @@ def test_a_pooled_sweeps_memory_does_not_grow_with_its_chunks():
 
     The peak is VmHWM, which starts afresh at exec; Linux's ru_maxrss keeps the
     peak of the process that spawned the probe (this test run's, tens of MB).
+    Each probe also shows that a pool ran: only a pool loads multiprocessing.
     """
     probe = (
-        "import sys, real3x1.cli as cli; cli._POOL_MIN_RANKS = 0; "
-        "cli._CHUNK_RANKS = int(sys.argv[1]); code = cli.main(sys.argv[2:]); "
-        "print(*(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')), file=sys.stderr); "
-        "sys.exit(code)"
+        "import sys, real3x1.cli as cli, real3x1.cycles as cycles; cycles._POOL_MIN_RANKS = 0; "
+        "cycles._CHUNK_RANKS = int(sys.argv[1]); code = cli.main(sys.argv[2:]); "
+        "print(*(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')), "
+        "'multiprocessing' in sys.modules, file=sys.stderr); sys.exit(code)"
     )
     argv = ["cycles", "--lmax", "17", "--summary-only", "--workers", "2"]
     small, large = (_fresh(probe, str(ranks), *argv) for ranks in (16, 1 << 14))
     assert (small.returncode, large.returncode) == (0, 0)
     assert small.stdout == large.stdout
-    assert abs(int(small.stderr) - int(large.stderr)) < 8 * 1024  # in KiB
+    (small_kib, small_pooled), (large_kib, large_pooled) = (run.stderr.split() for run in (small, large))
+    assert (small_pooled, large_pooled) == ("True", "True")
+    assert abs(int(small_kib) - int(large_kib)) < 8 * 1024
 
 
 def test_a_growing_orbits_memory_does_not_grow_with_its_steps():
@@ -816,14 +820,17 @@ _COMMAND_PROBES = {
         ["cli", "cycles", "errors", "rationals"],
     ),
     "sweep-pool": (  # a pool imports its chunks' modules before it forks, so the workers inherit them;
-        # a sweep this short runs in process unless the pool's threshold is lowered
-        "cli._POOL_MIN_RANKS = 0; "
-        "cli.main(['cycles', '--lmax', '6', '--summary-only', '--workers', '2', '--out', os.devnull])",
+        # a sweep this short runs in process unless the pool's threshold is lowered, and the
+        # probe exits 1 unless a pool ran, which alone loads multiprocessing
+        "import real3x1.cycles as cycles; cycles._POOL_MIN_RANKS = 0; "
+        "cli.main(['cycles', '--lmax', '6', '--summary-only', '--workers', '2', '--out', os.devnull]); "
+        "'multiprocessing' in sys.modules or sys.exit('no pool ran')",
         ["cli", "cycles", "errors", "rationals"],
     ),
     "records-pool": (
-        "cli._POOL_MIN_RANKS = 0; "
-        "cli.main(['cycles', '--lmax', '6', '--with-verdict', '--workers', '2', '--out', os.devnull])",
+        "import real3x1.cycles as cycles; cycles._POOL_MIN_RANKS = 0; "
+        "cli.main(['cycles', '--lmax', '6', '--with-verdict', '--workers', '2', '--out', os.devnull]); "
+        "'multiprocessing' in sys.modules or sys.exit('no pool ran')",
         ["cli", "cycles", "errors", "rationals", "remainders"],
     ),
     "conjecture": (
@@ -959,6 +966,23 @@ def test_trace_closes_its_pattern_once(bits, capsys, monkeypatch):
 def test_trace_bad_bits(capsys):
     assert run_cli(capsys, "trace", "--bits", "2ab")[0] == 1
     assert run_cli(capsys, "trace", "--bits", "")[0] == 1
+
+
+def _trace_must_not_start(args, out):
+    pytest.fail(f"trace started with {len(args.bits)} bits")
+
+
+def test_trace_pattern_length_is_bounded(tmp_path, capsys, monkeypatch):
+    """A ledger's output and memory grow as the pattern's length squared, so --bits is capped
+    at parse time, from the command line or a config file alike."""
+    monkeypatch.setattr(cli, "cmd_trace", _trace_must_not_start)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"bits = {'0' * 4097}\n")
+    for argv in (["trace", "--bits", "0" * 4097], ["trace", "--config", str(cfg)]):
+        assert parse_error_code(*argv) == 1
+        assert "--bits: must be at most 4096 bits long, got 4097" in capsys.readouterr().err
+    args = cli.build_parser().parse_args(["trace", "--bits", "1" * 4096])
+    assert args.bits == "1" * 4096  # the cap itself parses
 
 
 def test_rmap_scan_single(capsys):

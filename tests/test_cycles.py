@@ -147,7 +147,7 @@ def test_record_chunks_partition_cleanly():
     parts = []
     for l in range(1, 7):
         for lo in range(0, 1 << l, 5):
-            lines, counts, _, _ = cli._sweep_chunk((l, lo, min(lo + 5, 1 << l), True, True))
+            _, lines, counts, _, _ = cycles._sweep_chunk((l, lo, min(lo + 5, 1 << l), True, True))
             parts.extend(json.loads(line)["bits"] for line in lines)
             assert sum(counts.values()) == len(lines)
     assert parts == whole

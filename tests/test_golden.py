@@ -252,7 +252,7 @@ def _run(argv, capsys):
 
 @pytest.mark.parametrize("argv", list(GOLDEN))
 def test_cli_output_is_golden(argv, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_POOL_MIN_RANKS", 0)  # the --workers 2 rows fork a pool, short as they are
+    monkeypatch.setattr(cycles, "_POOL_MIN_RANKS", 0)  # the --workers 2 rows fork a pool, short as they are
     assert _run(argv, capsys) == GOLDEN[argv]
 
 
@@ -291,6 +291,6 @@ def test_forged_realizations_list_every_rotation(monkeypatch, capsys):
 
 def test_chunk_boundaries_change_no_byte(monkeypatch, capsys):
     """Chunks of 16 ranks split most necklaces' rotations across chunks."""
-    monkeypatch.setattr(cli, "_CHUNK_RANKS", 16)
+    monkeypatch.setattr(cycles, "_CHUNK_RANKS", 16)
     argv = "cycles --lmax 10 --with-verdict"
     assert _run(argv, capsys) == GOLDEN[argv]

@@ -194,11 +194,11 @@ def test_iterate_reads_only_the_maps_name_and_step():
 
 def test_record_lines_are_built_per_class():
     """Record mode pays its per-record costs once per class: no _dumps(...) call in a loop of
-    cli._record_classes, the one writer of record lines."""
-    cli = dict(_modules())["cli.py"]
-    (fn,) = [fn for fn in cli.body if isinstance(fn, ast.FunctionDef) and fn.name == "_record_classes"]
+    cycles.record_classes, the one writer of record lines."""
+    cycles = dict(_modules())["cycles.py"]
+    (fn,) = [fn for fn in cycles.body if isinstance(fn, ast.FunctionDef) and fn.name == "record_classes"]
     calls = [
-        f"_record_classes:{node.lineno}"
+        f"record_classes:{node.lineno}"
         for loop in ast.walk(fn)
         if isinstance(loop, (ast.For, ast.While))
         for body_stmt in loop.body  # what runs per pass; a loop's else runs once
@@ -211,17 +211,23 @@ def test_record_lines_are_built_per_class():
 
 
 def test_only_cmd_cycles_runs_a_sweep_chunk():
-    """_sweep_chunk is a pool task of the cycles sweep: cli.py names it only in its own definition
-    and in cmd_cycles, so trace takes its one class from _record_classes and builds no task."""
-    cli = dict(_modules())["cli.py"]
-    defs = [stmt.name for stmt in cli.body if isinstance(stmt, ast.FunctionDef)]
-    users = {
-        getattr(stmt, "name", f"cli.py:{stmt.lineno}")
-        for stmt in cli.body
-        for node in ast.walk(stmt)
-        if "_sweep_chunk" in _names(node)
-    }
-    assert "_sweep_chunk" in defs and users == {"cmd_cycles"}
+    """_sweep_chunk is a pool task of the cycles sweep: the package names it only in its own
+    definition and in cycles.sweep_lengths, which cmd_cycles alone calls, so trace takes its one
+    class from record_classes and builds no task."""
+    modules = dict(_modules())
+    defs = [stmt.name for stmt in modules["cycles.py"].body if isinstance(stmt, ast.FunctionDef)]
+
+    def users(name):
+        return {
+            f"{module} {getattr(stmt, 'name', stmt.lineno)}"
+            for module, tree in modules.items()
+            for stmt in tree.body
+            for node in ast.walk(stmt)
+            if name in _names(node) and getattr(stmt, "name", None) != name
+        }
+
+    assert "_sweep_chunk" in defs and users("_sweep_chunk") == {"cycles.py sweep_lengths"}
+    assert users("sweep_lengths") == {"cli.py cmd_cycles"}
 
 
 def test_cli_runs_no_realization_scan():
@@ -236,6 +242,22 @@ def test_cli_runs_no_realization_scan():
         == "evaluate"
     ]
     assert calls == []
+
+
+def test_the_sweep_lives_in_cycles():
+    """cli.py runs the cycles sweep through cycles.sweep_lengths alone: it names no pool, no count
+    check and no closure of its own, by import, name or attribute."""
+    cli = dict(_modules())["cli.py"]
+    sweep = {
+        "multiprocessing", "comb", "_CHUNK_RANKS", "_POOL_MIN_RANKS", "necklace_totals", "rotation_checks", "candidate"
+    }
+    refs = [
+        f"cli.py:{node.lineno} {name}"
+        for node in ast.walk(cli)
+        for name in _names(node)
+        if name in sweep
+    ]
+    assert refs == []
 
 
 def test_commands_write_only_to_the_stream_they_are_handed():
@@ -270,6 +292,8 @@ def _names(node):
         return [node.attr]
     if isinstance(node, ast.ImportFrom):
         return [node.module or "", *(alias.name for alias in node.names)]
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
     return []
 
 
