@@ -259,11 +259,9 @@ def _cycle_values(m, value: Fraction, period: int) -> set[Fraction]:
     return {Fraction(p, q) for p, q in pairs}
 
 
-def _classify(conj: _Conjecture, m, rep) -> tuple[str, str | None]:
-    """One of supports / counterexample / flagged / unresolved, plus a note."""
-    from .trajectory import TENDENCIES, FateKind, detect_period01
-
-    fate = rep.fate
+def _classify(conj: _Conjecture, m, rep, trajectory) -> tuple[str, str | None]:
+    """One of supports / counterexample / flagged / unresolved, plus a note; reads trajectory's names per call."""
+    FateKind, fate = trajectory.FateKind, rep.fate
     kind = fate.kind
     if kind is FateKind.ENTERED_CYCLE:
         values = _cycle_values(m, fate.value, fate.period)
@@ -276,9 +274,9 @@ def _classify(conj: _Conjecture, m, rep) -> tuple[str, str | None]:
         return "supports", None
     elif kind is FateKind.ESCAPED_BOUND:
         return "flagged", "escaped the bound, inconclusive for an open conjecture"
-    elif kind not in TENDENCIES:
+    elif kind not in trajectory.TENDENCIES:
         return "unresolved", None
-    if conj.wants_01 and detect_period01(rep.parity_bits) is None:  # the trivial cycle or a tendency
+    if conj.wants_01 and trajectory.detect_period01(rep.parity_bits) is None:  # the trivial cycle or a tendency
         seen = "trivial cycle entered" if kind is FateKind.ENTERED_CYCLE else "tendency certified"
         return "flagged", seen + " but no (0,1) parity tail seen"
     return "supports", None
@@ -330,6 +328,7 @@ def cmd_conjecture(args, out) -> int:
     """
     import random
 
+    from . import trajectory
     from .maps import MAPS
     from .sampling import draw_integers, draw_rationals
     from .trajectory import iterate
@@ -354,7 +353,7 @@ def cmd_conjecture(args, out) -> int:
         rep = iterate(m, x, cap=args.cap, escape_bound=escape, trap_region=trap, keep=1)
         label = rep.fate.label()
         tally[label] = tally.get(label, 0) + 1
-        cls, note = _classify(conj, m, rep)
+        cls, note = _classify(conj, m, rep, trajectory)
         classes[cls] += 1
         if cls == "counterexample" or cls == "flagged" and classes[cls] <= args.flag_limit:
             line = {

@@ -26,49 +26,43 @@ _TAIL_PAD further steps, so the periodic parity tail is visible in it.
 iterate runs the orbit on reduced integer pairs (p, q) through
 MapSpec.step_pq, compares every bound by cross-multiplication and builds a
 Fraction only for a kept iterate past the start (the first is x0 itself), a
-cycle value and a basin landing.  The fate tests of a step (trap, windows,
-escape) sit behind one exact hull gate: floor(x) lies between the least
-floor of a trap or window start and the greatest floor of a trap or window
-end whenever x lies in one of them, and |floor(x)| >= floor(bound) whenever
-|x| > bound.  A step whose p // q lies outside both cannot settle, so it
-pays one division and comparisons with integers fixed before the loop
-instead of the tests.  That division is also the report's parity bit:
-floor(x) mod 2 is (p // q) mod 2 for every visited pair, a cycle's closing
-pair and the tail pad included, whatever the map's own branch rule.  And it
-is the floor that step_pq takes, so a step costs one step and one floor
-division.  The repetition check's dict holds a visited pair only while a
-repeat is still possible: for a map whose even_q_never_recurs holds, no pair
-with an even denominator is ever visited twice, so only odd denominators
-are indexed, and the dict of a U, Uflip or V orbit stops growing at its
-first even denominator.
+cycle value and a basin landing.  The fate tests (trap, windows, escape) sit
+behind one exact hull gate: floor(x) lies between the least floor of a trap
+or window start and the greatest floor of a trap or window end whenever x
+lies in one of them, and |floor(x)| >= floor(bound) whenever |x| > bound.
+A pair whose p // q lies outside both cannot settle.  That one division is
+also the pair's parity bit, floor(x) mod 2, whatever the map's own branch
+rule, and the floor that step_pq takes.  The repetition check's dict holds a
+pair only while a repeat is still possible: for a map whose
+even_q_never_recurs holds, only odd denominators are indexed, so the dict of
+a U, Uflip or V orbit stops growing at its first even denominator.
 
 Where a map has MapSpec.block_pq (U, Uflip, V and Phi maps of their shape),
-iterate takes BLOCK_STEPS = 4 steps in one call whenever no test can fire on
-the three pairs the block skips; the fourth pair then takes every test as a
-single step's pair does.  From pair k - 1, with floor f and denominator q,
-the block runs when all of these hold:
+iterate takes BLOCK_STEPS = 4 steps in one call.  Each pass of the loop lands
+on a pair k, with floor f and denominator q, and then tries one guard; where
+it holds, pair k takes no test and the next pass is a block over pairs
+k + 1 .. k + 4, so a chain of blocks tests only the pair it ends on.  No test
+can fire on pairs k .. k + 3 when all of these hold:
 
-  * q is even: block_pq's maps all have even_q_never_recurs, so no pair from
-    here on is indexed;
-  * max(keep, 2) <= k <= cap - 3: no skipped pair is kept, the first step is
-    the one taken before the loop, and the fourth pair is within the cap;
+  * q is even, tested first as even > q & 1 with even = 0 where no block can
+    run: block_pq's maps all have even_q_never_recurs, so none is indexed;
+  * keep <= k < cap - 3: none is kept and pair k + 4 is within the cap (the
+    first pass follows no guard: it is the step taken before the loop);
   * f >= 8 * max(h_hi + 1, 0), for the hull's greatest floor h_hi: each
-    piece maps x >= 0 to at least x / 2, so every skipped pair has a floor
-    above the hull (block_pq itself keeps the domain minimum);
+    piece maps x >= 0 to at least x / 2, so each floor lies above the hull
+    (block_pq itself keeps the domain minimum);
   * 27 * (f + 2) <= 8 * (e_hi + 1), for the escape floor e_hi: each piece
-    maps x >= 0 to at most (3x + 1) / 2, so x_i + 1 < (3/2)^3 (f + 2) and
-    every skipped pair has a floor below e_hi and above -e_hi;
-  * q.bit_length() + 3 <= den_bit_cap, read as q >> (den_bit_cap - 3) == 0:
-    each step at most doubles the denominator.
+    maps x >= 0 to at most (3x + 1) / 2, so x_i + 1 < (3/2)^i (f + 2) for
+    i <= 3, and e_hi >= 6 > f, so each floor lies in [0, e_hi);
+  * q >> (den_bit_cap - 3) == 0: each step at most doubles the denominator.
 
-So a report is the same with blocks as without.  With the default keep of
-1024 an orbit shorter than that never takes a block; conjecture iterates
-with keep = 1 and takes blocks on most of every U, Uflip and V orbit.  So
-iterate reads nothing of a map but its name, step_pq, even_q_never_recurs
-and block_pq.  Its iterates are read off a head list of the first keep
-visited pairs and off the tail pad.  contraction_check
-replays its block on step_pq pairs as well and checks the identity by
-cross-multiplied integers; Fraction appears only at its interface.
+So a report is the same with blocks as without; conjecture iterates with
+keep = 1 and takes blocks on most of every U, Uflip and V orbit.  iterate
+reads nothing of a map but its name, step_pq, even_q_never_recurs and
+block_pq.  contraction_check replays its block on step_pq pairs as well and
+checks the identity by cross-multiplied integers, with the ratio's terms
+taken as products of gamma's and alpha's numerators and denominators: the
+identity needs no reduced ratio, only a positive denominator.
 """
 
 from __future__ import annotations
@@ -167,7 +161,7 @@ def iterate(
     so that the periodic tail is visible in the report itself.  Each bound is
     held once, as its integer numerator and denominator, and floored as n // d.
     """
-    x0 = Fraction(x0)
+    x0 = x0 if isinstance(x0, Fraction) else Fraction(x0)
     step_pq = m.step_pq
     p, q = x0.numerator, x0.denominator
     f = p // q
@@ -184,8 +178,7 @@ def iterate(
         lo, hi = trap_region
         ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
         floors.append((ln // ld, hn // hd))
-    h_lo = min((f_lo for f_lo, _f_hi in floors), default=1)
-    h_hi = max((f_hi for _f_lo, f_hi in floors), default=0)  # 1 > 0: no hull
+    h_lo, h_hi = (min(floors)[0], max([f_hi for _f_lo, f_hi in floors])) if floors else (1, 0)  # 1 > 0: no hull
     e_hi = None
     if escape_bound is not None:
         en, ed = escape_bound.numerator, escape_bound.denominator
@@ -193,12 +186,10 @@ def iterate(
         e_lo = -e_hi
     den_shift = max(den_bit_cap, 0)  # q >> den_shift is nonzero iff q has more than den_bit_cap bits
     kept = max(keep, 1)  # the start is always kept
-    # A block from pair k - 1, with floor f and denominator q, skips pairs k .. k + skip - 1.  It
-    # runs only where none of them can be kept, indexed, gated or size-capped: for k_lo <= k <=
-    # k_hi, f_min <= f <= f_max (no f_max without an escape bound), q even and q >> q_room == 0.
+    # The block guard's bounds on pair k, with floor f and denominator q (see above); no f_max without an escape bound
     block, skip = m.block_pq, BLOCK_STEPS - 1
-    k_lo = max(kept, 2)
     k_hi = cap - skip if block is not None and den_bit_cap >= skip else 0
+    even = int(k_hi > kept)  # even > q & 1 fails at once for an odd q, or with no block to take
     f_min = max(h_hi + 1, 0) << skip
     f_max = None if e_hi is None else ((e_hi + 1) << skip) // 3**skip - 2
     q_room = den_bit_cap - skip
@@ -234,17 +225,21 @@ def iterate(
     fate = settle(p, q)
     period = 0
     if fate is None:
-        k = 0
+        k, go = 0, False  # go: this pass takes a block
         while k < cap:
-            k += 1
-            if k_lo <= k <= k_hi and f_min <= f and not q & 1 and (f_max is None or f <= f_max) and not q >> q_room:
+            if go:
                 p, q, parities = block(p, q)
                 bits += parities
-                k += skip
+                k += BLOCK_STEPS
             else:
+                k += 1
                 p, q, _b = step_pq(p, q, f) if k > 1 else s  # the first step is s from above
             f = p // q
             bits.append(f & 1)
+            go = (even > q & 1 and f_min <= f and (f_max is None or f <= f_max) and kept <= k < k_hi
+                  and not q >> q_room)
+            if go:
+                continue
             if k < kept:
                 head.append((p, q))
             if q & 1 or not odd_only:
@@ -271,7 +266,9 @@ def iterate(
             tail.append((p, q))
             bits.append(f & 1)
 
-    iterates = [x0] + [Fraction(p, q) for p, q in islice(chain(head, tail), 1, kept)]
+    iterates = [x0]
+    if kept > 1:
+        iterates += [Fraction(p, q) for p, q in islice(chain(head, tail), 1, kept)]
     return TrajectoryReport(x0, iterates, bits, fate, steps_used, len(bits) > kept)
 
 
@@ -282,13 +279,15 @@ def detect_period01(bits) -> int | None:
     """Smallest j from which the observed bits alternate 0,1,0,1,... to the end.
 
     A candidate j counts only when at least four bits were observed from j
-    on; returns None when no such j exists in the observed prefix.
+    on; returns None when no such j exists in the observed prefix.  One
+    backward pass finds the alternating suffix of the 0/1 bits.
     """
     bits = list(bits)
-    for j in range(len(bits) - 3):
-        if all(bits[j + t] == t % 2 for t in range(len(bits) - j)):
-            return j
-    return None
+    i = len(bits) - 1  # the longest suffix from i whose neighbours differ
+    while i > 0 and bits[i - 1] == 1 - bits[i]:
+        i -= 1
+    j = i + (bits[i] if bits else 0)  # its first 0
+    return j if j <= len(bits) - 4 else None
 
 
 def contraction_check(
@@ -309,10 +308,11 @@ def contraction_check(
         raise ValueError(f"s must be a nonempty 0/1 sequence: {s!r}")
     if m_steps < 1:
         raise ValueError(f"m_steps must be >= 1, got {m_steps}")
-    a = Fraction(a)
-    x0 = Fraction(x0)
-    ones = sum(s)
-    ratio = m.params.gamma**ones * m.params.alpha ** (len(s) - ones)
+    a = a if isinstance(a, (int, Fraction)) else Fraction(a)
+    x0 = x0 if isinstance(x0, (int, Fraction)) else Fraction(x0)
+    ones, zeros, par = sum(s), len(s) - sum(s), m.params
+    rn = par.gamma.numerator**ones * par.alpha.numerator**zeros  # ratio = rn/rd, not reduced
+    rd = par.gamma.denominator**ones * par.alpha.denominator**zeros
 
     # x - a == ratio^k (x0 - a) with x = p/q, x0 = p0/q0, a = an/ad and
     # ratio = rn/rd, cross-multiplied over the positive q, q0 and rd^k:
@@ -321,7 +321,6 @@ def contraction_check(
     an, ad = a.numerator, a.denominator
     p, q = x0.numerator, x0.denominator
     q0, c0 = q, p * ad - an * q
-    rn, rd = ratio.numerator, ratio.denominator
     rnk = rdk = 1
     ok = True
     for k in range(m_steps):

@@ -1,6 +1,7 @@
 """Orbit iteration: fates, certified basin landings, and the diagnostics."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -166,6 +167,28 @@ def test_detect_period01():
     assert detect_period01((1, 1, 1, 1, 1, 1)) is None
     assert detect_period01((0, 1, 0, 1)) == 0
     assert detect_period01((0, 1)) is None  # shorter than four bits
+
+
+def _detect_period01_reference(bits):
+    """detect_period01 by its definition: each candidate j checked against the whole suffix."""
+    bits = list(bits)
+    for j in range(len(bits) - 3):
+        if all(bits[j + t] == t % 2 for t in range(len(bits) - j)):
+            return j
+    return None
+
+
+def test_detect_period01_equals_the_reference():
+    """The one backward pass returns what the definition does on every 0/1 tuple of up to 14 bits
+    and on the parity bits of seeded orbits of U, Uflip and V and of integer U orbits."""
+    for n in range(15):
+        for bits in itertools.product((0, 1), repeat=n):
+            assert detect_period01(bits) == _detect_period01_reference(bits), bits
+    runs = [(name, x) for name in ("U", "Uflip", "V") for x in _seeded_starts(name, 40)]
+    runs += [("U", F2(n)) for n in range(1, 60)]
+    for name, x in runs:
+        bits = iterate(MAPS[name], x, cap=2000, keep=1).parity_bits
+        assert detect_period01(bits) == _detect_period01_reference(bits), (name, x)
 
 
 def test_tendency_fates():
@@ -480,12 +503,13 @@ def _report_or_error(fn, m, x, kwargs):
         return "DomainError", str(exc)
 
 
-def _guard_runs(m, y):
-    """Runs that meet each guard of a block from y exactly at the first, second and third pair the
-    block would skip: y is pair 1 of an orbit from a preimage, so at keep = 1 the block from y is the
-    orbit's first.  For the j-th skipped pair z: a trap that holds z and one that ends at z (hull top
-    floor(z)); an escape bound just under z and one equal to z; a den_bit_cap of z's denominator's
-    bits, and one less; a step cap at z; and each preimage's plain run at keep 1, 2 and 3."""
+def _guard_runs(m, y, blocks=1):
+    """Runs that meet each guard of a block exactly at each pair after y that the first blocks
+    blocks would skip or start from: y is pair 1 of an orbit from a preimage, so at keep = 1 the
+    block from y is the orbit's first, and with blocks = 2 the pair it lands on starts the second.
+    For the j-th pair z after y: a trap that holds z and one that ends at z (hull top floor(z)); an
+    escape bound just under z and one equal to z; a den_bit_cap of z's denominator's bits, and one
+    less; a step cap at z; and each preimage's plain run at every keep from 2 to that of z."""
     par = m.params
     starts = [
         x
@@ -494,13 +518,13 @@ def _guard_runs(m, y):
         if _in_domain(m, x) and step(m, x)[0] == y
     ]
     skipped, z = [], y
-    for _ in range(BLOCK_STEPS - 1):
+    for _ in range(BLOCK_STEPS * blocks - 1):
         if not _in_domain(m, z):
             break
         z = step(m, z)[0]
         skipped.append(z)
     tiny = F2(1, 1 << 80)
-    settings = [{}, {"keep": 2}, {"keep": 3}]
+    settings = [{}, *({"keep": keep} for keep in range(2, BLOCK_STEPS * blocks))]
     for j, z in enumerate(skipped, 1):
         bits = z.denominator.bit_length()
         settings += [
@@ -512,18 +536,16 @@ def _guard_runs(m, y):
             {"den_bit_cap": bits - 1},
             {"cap": 1 + j},
         ]
-    return [(x, {"cap": 12, "keep": 1, **kwargs}) for x in starts for kwargs in settings]
+    return [(x, {"cap": 8 + BLOCK_STEPS * blocks, "keep": 1, **kwargs}) for x in starts for kwargs in settings]
 
 
-@pytest.mark.parametrize("name", sorted(_BLOCK_ORIGINS))
-def test_block_guards_match_the_reference_at_their_bounds(name):
-    """Each guard on a block (hull top, domain minimum, escape floor, den_bit_cap, step cap and
-    keep) met exactly at each pair the block skips, on block origins with floors about the
-    guards' bounds: iterate equals the stepwise reference, DomainError text included."""
-    m, blocks = map_from_name(name), []
+def _block_runs_match_the_reference(name, blocks):
+    """The guard runs of _guard_runs(m, y, blocks) on the block origins of name: iterate equals the
+    stepwise reference, DomainError text included.  Returns the runs and each run's block count."""
+    m, taken = map_from_name(name), []
 
     def counting_block_pq(p, q):
-        blocks.append((p, q))
+        taken.append((p, q))
         return m.block_pq(p, q)
 
     counted = SimpleNamespace(
@@ -533,14 +555,35 @@ def test_block_guards_match_the_reference_at_their_bounds(name):
         even_q_never_recurs=m.even_q_never_recurs,
         block_pq=counting_block_pq,
     )
-    runs = [run for f in _BLOCK_ORIGINS[name] for frac in _BLOCK_FRACTIONS for run in _guard_runs(m, f + frac)]
-    with_blocks = 0
+    runs = [run for f in _BLOCK_ORIGINS[name] for frac in _BLOCK_FRACTIONS for run in _guard_runs(m, f + frac, blocks)]
+    counts = []
     for x, kwargs in runs:
-        blocks.clear()
+        taken.clear()
         got = _report_or_error(iterate, counted, x, kwargs)
         assert got == _report_or_error(_iterate_reference, m, x, kwargs), (x, kwargs)
-        with_blocks += bool(blocks)
+        counts.append(len(taken))
+    return runs, counts
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_ORIGINS))
+def test_block_guards_match_the_reference_at_their_bounds(name):
+    """Each guard on a block (hull top, domain minimum, escape floor, den_bit_cap, step cap and
+    keep) met exactly at each pair the block skips, on block origins with floors about the
+    guards' bounds: iterate equals the stepwise reference, DomainError text included."""
+    runs, counts = _block_runs_match_the_reference(name, 1)
+    with_blocks = sum(map(bool, counts))
     assert len(runs) > 1000 and with_blocks > len(runs) // 20
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_ORIGINS))
+def test_chained_blocks_match_the_reference_at_their_bounds(name):
+    """A block that starts where a block landed skips that pair's tests too.  Each guard met
+    exactly at that pair and at each pair the second block skips, so that a chain of blocks ends
+    at each bound (hull top, escape floor, den_bit_cap, step cap), and every keep up to that pair,
+    where a chain starts: iterate equals the stepwise reference, DomainError text included."""
+    runs, counts = _block_runs_match_the_reference(name, 2)
+    chained = sum(count >= 2 for count in counts)
+    assert len(runs) > 2000 and chained > len(runs) // 20
 
 
 def test_gate_boundaries_after_a_step():
