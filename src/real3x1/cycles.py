@@ -106,6 +106,8 @@ from typing import NamedTuple
 
 from .errors import StructureError
 
+_BITS, _DIGITS = bytes.maketrans(b"01", b"\0\1"), bytes.maketrans(b"\0\1", b"01")  # ASCII digits to bits and back
+
 
 class BitSeq(NamedTuple("BitSeq", [("bits", tuple[int, ...])])):
     """A nonempty 0/1 branch sequence; rank is its value as a binary numeral."""
@@ -128,26 +130,24 @@ class BitSeq(NamedTuple("BitSeq", [("bits", tuple[int, ...])])):
 
     @property
     def n(self) -> int:
-        return sum(self.bits)
+        return self.bits.count(1)
 
     @property
     def rank(self) -> int:
-        r = 0
-        for b in self.bits:
-            r = (r << 1) | b
-        return r
+        return int(bytes(self.bits).translate(_DIGITS), 2)
 
     @classmethod
     def from_rank(cls, l: int, rank: int) -> "BitSeq":
         if l < 1 or not 0 <= rank < (1 << l):
             raise ValueError(f"rank {rank} out of range for length {l}")
-        return cls(tuple((rank >> (l - 1 - j)) & 1 for j in range(l)))
+        bits = tuple(format(rank, f"0{l}b").encode().translate(_BITS))
+        return tuple.__new__(cls, (bits,))  # a rank's bits are 0/1 and need no check
 
     @classmethod
     def from_string(cls, text: str) -> "BitSeq":
-        if not text or any(ch not in "01" for ch in text):
+        if not text or text.strip("01"):
             raise ValueError(f"bit string must be nonempty over 0/1: {text!r}")
-        return cls(tuple(int(ch) for ch in text))
+        return cls(tuple(text.encode().translate(_BITS)))
 
     def __str__(self) -> str:
         return "".join(map(str, self.bits))
@@ -185,7 +185,7 @@ class CycleRecord(NamedTuple):
     @property
     def g_cycle(self) -> tuple[Fraction, ...]:
         D = abs(self.d)
-        return tuple(Fraction(a, D) for a in self.numerators)
+        return tuple([Fraction(a, D) for a in self.numerators])
 
 
 def _lane_bits(l: int, n: int) -> int:
@@ -276,8 +276,11 @@ _CLASSES = {  # (d > 0, x_0 an integer): the class of a nonzero cycle
 
 
 def candidate(s: BitSeq) -> CycleRecord:
-    """Build the closed forced-branch cycle for s, walked in one lane of _walk; realization flags unset."""
-    d, (walk,) = _walk(s.l, s.n, [s.rank])
+    """Build the closed forced-branch cycle for s, walked in one lane of _walk; realization flags unset.
+
+    s's rank is read once, in one conversion of its bits, and n is that rank's bit count.
+    """
+    d, (walk,) = _walk(s.l, (rank := s.rank).bit_count(), [rank])
     nums = tuple(walk if d > 0 else [-c for c in walk])  # the lane holds x_j * d, a record x_j * |d|
     return CycleRecord(s, d, nums, CycleClass.ZERO if walk[0] == 0 else _CLASSES[d > 0, walk[0] % d == 0])
 
@@ -300,20 +303,19 @@ def rotation_checks(d: int, nums: Sequence[int]) -> list[tuple[bool, int | None,
     D = abs(d)
     l = len(nums) - 1
     parities = [a % D & 1 for a in nums[:l]]  # 1: U rejects step j, 0: Uflip does
-    at = [l + parities.index(p) if p in parities else None for p in (0, 1)]
-    on_U, on_Uflip = at[1] is None, at[0] is None
+    on_U, on_Uflip = 1 not in parities, 0 not in parities
+    at = [None if on_Uflip else l + parities.index(0), None if on_U else l + parities.index(1)]
     checks = [None] * l
     for k in range(l - 1, -1, -1):
         at[parities[k]] = k
         misaligned = None if on_U else at[1] - k
         a = nums[k]  # x_k * |d|: x_k >= 1 is U's domain, x_k >= 0 Uflip's
-        checks[k] = (
-            a >= D and on_U,
-            misaligned if a >= D else None,
-            a >= 0 and on_Uflip,
-            None if on_Uflip or a < 0 else at[0] - k,
-            misaligned,
-        )
+        if a >= D:
+            checks[k] = (on_U, misaligned, on_Uflip, None if on_Uflip else at[0] - k, misaligned)
+        elif a >= 0:
+            checks[k] = (False, None, on_Uflip, None if on_Uflip else at[0] - k, misaligned)
+        else:
+            checks[k] = (False, None, False, None, misaligned)
     return checks
 
 
@@ -441,7 +443,7 @@ def record_classes(l, lo, lines, realized, with_verdict):
     The block's first rank r of each class is closed by candidate (and traced)
     once.  Each rotation of r in the block, r turned left by k, gets r's cycle
     seen from x_k: its checks, rotation 0's included, from one rotation_checks
-    scan, its line from one template of the class's fields, and its realized
+    scan, its line from fragments of the class's fields, and its realized
     row.  A ledger and scan that disagree raise StructureError.  The block
     owns the class when no rotation lies below it: only the block of its least
     rotation does.
@@ -449,7 +451,7 @@ def record_classes(l, lo, lines, realized, with_verdict):
     if with_verdict:
         from .remainders import VerdictKind, trace
 
-    hi, top, mask, spec = lo + len(lines), l - 1, (1 << l) - 1, f"0{l}b"
+    hi, mask, spec = lo + len(lines), (1 << l) - 1, f"0{l}b"
     for r in range(lo, hi):
         if lines[r - lo] is not None:  # a filled slot marks its class as walked
             continue
@@ -457,41 +459,44 @@ def record_classes(l, lo, lines, realized, with_verdict):
         d, nums, cls = rec.d, rec.numerators, rec.cls.value
         D, sign = abs(d), 1 if d > 0 else -1
         verdict = trace(d, nums).verdict if with_verdict and d > 0 else None
-        misaligned = verdict is not None and verdict.kind is VerdictKind.MISALIGNED_AT
-        # a line is the sorted-key JSON of its record, and no value needs escaping;
-        # head and tail hold the fields that every rotation of the class shares
-        head = f'", "class": "{cls}", "d": "{d}", "l": {l}, "misalign_U": '
-        tail = ""
-        if with_verdict:
-            tail = ', "verdict": null' if verdict is None else f', "verdict": "{verdict.label()}"'
         checks = rotation_checks(d, nums)
         scan = checks[0][4]  # U's first misaligned step from r, as the ledger's verdict names it
         if verdict is not None and scan != verdict.index:
             raise StructureError(f"the ledger of {r:{spec}} says {verdict.label()}, its parity scan {scan}")
         g = gcd(nums[0], D)  # the whole cycle's: D is odd, and prime to 3 when the cycle triples
-        den = "" if g == D else f"/{D // g}"
-        x, k, written, owned = r, 0, 0, True
-        while True:
+        # A line is the sorted-key JSON of its record, and no value needs escaping.  Rotation
+        # k's word is words[k : k + l], and plain holds the flags and verdict head of an
+        # unrealized rotation.
+        words = 2 * (word := f"{r:{spec}}")
+        head = f'", "class": "{cls}", "d": "{d}", "l": {l}, "misalign_U": '
+        misaligned = verdict is not None and verdict.kind is VerdictKind.MISALIGNED_AT
+        field = ', "verdict": null' if with_verdict else ""  # the verdict up to a misaligned step, counted from x_k
+        if verdict is not None:
+            field = f', "verdict": "{"misaligned_at:" if misaligned else verdict.label()}'
+        plain = ', "realized_U": false, "realized_Uflip": false' + field
+        x0_key = ', "x0": "' if verdict is None else '", "x0": "'
+        den = f'{"" if g == D else f"/{D // g}"}"}}\n'
+        written, owned = 0, True
+        for k in range(words.find(word, 1)):  # one pass per distinct rotation
+            x = (r << k | r >> l - k) & mask
             if lo <= x < hi:
                 on_U, misalign_U, on_Uflip, misalign_Uflip, step = checks[k]
-                if misaligned:  # a misaligned step is counted from x_k
-                    tail = f', "verdict": "misaligned_at:{step}"'
-                a = nums[k]
-                lines[x - lo] = (
-                    f'{{"bits": "{x:{spec}}{head}{"null" if misalign_U is None else misalign_U}, '
-                    f'"misalign_Uflip": {"null" if misalign_Uflip is None else misalign_Uflip}, '
-                    f'"phi": "{a * sign}", "rank": {x}, "realized_U": {"true" if on_U else "false"}, '
-                    f'"realized_Uflip": {"true" if on_Uflip else "false"}{tail}, '
-                    f'"x0": "{a // g}{den}"}}\n'
-                )
+                flags = plain
                 if on_U or on_Uflip:
                     realized.append((l, x, g == D, on_U, on_Uflip))
+                    flags = (
+                        f', "realized_U": {"true" if on_U else "false"}, '
+                        f'"realized_Uflip": {"true" if on_Uflip else "false"}{field}'
+                    )
+                a = nums[k]
+                lines[x - lo] = (
+                    f'{{"bits": "{words[k : k + l]}{head}{"null" if misalign_U is None else misalign_U}, '
+                    f'"misalign_Uflip": {"null" if misalign_Uflip is None else misalign_Uflip}, "phi": "{a * sign}", '
+                    f'"rank": {x}{flags}{step if misaligned else ""}{x0_key}{a // g}{den}'
+                )
                 written += 1
             elif x < lo:
                 owned = False
-            x, k = ((x << 1) & mask) | (x >> top), k + 1  # r turned left by k
-            if x == r:
-                break
         yield rec, written, owned
 
 
@@ -515,10 +520,10 @@ def _sweep_chunk(task) -> tuple[int, list[str], dict, list, int]:
         return l, [], counts, realized, closed
     lines = [None] * (hi - lo)
     for rec, written, owned in record_classes(l, lo, lines, realized, with_verdict):
-        key = (l, rec.s.n, rec.cls.value)
+        key = rec.s.n, rec.cls  # each class value is read once per chunk, below
         counts[key] = counts.get(key, 0) + written
         closed += owned
-    return l, lines, counts, realized, closed
+    return l, lines, {(l, n, cls.value): k for (n, cls), k in counts.items()}, realized, closed
 
 
 def _pool_size(workers: int, work: int, chunks: int) -> int:

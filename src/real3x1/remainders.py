@@ -81,7 +81,7 @@ class RemainderTrace(NamedTuple):
     @property
     def branch_bits(self) -> tuple[int, ...]:
         """Length l; the bit for the step into index i+1 is c_i's parity."""
-        return tuple(ci % 2 for ci in self.c[:-1])
+        return tuple([ci % 2 for ci in self.c[:-1]])
 
 
 def _step(d: int, r: int, bit: int) -> int:
@@ -102,9 +102,7 @@ def _segments(new: tuple[bool, ...], c: tuple[int, ...]) -> tuple[Segment, ...]:
     l = len(new)
     doubled = [ci & 1 for ci in c[:l]] * 2  # a segment's steps are doubled[start:stop], stop < 2l
     stops = new_idx[1:] + [new_idx[0] + l]
-    return tuple(
-        Segment(p, stop, sum(doubled[p:stop]), stop - p) for p, stop in zip(new_idx, stops)
-    )
+    return tuple([Segment(p, stop, sum(doubled[p:stop]), stop - p) for p, stop in zip(new_idx, stops)])
 
 
 def trace(d: int, c: tuple[int, ...], flipped: bool = False) -> RemainderTrace:
@@ -116,32 +114,47 @@ def trace(d: int, c: tuple[int, ...], flipped: bool = False) -> RemainderTrace:
     Both alignments read one split (qa, ra): (q, r) for U, the ceiling split
     (q + 1, d - r) when flipped.  On every step that departs from an aligned
     index, the directly computed ra is checked against the recurrence, exactly.
+    An integer ledger passes these checks on its own: unflipped, every ra is
+    0 and aligned; flipped, no index is aligned.
+
+    One pass over c builds the ledger, each index's split checked against the
+    one before it, and every tuple of it is made from a list.
     """
     if d <= 0:
         raise PreconditionError(f"remainder ledger undefined for d = {d} <= 0")
     l = len(c) - 1
-    q = tuple(ci // d for ci in c)
-    r = tuple(ci % d for ci in c)
-    qa, ra = (tuple(x + 1 for x in q), tuple(d - x for x in r)) if flipped else (q, r)
-    aligned = [(qa[i] - c[i]) % 2 == 0 for i in range(l)]
-    prefix = aligned.index(False) if False in aligned else l
-    new = tuple(2 * ra[i] + 2 * d == 3 * ra[(i - 1) % l] for i in range(l))
-    integer = not any(r)  # d divides every c_i: no remainder to check
-    for i in range(l):
-        if aligned[i] and not integer:
-            if ra[i] % 2:
-                raise StructureError(f"aligned remainder {ra[i]} must be even")
-            if (expected := _step(d, ra[i], qa[i] % 2)) != ra[i + 1]:
-                raise StructureError(
-                    f"recurrence break at step {i + 1}: expected {expected}, got {ra[i + 1]}"
-                )
-    if integer:
+    q, r, new = [], [], []
+    prefix = l
+    for i, ci in enumerate(c):
+        qi, ri = ci // d, ci % d
+        q.append(qi)
+        r.append(ri)
+        if flipped:
+            qi, ri = qi + 1, d - ri
+        if i:  # the step into index i from (qp, rp), which new[i % l] and the recurrence read
+            if i < l:
+                new.append(2 * ri + 2 * d == 3 * rp)
+            else:  # new[0] reads index 0's remainder, which closes the ledger
+                new.insert(0, 2 * r0 + 2 * d == 3 * rp)
+            if aligned and (expected := _step(d, rp, qp % 2)) != ri:
+                raise StructureError(f"recurrence break at step {i}: expected {expected}, got {ri}")
+        else:
+            r0 = ri
+        if i < l:
+            aligned = (qi - ci) % 2 == 0
+            if not aligned and prefix == l:
+                prefix = i
+            if aligned and ri % 2:
+                raise StructureError(f"aligned remainder {ri} must be even")
+        qp, rp = qi, ri
+    new = tuple(new)
+    if not any(r):  # d divides every c_i: no remainder to check
         verdict, segs = Verdict(VerdictKind.INTEGER_CYCLE), None
     elif prefix < l:
         verdict, segs = Verdict(VerdictKind.MISALIGNED_AT, prefix), None
     else:
         verdict, segs = Verdict(VerdictKind.ALIGNED_CLOSED), _segments(new, c)
-    return RemainderTrace(d, c, q, r, flipped, prefix, new, segs, verdict)
+    return RemainderTrace(d, c, tuple(q), tuple(r), flipped, prefix, new, segs, verdict)
 
 
 # ------------------------------------------------------- inequality ledger
@@ -186,14 +199,14 @@ def segment_inequality(tr: RemainderTrace) -> InequalityLedger:
     l_total = sum(seg.gap for seg in tr.segments)
     if l_total != len(bits) or n_total != sum(bits):
         raise StructureError("segments do not tile the cycle")
-    entries = tuple(
+    entries = tuple([
         SegmentBound(
             *seg,
             bound_holds=compare_pow3_pow2(seg.ones, seg.gap) > 0,
             strict_holds=2 * 3**seg.ones > 3 << seg.gap,  # 3^ones > 3 * 2^(gap-1), doubled
         )
         for seg in tr.segments
-    )
+    ])
     sign = compare_pow3_pow2(n_total, l_total)
     return InequalityLedger(
         entries, n_total, l_total, sum_side_holds=sign > 0, positive_d_side_holds=sign < 0
