@@ -22,27 +22,19 @@ with q > 0 and the caller's floor f = p // q: the branch bit, the image and
 the domain check are integer arithmetic on p, q and f.  Orbits run on these
 pairs (see trajectory), which take each pair's floor once for their own tests
 and hand it to the step, and step is the Fraction view of the same step.
-step_pq takes one of two forms, built from the map's pieces.  U, Uflip, F, V
-and every Phi map of their shape (floor parity, an integer tau, an integer
-minimum or none, pieces (a*x + b) / e with a in {1, 3} and e a power of two)
-get the shaped form: no division of its own and no gcd.  Every other map (T,
-f, g, a fractional tau or minimum, any other piece) gets the generic form,
-with a general floor and two gcd calls.
 
-MapSpec.even_q_never_recurs, also read off the pieces, says whether a pair
-with an even denominator can ever come back in an orbit; trajectory indexes
-such pairs only when it can.
-
-MapSpec.block_pq takes BLOCK_STEPS = 4 steps at once from a reduced pair with
-an even denominator, for U, Uflip, V and every Phi map of their shape (floor
-parity, an integer tau, an integer minimum or none, every piece (a*x + b) / 2
-with a in {1, 3} and b in {0, 1}).  It rests on a cell argument, as R. Terras
-showed for 3x+1 on the integers: the branches of the four steps depend only
-on floor(27x) mod 432.  Shifting x by 16 moves each of the next three
-iterates by an even integer, so their floor parities repeat with period 16,
-and every branch point of those iterates is a multiple of 1/27.  So each of
-the 432 cells of a 16-long period holds one composed map x -> (A*x + C) / 16
-and three floor parities, and a block is one lookup and one affine map.
+Each map's pieces are held as integers (a, b, e), so that a piece is
+(a*x + b) / e.  U, Uflip, F, V and such Phi maps are shaped: floor parity, an
+integer tau, an integer minimum or none, and pieces with a in {1, 3} and e a
+power of two.  _compose composes k steps of a shaped map from one cell into
+(A, C, h, parities), x_k = (A*x + C) / 2^h.  Its k = 1 case per floor parity
+is the shaped step_pq, with no division of its own and no gcd; its
+k = BLOCK_STEPS = 4 case per cell floor(27x) mod 432 is MapSpec.block_pq.
+Every other map (T, f, g, a fractional tau or minimum, any other piece) gets
+the generic step, with a general floor and two gcd calls.
+MapSpec.even_q_never_recurs, read off the pieces too, says whether a pair
+with an even denominator can come back in an orbit: trajectory indexes such
+pairs only where it can, and a block exists only where it cannot.
 """
 
 from __future__ import annotations
@@ -51,7 +43,7 @@ from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -90,6 +82,8 @@ class _MapFields(NamedTuple):
 
 
 BLOCK_STEPS = 4  # the steps one MapSpec.block_pq call takes
+_Step = Callable[[int, int, int], tuple[int, int, int]]  # MapSpec.step_pq
+_Block = Callable[[int, int], tuple[int, int, tuple[int, ...]]]  # MapSpec.block_pq
 
 
 class MapSpec(_MapFields):
@@ -100,7 +94,7 @@ class MapSpec(_MapFields):
         return {}
 
     @cached_property
-    def step_pq(self) -> Callable[[int, int, int], tuple[int, int, int]]:
+    def step_pq(self) -> _Step:
         """The map on a reduced pair: (p, q) with q > 0, and f = p // q, goes to (p', q', bit).
 
         The caller passes the floor f it has taken anyway (an orbit reads its
@@ -109,15 +103,13 @@ class MapSpec(_MapFields):
         The domain is checked first (integers only, odd denominator, minimum),
         each failure a DomainError naming x = p/q.  The bit is floor(x + tau)
         mod 2, or the numerator parity.
-        Each piece is stored once per map as integers (a, b, e) with e > 0,
-        so that its image of p/q is (a*p + b*q) / (e*q).  Since gcd(p, q) = 1,
+        A piece (a, b, e) maps p/q to (a*p + b*q) / (e*q).  Since gcd(p, q) = 1,
         gcd(a*p + b*q, q) = gcd(a, q): the common factor of the image divides
         e*gcd(a, q), a small number, and dividing it out leaves (p', q')
         reduced with q' > 0 again.
 
-        A floor-parity map that is not integral, with an integer tau, an
-        integer minimum mn or none, and pieces with a in {1, 3} and e a power
-        of two gets the shaped step.  The floor f gives the domain
+        A shaped map gets the shaped step, which holds _compose's one-step
+        (a, b, h), e = 2^h, per floor parity.  The floor f gives the domain
         check (x >= mn iff f >= mn, since mn is an integer) and the bit
         (f + tau) mod 2, and the common factor is found with no gcd.  Its odd
         part is gcd(a, q), since e has none: 3 when a = 3 and 3 | q (and then
@@ -135,34 +127,42 @@ class MapSpec(_MapFields):
     def even_q_never_recurs(self) -> bool:
         """True when no pair with an even denominator is visited twice in an orbit of this map.
 
-        It holds when every piece (a*x + b) / e, as _pieces writes it, has a
-        odd and e even: T, g, U, Uflip and V.  A reduced pair with q even has
-        p odd, so a*p + b*q is odd and the step's common factor is odd; the
-        image's denominator then has v2(q) + v2(e) > v2(q) factors of 2.  So
-        from the first even denominator on every denominator is even, with a
-        strictly larger power of 2, and no later pair equals an earlier one.
+        It holds when every piece (a*x + b) / e has a odd and at most one has
+        e odd, that one with a slope a/e other than +-1 and its fixed point
+        b / (e - a) below the domain minimum: T, f, g, U, Uflip, F and V (F's
+        3x + 1 fixes -1/2).  A reduced pair with q even has p odd, so
+        a*p + b*q is odd and the step's common factor is odd; the image's
+        denominator then has v2(q) + v2(e) factors of 2.  So v2 of the
+        denominator never falls, and a pair with q even can come back only
+        through steps by pieces with e odd: by one piece, some n times.  With
+        a slope s other than +-1, s^n != 1, so that pair is the piece's fixed
+        point, which lies outside the domain and is never stepped from.
         """
-        return all(a & 1 and not e & 1 for a, _b, e in _pieces(self.params))
+        lo, pieces = self.domain_min, _pieces(self.params)
+        # per piece with e odd: whether its slope is not +-1 and its fixed point lies below lo
+        odd_e = [lo is not None and abs(a) != e and Fraction(b, e - a) < lo for a, b, e in pieces if e & 1]
+        return all(a & 1 for a, _b, _e in pieces) and odd_e in ([], [True])
 
     @cached_property
-    def block_pq(self) -> Callable[[int, int], tuple[int, int, tuple[int, ...]]] | None:
+    def block_pq(self) -> _Block | None:
         """BLOCK_STEPS = 4 steps at once: a reduced (p, q) with q even goes to (p', q', parities).
 
         The result is that of four step_pq calls from x = p/q: the pair of
-        x_4, and floor(x_i) mod 2 for x_1, x_2, x_3.  It exists for a
-        floor-parity map that is not integral, with an integer tau, an integer
-        minimum or none, and pieces (a*x + b) / 2 with a in {1, 3} and b in
-        {0, 1}; every other map gets None.
-        The cell argument: x_i = (A_i*x + C_i) / 2^i with A_i a power of 3
-        that divides 27, so for i <= 3 floor(x_i) steps only at multiples of
-        1/27, and x + 16 moves x_i by A_i * 2^(4 - i), an even integer.  So
-        the branch of each of the four steps, and the three parities, depend
-        only on the cell floor(27x) mod 432.  A cell holds A = 3^s, C and the
-        parities, so that x_4 = (A*x + C) / 16; it is filled from its left
-        end, cell / 27, the first time an orbit reaches it.  The image
-        (A*p + C*q) / (16*q) needs no general gcd: p is odd since q is even,
-        so A*p + C*q is odd, and its common factor with 16*q is gcd(A, q),
-        which is 1 unless 3 | q.
+        x_4, and floor(x_i) mod 2 for x_1, x_2, x_3.  It exists for a shaped
+        map whose pieces have b in {0, 1} and e in {1, 2} and whose
+        even_q_never_recurs holds (iterate indexes no pair a block skips):
+        U, Uflip, F, V and such Phi maps.  Every other map gets None.
+        The cell argument, as R. Terras showed for 3x+1 on the integers (Acta
+        Arith. 30, 1976): after i <= 3 steps, h of them by a piece with e = 2,
+        x_i = (A*x + C) / 2^h with A a power of 3 that divides 27 and h <= 3.
+        So floor(x_i) steps only at multiples of 1/27, and x + 16 moves x_i by
+        A * 2^(4 - h), an even integer: the branch of each of the four steps,
+        and the three parities, depend only on the cell floor(27x) mod 432.
+        A cell holds _compose's (A, C, h, parities) from its left end,
+        cell / 27, filled the first time an orbit reaches it, and
+        x_4 = (A*x + C) / 2^h.  The image (A*p + C*q) / (2^h*q) needs no
+        general gcd: p is odd since q is even, so A*p + C*q is odd, and its
+        common factor with 2^h*q is gcd(A, q), which is 1 unless 3 | q.
         The domain bound: every piece maps x >= 0 to at least x / 2, so from
         x >= 8 * max(mn, 0), for a minimum mn, every x_i >= x / 8 >= mn.  A
         pair below that bound takes its four steps one at a time, so that a
@@ -171,43 +171,47 @@ class MapSpec(_MapFields):
         return _block_pq(self)
 
 
-def _floor_shaped(m: MapSpec, piece_ok: Callable[[int, int, int], bool]) -> bool:
-    """Whether m branches on the parity of floor(x) + tau, on all rationals from an integer minimum
-    or none, with tau an integer and every piece (a, b, e) of _pieces passing piece_ok."""
-    lo = m.domain_min
-    return (
+def _shaped_pieces(m: MapSpec) -> tuple | None:
+    """m's pieces when m is shaped (floor parity, an integer tau and minimum or none, not integral,
+    every piece (a*x + b) / e with a in {1, 3} and e a power of two), else None."""
+    lo, pieces = m.domain_min, _pieces(m.params)
+    shaped = (
         m.branch_rule is BranchRule.FLOOR_PARITY
         and m.params.tau.denominator == 1
         and not m.integral
         and (lo is None or lo.denominator == 1)
-        and all(piece_ok(*piece) for piece in _pieces(m.params))
+        and all(a in (1, 3) and not e & (e - 1) for a, _b, e in pieces)
     )
+    return pieces if shaped else None
 
 
-def _block_pq(m: MapSpec) -> Callable[[int, int], tuple[int, int, tuple[int, ...]]] | None:
-    """m's block step (see MapSpec.block_pq), or None when m lacks the shape."""
-    if not _floor_shaped(m, lambda a, b, e: a in (1, 3) and b in (0, 1) and e == 2):
+def _compose(pieces: tuple, t: int, num: int, den: int, k: int) -> tuple:
+    """k steps of a shaped map with these pieces and tau = t from x = num / den, the left end of a
+    cell whose points all take the same branches: (A, C, h, parities), so that x_k = (A*x + C) / 2^h
+    on the cell, and the floor parities of x_1 .. x_(k - 1)."""
+    big_a, big_c, h, parities = 1, 0, 0, []
+    for i in range(k):
+        f = (big_a * num + big_c * den) // (den << h)  # the floor of x_i
+        if i:
+            parities.append(f & 1)
+        a, b, e = pieces[(f + t) & 1]
+        big_a, big_c, h = a * big_a, a * big_c + (b << h), h + e.bit_length() - 1  # e is a power of 2
+    return big_a, big_c, h, tuple(parities)
+
+
+def _block_pq(m: MapSpec) -> _Block | None:
+    """m's block step (see MapSpec.block_pq), or None when m has none."""
+    pieces = _shaped_pieces(m)
+    if pieces is None or any(b not in (0, 1) or e > 2 for _a, b, e in pieces) or not m.even_q_never_recurs:
         return None
-    pieces, t, step_pq = _pieces(m.params), m.params.tau.numerator, m.step_pq
+    t, step_pq = m.params.tau.numerator, m.step_pq
     steps = BLOCK_STEPS
     n = steps - 1
     scale = 3**n  # each branch point of x_1 .. x_n is a multiple of 1/scale
     cells = scale << steps  # x + 2^steps moves x_1 .. x_n by even integers
     # the domain bound: floor(scale * x) >= c_lo iff x >= 2^n * max(mn, 0)
     c_lo = None if m.domain_min is None else scale * max(m.domain_min.numerator, 0) << n
-    table: list[tuple[int, int, tuple[int, ...]] | None] = [None] * cells
-
-    def fill(cell: int) -> tuple[int, int, tuple[int, ...]]:
-        big_a, big_c, parities = 1, 0, []
-        num, den = cell, scale  # x_i = num / den, from x = cell / scale, the cell's left end
-        for i in range(steps):
-            f = num // den
-            if i:
-                parities.append(f & 1)
-            a, b, _e = pieces[(f + t) & 1]
-            num, den = a * num + b * den, den << 1
-            big_a, big_c = a * big_a, a * big_c + (b << i)  # x_(i+1) = (big_a*x + big_c) / 2^(i+1)
-        return big_a, big_c, tuple(parities)
+    table = [None] * cells
 
     def block_pq(p: int, q: int) -> tuple[int, int, tuple[int, ...]]:
         c = scale * p // q
@@ -221,35 +225,32 @@ def _block_pq(m: MapSpec) -> Callable[[int, int], tuple[int, int, tuple[int, ...
         c %= cells
         cell = table[c]
         if cell is None:
-            cell = table[c] = fill(c)
-        a, b, parities = cell
+            cell = table[c] = _compose(pieces, t, c, scale, steps)
+        a, b, h, parities = cell
         if a > 1 and not q % 3:
             g = gcd(a, q)
-            return (a * p + b * q) // g, (q << steps) // g, parities
-        return a * p + b * q, q << steps, parities
+            return (a * p + b * q) // g, (q << h) // g, parities
+        return a * p + b * q, q << h, parities
 
     return block_pq
 
 
-def _shaped_step_pq(m: MapSpec) -> Callable[[int, int, int], tuple[int, int, int]] | None:
-    """m's step in the shaped form (see MapSpec.step_pq), or None when m lacks the shape."""
-    if not _floor_shaped(m, lambda a, _b, e: a in (1, 3) and not e & (e - 1)):
+def _shaped_step_pq(m: MapSpec) -> _Step | None:
+    """m's step in the shaped form (see MapSpec.step_pq), or None when m is not shaped."""
+    pieces = _shaped_pieces(m)
+    if pieces is None:
         return None
-    pieces = _pieces(m.params)
-    tau, lo = m.params.tau, m.domain_min
+    t, lo = m.params.tau.numerator, m.domain_min
     name, mn = m.name, None if lo is None else lo.numerator
-    by_floor = []  # per floor parity: (a, b, k) with e = 2^k, whether a = 3, and the bit
-    for parity in (0, 1):
-        bit = (parity + tau.numerator) & 1
-        a, b, e = pieces[bit]
-        by_floor.append((a, b, e.bit_length() - 1, a == 3, bit))
+    # per floor parity: x -> (a*x + b) / 2^h, whether a = 3, and the branch bit
+    table = [(a, b, h, a == 3, (f + t) & 1) for f in (0, 1) for a, b, h, _ in [_compose(pieces, t, f, 1, 1)]]
 
     def step_pq(p: int, q: int, f: int) -> tuple[int, int, int]:
         if mn is not None and f < mn:
             raise DomainError(f"{name} is defined for x >= {lo}, got {Fraction(p, q)}")
-        a, b, k, three, bit = by_floor[f & 1]
+        a, b, h, three, bit = table[f & 1]
         num = a * p + b * q
-        den = q << k
+        den = q << h
         if three and not q % 3:
             num //= 3
             den //= 3
@@ -262,7 +263,7 @@ def _shaped_step_pq(m: MapSpec) -> Callable[[int, int, int], tuple[int, int, int
     return step_pq
 
 
-def _generic_step_pq(m: MapSpec) -> Callable[[int, int, int], tuple[int, int, int]]:
+def _generic_step_pq(m: MapSpec) -> _Step:
     """m's step for any map: one general floor and two gcd calls (see MapSpec.step_pq)."""
     pieces = _pieces(m.params)
     tn, td = m.params.tau.numerator, m.params.tau.denominator
@@ -291,11 +292,8 @@ def _pieces(par: PhiParams) -> tuple[tuple[int, int, int], ...]:
     """Each piece slope*x + offset as (a, b, e) in lowest terms with e > 0, so that it is (a*x + b) / e."""
     pieces = []
     for slope, offset in ((par.alpha, par.beta), (par.gamma, par.delta)):
-        a = slope.numerator * offset.denominator
-        b = offset.numerator * slope.denominator
-        e = slope.denominator * offset.denominator
-        g = gcd(a, b, e)
-        pieces.append((a // g, b // g, e // g))
+        e = lcm(slope.denominator, offset.denominator)  # no prime divides all of a, b and e
+        pieces.append((slope.numerator * e // slope.denominator, offset.numerator * e // offset.denominator, e))
     return tuple(pieces)
 
 

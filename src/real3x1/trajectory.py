@@ -35,14 +35,14 @@ also the pair's parity bit, floor(x) mod 2, whatever the map's own branch
 rule, and the floor that step_pq takes.  The repetition check's dict holds a
 pair only while a repeat is still possible: for a map whose
 even_q_never_recurs holds, only odd denominators are indexed, so the dict of
-a U, Uflip or V orbit stops growing at its first even denominator.
+a U, Uflip, F or V orbit stops growing at its first even denominator.
 
-Where a map has MapSpec.block_pq (U, Uflip, V and Phi maps of their shape),
-iterate takes BLOCK_STEPS = 4 steps in one call.  Each pass of the loop lands
-on a pair k, with floor f and denominator q, and then tries one guard; where
-it holds, pair k takes no test and the next pass is a block over pairs
-k + 1 .. k + 4, so a chain of blocks tests only the pair it ends on.  No test
-can fire on pairs k .. k + 3 when all of these hold:
+Where a map has MapSpec.block_pq (U, Uflip, F, V and Phi maps of their
+shape), iterate takes BLOCK_STEPS = 4 steps in one call.  Each pass of the
+loop lands on a pair k, with floor f and denominator q, and then tries one
+guard; where it holds, pair k takes no test and the next pass is a block
+over pairs k + 1 .. k + 4, so a chain of blocks tests only the pair it ends
+on.  No test can fire on pairs k .. k + 3 when all of these hold:
 
   * q is even, tested first as even > q & 1 with even = 0 where no block can
     run: block_pq's maps all have even_q_never_recurs, so none is indexed;
@@ -51,18 +51,19 @@ can fire on pairs k .. k + 3 when all of these hold:
   * f >= 8 * max(h_hi + 1, 0), for the hull's greatest floor h_hi: each
     piece maps x >= 0 to at least x / 2, so each floor lies above the hull
     (block_pq itself keeps the domain minimum);
-  * 27 * (f + 2) <= 8 * (e_hi + 1), for the escape floor e_hi: each piece
-    maps x >= 0 to at most (3x + 1) / 2, so x_i + 1 < (3/2)^i (f + 2) for
-    i <= 3, and e_hi >= 6 > f, so each floor lies in [0, e_hi);
+  * 27 * f + 40 <= e_hi, for the escape floor e_hi: a block map's pieces
+    map x >= 0 to at most 3x + 1, so x_i + 1/2 <= 3^i (x + 1/2), and with
+    x < f + 1 each x_i < 27 * f + 40 for i <= 3, a floor in [0, e_hi);
   * q >> (den_bit_cap - 3) == 0: each step at most doubles the denominator.
 
 So a report is the same with blocks as without; conjecture iterates with
-keep = 1 and takes blocks on most of every U, Uflip and V orbit.  iterate
+keep = 1 and takes blocks on most of every U, Uflip, F and V orbit.  iterate
 reads nothing of a map but its name, step_pq, even_q_never_recurs and
-block_pq.  contraction_check replays its block on step_pq pairs as well and
-checks the identity by cross-multiplied integers, with the ratio's terms
-taken as products of gamma's and alpha's numerators and denominators: the
-identity needs no reduced ratio, only a positive denominator.
+block_pq: the one escape guard holds for every map with a block.
+contraction_check replays its block on step_pq pairs as well and checks the
+identity by cross-multiplied integers, with the ratio's terms taken as
+products of gamma's and alpha's numerators and denominators: the identity
+needs no reduced ratio, only a positive denominator.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def iterate(
     k_hi = cap - skip if block is not None and den_bit_cap >= skip else 0
     even = int(k_hi > kept)  # even > q & 1 fails at once for an odd q, or with no block to take
     f_min = max(h_hi + 1, 0) << skip
-    f_max = None if e_hi is None else ((e_hi + 1) << skip) // 3**skip - 2
+    f_max = None if e_hi is None else (e_hi - (3 ** (skip + 1) >> 1)) // 3**skip  # 27 * f + 40 <= e_hi
     q_room = den_bit_cap - skip
 
     bits = [f & 1]  # floor(x) mod 2 for every visited pair

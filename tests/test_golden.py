@@ -14,8 +14,10 @@ Phi map with non-dyadic slopes and a fractional tau, and an orbit that leaves
 its domain mid-way.  The summary-only sweeps pin the rotation-class path: at
 lmax 1 every class has one member, and one range starts above lmin 1.  The
 record sweeps pin the per-rank lines derived from each necklace: without a
-verdict, from lmin above 1, and across two workers.  The last iterate rows
-pin a zero step cap and a report that keeps only its start.
+verdict, from lmin above 1, and across two workers.  The iterate rows after
+them pin a zero step cap and a report that keeps only its start.  The last
+rows pin F's orbits far above its windows, where they run in blocks: a seeded
+Q2 run, and F orbits that meet an escape bound, a den-bit cap and a keep of 5.
 
 The FORGED rows take branches that honest runs never take.  The realized
 forgery patches both integer realization scans: cycles._group_totals, which
@@ -167,6 +169,14 @@ GOLDEN = {
         ("070d1a5fed9f61545ec308159f6586642f0fe4241c4780487d2b41ec4706fed2", 2),
     "iterate --map U --start 3/2,7,1,27 --keep 1 --cap 200":
         ("22c712c3e4d1c8d45b7cb62c3142434786cd6cdc2a55f1862a8ec43e95617b2e", 0),
+    "conjecture Q2 --samples 300 --den-bits 40 --cap 3000 --seed 7":
+        ("243b36e9b1134d2bf225fafcc5109fc20387d25b9ca0c18f44b339e2969582bb", 0),
+    "iterate --map F --start 3/2,47299/160,7427/48,254421/64,12345/64 --escape 10000000 --cap 3000":
+        ("bb48a8b9c6d75d5ce95fbd4b47d82e9729b8b6d1bfd2fae7b7ece5b5efa9981e", 0),
+    "iterate --map F --start 12345/64,100003/1024,9/8,7427/48 --den-bit-cap 40 --cap 3000":
+        ("73ef409cbbfc6a16724ad3169836be8d85838411934c363fd5addbe3531e4849", 2),
+    "iterate --map F --start 12345/64,100003/1024,16/9,47299/160 --keep 5 --cap 500":
+        ("449b2780820daac7755c13810fee15f93d8bed4dd34ca1b5d7f38467437f5e0f", 0),
 }
 
 # Honest runs never take these branches, so the runs forge them: a

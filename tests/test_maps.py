@@ -288,7 +288,7 @@ def _blocks(m, p, q):
 _BLOCK_CELLS = 3 ** (maps.BLOCK_STEPS - 1) << maps.BLOCK_STEPS  # 432: the cells of floor(27x) mod 432
 
 
-@pytest.mark.parametrize("name", ["U", "Uflip", "V", "Phi:1/2,0,3/2,1/2,0"])
+@pytest.mark.parametrize("name", ["U", "Uflip", "F", "V", "Phi:1/2,0,3/2,1/2,0"])
 def test_a_block_equals_its_steps_in_every_cell(name):
     """In each of the 432 cells of floor(27x) mod 432, from a seeded point with floor >= 64 and an
     even denominator >= 2^40, block_pq gives the pair and the three floor parities that four
@@ -330,10 +330,12 @@ def test_a_block_steps_one_at_a_time_below_eight_times_the_minimum():
 
 def test_only_maps_of_the_block_shape_have_a_block():
     """block_pq exists for floor-parity maps with an integer tau and minimum whose pieces are
-    (a*x + b) / 2, a in {1, 3} and b in {0, 1}: not for the integer maps, g or F, nor for b = 2 or e = 4."""
-    have = ["U", "Uflip", "V", "Phi:1/2,0,3/2,1/2,0", "Phi:1/2,0,3/2,0,1,100", "Phi:1/2,1/2,3/2,0,0,-5"]
-    lack = ["T", "f", "g", "F", "Phi:1/2,1,3/2,1/2,0", "Phi:1/4,0,3/2,1/2,0", "Phi:1/2,0,3/4,1/4,0"]
-    lack += ["Phi:1/2,0,3/2,1/2,1/2", "Phi:1/2,0,3/2,1/2,0,1/2"]
+    (a*x + b) / e, a in {1, 3}, b in {0, 1} and e in {1, 2}, and whose even_q_never_recurs holds:
+    not for the integer maps or g, nor for b = 2 or e = 4, nor for F's pieces with no minimum or
+    the identity as a piece, where a pair with an even denominator may recur."""
+    have = ["U", "Uflip", "F", "V", "Phi:1/2,0,3/2,1/2,0", "Phi:1/2,0,3/2,0,1,100", "Phi:1/2,1/2,3/2,0,0,-5"]
+    lack = ["T", "f", "g", "Phi:1/2,1,3/2,1/2,0", "Phi:1/4,0,3/2,1/2,0", "Phi:1/2,0,3/4,1/4,0"]
+    lack += ["Phi:1/2,0,3/2,1/2,1/2", "Phi:1/2,0,3/2,1/2,0,1/2", "Phi:1/2,0,3,1,0", "Phi:1/2,0,1,0,0,1"]
     assert [name for name in have + lack if map_from_name(name).block_pq is not None] == have
 
 

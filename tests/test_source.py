@@ -208,6 +208,24 @@ def test_iterate_reads_only_the_maps_name_and_step():
     assert reads == []
 
 
+def test_maps_rules_never_read_a_maps_name():
+    """Which step form, block and index rule a map gets is read off its pieces: no comparison or
+    condition in maps.py reads a .name or compares to a named map's string, so a forged map under
+    a real name (as test_golden's FORGED_F rows patch F) gets the rules of its own pieces."""
+    maps = dict(_modules())["maps.py"]
+    names = set(real3x1.MAPS)
+    tests = [node for node in ast.walk(maps) if isinstance(node, (ast.Compare, ast.BoolOp))]
+    tests += [node.test for node in ast.walk(maps) if isinstance(node, (ast.If, ast.IfExp, ast.While))]
+    reads = [
+        f"maps.py:{node.lineno}"
+        for test in tests
+        for node in ast.walk(test)
+        if isinstance(node, ast.Attribute) and node.attr == "name"
+        or isinstance(node, ast.Constant) and node.value in names
+    ]
+    assert names and reads == []
+
+
 def test_record_lines_are_built_per_class():
     """Record mode pays its per-record costs once per class: no _dumps(...) call in a loop of
     cycles.record_classes, the one writer of record lines."""

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from real3x1 import trajectory
+from real3x1 import maps, trajectory
 from real3x1.cli import jsonable
 from real3x1.errors import DomainError, PreconditionError
 from real3x1.maps import BLOCK_STEPS, MAPS, map_from_name, step
@@ -483,11 +483,13 @@ def test_gated_loop_matches_the_ungated_reference(name):
         assert got == want, (x, kwargs)
 
 
-# maps with a block, and the floors of the block origins tried: U's pieces with tau 0 and 1, V's, no
-# minimum (negative floors too, under a hull below 0), and the minimum 100, whose origins lie by 800
+# maps with a block, and the floors of the block origins tried: U's pieces with tau 0 and 1, V's, F's
+# by its hull bound 8 * (4 + 1) = 40 and far above it, no minimum (negative floors too, under a hull
+# below 0), and the minimum 100, whose origins lie by 800
 _BLOCK_ORIGINS = {
     "U": range(64, 88),
     "Uflip": range(64, 88),
+    "F": [*range(36, 48), *range(1000, 1008)],
     "V": range(64, 88),
     "Phi:1/2,0,3/2,1/2,0": [*range(-12, 0), *range(64, 76)],
     "Phi:1/2,0,3/2,1/2,0,100": range(792, 808),
@@ -509,7 +511,9 @@ def _guard_runs(m, y, blocks=1):
     block from y is the orbit's first, and with blocks = 2 the pair it lands on starts the second.
     For the j-th pair z after y: a trap that holds z and one that ends at z (hull top floor(z)); an
     escape bound just under z and one equal to z; a den_bit_cap of z's denominator's bits, and one
-    less; a step cap at z; and each preimage's plain run at every keep from 2 to that of z."""
+    less; a step cap at z; and each preimage's plain run at every keep from 2 to that of z.  At y
+    and at each pair a block would land on, with floor f: the escape floors 27 * f + 40, where the
+    escape guard holds, and one less."""
     par = m.params
     starts = [
         x
@@ -525,6 +529,8 @@ def _guard_runs(m, y, blocks=1):
         skipped.append(z)
     tiny = F2(1, 1 << 80)
     settings = [{}, *({"keep": keep} for keep in range(2, BLOCK_STEPS * blocks))]
+    for z in [y, *skipped[BLOCK_STEPS - 1 :: BLOCK_STEPS]]:
+        settings += [{"escape_bound": F2(27 * math.floor(z) + 40 - less)} for less in (0, 1)]
     for j, z in enumerate(skipped, 1):
         bits = z.denominator.bit_length()
         settings += [
@@ -652,38 +658,47 @@ def test_each_step_is_taken_once(name, monkeypatch):
             fates.add(rep.fate.kind)
             settled += rep.steps_used == 0 and steps > 0
     assert FateKind.CAP_REACHED in fates and len(fates) > 1
-    assert bool(blocks) == (m.block_pq is not None)  # the keep = 1 runs of U, Uflip and V take blocks
+    assert bool(blocks) == (m.block_pq is not None)  # the keep = 1 runs of U, Uflip, F and V take blocks
     if name in trajectory._BASINS:  # each window's midpoint settles at once and still pads its tail
         assert settled >= len(trajectory._BASINS[name])
 
 
-# maps whose pieces (a*x + b) / e all have a odd and e even, so that an even denominator never
-# recurs, and maps that break that rule: F and f by e = 1, the identity by e = 1, x + 1/2 by a = 2
+# maps whose pieces (a*x + b) / e all have a odd, and at most one e odd, with a slope other than
+# +-1 and a fixed point below the minimum, so that an even denominator never recurs: f and F by
+# 3x + 1, which fixes -1/2, and test_golden's forged family F by e even alone.  Maps that break
+# that rule: F's pieces with no minimum, the identity as a piece (twice, and in the forged stall
+# F), x + 1/2 by a = 2, and the forged doubling F by 2x
 _RULE = {
     "T": True,
-    "f": False,
+    "f": True,
     "g": True,
     "U": True,
     "Uflip": True,
-    "F": False,
+    "F": True,
     "V": True,
     "Phi:1,0,1,0,0": False,
     "Phi:1,1/2,1,-1/2,0": False,
+    "Phi:1/2,0,3,1,0": False,
+    "Phi:1/2,0,5/4,0,0,1": True,
+    "Phi:1/2,0,1,0,0,1": False,
+    "Phi:2,0,5/4,0,0,1": False,
 }
 
 
 def test_even_denominators_never_recur_under_the_rule():
-    """The rule is read off the pieces; under it every step from an even denominator raises the
-    denominator's power of 2, on seeded orbits of U, Uflip and V."""
+    """The rule is read off the pieces; under it no step from an even denominator lowers the
+    denominator's power of 2, and every step by a piece with e even raises it, on seeded orbits of
+    U, Uflip, V and F (whose 3x + 1 keeps it)."""
     assert {name: map_from_name(name).even_q_never_recurs for name in _RULE} == _RULE
-    for name in ("U", "Uflip", "V"):
+    for name in ("U", "Uflip", "V", "F"):
         m = MAPS[name]
         for x in _seeded_starts(name, 20):
             p, q = x.numerator, x.denominator
             for _ in range(60):
-                p2, q2, _b = m.step_pq(p, q, p // q)
+                p2, q2, bit = m.step_pq(p, q, p // q)
                 if not q & 1:
-                    assert (q2 & -q2) > (q & -q), (name, x, p, q)
+                    _a, _b, e = maps._pieces(m.params)[bit]  # the piece that ran
+                    assert (q2 & -q2) >= (q & -q) << (1 - e % 2), (name, x, p, q)
                 p, q = p2, q2
 
 
